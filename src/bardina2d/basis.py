@@ -8,10 +8,15 @@ aliasing and triple products are integrated exactly by the quadrature.
 
 Sphere
     Real spherical harmonics (Condon-Shortley phase), degrees 1..truncation,
-    eigenvalue n(n+1).  Gauss-Legendre latitudes, equispaced longitudes,
-    associated-Legendre recurrence for the latitude tables, FFT in longitude.
-    Mode (n, m): m >= 0 selects the cos(m phi) member, m < 0 the sin(|m| phi)
-    member.  Slot order is (n, m) lexicographic.
+    eigenvalue n(n+1).  Mode (n, m): m >= 0 selects the cos(m phi) member,
+    m < 0 the sin(|m| phi) member.  Slot order is (n, m) lexicographic.
+    Gauss-Legendre latitudes, equispaced longitudes.  The Legendre stage is
+    m-blocked as in SHTns (Schaeffer 2013, G-Cubed 14): the recurrence fills
+    tables of P and dP/dtheta of shape (truncation + 1, truncation, nlat),
+    zero-padded below degree max(m, 1), so every transform is one matmul
+    batched over m, with the cos and sin rows of all fields stacked, plus a
+    real FFT in longitude.  The phi-derivative factor m / sin(theta) is
+    applied per latitude instead of being tabulated.
 
 Torus
     Fourier modes exp(2*pi*i k.x / L) on [0, L]^2 with max(|k1|, |k2|) <=
@@ -75,7 +80,20 @@ def torus(length):
 
 
 class _SphereCore:
-    """Latitude tables and FFT bookkeeping for one sphere truncation."""
+    """Latitude tables and FFT bookkeeping for one sphere truncation.
+
+    The Legendre tables are m-blocked and zero-padded: P[m, n - 1] holds the
+    orthonormal P_n^m at every Gauss latitude and dP[m, n - 1] its theta
+    derivative, with zero rows where n < max(m, 1).  slots[m, 0, n - 1] is
+    the flat slot of the cos member (n, m) and slots[m, 1, n - 1] that of the
+    sin member; entries with no mode point at slot n_modes, a zero appended
+    to every coefficient row.  A transform is one gather into rows of shape
+    (lmax + 1, 2B, lmax) for B stacked fields, one matmul batched over m,
+    and one real FFT in longitude.  The longitude derivative needs
+    m P / sin(theta); rather than a third table, the gradient transforms
+    multiply by m / sin(theta) after the matmul (synthesis) or before it
+    (analysis).
+    """
 
     def __init__(self, lmax):
         self.lmax = lmax
@@ -89,108 +107,112 @@ class _SphereCore:
         # cell weight for the longitude direction
         self.dphi = 2.0 * np.pi / self.nlon
 
-        # normalized associated Legendre tables, n = m..lmax per order m
-        # pbar[m] has rows n = n_start(m)..lmax, columns = latitudes
-        self.pbar = []
-        self.dpbar = []  # d/d(theta)
-        self.spbar = []  # m * pbar / sin(theta)
-        for m in range(lmax + 1):
+        nm = lmax + 1
+        self.P = np.zeros((nm, lmax, self.nlat))
+        self.dP = np.zeros((nm, lmax, self.nlat))
+        for m in range(nm):
             p, dp = _legendre_tables(lmax, m, mu, self.sin_t)
             n_start = max(m, 1)
-            rows = slice(n_start - m, lmax - m + 1)
-            self.pbar.append(p[rows])
-            self.dpbar.append(dp[rows])
-            self.spbar.append(m * p[rows] / self.sin_t)
+            self.P[m, n_start - 1 :] = p[n_start - m :]
+            self.dP[m, n_start - 1 :] = dp[n_start - m :]
 
         # flat slot layout: slot(n, m) = n^2 + n + m - 1
         self.n_modes = lmax * (lmax + 2)
-        deg = np.zeros(self.n_modes, dtype=np.int64)
-        order = np.zeros(self.n_modes, dtype=np.int64)
-        for n in range(1, lmax + 1):
-            for m in range(-n, n + 1):
-                s = n * n + n + m - 1
-                deg[s] = n
-                order[s] = m
-        self.deg = deg
-        self.order = order
+        deg = np.repeat(np.arange(1, lmax + 1), 2 * np.arange(1, lmax + 1) + 1)
+        order = np.arange(self.n_modes) + 1 - deg * deg - deg
         self.lam = (deg * (deg + 1)).astype(np.float64)
 
-        self.cos_slots = []
-        self.sin_slots = []
-        for m in range(lmax + 1):
-            ns = np.arange(max(m, 1), lmax + 1)
-            self.cos_slots.append(ns * ns + ns + m - 1)
-            self.sin_slots.append(ns * ns + ns - m - 1 if m > 0 else None)
+        ns = np.arange(1, lmax + 1)[None, :]
+        ms = np.arange(nm)[:, None]
+        cos_slots = np.where(ns >= ms, ns * ns + ns + ms - 1, self.n_modes)
+        sin_slots = np.where((ns >= ms) & (ms > 0), ns * ns + ns - ms - 1, self.n_modes)
+        self.slots = np.stack((cos_slots, sin_slots), axis=1)
+        # where each slot sits in an (m, cos|sin, n - 1) block
+        self.slot_m = np.abs(order)
+        self.slot_sc = (order < 0).astype(np.int64)
+        self.slot_n = deg - 1
 
-        self.k0 = 1.0 / math.sqrt(2.0 * math.pi)
-        self.k1 = 1.0 / math.sqrt(math.pi)
+        k = np.full(nm, 1.0 / math.sqrt(math.pi))
+        k[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        # spectrum weight of k cos(m phi) is (nlon / 2) k, of the constant nlon k
+        ks = 0.5 * self.nlon * k
+        ks[0] *= 2.0
+        m_over_sin = ms / self.sin_t[None, :]
+        self.synth_w = ks[:, None, None]
+        # d/dphi brings i m, the metric 1 / sin(theta)
+        self.synth_w_phi = (1j * ks[:, None] * m_over_sin)[:, None, :]
+        # quadrature weight per (latitude, m), normalization folded in
+        self.ana_w = self.wlat[:, None] * (self.dphi * k)[None, :]
+        # -i m / sin(theta) turns rows (Re, -Im) of the phi spectrum into (Im, Re)
+        self.ana_w_phi = -1j * self.ana_w * m_over_sin.T
         self.qw = np.repeat((self.wlat * self.dphi)[:, None], self.nlon, axis=1)
+
+    # -- m-blocked Legendre stage ---------------------------------------
+
+    def _gather(self, coeffs):
+        """(B, n_modes) -> (lmax + 1, 2B, lmax): rows (field, cos|sin) per m."""
+        b = coeffs.shape[0]
+        pad = np.zeros((b, self.n_modes + 1))
+        pad[:, :-1] = coeffs
+        rows = pad[np.arange(b)[:, None, None], self.slots[:, None]]
+        return rows.reshape(self.lmax + 1, 2 * b, self.lmax)
+
+    def _scatter(self, blocks, b):
+        """(lmax + 1, 2B, lmax) -> (B, n_modes): inverse of `_gather`."""
+        blocks = blocks.reshape(self.lmax + 1, b, 2, self.lmax).transpose(1, 0, 2, 3)
+        return blocks[:, self.slot_m, self.slot_sc, self.slot_n]
+
+    def _to_spectrum(self, ab, weight, spec):
+        """Legendre sums (lmax + 1, 2B, nlat) into columns m of spec (B, nlat, nfreq)."""
+        nm = self.lmax + 1
+        ab = ab.reshape(nm, -1, 2, self.nlat)
+        spec[..., :nm] = (weight * (ab[:, :, 0] - 1j * ab[:, :, 1])).transpose(1, 2, 0)
+
+    def _from_spectrum(self, g, weight):
+        """Weighted columns m of g (B, nlat, nfreq) as rows (Re, -Im): (lmax + 1, 2B, nlat)."""
+        gm = (g[..., : self.lmax + 1] * weight).transpose(2, 0, 1)
+        rows = np.stack((gm.real, -gm.imag), axis=2)
+        return rows.reshape(self.lmax + 1, -1, self.nlat)
+
+    def _empty_spec(self, b, *mid):
+        return np.zeros((b, *mid, self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
 
     # -- scalar --------------------------------------------------------
 
     def synthesize(self, coeffs):
         lead = coeffs.shape[:-1]
-        spec = np.zeros(lead + (self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
-        for m in range(self.lmax + 1):
-            a = coeffs[..., self.cos_slots[m]] @ self.pbar[m]
-            if m == 0:
-                spec[..., 0] = self.nlon * self.k0 * a
-            else:
-                b = coeffs[..., self.sin_slots[m]] @ self.pbar[m]
-                spec[..., m] = (0.5 * self.nlon * self.k1) * (a - 1j * b)
-        return np.fft.irfft(spec, n=self.nlon, axis=-1)
+        c = self._gather(coeffs.reshape(-1, self.n_modes))
+        spec = self._empty_spec(c.shape[1] // 2)
+        self._to_spectrum(c @ self.P, self.synth_w, spec)
+        out = np.fft.irfft(spec, n=self.nlon, axis=-1)
+        return out.reshape(lead + out.shape[-2:])
 
     def analyze(self, f):
-        g = np.fft.rfft(f, axis=-1)
-        out = np.empty(f.shape[:-2] + (self.n_modes,))
-        for m in range(self.lmax + 1):
-            gm = g[..., m] * self.wlat
-            if m == 0:
-                out[..., self.cos_slots[0]] = (self.dphi * self.k0) * (
-                    gm.real @ self.pbar[0].T
-                )
-            else:
-                c = self.dphi * self.k1
-                out[..., self.cos_slots[m]] = c * (gm.real @ self.pbar[m].T)
-                out[..., self.sin_slots[m]] = -c * (gm.imag @ self.pbar[m].T)
-        return out
+        lead = f.shape[:-2]
+        g = np.fft.rfft(f.reshape((-1,) + f.shape[-2:]), axis=-1)
+        rows = self._from_spectrum(g, self.ana_w)
+        out = self._scatter(rows @ self.P.transpose(0, 2, 1), g.shape[0])
+        return out.reshape(lead + (self.n_modes,))
 
     # -- gradient ------------------------------------------------------
 
     def synth_grad(self, coeffs):
         lead = coeffs.shape[:-1]
-        spec = np.zeros(lead + (2, self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
-        for m in range(self.lmax + 1):
-            a = coeffs[..., self.cos_slots[m]]
-            if m == 0:
-                spec[..., 0, :, 0] = self.nlon * self.k0 * (a @ self.dpbar[0])
-            else:
-                b = coeffs[..., self.sin_slots[m]]
-                c = 0.5 * self.nlon * self.k1
-                spec[..., 0, :, m] = c * ((a @ self.dpbar[m]) - 1j * (b @ self.dpbar[m]))
-                spec[..., 1, :, m] = 1j * c * ((a @ self.spbar[m]) - 1j * (b @ self.spbar[m]))
-        return np.fft.irfft(spec, n=self.nlon, axis=-1)
+        c = self._gather(coeffs.reshape(-1, self.n_modes))
+        spec = self._empty_spec(c.shape[1] // 2, 2)
+        self._to_spectrum(c @ self.dP, self.synth_w, spec[:, 0])
+        self._to_spectrum(c @ self.P, self.synth_w_phi, spec[:, 1])
+        out = np.fft.irfft(spec, n=self.nlon, axis=-1)
+        return out.reshape(lead + out.shape[-3:])
 
     def grad_analysis(self, vec):
-        gt = np.fft.rfft(vec[..., 0, :, :], axis=-1)
-        gp = np.fft.rfft(vec[..., 1, :, :], axis=-1)
-        out = np.empty(vec.shape[:-3] + (self.n_modes,))
-        for m in range(self.lmax + 1):
-            gtm = gt[..., m] * self.wlat
-            gpm = gp[..., m] * self.wlat
-            if m == 0:
-                out[..., self.cos_slots[0]] = (self.dphi * self.k0) * (
-                    gtm.real @ self.dpbar[0].T
-                )
-            else:
-                c = self.dphi * self.k1
-                out[..., self.cos_slots[m]] = c * (
-                    gtm.real @ self.dpbar[m].T + gpm.imag @ self.spbar[m].T
-                )
-                out[..., self.sin_slots[m]] = c * (
-                    -gtm.imag @ self.dpbar[m].T + gpm.real @ self.spbar[m].T
-                )
-        return out
+        lead = vec.shape[:-3]
+        g = np.fft.rfft(vec.reshape((-1,) + vec.shape[-3:]), axis=-1)
+        rows_t = self._from_spectrum(g[:, 0], self.ana_w)
+        rows_p = self._from_spectrum(g[:, 1], self.ana_w_phi)
+        blocks = rows_t @ self.dP.transpose(0, 2, 1) + rows_p @ self.P.transpose(0, 2, 1)
+        out = self._scatter(blocks, g.shape[0])
+        return out.reshape(lead + (self.n_modes,))
 
 
 def _legendre_tables(lmax, m, mu, sin_t):
@@ -216,14 +238,11 @@ def _legendre_tables(lmax, m, mu, sin_t):
         b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
         p[n - m] = a * (mu * p[n - m - 1] - b * p[n - m - 2])
 
-    dp = np.zeros_like(p)
-    for n in range(m, lmax + 1):
-        i = n - m
-        acc = n * mu * p[i]
-        if i > 0:
-            e = math.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-            acc = acc - e * p[i - 1]
-        dp[i] = acc / sin_t
+    n = np.arange(m, lmax + 1)
+    e = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
+    dp = n[:, None] * mu * p
+    dp[1:] -= e[1:, None] * p[:-1]
+    dp /= sin_t
     return p, dp
 
 
@@ -242,6 +261,17 @@ def _fast_even(n):
 
 # ---------------------------------------------------------------------------
 # torus transform core
+
+
+def dealias_band(truncation):
+    """Edge of the torus dealias band: floor(2 * truncation / 3)."""
+    return (2 * truncation) // 3
+
+
+def in_dealias_band(truncation, k1, k2):
+    """Whether torus wavevectors (k1, k2) have both |k_i| <= dealias_band; broadcasts."""
+    band = dealias_band(truncation)
+    return (np.abs(k1) <= band) & (np.abs(k2) <= band)
 
 
 class _TorusCore:
@@ -285,10 +315,7 @@ class _TorusCore:
         self.mrj = (-reps[:, 1]) % n
         self.wnum = (2.0 * np.pi / length) * reps.astype(np.float64)
 
-        band = math.floor(2 * kmax / 3)
-        self.dealias_mask = (np.abs(self.qvec[:, 0]) <= band) & (
-            np.abs(self.qvec[:, 1]) <= band
-        )
+        self.dealias_mask = in_dealias_band(kmax, self.qvec[:, 0], self.qvec[:, 1])
 
         self.amp = math.sqrt(2.0) / length
         self.cell = (length / n) ** 2
@@ -457,11 +484,6 @@ def dealias(plan, coeffs):
     if plan.geometry.kind == SPHERE:
         return coeffs.copy()
     return np.where(plan.dealias_mask, coeffs, 0.0)
-
-
-def quad_weights(plan):
-    """Quadrature weights over the grid; integrate(f) == sum(qw * f)."""
-    return plan.core.qw.copy()
 
 
 def integrate(plan, f):

@@ -111,6 +111,13 @@ def _check_mode_index(geometry, truncation, index, path):
         k1, k2 = index
         if (k1, k2) == (0, 0) or max(abs(k1), abs(k2)) > truncation:
             _fail(path, f"mode k=({k1}, {k2}) outside truncation {truncation}")
+        # the nonlinearity is dealiased to the band; a mode outside it aliases
+        if not basis.in_dealias_band(truncation, k1, k2):
+            _fail(
+                path,
+                f"mode k=({k1}, {k2}) outside the dealias band |k_i| <= "
+                f"{basis.dealias_band(truncation)} of truncation {truncation}",
+            )
 
 
 # ---------------------------------------------------------------------------

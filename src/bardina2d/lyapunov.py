@@ -192,10 +192,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(p, h):
-        dp0, dh0 = dyn._remainder_u(plan, p[0], h[0], params, fstate)
-        aux = dyn.base_grids(plan, ops.VelocityState(p[0], h[0]))
-        dps, dhs = dyn._remainder_tangent(plan, p[1:], h[1:], aux, params)
-        return np.concatenate([dp0[None], dps]), np.concatenate([dh0[None], dhs])
+        return dyn._remainder_coupled(plan, p, h, params, fstate)
 
     logsum = np.zeros(n)
     t_series = np.zeros(n_av)

@@ -156,6 +156,96 @@ class TestTransforms:
         with pytest.raises(ShapeError):
             basis.gradient_analysis(plan, np.zeros((3,) + plan.grid_shape))
 
+    def test_sphere_matches_per_order_reference(self):
+        for lmax in (1, 4, 9):
+            plan = basis.build_plan(basis.sphere(), lmax)
+            rng = np.random.default_rng(19)
+            c = rng.standard_normal((2, plan.n_modes))
+            f = rng.standard_normal((2,) + plan.grid_shape)
+            v = rng.standard_normal((2, 2) + plan.grid_shape)
+            ref = _PerOrderSphere(lmax, plan.core)
+            for got, want in (
+                (basis.synthesize(plan, c), ref.synthesize(c)),
+                (basis.analyze(plan, f), ref.analyze(f)),
+                (basis.surface_gradient(plan, c), ref.synth_grad(c)),
+                (basis.gradient_analysis(plan, v), ref.grad_analysis(v)),
+            ):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_sphere_legendre_tables_stay_small(self):
+        # the padded tables dominate a sphere plan's memory (15.1 MB at L=85);
+        # a second copy of them in any layout would show in peak RSS
+        core = basis.build_plan(basis.sphere(), 85).core
+        assert core.P.nbytes + core.dP.nbytes <= 16e6
+
+
+class _PerOrderSphere:
+    """One matrix product per order m on unpadded tables: the plain reference."""
+
+    def __init__(self, lmax, core):
+        self.lmax, self.core = lmax, core
+        self.p, self.dp, self.cos, self.sin = [], [], [], []
+        for m in range(lmax + 1):
+            p, dp = basis._legendre_tables(lmax, m, core.mu, core.sin_t)
+            n = np.arange(max(m, 1), lmax + 1)
+            self.p.append(p[n - m])
+            self.dp.append(dp[n - m])
+            self.cos.append(n * n + n + m - 1)
+            self.sin.append(n * n + n - m - 1)
+
+    def _k(self, m):
+        return 1.0 / np.sqrt(2.0 * np.pi) if m == 0 else 1.0 / np.sqrt(np.pi)
+
+    def _rows(self, c, m):
+        a = c[..., self.cos[m]]
+        return a, (c[..., self.sin[m]] if m else np.zeros_like(a))
+
+    def _scale(self, m):
+        return self.core.nlon * self._k(m) * (1.0 if m == 0 else 0.5)
+
+    def _empty(self, lead):
+        return np.zeros(lead + (self.core.nlat, self.core.nlon // 2 + 1), dtype=complex)
+
+    def synthesize(self, c):
+        spec = self._empty(c.shape[:-1])
+        for m in range(self.lmax + 1):
+            a, b = self._rows(c, m)
+            spec[..., m] = self._scale(m) * (a @ self.p[m] - 1j * (b @ self.p[m]))
+        return np.fft.irfft(spec, n=self.core.nlon, axis=-1)
+
+    def synth_grad(self, c):
+        spec = self._empty(c.shape[:-1] + (2,))
+        for m in range(self.lmax + 1):
+            a, b = self._rows(c, m)
+            dp, mp = self.dp[m], m * self.p[m] / self.core.sin_t
+            spec[..., 0, :, m] = self._scale(m) * (a @ dp - 1j * (b @ dp))
+            spec[..., 1, :, m] = 1j * self._scale(m) * (a @ mp - 1j * (b @ mp))
+        return np.fft.irfft(spec, n=self.core.nlon, axis=-1)
+
+    def analyze(self, f):
+        g = np.fft.rfft(f, axis=-1)
+        out = np.empty(f.shape[:-2] + (self.core.n_modes,))
+        for m in range(self.lmax + 1):
+            gm = g[..., m] * self.core.wlat * self.core.dphi * self._k(m)
+            out[..., self.cos[m]] = gm.real @ self.p[m].T
+            if m:
+                out[..., self.sin[m]] = -gm.imag @ self.p[m].T
+        return out
+
+    def grad_analysis(self, v):
+        gt = np.fft.rfft(v[..., 0, :, :], axis=-1)
+        gp = np.fft.rfft(v[..., 1, :, :], axis=-1)
+        out = np.empty(v.shape[:-3] + (self.core.n_modes,))
+        for m in range(self.lmax + 1):
+            w = self.core.wlat * self.core.dphi * self._k(m)
+            gtm, gpm = gt[..., m] * w, gp[..., m] * w
+            dp, mp = self.dp[m], m * self.p[m] / self.core.sin_t
+            out[..., self.cos[m]] = gtm.real @ dp.T + gpm.imag @ mp.T
+            if m:
+                out[..., self.sin[m]] = -gtm.imag @ dp.T + gpm.real @ mp.T
+        return out
+
 
 class TestKnownFunctions:
     def test_sphere_real_harmonic_2_1(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -301,3 +302,11 @@ class TestErrorPaths:
         config = write_config(tmp_path, doc)
         assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
         assert "sigma" in capsys.readouterr().err
+
+
+class TestThreadPin:
+    def test_conftest_pins_the_cli_variables(self):
+        import conftest
+
+        assert conftest.THREAD_VARS == cli._THREAD_VARS
+        assert all(os.environ[var] == "1" for var in cli._THREAD_VARS)

@@ -115,6 +115,15 @@ class TestParseConfig:
         doc = torus_doc(forcing={"modes": [[0, 0, 1.0]]})
         assert "forcing.modes[0]" in error_of(doc)
 
+    def test_torus_mode_outside_dealias_band_rejected(self):
+        # truncation 4 dealiases products to |k_i| <= 2; a (3, 0) mode would alias
+        doc = torus_doc(forcing={"modes": [[1, 2, 1.0], [3, 0, 1.0]]})
+        assert "forcing.modes[1]" in error_of(doc)
+        doc = torus_doc(initial={"kind": "eigenmode", "mode": [0, -3]})
+        assert "initial.mode" in error_of(doc)
+        parse(torus_doc(forcing={"modes": [[2, -2, 1.0]]},
+                        initial={"kind": "eigenmode", "mode": [-2, 2]}))
+
     def test_sphere_rejects_harmonic_forcing(self):
         doc = sphere_doc(forcing={"harmonic": [1.0, 0.0]})
         assert "forcing.harmonic" in error_of(doc)

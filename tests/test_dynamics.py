@@ -228,6 +228,24 @@ class TestTangent:
         assert np.allclose(t.psi, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+class TestCoupledRemainder:
+    def test_rows_match_base_and_tangent_remainders(self):
+        for plan in (sphere_plan(), torus_plan()):
+            p = params_for(plan, seed=10, sigma=0.2)
+            fstate = dyn.forcing_state(plan, p.forcing)
+            states = [ops.random_state(plan, seed=80 + k) for k in range(5)]
+            psis = np.stack([s.psi for s in states])
+            hs = np.random.default_rng(81).standard_normal((5, plan.n_harmonic))
+            dpsis, dhs = dyn._remainder_coupled(plan, psis, hs, p, fstate)
+            dpsi0, dh0 = dyn._remainder_u(plan, psis[0], hs[0], p, fstate)
+            aux = dyn.base_grids(plan, ops.VelocityState(psis[0], hs[0]))
+            dpsit, dht = dyn._remainder_tangent(plan, psis[1:], hs[1:], aux, p)
+            for got, want in ((dpsis[0], dpsi0), (dhs[0], dh0), (dpsis[1:], dpsit), (dhs[1:], dht)):
+                assert got.shape == want.shape
+                if want.size:
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestCutoff:
     def test_plateau_and_support(self):
         assert dyn.cutoff_theta(-3.0) == 1.0
