@@ -20,12 +20,14 @@ Sphere
 
 Torus
     Fourier modes exp(2*pi*i k.x / L) on [0, L]^2 with max(|k1|, |k2|) <=
-    truncation, eigenvalue (2 pi / L)^2 |k|^2.  Uniform N x N grid with
-    N = 3*truncation and a 2/3-rule dealias mask keeping |k_i| <=
-    floor(2*truncation/3).  Each nonzero lattice vector q labels one real
-    basis function: cos for q in the right half-plane (q1 > 0, or q1 == 0 and
-    q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot order is
-    (|q|^2, q1, q2) lexicographic.
+    truncation, eigenvalue (2 pi / L)^2 |k|^2.  Uniform N x N grid with N
+    the smallest fast even length >= 3*truncation + 1, the sphere's nlon rule
+    (the 3/2 rule, Orszag 1971, J. Atmos. Sci. 28): products of two retained
+    fields analyze onto every retained mode without aliasing, so all modes
+    are active and no band mask is needed.  Each nonzero lattice vector q
+    labels one real basis function: cos for q in the right half-plane (q1 >
+    0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot
+    order is (|q|^2, q1, q2) lexicographic.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
@@ -263,24 +265,13 @@ def _fast_even(n):
 # torus transform core
 
 
-def dealias_band(truncation):
-    """Edge of the torus dealias band: floor(2 * truncation / 3)."""
-    return (2 * truncation) // 3
-
-
-def in_dealias_band(truncation, k1, k2):
-    """Whether torus wavevectors (k1, k2) have both |k_i| <= dealias_band; broadcasts."""
-    band = dealias_band(truncation)
-    return (np.abs(k1) <= band) & (np.abs(k2) <= band)
-
-
 class _TorusCore:
     """FFT bookkeeping for one torus truncation."""
 
     def __init__(self, kmax, length):
         self.kmax = kmax
         self.length = length
-        self.ngrid = 3 * kmax
+        self.ngrid = _fast_even(3 * kmax + 1)
         n = self.ngrid
 
         qs = []
@@ -314,8 +305,6 @@ class _TorusCore:
         self.mri = (-reps[:, 0]) % n
         self.mrj = (-reps[:, 1]) % n
         self.wnum = (2.0 * np.pi / length) * reps.astype(np.float64)
-
-        self.dealias_mask = in_dealias_band(kmax, self.qvec[:, 0], self.qvec[:, 1])
 
         self.amp = math.sqrt(2.0) / length
         self.cell = (length / n) ** 2
@@ -375,7 +364,6 @@ class BasisPlan:
     geometry: Geometry
     truncation: int
     lam: np.ndarray
-    dealias_mask: np.ndarray
     n_modes: int
     n_harmonic: int
     area: float
@@ -398,17 +386,14 @@ def build_plan(geometry, truncation):
         raise IndexRangeError(f"truncation must be >= 1, got {truncation}")
     if geometry.kind == SPHERE:
         core = _SphereCore(truncation)
-        mask = np.ones(core.n_modes, dtype=bool)
         n_harm = 0
     else:
         core = _TorusCore(truncation, geometry.length)
-        mask = core.dealias_mask
         n_harm = 2
     return BasisPlan(
         geometry=geometry,
         truncation=truncation,
         lam=core.lam,
-        dealias_mask=mask,
         n_modes=core.n_modes,
         n_harmonic=n_harm,
         area=geometry.area,
@@ -416,18 +401,23 @@ def build_plan(geometry, truncation):
     )
 
 
+def check_mode_index(kind, truncation, index):
+    """The index pair (n, m) or (k1, k2) as ints; IndexRangeError if outside the truncation."""
+    a, b = (int(part) for part in index)
+    if kind == SPHERE:
+        if not (1 <= a <= truncation and -a <= b <= a):
+            raise IndexRangeError(f"mode (n={a}, m={b}) outside truncation {truncation}")
+    elif (a, b) == (0, 0) or max(abs(a), abs(b)) > truncation:
+        raise IndexRangeError(f"mode k=({a}, {b}) outside truncation {truncation}")
+    return a, b
+
+
 def mode_slot(plan, index):
     """Flat slot of a spectral index: (n, m) on the sphere, (k1, k2) on the torus."""
-    a, b = index
+    a, b = check_mode_index(plan.geometry.kind, plan.truncation, index)
     if plan.geometry.kind == SPHERE:
-        n, m = int(a), int(b)
-        if not (1 <= n <= plan.truncation and -n <= m <= n):
-            raise IndexRangeError(f"mode (n={n}, m={m}) outside truncation {plan.truncation}")
-        return n * n + n + m - 1
-    k1, k2 = int(a), int(b)
-    if (k1, k2) == (0, 0) or max(abs(k1), abs(k2)) > plan.truncation:
-        raise IndexRangeError(f"mode k=({k1}, {k2}) outside truncation {plan.truncation}")
-    return plan.core.slot_of[(k1, k2)]
+        return a * a + a + b - 1
+    return plan.core.slot_of[(a, b)]
 
 
 def eigenvalue(plan, index):
@@ -478,12 +468,13 @@ def gradient_analysis(plan, vec):
 
 
 def dealias(plan, coeffs):
-    """Zero coefficients outside the dealias band (identity on the sphere)."""
+    """A copy of `coeffs`: the grids alone keep every retained mode alias-free.
+
+    Kept only because the acceptance tests call it.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_coeffs(plan, coeffs)
-    if plan.geometry.kind == SPHERE:
-        return coeffs.copy()
-    return np.where(plan.dealias_mask, coeffs, 0.0)
+    return coeffs.copy()
 
 
 def integrate(plan, f):

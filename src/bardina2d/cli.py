@@ -20,8 +20,6 @@ import os
 import sys
 import tempfile
 
-ENVELOPE_SLACK = 1e-6
-
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -175,10 +173,10 @@ def _load_spec(args):
 def _diag_rows(records, dt):
     from . import verification
 
-    factor = 1.0 + ENVELOPE_SLACK + verification.DT_ALLOWANCE_COEFF * dt * dt
     rows = []
     for r in records:
-        flags = int(r.e1 > r.envelope1 * factor) + int(r.e2 > r.envelope2 * factor)
+        over1, over2 = verification.envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt)
+        flags = int(over1) + int(over2)
         rows.append(
             ",".join(
                 [
@@ -488,11 +486,11 @@ def _library_checks(plan, params, seed, prefix=""):
         for i in range(5):
             rng = np.random.default_rng(seed + 1000 + i)
             u = ops.VelocityState(
-                basis.dealias(plan, rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)),
+                rng.standard_normal(plan.n_modes) / (1.0 + plan.lam),
                 rng.standard_normal(plan.n_harmonic),
             )
             w = ops.VelocityState(
-                basis.dealias(plan, rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)),
+                rng.standard_normal(plan.n_modes) / (1.0 + plan.lam),
                 rng.standard_normal(plan.n_harmonic),
             )
             plus = ops.VelocityState(u.psi + eps * w.psi, u.harmonic + eps * w.harmonic)
@@ -510,14 +508,12 @@ def _library_checks(plan, params, seed, prefix=""):
     def envelopes():
         run_params = _ensure_forced(plan, params)
         rng = np.random.default_rng(seed)
-        psi = basis.dealias(plan, rng.standard_normal(plan.n_modes) / (1.0 + plan.lam))
+        psi = rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
         state = ops.VelocityState(psi, np.zeros(plan.n_harmonic))
         scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
         traj = integrate.run(plan, state, run_params, scheme)
         recs = verification.trajectory_diagnostics(plan, traj, run_params)
-        bad = verification.check_trajectory(
-            plan, recs, run_params, slack=ENVELOPE_SLACK, dt=scheme.dt
-        )
+        bad = verification.check_trajectory(plan, recs, run_params, dt=scheme.dt)
         return not bad, f"{len(bad)} violation(s) in {len(recs)} samples"
 
     return [
@@ -528,34 +524,41 @@ def _library_checks(plan, params, seed, prefix=""):
     ]
 
 
-def _recheck_run_dir(plan, params, out):
-    """Re-test the recorded energies of a completed run directory against the
-    recorded envelopes (columns E1/E2 vs env1/env2 of diagnostics.csv)."""
+def _recheck_run_dir(out):
+    """Re-test a completed run directory from its diagnostics.csv: the
+    recorded energies against the recorded envelopes (E1/E2 vs env1/env2) and
+    the worst recorded energy-law residual."""
+    import numpy as np
+
     from . import verification
 
-    def recheck():
-        csv_path = os.path.join(out, "diagnostics.csv")
-        dt = 0.0
-        try:
-            with open(os.path.join(out, "meta.json"), "r", encoding="utf-8") as fh:
-                dt = float(json.load(fh).get("dt", 0.0))
-        except (OSError, ValueError, TypeError):
-            pass
-        factor = 1.0 + ENVELOPE_SLACK + verification.DT_ALLOWANCE_COEFF * dt * dt
-        bad = 0
-        total = 0
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            cols = {name: k for k, name in enumerate(header)}
-            for line in fh:
-                parts = line.strip().split(",")
-                total += 1
-                e1, env1 = float(parts[cols["E1"]]), float(parts[cols["env1"]])
-                e2, env2 = float(parts[cols["E2"]]), float(parts[cols["env2"]])
-                bad += int(e1 > env1 * factor) + int(e2 > env2 * factor)
-        return bad == 0, f"{bad} violation(s) in {total} rows"
+    dt = 0.0
+    try:
+        with open(os.path.join(out, "meta.json"), "r", encoding="utf-8") as fh:
+            dt = float(json.load(fh).get("dt", 0.0))
+    except (OSError, ValueError, TypeError):
+        pass
+    with open(os.path.join(out, "diagnostics.csv"), "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    cols = {name: k for k, name in enumerate(header)}
 
-    return _run_check("run-envelopes", recheck)
+    def column(name):
+        return np.array([float(parts[cols[name]]) for parts in rows])
+
+    def envelopes():
+        over1, over2 = verification.envelope_flags(
+            column("E1"), column("env1"), column("E2"), column("env2"), dt
+        )
+        bad = int(np.sum(over1) + np.sum(over2))
+        return bad == 0, f"{bad} violation(s) in {len(rows)} rows"
+
+    def energy_law():
+        worst = float(np.max(column("energy_residual"), initial=0.0))
+        tol = verification.ENERGY_RESIDUAL_TOL
+        return worst <= tol, f"worst residual {worst:.3e} (tolerance {tol:.0e})"
+
+    return [_run_check("run-envelopes", envelopes), _run_check("run-energy-law", energy_law)]
 
 
 def _print_table(checks):
@@ -582,7 +585,7 @@ def cmd_verify(args, spec):
     checks = _library_checks(plan, params, seed)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
-        checks.append(_recheck_run_dir(plan, params, run_dir))
+        checks.extend(_recheck_run_dir(run_dir))
     return _print_table(checks)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dynamics, integrate, lyapunov, operators as ops
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IndexRangeError
 
 SWEEP_KEYS = ("nu", "alpha", "sigma")
 
@@ -99,25 +99,10 @@ def _get_int(obj, key, path, default=None, minimum=None):
 
 
 def _check_mode_index(geometry, truncation, index, path):
-    if geometry.kind == basis.SPHERE:
-        if len(index) != 2:
-            _fail(path, f"sphere mode index needs (n, m), got {index}")
-        n, m = index
-        if not (1 <= n <= truncation and -n <= m <= n):
-            _fail(path, f"mode (n={n}, m={m}) outside truncation {truncation}")
-    else:
-        if len(index) != 2:
-            _fail(path, f"torus mode index needs (k1, k2), got {index}")
-        k1, k2 = index
-        if (k1, k2) == (0, 0) or max(abs(k1), abs(k2)) > truncation:
-            _fail(path, f"mode k=({k1}, {k2}) outside truncation {truncation}")
-        # the nonlinearity is dealiased to the band; a mode outside it aliases
-        if not basis.in_dealias_band(truncation, k1, k2):
-            _fail(
-                path,
-                f"mode k=({k1}, {k2}) outside the dealias band |k_i| <= "
-                f"{basis.dealias_band(truncation)} of truncation {truncation}",
-            )
+    try:
+        basis.check_mode_index(geometry.kind, truncation, index)
+    except IndexRangeError as exc:
+        _fail(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +313,8 @@ def model_params(plan, spec, nu=None, alpha=None, sigma=None):
 def initial_state(plan, spec):
     """Realize the initial condition block against a transform plan."""
     init = spec.initial
-    psi = np.zeros(plan.n_modes)
-    h = np.zeros(plan.n_harmonic)
     if init.kind == "eigenmode":
-        psi[basis.mode_slot(plan, init.mode)] = init.amplitude
-    elif init.kind == "random":
-        rng = np.random.default_rng(init.seed)
-        psi = rng.standard_normal(plan.n_modes) * plan.lam ** (-0.5 * init.slope)
-        psi = basis.dealias(plan, psi)
-        state = ops.VelocityState(psi, h)
-        e1 = ops.energy_e1(plan, state, spec.alpha)
-        if e1 > 0.0:
-            psi *= np.sqrt(init.energy / e1)
-    return ops.VelocityState(psi, h)
+        return ops.state_from_mode(plan, init.mode, init.amplitude)
+    if init.kind == "random":
+        return ops.random_state(plan, init.seed, init.slope, init.energy, spec.alpha)
+    return ops.zero_state(plan)

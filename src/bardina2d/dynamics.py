@@ -11,8 +11,9 @@ becomes, mode by mode in streamfunction coefficients,
 
 with f1 here the streamfunction representation of the rotational forcing, and
 for the harmonic component on the torus dh/dt = f2 - sigma h - Nq.  The
-nonlinearity is evaluated pointwise on the grid as zeta * (n x u), dealiased,
-and split into its Leray and harmonic projections.
+nonlinearity is evaluated pointwise on the grid as zeta * (n x u) and split
+into its Leray and harmonic projections; the grids are large enough that this
+product analyzes onto every retained mode without aliasing.
 
 The tangent flow linearizes the nonlinearity to
 
@@ -110,9 +111,7 @@ def base_grids(plan, state):
 
 
 def _split(plan, g):
-    p = basis.dealias(plan, ops.leray_project(plan, g))
-    q = ops.harmonic_project(plan, g)
-    return p, q
+    return ops.leray_project(plan, g), ops.harmonic_project(plan, g)
 
 
 def nonlinear_term(plan, state):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, bounds, dynamics as dyn, integrate, operators as ops
+from . import bounds, dynamics as dyn, integrate, operators as ops
 from .errors import ConfigurationError, DegenerateEnsembleError, DivergenceError
 
 DEGENERACY_FLOOR = 1e-300
@@ -126,8 +126,7 @@ def _initial_ensemble(plan, n, alpha, rng):
             hs[k, k] = 1.0
         else:
             psis[k, order[k - plan.n_harmonic]] = 1.0
-    noise = 1e-3 * rng.standard_normal(psis.shape) / (1.0 + plan.lam)
-    psis += basis.dealias(plan, noise)
+    psis += 1e-3 * rng.standard_normal(psis.shape) / (1.0 + plan.lam)
     hs += 1e-3 * rng.standard_normal(hs.shape)
     _orthonormalize_arrays(plan, psis, hs, alpha)
     return psis, hs

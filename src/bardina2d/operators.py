@@ -85,16 +85,18 @@ def state_from_mode(plan, index, amplitude=1.0):
 
 
 def random_state(plan, seed, slope=2.0, e1=1.0, alpha=1.0):
-    """Seeded random dealias-consistent state normalized to energy E1.
+    """Seeded random state normalized to energy E1, zero harmonic part.
 
     Streamfunction coefficients are drawn i.i.d. normal and shaped by
-    lam^(-slope/2), then scaled so |u|^2 + alpha^2 ||u||^2 == e1.
+    lam^(-slope/2), then scaled so |u|^2 + alpha^2 ||u||^2 == e1.  This is
+    also the random initial condition of a run spec.
     """
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(plan.n_modes) * plan.lam ** (-slope / 2.0)
-    psi = basis.dealias(plan, psi)
-    raw = np.dot((plan.lam + alpha**2 * plan.lam**2) * psi, psi)
-    st = VelocityState(psi * np.sqrt(e1 / raw), np.zeros(plan.n_harmonic))
+    st = VelocityState(psi, np.zeros(plan.n_harmonic))
+    raw = energy_e1(plan, st, alpha)
+    if raw > 0.0:
+        psi *= np.sqrt(e1 / raw)
     return st
 
 
@@ -219,8 +221,8 @@ def _cross2(a, b):
 def trilinear_b(plan, u, v, w):
     """Rotational trilinear form b(u, v, w) by the symmetric three-term formula.
 
-    Exact for dealias-consistent states because the grid integrates triple
-    products of band-limited fields without error.
+    Exact for every retained state because the grid integrates triple
+    products of fields within the truncation without error.
     """
     ug, vg, wg = velocity_grid(plan, u), velocity_grid(plan, v), velocity_grid(plan, w)
     zu = basis.synthesize(plan, scalar_vorticity(plan, u))

@@ -265,7 +265,8 @@ class TestVerifySelftest:
         assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
         assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "run-envelopes" in text and "FAIL" not in text
+        assert "run-envelopes" in text and "run-energy-law" in text
+        assert "FAIL" not in text
 
     def test_verify_flags_tampered_run(self, tmp_path, capsys):
         config = write_config(tmp_path, forced_doc())
@@ -279,6 +280,21 @@ class TestVerifySelftest:
         csv_path.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
         assert cli.main(["verify", "--config", config, "--out", str(out)]) == 1
         assert "run-envelopes" in capsys.readouterr().out
+
+    def test_verify_flags_energy_law_failure(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        csv_path = out / "diagnostics.csv"
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[header.index("energy_residual")] = "1e-08"
+        csv_path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+        assert cli.main(["verify", "--config", config, "--out", str(out)]) == 1
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in table if line.startswith("run-")] == ["PASS", "FAIL"]
+        assert any(line.startswith("run-energy-law") for line in table)
 
     def test_selftest_sign_fault_hook(self, tmp_path, capsys):
         assert cli.main(["selftest", "--inject-sign-fault"]) == 1

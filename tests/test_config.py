@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bardina2d import basis, config as cfg, integrate, operators as ops
+from bardina2d import basis, config as cfg, integrate, operators as ops, verification
 from bardina2d.errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
@@ -115,14 +115,27 @@ class TestParseConfig:
         doc = torus_doc(forcing={"modes": [[0, 0, 1.0]]})
         assert "forcing.modes[0]" in error_of(doc)
 
-    def test_torus_mode_outside_dealias_band_rejected(self):
-        # truncation 4 dealiases products to |k_i| <= 2; a (3, 0) mode would alias
-        doc = torus_doc(forcing={"modes": [[1, 2, 1.0], [3, 0, 1.0]]})
-        assert "forcing.modes[1]" in error_of(doc)
-        doc = torus_doc(initial={"kind": "eigenmode", "mode": [0, -3]})
-        assert "initial.mode" in error_of(doc)
-        parse(torus_doc(forcing={"modes": [[2, -2, 1.0]]},
-                        initial={"kind": "eigenmode", "mode": [-2, 2]}))
+    def test_torus_edge_mode_accepted_and_conserves_energy(self):
+        # every mode up to the truncation is active, so forcing and initial
+        # data at the edge (K, 0) must run with the energy law intact
+        parse(torus_doc(initial={"kind": "eigenmode", "mode": [0, -4]}))
+        doc = torus_doc(
+            seed=3,
+            forcing={"modes": [[1, 2, 1.0], [4, 0, 1.5]]},
+            initial={"kind": "random", "energy": 0.5},
+            scheme={"dt": 0.01, "t_end": 0.5, "stride": 5},
+        )
+        spec = parse(doc)
+        plan = cfg.build_plan(spec)
+        params = cfg.model_params(plan, spec)
+        records = []
+
+        def observe(t, st):
+            records.append(verification.energy_record(plan, st, params, t))
+
+        integrate.run(plan, cfg.initial_state(plan, spec), params, spec.scheme, (observe,))
+        assert len(records) == 11
+        assert max(r.energy_residual for r in records) <= 1e-13
 
     def test_sphere_rejects_harmonic_forcing(self):
         doc = sphere_doc(forcing={"harmonic": [1.0, 0.0]})
@@ -237,6 +250,22 @@ class TestRealization:
         e1 = ops.energy_e1(plan, state, spec.alpha)
         assert abs(e1 - 0.75) < 1e-12
         assert np.array_equal(basis.dealias(plan, state.psi), state.psi)
+
+    def test_random_initial_is_ops_random_state_bitwise(self):
+        # the normalization of the historical config builder, kept bit for bit
+        for doc in (sphere_doc(alpha=0.8), torus_doc(alpha=0.8)):
+            doc["initial"] = {"kind": "random", "seed": 5, "slope": 1.5, "energy": 0.3}
+            spec = parse(doc)
+            plan = cfg.build_plan(spec)
+            state = cfg.initial_state(plan, spec)
+            rng = np.random.default_rng(5)
+            psi = rng.standard_normal(plan.n_modes) * plan.lam ** (-0.5 * 1.5)
+            e1 = ops.energy_e1(plan, ops.VelocityState(psi, np.zeros(plan.n_harmonic)), 0.8)
+            psi *= np.sqrt(0.3 / e1)
+            direct = ops.random_state(plan, 5, slope=1.5, e1=0.3, alpha=0.8)
+            assert np.array_equal(state.psi, psi)
+            assert np.array_equal(direct.psi, psi)
+            assert np.array_equal(state.harmonic, direct.harmonic)
 
     def test_random_initial_seed_dependence(self):
         base = torus_doc(initial={"kind": "random", "seed": 1})

@@ -19,7 +19,7 @@ def torus_plan(trunc=9):
 
 def random_forcing(plan, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    c = basis.dealias(plan, rng.standard_normal(plan.n_modes)) * scale / plan.lam
+    c = rng.standard_normal(plan.n_modes) * scale / plan.lam
     f2 = rng.standard_normal(2) * scale if plan.n_harmonic else np.zeros(0)
     return dyn.Forcing(c, f2)
 
