@@ -24,10 +24,16 @@ Torus
     the smallest fast even length >= 3*truncation + 1, the sphere's nlon rule
     (the 3/2 rule, Orszag 1971, J. Atmos. Sci. 28): products of two retained
     fields analyze onto every retained mode without aliasing, so all modes
-    are active and no band mask is needed.  Each nonzero lattice vector q
-    labels one real basis function: cos for q in the right half-plane (q1 >
-    0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot
-    order is (|q|^2, q1, q2) lexicographic.
+    are active and no band mask is needed.  Coefficients pack straight into
+    the half spectrum of a real 2-d FFT, one rfft2 or irfft2 call per
+    transform.  Each nonzero lattice vector q labels one real basis
+    function: cos for q in the right half-plane (q1 > 0, or q1 == 0 and
+    q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot order is
+    (|q|^2, q1, q2) lexicographic.
+
+The fused flow transforms take a streamfunction to its vorticity and
+gradient grids and a tangent grid field to its Leray streamfunction and
+harmonic pair; on the torus each is one FFT call over the stacked fields.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
@@ -75,6 +81,11 @@ def sphere():
 
 def torus(length):
     return Geometry(TORUS, float(length))
+
+
+def rot90(vec):
+    """Pointwise n x (.) rotation of a tangent grid field: (a, b) -> (-b, a)."""
+    return np.stack((-vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +218,12 @@ class _SphereCore:
         out = np.fft.irfft(spec, n=self.nlon, axis=-1)
         return out.reshape(lead + out.shape[-3:])
 
+    def flow_synthesis(self, psi):
+        return self.synthesize(-self.lam * psi), self.synth_grad(psi)
+
+    def flow_analysis(self, g):
+        return -self.grad_analysis(rot90(g)) / self.lam, np.zeros(g.shape[:-3] + (0,))
+
     def grad_analysis(self, vec):
         lead = vec.shape[:-3]
         g = np.fft.rfft(vec.reshape((-1,) + vec.shape[-3:]), axis=-1)
@@ -266,13 +283,26 @@ def _fast_even(n):
 
 
 class _TorusCore:
-    """FFT bookkeeping for one torus truncation."""
+    """Half-spectrum FFT bookkeeping for one torus truncation.
+
+    Coefficients pack straight into the (N, N // 2 + 1) spectrum of numpy's
+    real 2-d FFT.  The wavevector k of each cos/sin pair (k in the right
+    half-plane) sits at bin (k1 mod N, k2) when k2 >= 0 and, conjugated, at
+    (-k1 mod N, -k2) when k2 < 0; the k2 = 0 column holds both +k1 and its
+    conjugate at -k1, since irfft2 treats that column as a full complex
+    one.  Every transform, the fused flow transforms included, is one rfft2
+    or irfft2 call over all stacked fields; packing and unpacking are one
+    scatter or gather on the spectrum viewed as interleaved (re, im), with
+    the sign of the imaginary part flipped for conjugated bins.
+    """
 
     def __init__(self, kmax, length):
         self.kmax = kmax
         self.length = length
-        self.ngrid = _fast_even(3 * kmax + 1)
         n = self.ngrid
+        nh = n // 2 + 1
+        self.shape = (n, n)
+        self.spec_shape = (n, nh)
 
         qs = []
         for q1 in range(-kmax, kmax + 1):
@@ -286,71 +316,91 @@ class _TorusCore:
         self.lam = (2.0 * np.pi / length) ** 2 * (
             self.qvec[:, 0] ** 2 + self.qvec[:, 1] ** 2
         ).astype(np.float64)
+        self.slot_of = {(int(q1), int(q2)): s for s, (q1, q2) in enumerate(self.qvec)}
 
-        in_half = (self.qvec[:, 0] > 0) | (
-            (self.qvec[:, 0] == 0) & (self.qvec[:, 1] > 0)
+        q1, q2 = self.qvec[:, 0], self.qvec[:, 1]
+        is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
+        # wavevector k of each slot's cos/sin pair, its bin, and -1 where the
+        # bin holds the conjugate
+        k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
+        flip = k2 < 0
+        sgn = np.where(flip, -1.0, 1.0)
+        pos = (np.where(flip, -k1, k1) % n) * nh + np.abs(k2)
+        re, im = 2 * pos, 2 * pos + 1
+
+        amp = math.sqrt(2.0) / length
+        # a amp cos(2 pi k.x / L) + b amp sin(...) has bin value (N^2 amp / 2)(a - i b)
+        a = 0.5 * n * n * amp
+        mirror = np.nonzero(is_cos & (k2 == 0))[0]
+        mirror_pos = (-k1[mirror] % n) * nh
+        sin_of = np.array([self.slot_of[(-int(x), -int(y))] for x, y in self.qvec[mirror]])
+        self.pack_dst = np.concatenate(
+            (np.where(is_cos, re, im), 2 * mirror_pos, 2 * mirror_pos + 1)
         )
-        self.is_cos = in_half
-        # representative wavevector of the basis function in each slot
-        self.kk = np.where(in_half[:, None], self.qvec, -self.qvec)
+        self.pack_src = np.concatenate((np.arange(self.n_modes), mirror, sin_of))
+        self.pack_scale = np.concatenate(
+            (np.where(is_cos, a, -sgn * a), np.full(mirror.size, a), np.full(mirror.size, a))
+        )
+        # quadrature weight times the normalization, per slot
+        c = amp * length**2 / (n * n)
+        self.ana_idx = np.where(is_cos, re, im)
+        self.ana_scale = np.where(is_cos, c, -sgn * c)
+        # gradient adjoint: the cos slot reads Im, the sin slot Re of w.Z
+        self.grad_idx = np.where(is_cos, im, re)
+        self.grad_scale = np.where(is_cos, c, sgn * c)
+        self.split_scale = -self.grad_scale / self.lam
 
-        slot_of = {(int(q1), int(q2)): s for s, (q1, q2) in enumerate(self.qvec)}
-        self.slot_of = slot_of
-        reps = self.qvec[in_half]
-        self.rep_k = reps
-        self.rep_cos = np.array([slot_of[(int(k1), int(k2))] for k1, k2 in reps])
-        self.rep_sin = np.array([slot_of[(-int(k1), -int(k2))] for k1, k2 in reps])
-        self.ri = reps[:, 0] % n
-        self.rj = reps[:, 1] % n
-        self.mri = (-reps[:, 0]) % n
-        self.mrj = (-reps[:, 1]) % n
-        self.wnum = (2.0 * np.pi / length) * reps.astype(np.float64)
+        w = 2.0 * np.pi / length
+        self.w1 = (w * np.fft.fftfreq(n, d=1.0 / n))[:, None]
+        self.w2 = (w * np.arange(nh))[None, :]
+        self.grad_mul = np.stack(np.broadcast_arrays(1j * self.w1, 1j * self.w2))
+        # spectral multipliers of (vorticity, d/dx, d/dy) of a streamfunction
+        self.flow_mul = np.concatenate((-(self.w1**2 + self.w2**2)[None], self.grad_mul))
+        self.qw = np.full((n, n), (length / n) ** 2)
 
-        self.amp = math.sqrt(2.0) / length
-        self.cell = (length / n) ** 2
-        self.qw = np.full((n, n), self.cell)
+    @property
+    def ngrid(self):
+        return _fast_even(3 * self.kmax + 1)
 
-    def _pack(self, coeffs):
-        n = self.ngrid
-        a = coeffs[..., self.rep_cos]
-        b = coeffs[..., self.rep_sin]
-        z = (0.5 * n * n * self.amp) * (a - 1j * b)
-        fhat = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
-        fhat[..., self.ri, self.rj] = z
-        fhat[..., self.mri, self.mrj] = np.conj(z)
-        return fhat
+    def _spectrum(self, coeffs):
+        lead = coeffs.shape[:-1]
+        spec = np.zeros(lead + (2 * math.prod(self.spec_shape),))
+        spec[..., self.pack_dst] = coeffs[..., self.pack_src] * self.pack_scale
+        return spec.view(np.complex128).reshape(lead + self.spec_shape)
+
+    def _irfft2(self, spec):
+        return np.fft.irfft2(spec, s=self.shape)
+
+    @staticmethod
+    def _unpack(spec, idx, scale):
+        flat = spec.reshape(spec.shape[:-2] + (-1,)).view(np.float64)
+        return flat[..., idx] * scale
 
     def synthesize(self, coeffs):
-        return np.fft.ifft2(self._pack(coeffs)).real
+        return self._irfft2(self._spectrum(coeffs))
 
     def analyze(self, f):
-        z = np.fft.fft2(f)
-        zr = z[..., self.ri, self.rj]
-        c = self.amp * self.length**2 / self.ngrid**2
-        out = np.empty(f.shape[:-2] + (self.n_modes,))
-        out[..., self.rep_cos] = c * zr.real
-        out[..., self.rep_sin] = -c * zr.imag
-        return out
+        return self._unpack(np.fft.rfft2(f), self.ana_idx, self.ana_scale)
 
     def synth_grad(self, coeffs):
-        fhat = self._pack(coeffs)
-        n = self.ngrid
-        q1 = np.fft.fftfreq(n, d=1.0 / n)
-        w1 = (2.0 * np.pi / self.length) * q1
-        out = np.empty(coeffs.shape[:-1] + (2, n, n))
-        out[..., 0, :, :] = np.fft.ifft2(1j * w1[:, None] * fhat).real
-        out[..., 1, :, :] = np.fft.ifft2(1j * w1[None, :] * fhat).real
-        return out
+        return self._irfft2(self._spectrum(coeffs)[..., None, :, :] * self.grad_mul)
+
+    def _unpack_grad(self, z, scale):
+        zdot = self.w1 * z[..., 0, :, :] + self.w2 * z[..., 1, :, :]
+        return self._unpack(zdot, self.grad_idx, scale)
 
     def grad_analysis(self, vec):
-        z1 = np.fft.fft2(vec[..., 0, :, :])[..., self.ri, self.rj]
-        z2 = np.fft.fft2(vec[..., 1, :, :])[..., self.ri, self.rj]
-        c = self.amp * self.length**2 / self.ngrid**2
-        zdot = self.wnum[:, 0] * z1 + self.wnum[:, 1] * z2
-        out = np.empty(vec.shape[:-3] + (self.n_modes,))
-        out[..., self.rep_cos] = c * zdot.imag
-        out[..., self.rep_sin] = c * zdot.real
-        return out
+        return self._unpack_grad(np.fft.rfft2(vec), self.grad_scale)
+
+    def flow_synthesis(self, psi):
+        grids = self._irfft2(self._spectrum(psi)[..., None, :, :] * self.flow_mul)
+        return grids[..., 0, :, :], grids[..., 1:, :, :]
+
+    def flow_analysis(self, g):
+        # the pointwise rotation commutes with the FFT; the area mean is the DC bin
+        z = np.fft.rfft2(g)
+        mean = z[..., 0, 0].real / math.prod(self.shape)
+        return self._unpack_grad(rot90(z), self.split_scale), mean
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +470,13 @@ def mode_slot(plan, index):
     return plan.core.slot_of[(a, b)]
 
 
+def slot_map(plan, larger):
+    """Slot in `larger` (same geometry, higher truncation) of each slot of `plan`."""
+    if plan.geometry.kind == SPHERE:
+        return np.arange(plan.n_modes)  # slot(n, m) does not depend on the truncation
+    return np.array([larger.core.slot_of[(int(a), int(b))] for a, b in plan.core.qvec])
+
+
 def eigenvalue(plan, index):
     """Laplacian eigenvalue of one mode index."""
     return float(plan.lam[mode_slot(plan, index)])
@@ -465,6 +522,29 @@ def gradient_analysis(plan, vec):
     vec = np.asarray(vec, dtype=np.float64)
     _check_field(plan, vec, vec=True)
     return plan.core.grad_analysis(vec)
+
+
+def flow_synthesis(plan, psi):
+    """Vorticity and gradient grids of streamfunction coefficients.
+
+    Equals (synthesize(plan, -lam * psi), surface_gradient(plan, psi)); on
+    the torus both come from one inverse FFT over the stacked fields.
+    """
+    psi = np.asarray(psi, dtype=np.float64)
+    _check_coeffs(plan, psi)
+    return plan.core.flow_synthesis(psi)
+
+
+def flow_analysis(plan, g):
+    """Leray streamfunction coefficients and harmonic pair of a tangent grid field.
+
+    Equals (-gradient_analysis(plan, rot90(g)) / lam, the area mean of each
+    component of g), the pair empty on the sphere; on the torus both come
+    from one forward FFT over the stacked fields.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    _check_field(plan, g, vec=True)
+    return plan.core.flow_analysis(g)
 
 
 def dealias(plan, coeffs):

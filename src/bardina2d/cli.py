@@ -351,6 +351,7 @@ def cmd_lyapunov(args, spec):
             "nstar": report.nstar,
             "measured_crossing": verdict["measured_crossing"],
             "consistent": verdict["consistent"],
+            "gs_min_scale": report.gs_min_scale,
             "n_ensemble": spec.lyapunov.n_ensemble,
             "t_transient": spec.lyapunov.t_transient,
             "t_average": spec.lyapunov.t_average,
@@ -475,6 +476,29 @@ def _library_checks(plan, params, seed, prefix=""):
         worst = max(float(rel), float(parseval))
         return worst <= 1e-12, f"max residual {worst:.3e}"
 
+    def alias():
+        # a product of two retained fields analyzed on the plan grid and on the
+        # next plan whose grid is larger both ways; an undersized grid rule
+        # aliases onto the edge modes of the first but not of the second
+        rng = np.random.default_rng(seed + 2000)
+        pair = rng.standard_normal((2, plan.n_modes)) / np.sqrt(1.0 + plan.lam)
+        fa, fb = basis.synthesize(plan, pair)
+        got = basis.analyze(plan, fa * fb)
+        truncation = plan.truncation + 1
+        larger = basis.build_plan(plan.geometry, truncation)
+        while not all(b > a for a, b in zip(plan.grid_shape, larger.grid_shape)):
+            truncation += 1
+            larger = basis.build_plan(plan.geometry, truncation)
+        slots = basis.slot_map(plan, larger)
+        lifted = np.zeros((2, larger.n_modes))
+        lifted[:, slots] = pair
+        fa, fb = basis.synthesize(larger, lifted)
+        want = basis.analyze(larger, fa * fb)[slots]
+        # rounding grows like truncation^2 on the sphere (5e-13 at L=85); an
+        # aliased grid is off by the edge coefficients, 1e-2 and more
+        rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+        return rel <= 1e-10, f"residual {rel:.3e} against truncation {truncation}"
+
     def identities():
         table = verification.identity_suite(plan, params, seed, n_states=20)
         worst = max(float(np.max(vals)) for vals in table.values())
@@ -518,6 +542,7 @@ def _library_checks(plan, params, seed, prefix=""):
 
     return [
         _run_check(prefix + "transform-roundtrip", roundtrip),
+        _run_check(prefix + "transform-alias", alias),
         _run_check(prefix + "operator-identities", identities),
         _run_check(prefix + "tangent-linearization", tangent),
         _run_check(prefix + "gronwall-envelopes", envelopes),
@@ -600,13 +625,14 @@ def cmd_selftest(args):
 
     restore = None
     if args.inject_sign_fault:
-        restore = ops.rot90
+        # the rotation is defined in basis and re-exported by operators
+        restore = basis.rot90
 
         def unsigned_rot90(vec):
             # deliberately wrong: drops the minus sign of the rotation
             return np.stack((vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
 
-        ops.rot90 = unsigned_rot90
+        basis.rot90 = ops.rot90 = unsigned_rot90
 
     try:
         checks = []
@@ -660,7 +686,7 @@ def cmd_selftest(args):
         return _print_table(checks)
     finally:
         if restore is not None:
-            ops.rot90 = restore
+            basis.rot90 = ops.rot90 = restore
 
 
 # ---------------------------------------------------------------------------

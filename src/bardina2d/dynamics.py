@@ -104,28 +104,20 @@ class BaseGrids:
 
 
 def base_grids(plan, state):
-    return BaseGrids(
-        zeta=basis.synthesize(plan, ops.scalar_vorticity(plan, state)),
-        u=ops.velocity_grid(plan, state),
-    )
-
-
-def _split(plan, g):
-    return ops.leray_project(plan, g), ops.harmonic_project(plan, g)
+    return BaseGrids(*_grids(plan, state.psi, state.harmonic))
 
 
 def nonlinear_term(plan, state):
     """B(u, u) = (P + Q)(zeta * (n x u)) with zeta * (n x u) formed pointwise."""
     aux = base_grids(plan, state)
-    g = aux.zeta * ops.rot90(aux.u)
-    p, q = _split(plan, g)
+    p, q = basis.flow_analysis(plan, aux.zeta * ops.rot90(aux.u))
     return NonlinearSplit(p, q)
 
 
 def _grids(plan, psi, h):
     """Vorticity and velocity grids of one or stacked (psi, harmonic) rows."""
-    zeta = basis.synthesize(plan, -plan.lam * psi)
-    u = ops.rot90(basis.surface_gradient(plan, psi))
+    zeta, grad = basis.flow_synthesis(plan, psi)
+    u = ops.rot90(grad)
     if plan.n_harmonic:
         u[..., 0, :, :] += h[..., 0, None, None]
         u[..., 1, :, :] += h[..., 1, None, None]
@@ -136,7 +128,7 @@ def _tangent_batch(plan, psis, hs, aux):
     """Linearized nonlinearity for stacked tangents against one base state."""
     zeta_t, u_t = _grids(plan, psis, hs)
     g = zeta_t[..., None, :, :] * ops.rot90(aux.u) + aux.zeta * ops.rot90(u_t)
-    return _split(plan, g)
+    return basis.flow_analysis(plan, g)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ def _remainder_u(plan, psi, h, params, fstate):
     """Non-stiff part of the u tendency; the integrator exponentiates -nu lam."""
     filt = 1.0 + params.alpha**2 * plan.lam
     zeta, u = _grids(plan, psi, h)
-    p, q = _split(plan, zeta * ops.rot90(u))
+    p, q = basis.flow_analysis(plan, zeta * ops.rot90(u))
     dpsi = (fstate.psi - p - params.sigma * psi) / filt
     dh = fstate.harmonic - params.sigma * h - q
     return dpsi, dh
@@ -172,14 +164,14 @@ def _remainder_coupled(plan, psis, hs, params, fstate):
     """Remainders of a base state (row 0) and its tangents (rows 1..) together.
 
     Equals `_remainder_u` on row 0 and `_remainder_tangent` against row 0 on
-    the other rows, with one synthesize, one surface_gradient and one
-    gradient_analysis call on the whole stack instead of eight calls.
+    the other rows, with one flow synthesis and one flow analysis on the
+    whole stack.
     """
     filt = 1.0 + params.alpha**2 * plan.lam
     zeta, u = _grids(plan, psis, hs)
     g = zeta[:, None] * ops.rot90(u[0])
     g[1:] += zeta[0] * ops.rot90(u[1:])
-    p, q = _split(plan, g)
+    p, q = basis.flow_analysis(plan, g)
     dpsis = -p - params.sigma * psis
     dpsis[0] += fstate.psi
     dhs = -params.sigma * hs - q

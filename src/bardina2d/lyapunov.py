@@ -62,6 +62,7 @@ class ExponentReport:
     ky_saturated: bool
     nstar: float
     mu_series: np.ndarray | None = None  # running per-direction averages, row per renorm
+    gs_min_scale: float = 1.0  # smallest scale factor of any renormalization
     measured_crossing: int = -1
     measured_le_analytic: bool = False
 
@@ -197,6 +198,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     t_series = np.zeros(n_av)
     q_series = np.zeros(n_av)
     mu_series = np.zeros((n_av, n))
+    gs_min_scale = np.inf
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for interval in range(n_tr + n_av):
@@ -206,6 +208,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
                 if not (np.isfinite(psis).all() and np.isfinite(hs).all()):
                     raise DivergenceError(step * dt)
             r = _orthonormalize_arrays(plan, psis[1:], hs[1:], params.alpha)
+            gs_min_scale = min(gs_min_scale, float(r.min()))
             if interval >= n_tr:
                 logsum += np.log(r)
                 elapsed = (interval - n_tr + 1) * config.renorm_interval
@@ -231,6 +234,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
         ky_saturated=saturated,
         nstar=bounds.attractor_bound(plan, params),
         mu_series=mu_series,
+        gs_min_scale=gs_min_scale,
     )
 
 

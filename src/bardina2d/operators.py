@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
+from .basis import rot90
 from .errors import ShapeError
 
 __all__ = [
@@ -100,11 +101,6 @@ def random_state(plan, seed, slope=2.0, e1=1.0, alpha=1.0):
     return st
 
 
-def rot90(vec):
-    """Pointwise n x (.) rotation of a tangent grid field: (a, b) -> (-b, a)."""
-    return np.stack((-vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
-
-
 def velocity_grid(plan, state):
     """Evaluate u = n x grad(psi) + u2 on the plan grid."""
     _check(plan, state)
@@ -146,17 +142,12 @@ def leray_project(plan, vec):
     streamfunction -Curl_n(g) / lam mode by mode; gradient components and the
     grid mean are annihilated.
     """
-    return -basis.gradient_analysis(plan, rot90(vec)) / plan.lam
+    return basis.flow_analysis(plan, vec)[0]
 
 
 def harmonic_project(plan, vec):
     """Harmonic component of a grid vector field (componentwise area mean)."""
-    if plan.n_harmonic == 0:
-        return np.zeros(vec.shape[:-3] + (0,))
-    return np.stack(
-        (vec[..., 0, :, :].mean(axis=(-2, -1)), vec[..., 1, :, :].mean(axis=(-2, -1))),
-        axis=-1,
-    )
+    return basis.flow_analysis(plan, vec)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,129 @@ class TestTransforms:
         assert core.P.nbytes + core.dP.nbytes <= 16e6
 
 
+    def test_torus_matches_full_complex_reference(self):
+        # odd and even truncations, leading batch axes
+        for kmax, length in ((7, 2 * np.pi), (8, 3.7)):
+            plan = basis.build_plan(basis.torus(length), kmax)
+            rng = np.random.default_rng(20)
+            c = rng.standard_normal((2, 3, plan.n_modes))
+            f = rng.standard_normal((2, 3) + plan.grid_shape)
+            v = rng.standard_normal((2, 3, 2) + plan.grid_shape)
+            ref = _FullComplexTorus(plan)
+            for got, want in (
+                (basis.synthesize(plan, c), ref.synthesize(c)),
+                (basis.analyze(plan, f), ref.analyze(f)),
+                (basis.surface_gradient(plan, c), ref.synth_grad(c)),
+                (basis.gradient_analysis(plan, v), ref.grad_analysis(v)),
+            ):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_torus_column_and_edge_modes_match_reference(self):
+        # the k2 = 0 column carries both +k1 and -k1 in the half spectrum
+        for kmax in (7, 8):
+            plan = basis.build_plan(basis.torus(2.0), kmax)
+            ref = _FullComplexTorus(plan)
+            k = kmax
+            for index in (
+                (1, 0), (-1, 0), (3, 0), (-3, 0), (k, 0), (-k, 0), (0, k), (0, -k),
+                (k, k), (k, -k), (-k, k), (-k, -k), (2, k), (-2, -k), (k, -3), (-k, 3),
+            ):
+                c = np.zeros(plan.n_modes)
+                c[basis.mode_slot(plan, index)] = 1.0
+                f, grad = ref.synthesize(c), ref.synth_grad(c)
+                for got, want in (
+                    (basis.synthesize(plan, c), f),
+                    (basis.surface_gradient(plan, c), grad),
+                    (basis.analyze(plan, f), c),
+                    (basis.gradient_analysis(plan, grad), ref.grad_analysis(grad)),
+                ):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), index
+
+    def test_flow_transforms_equal_separate_calls(self):
+        # a stacked base + tangent batch with a nonzero harmonic part, as in
+        # dynamics._remainder_coupled
+        for plan in plans():
+            rng = np.random.default_rng(21)
+            psis = rng.standard_normal((4, plan.n_modes)) / (1.0 + plan.lam)
+            hs = rng.standard_normal((4, plan.n_harmonic))
+            zeta, grad = basis.flow_synthesis(plan, psis)
+            want_zeta = basis.synthesize(plan, -plan.lam * psis)
+            want_grad = basis.surface_gradient(plan, psis)
+            u = basis.rot90(grad)
+            if plan.n_harmonic:
+                u += hs[:, :, None, None]
+            g = zeta[:, None] * basis.rot90(u[0])
+            g[1:] += zeta[0] * basis.rot90(u[1:])
+            # the product is mean-free; offsets give the harmonic part a value
+            g += rng.standard_normal((4, 2, 1, 1))
+            p, q = basis.flow_analysis(plan, g)
+            want_p = -basis.gradient_analysis(plan, basis.rot90(g)) / plan.lam
+            want_q = g.mean(axis=(-2, -1))[..., : plan.n_harmonic]
+            assert q.shape == (4, plan.n_harmonic)
+            if plan.geometry.kind == basis.SPHERE:
+                for got, want in ((zeta, want_zeta), (grad, want_grad), (p, want_p)):
+                    assert np.array_equal(got, want)
+                continue
+            for got, want in (
+                (zeta, want_zeta), (grad, want_grad), (p, want_p), (q, want_q)
+            ):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class _FullComplexTorus:
+    """Full-complex fft2/ifft2 torus transforms: the plain reference."""
+
+    def __init__(self, plan):
+        core = plan.core
+        self.n, self.length, self.n_modes = plan.grid_shape[0], plan.geometry.length, plan.n_modes
+        q = core.qvec
+        right = (q[:, 0] > 0) | ((q[:, 0] == 0) & (q[:, 1] > 0))
+        self.k = q[right]
+        self.cos = np.nonzero(right)[0]
+        self.sin = np.array([core.slot_of[(-int(a), -int(b))] for a, b in self.k])
+        self.amp = np.sqrt(2.0) / self.length
+        self.quad = self.amp * self.length**2 / self.n**2
+        self.w = 2.0 * np.pi / self.length * np.fft.fftfreq(self.n, d=1.0 / self.n)
+        self.wk = 2.0 * np.pi / self.length * self.k
+
+    def _full(self, c):
+        n, (k1, k2) = self.n, self.k.T
+        z = 0.5 * n * n * self.amp * (c[..., self.cos] - 1j * c[..., self.sin])
+        fhat = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
+        fhat[..., k1 % n, k2 % n] = z
+        fhat[..., -k1 % n, -k2 % n] = np.conj(z)
+        return fhat
+
+    def _at_k(self, f):
+        return np.fft.fft2(f)[..., self.k[:, 0] % self.n, self.k[:, 1] % self.n]
+
+    def _modes(self, cos_part, sin_part):
+        out = np.empty(cos_part.shape[:-1] + (self.n_modes,))
+        out[..., self.cos], out[..., self.sin] = cos_part, sin_part
+        return out
+
+    def synthesize(self, c):
+        return np.fft.ifft2(self._full(c)).real
+
+    def synth_grad(self, c):
+        fhat = self._full(c)
+        dx = np.fft.ifft2(1j * self.w[:, None] * fhat).real
+        dy = np.fft.ifft2(1j * self.w[None, :] * fhat).real
+        return np.stack((dx, dy), axis=-3)
+
+    def analyze(self, f):
+        z = self._at_k(f)
+        return self._modes(self.quad * z.real, -self.quad * z.imag)
+
+    def grad_analysis(self, v):
+        zdot = self.wk[:, 0] * self._at_k(v[..., 0, :, :]) + self.wk[:, 1] * self._at_k(
+            v[..., 1, :, :]
+        )
+        return self._modes(self.quad * zdot.imag, self.quad * zdot.real)
+
+
 class _PerOrderSphere:
     """One matrix product per order m on unpadded tables: the plain reference."""
 
@@ -314,11 +437,6 @@ class TestDealias:
         got = basis.analyze(plan, fa * fb)
         # oracle: dense grid quadrature at twice the resolution
         fine = basis.build_plan(basis.torus(2.0), 18)
-        lift = np.zeros(fine.n_modes)
-        for s in range(plan.n_modes):
-            q1, q2 = plan.core.qvec[s]
-            lift_s = basis.mode_slot(fine, (int(q1), int(q2)))
-            pass
         af = basis.synthesize(fine, _lift(plan, fine, a))
         bf = basis.synthesize(fine, _lift(plan, fine, b))
         want_fine = basis.analyze(fine, af * bf)

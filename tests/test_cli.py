@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from bardina2d import cli
+from bardina2d import basis, cli
 
 TWO_PI = 2.0 * np.pi
 
@@ -197,6 +197,30 @@ class TestLyapunov:
         assert np.allclose(sorted(report["exponents"]), sorted(last))
         assert isinstance(report["consistent"], bool)
         assert report["nstar"] > 0.0
+        assert 0.0 < report["gs_min_scale"] <= 1.0
+
+    def test_gs_min_scale_on_laminar_sphere(self, tmp_path):
+        # sphere L=21 at Grashof 10 settles to a steady state whose eighth
+        # exponent is -6, so the smallest scale factor is about exp(-6 * 0.25)
+        doc = {
+            "geometry": "sphere",
+            "truncation": 21,
+            "nu": 1.0,
+            "alpha": 1.0,
+            "seed": 0,
+            "forcing": {"modes": [[2, 1, 10.0 * math.sqrt(6.0)]]},
+            "initial": {"kind": "random", "slope": 2.0, "energy": 1.0},
+            "scheme": {"dt": 0.01, "t_end": 1.0},
+            "lyapunov": {
+                "n_ensemble": 8, "t_transient": 1.0, "t_average": 4.0, "renorm_interval": 0.25
+            },
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "lyap"
+        assert cli.main(["lyapunov", "--config", config, "--out", str(out)]) == 0
+        scale = json.loads((out / "lyapunov.json").read_text())["gs_min_scale"]
+        assert 0.0 < scale <= 1.0
+        assert scale == pytest.approx(math.exp(-6.0 * 0.25), rel=1e-3)
 
     def test_missing_block_is_config_error(self, tmp_path):
         config = write_config(tmp_path, forced_doc())
@@ -252,12 +276,28 @@ class TestVerifySelftest:
         text = capsys.readouterr().out
         for name in (
             "transform-roundtrip",
+            "transform-alias",
             "operator-identities",
             "tangent-linearization",
             "gronwall-envelopes",
         ):
             assert name in text
         assert "FAIL" not in text
+
+    def test_verify_flags_undersized_torus_grid(self, tmp_path, capsys, monkeypatch):
+        # a 3K grid aliases |k_i| = 2K onto K; only the product comparison sees it
+        monkeypatch.setattr(basis._TorusCore, "ngrid", property(lambda core: 3 * core.kmax))
+        assert basis.build_plan(basis.torus(TWO_PI), 8).grid_shape == (24, 24)
+        config = write_config(tmp_path, forced_doc(truncation=8))
+        assert cli.main(["verify", "--config", config]) == 1
+        status = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[1:]
+            if len(line.split()) > 1
+        }
+        assert status["transform-alias"] == "FAIL"
+        for name in ("transform-roundtrip", "operator-identities", "gronwall-envelopes"):
+            assert status[name] == "PASS"
 
     def test_verify_rechecks_run_directory(self, tmp_path, capsys):
         config = write_config(tmp_path, forced_doc())

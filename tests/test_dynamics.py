@@ -246,6 +246,43 @@ class TestCoupledRemainder:
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+class TestTransformPasses:
+    """One torus right-hand side is one inverse and one forward real FFT."""
+
+    NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+    def _count_ffts(self, monkeypatch):
+        calls = []
+        for name in self.NAMES:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_torus_remainders_make_two_fft_calls(self, monkeypatch):
+        plan = torus_plan(16)
+        params = params_for(plan, seed=6)
+        fstate = dyn.forcing_state(plan, params.forcing)
+        rng = np.random.default_rng(7)
+        psis = rng.standard_normal((7, plan.n_modes)) / (1.0 + plan.lam)
+        hs = rng.standard_normal((7, 2))
+        state = ops.VelocityState(psis[0], hs[0])
+        calls = self._count_ffts(monkeypatch)
+        dyn._remainder_u(plan, psis[0], hs[0], params, fstate)
+        assert calls == ["irfft2", "rfft2"]
+        del calls[:]
+        dyn._remainder_coupled(plan, psis, hs, params, fstate)
+        assert calls == ["irfft2", "rfft2"]
+        del calls[:]
+        dyn.rhs_u(plan, state, params)
+        assert calls == ["irfft2", "rfft2"]
+
+
 class TestCutoff:
     def test_plateau_and_support(self):
         assert dyn.cutoff_theta(-3.0) == 1.0
