@@ -130,7 +130,7 @@ class _SphereCore:
             self.dP[m, n_start - 1 :] = dp[n_start - m :]
 
         # flat slot layout: slot(n, m) = n^2 + n + m - 1
-        self.n_modes = lmax * (lmax + 2)
+        self.n_modes, _ = mode_count(SPHERE, lmax)
         deg = np.repeat(np.arange(1, lmax + 1), 2 * np.arange(1, lmax + 1) + 1)
         order = np.arange(self.n_modes) + 1 - deg * deg - deg
         self.lam = (deg * (deg + 1)).astype(np.float64)
@@ -312,7 +312,7 @@ class _TorusCore:
                 qs.append((q1 * q1 + q2 * q2, q1, q2))
         qs.sort()
         self.qvec = np.array([(q1, q2) for _, q1, q2 in qs], dtype=np.int64)
-        self.n_modes = len(qs)
+        self.n_modes, _ = mode_count(TORUS, kmax)
         self.lam = (2.0 * np.pi / length) ** 2 * (
             self.qvec[:, 0] ** 2 + self.qvec[:, 1] ** 2
         ).astype(np.float64)
@@ -436,19 +436,28 @@ def build_plan(geometry, truncation):
         raise IndexRangeError(f"truncation must be >= 1, got {truncation}")
     if geometry.kind == SPHERE:
         core = _SphereCore(truncation)
-        n_harm = 0
     else:
         core = _TorusCore(truncation, geometry.length)
-        n_harm = 2
     return BasisPlan(
         geometry=geometry,
         truncation=truncation,
         lam=core.lam,
         n_modes=core.n_modes,
-        n_harmonic=n_harm,
+        n_harmonic=mode_count(geometry.kind, truncation)[1],
         area=geometry.area,
         core=core,
     )
+
+
+def mode_count(kind, truncation):
+    """(retained modes, harmonic components) of a truncation.
+
+    Sphere: degrees 1..L, 2n + 1 orders each.  Torus: every k with
+    max |k_i| <= K except k = 0, plus the constant pair.
+    """
+    if kind == SPHERE:
+        return truncation * (truncation + 2), 0
+    return (2 * truncation + 1) ** 2 - 1, 2
 
 
 def check_mode_index(kind, truncation, index):

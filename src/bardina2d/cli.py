@@ -397,25 +397,7 @@ def cmd_bounds(args, spec):
         key, values = spec.sweep
         lines = ["parameter,value," + ",".join(_SWEEP_FIELDS)]
         for value in values:
-            p = cfg.model_params(plan, spec, **{key: value})
-            norms = bounds.forcing_norms(plan, p.forcing)
-            c = bounds.constants(plan, p, norms)
-            radii = bounds.absorbing_radii(plan, p, norms)
-            point = {
-                "lambda_1": c.lambda_1,
-                "delta": c.delta,
-                "delta_prime": c.delta_prime,
-                "l1": c.l1,
-                "l2": c.l2,
-                "grashof": bounds.grashof(p.nu, norms.total),
-                "nstar": bounds.attractor_bound(plan, p, norms),
-                "rho0": radii.rho0,
-                "rho1": radii.rho1,
-                "rho1_tilde": radii.rho1_tilde,
-                "rho2": radii.rho2,
-                "rho_v_sum": radii.rho_v_sum,
-                "average_enstrophy_bound": bounds.average_enstrophy_bound(plan, p, norms),
-            }
+            point = bounds.bounds_report(plan, cfg.model_params(plan, spec, **{key: value}))
             lines.append(
                 ",".join([key, _fmt(value)] + [_fmt(point[f]) for f in _SWEEP_FIELDS])
             )
@@ -458,23 +440,35 @@ def _ensure_forced(plan, params):
     )
 
 
+# relative tolerance of the transform rows: sphere rounding grows like
+# truncation^2 (round trip 3.6e-14 at L=21, 5.4e-13 at L=85, 3.0e-12 at
+# L=128), while an aliased grid is off by the edge coefficients, 1e-2 and more
+TRANSFORM_TOL = 1e-10
+
+
+def _transform_roundtrip(plan, seed):
+    """Synthesize-analyze round trip and Parseval sum of one random field."""
+    import numpy as np
+
+    from . import basis
+
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
+    f = basis.synthesize(plan, coeffs)
+    back = basis.analyze(plan, f)
+    rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
+    ss = float(np.dot(coeffs, coeffs))
+    parseval = abs(basis.integrate(plan, f * f) - ss) / ss
+    worst = max(float(rel), float(parseval))
+    return worst <= TRANSFORM_TOL, f"max residual {worst:.3e}"
+
+
 def _library_checks(plan, params, seed, prefix=""):
     import numpy as np
 
     from . import basis, integrate, verification
     from . import dynamics as dyn
     from . import operators as ops
-
-    def roundtrip():
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
-        f = basis.synthesize(plan, coeffs)
-        back = basis.analyze(plan, f)
-        rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
-        ss = float(np.dot(coeffs, coeffs))
-        parseval = abs(basis.integrate(plan, f * f) - ss) / ss
-        worst = max(float(rel), float(parseval))
-        return worst <= 1e-12, f"max residual {worst:.3e}"
 
     def alias():
         # a product of two retained fields analyzed on the plan grid and on the
@@ -494,10 +488,8 @@ def _library_checks(plan, params, seed, prefix=""):
         lifted[:, slots] = pair
         fa, fb = basis.synthesize(larger, lifted)
         want = basis.analyze(larger, fa * fb)[slots]
-        # rounding grows like truncation^2 on the sphere (5e-13 at L=85); an
-        # aliased grid is off by the edge coefficients, 1e-2 and more
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
-        return rel <= 1e-10, f"residual {rel:.3e} against truncation {truncation}"
+        return rel <= TRANSFORM_TOL, f"residual {rel:.3e} against truncation {truncation}"
 
     def identities():
         table = verification.identity_suite(plan, params, seed, n_states=20)
@@ -541,7 +533,7 @@ def _library_checks(plan, params, seed, prefix=""):
         return not bad, f"{len(bad)} violation(s) in {len(recs)} samples"
 
     return [
-        _run_check(prefix + "transform-roundtrip", roundtrip),
+        _run_check(prefix + "transform-roundtrip", lambda: _transform_roundtrip(plan, seed)),
         _run_check(prefix + "transform-alias", alias),
         _run_check(prefix + "operator-identities", identities),
         _run_check(prefix + "tangent-linearization", tangent),

@@ -19,9 +19,12 @@ The tangent flow linearizes the nonlinearity to
 
     Ntilde(u, U) = zeta_U (n x u) + zeta_u (n x U)
 
-with the forcing removed and the drag acting on the perturbation.  A base
-state and its tangents stacked as rows share each grid transform
-(`_remainder_coupled`), which is how the Lyapunov ensemble is stepped.
+with the forcing removed and the drag acting on the perturbation.  One
+kernel, `_remainder_u`, evaluates both on stacked rows: row 0 is the base
+state u, rows 1.. are tangents U linearized about row 0, and the forcing
+acts on row 0 only.  All rows share one flow synthesis and one flow
+analysis.  A trajectory steps a one-row stack; the Lyapunov ensemble steps
+the base state with its tangents.
 
 The prepared variant evolves v directly on the sphere with the nonlinear and
 forcing terms multiplied by a smooth cutoff of |v| / rho, which makes every
@@ -95,25 +98,6 @@ def validate_params(plan, params):
 # nonlinearity
 
 
-@dataclass
-class BaseGrids:
-    """Grid evaluations of a base state reused across tangent evaluations."""
-
-    zeta: np.ndarray
-    u: np.ndarray
-
-
-def base_grids(plan, state):
-    return BaseGrids(*_grids(plan, state.psi, state.harmonic))
-
-
-def nonlinear_term(plan, state):
-    """B(u, u) = (P + Q)(zeta * (n x u)) with zeta * (n x u) formed pointwise."""
-    aux = base_grids(plan, state)
-    p, q = basis.flow_analysis(plan, aux.zeta * ops.rot90(aux.u))
-    return NonlinearSplit(p, q)
-
-
 def _grids(plan, psi, h):
     """Vorticity and velocity grids of one or stacked (psi, harmonic) rows."""
     zeta, grad = basis.flow_synthesis(plan, psi)
@@ -124,66 +108,55 @@ def _grids(plan, psi, h):
     return zeta, u
 
 
-def _tangent_batch(plan, psis, hs, aux):
-    """Linearized nonlinearity for stacked tangents against one base state."""
-    zeta_t, u_t = _grids(plan, psis, hs)
-    g = zeta_t[..., None, :, :] * ops.rot90(aux.u) + aux.zeta * ops.rot90(u_t)
+def _nonlinearity(plan, psis, hs):
+    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1.."""
+    zeta, u = _grids(plan, psis, hs)
+    g = zeta[:, None] * ops.rot90(u[0])
+    if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
+        g[1:] += zeta[0] * ops.rot90(u[1:])
+    del zeta, u  # the analysis temporaries reuse their memory
     return basis.flow_analysis(plan, g)
+
+
+def nonlinear_term(plan, state):
+    """B(u, u) = (P + Q)(zeta * (n x u)) with zeta * (n x u) formed pointwise."""
+    p, q = _nonlinearity(plan, state.psi[None], state.harmonic[None])
+    return NonlinearSplit(p[0], q[0])
 
 
 # ---------------------------------------------------------------------------
 # tendencies
 
 
-def _remainder_u(plan, psi, h, params, fstate):
-    """Non-stiff part of the u tendency; the integrator exponentiates -nu lam."""
+def _remainder_u(plan, psis, hs, params, fstate):
+    """Non-stiff tendency of stacked rows; the integrator exponentiates -nu lam.
+
+    Row 0 is the base state with the forcing; rows 1.. are its tangents.
+    """
     filt = 1.0 + params.alpha**2 * plan.lam
-    zeta, u = _grids(plan, psi, h)
-    p, q = basis.flow_analysis(plan, zeta * ops.rot90(u))
-    dpsi = (fstate.psi - p - params.sigma * psi) / filt
-    dh = fstate.harmonic - params.sigma * h - q
-    return dpsi, dh
+    p, q = _nonlinearity(plan, psis, hs)
+    drag_h = params.sigma * hs
+    # forcing on row 0 only, subtracted in place: -(p - f) rounds exactly as
+    # f - p, so row 0 keeps the single-state order f - p - sigma psi
+    p[0] -= fstate.psi
+    drag_h[0] -= fstate.harmonic
+    return (-p - params.sigma * psis) / filt, -drag_h - q
 
 
 def rhs_u(plan, state, params):
     """Full tendency of the evolved state, stiff linear part included."""
     fstate = forcing_state(plan, params.forcing)
-    dpsi, dh = _remainder_u(plan, state.psi, state.harmonic, params, fstate)
-    return ops.VelocityState(dpsi - params.nu * plan.lam * state.psi, dh)
-
-
-def _remainder_tangent(plan, psis, hs, aux, params):
-    filt = 1.0 + params.alpha**2 * plan.lam
-    p, q = _tangent_batch(plan, psis, hs, aux)
-    dpsis = (-p - params.sigma * psis) / filt
-    dhs = -params.sigma * hs - q
-    return dpsis, dhs
-
-
-def _remainder_coupled(plan, psis, hs, params, fstate):
-    """Remainders of a base state (row 0) and its tangents (rows 1..) together.
-
-    Equals `_remainder_u` on row 0 and `_remainder_tangent` against row 0 on
-    the other rows, with one flow synthesis and one flow analysis on the
-    whole stack.
-    """
-    filt = 1.0 + params.alpha**2 * plan.lam
-    zeta, u = _grids(plan, psis, hs)
-    g = zeta[:, None] * ops.rot90(u[0])
-    g[1:] += zeta[0] * ops.rot90(u[1:])
-    p, q = basis.flow_analysis(plan, g)
-    dpsis = -p - params.sigma * psis
-    dpsis[0] += fstate.psi
-    dhs = -params.sigma * hs - q
-    dhs[0] += fstate.harmonic
-    return dpsis / filt, dhs
+    dpsi, dh = _remainder_u(plan, state.psi[None], state.harmonic[None], params, fstate)
+    return ops.VelocityState(dpsi[0] - params.nu * plan.lam * state.psi, dh[0])
 
 
 def rhs_tangent(plan, delta, state, params):
     """Full tangent tendency at base state `state` (forcing drops out)."""
-    aux = base_grids(plan, state)
-    dpsi, dh = _remainder_tangent(plan, delta.psi, delta.harmonic, aux, params)
-    return ops.VelocityState(dpsi - params.nu * plan.lam * delta.psi, dh)
+    fstate = forcing_state(plan, params.forcing)
+    psis = np.stack((state.psi, delta.psi))
+    hs = np.stack((state.harmonic, delta.harmonic))
+    dpsis, dhs = _remainder_u(plan, psis, hs, params, fstate)
+    return ops.VelocityState(dpsis[1] - params.nu * plan.lam * delta.psi, dhs[1])
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,9 @@ def step(plan, state, params, scheme):
         return dyn._remainder_u(plan, psi, h, params, fstate)
 
     psi, h = step_pair(
-        state.psi, state.harmonic, scheme.dt, e_full, e_half, rem, scheme.method
+        state.psi[None], state.harmonic[None], scheme.dt, e_full, e_half, rem, scheme.method
     )
-    return ops.VelocityState(psi, h)
+    return ops.VelocityState(psi[0], h[0])
 
 
 def _count_steps(span, dt, what):
@@ -156,12 +156,12 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
 
     return _run_loop(
         plan,
-        state.psi.copy(),
-        state.harmonic.copy(),
+        state.psi[None].copy(),
+        state.harmonic[None].copy(),
         scheme,
         rem,
         decay_factors(plan, params.nu, scheme.dt),
-        lambda p, h: ops.VelocityState(p.copy(), h.copy()),
+        lambda p, h: ops.VelocityState(p[0].copy(), h[0].copy()),
         observers,
         t_start,
     )

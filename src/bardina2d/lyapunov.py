@@ -139,13 +139,13 @@ def _initial_ensemble(plan, n, alpha, rng):
 
 def trace_qn(plan, state, tangents, params):
     """sum_k [F'(u) w_k, w_k] for a weighted-orthonormal tangent set."""
-    psis = np.stack([t.psi for t in tangents])
-    hs = np.stack([t.harmonic for t in tangents])
-    aux = dyn.base_grids(plan, state)
-    dpsis, dhs = dyn._remainder_tangent(plan, psis, hs, aux, params)
-    full = dpsis - params.nu * plan.lam * psis
+    psis = np.stack([state.psi] + [t.psi for t in tangents])
+    hs = np.stack([state.harmonic] + [t.harmonic for t in tangents])
+    fstate = dyn.forcing_state(plan, params.forcing)
+    dpsis, dhs = dyn._remainder_u(plan, psis, hs, params, fstate)
+    full = dpsis[1:] - params.nu * plan.lam * psis[1:]
     wv = _weight_vector(plan, params.alpha)
-    return float(np.sum(wv * psis * full) + plan.area * np.sum(hs * dhs))
+    return float(np.sum(wv * psis[1:] * full) + plan.area * np.sum(hs[1:] * dhs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(p, h):
-        return dyn._remainder_coupled(plan, p, h, params, fstate)
+        return dyn._remainder_u(plan, p, h, params, fstate)
 
     logsum = np.zeros(n)
     t_series = np.zeros(n_av)

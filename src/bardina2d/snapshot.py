@@ -44,13 +44,6 @@ class Snapshot:
     harmonic: np.ndarray
 
 
-def _mode_count(kind, truncation):
-    if kind == basis.SPHERE:
-        return truncation * (truncation + 2), 0
-    # torus: every k with max|k| <= K except k = 0, plus the harmonic pair
-    return (2 * truncation + 1) ** 2 - 1, 2
-
-
 def save_snapshot(path, plan, state, t, params):
     """Write one state with its time and model parameters."""
     payload = np.concatenate([state.psi, state.harmonic]).astype("<f8")
@@ -86,7 +79,7 @@ def load_snapshot(path):
     if tag not in _GEOMETRY_KINDS:
         raise CorruptSnapshotError(f"{path}: unknown geometry tag {tag}")
     kind = _GEOMETRY_KINDS[tag]
-    n_modes, n_harmonic = _mode_count(kind, truncation)
+    n_modes, n_harmonic = basis.mode_count(kind, truncation)
     if count != n_modes + n_harmonic:
         raise CorruptSnapshotError(
             f"{path}: payload of {count} coefficients does not match "

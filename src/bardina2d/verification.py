@@ -173,8 +173,11 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
     """Relative residuals of the nonlinearity identities on random states.
 
     Keys: b_uvv (b(u, v, v) = 0), b_swap (antisymmetry in the last pair),
-    b_energy (<B(u, u), u> = 0), and b_enstrophy (<B(u, u), Au> = 0) on the
-    sphere or harmonic_pair (<Q(zeta rot90(h)), h> = 0) on the torus.  The
+    b_energy (<B(u, u), u> = 0), b_enstrophy (<B(u, u), Au> = 0) on the
+    sphere or harmonic_pair (<Q(zeta rot90(h)), h> = 0) on the torus, and
+    b_form (<B(u, u), w> = b(u, u, w): the grid nonlinearity against the
+    three-term form, which a wrong rotation sign breaks on both geometries
+    while the cancellation identities above still hold).  The
     identities hold for any model parameters; `params` only rides along so
     the verification entry points share one call shape.  The states fill
     every retained mode up to the truncation edge.
@@ -183,6 +186,7 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
     rng = np.random.default_rng(seed)
     names = ["b_uvv", "b_swap", "b_energy"]
     names.append("b_enstrophy" if plan.geometry.kind == basis.SPHERE else "harmonic_pair")
+    names.append("b_form")
     table = {name: np.zeros(n_states) for name in names}
     for i in range(n_states):
         u = _random_state(plan, rng, amplitude)
@@ -197,14 +201,16 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
         table["b_uvv"][i] = _relative(uvv, scale)
         table["b_swap"][i] = _relative(swap, scale)
         table["b_energy"][i] = _relative(energy, scale)
+        form = ops.inner_l2(plan, bstate, w) - ops.trilinear_b(plan, u, u, w)
+        table["b_form"][i] = _relative(form, scale)
         if plan.geometry.kind == basis.SPHERE:
             enst = ops.inner_l2(plan, bstate, ops.stokes_apply(plan, u))
             table["b_enstrophy"][i] = _relative(enst, scale)
         else:
-            aux = dyn.base_grids(plan, u)
-            hv = np.zeros_like(aux.u)
+            zeta, uv = dyn._grids(plan, u.psi, u.harmonic)
+            hv = np.zeros_like(uv)
             hv[0], hv[1] = u.harmonic
-            q = ops.harmonic_project(plan, aux.zeta * ops.rot90(hv))
+            q = ops.harmonic_project(plan, zeta * ops.rot90(hv))
             pair = plan.area * float(np.dot(q, u.harmonic))
             table["harmonic_pair"][i] = _relative(pair, scale)
     return table

@@ -34,6 +34,13 @@ class TestPlanStructure:
         assert plan.n_harmonic == 2
         assert plan.lambda_1 == pytest.approx((2 * np.pi / L) ** 2, rel=1e-15)
 
+    def test_mode_count_matches_enumerated_modes(self):
+        # the closed form the snapshot reader checks payloads against
+        for plan in plans():
+            kind, trunc = plan.geometry.kind, plan.truncation
+            assert basis.mode_count(kind, trunc) == (plan.n_modes, plan.n_harmonic)
+            assert plan.lam.size == plan.n_modes
+
     def test_eigenvalues_sorted_with_deterministic_ties(self):
         for plan in plans():
             assert np.all(np.diff(plan.lam) >= 0.0)
@@ -221,7 +228,7 @@ class TestTransforms:
 
     def test_flow_transforms_equal_separate_calls(self):
         # a stacked base + tangent batch with a nonzero harmonic part, as in
-        # dynamics._remainder_coupled
+        # dynamics._remainder_u
         for plan in plans():
             rng = np.random.default_rng(21)
             psis = rng.standard_normal((4, plan.n_modes)) / (1.0 + plan.lam)

@@ -284,6 +284,14 @@ class TestVerifySelftest:
             assert name in text
         assert "FAIL" not in text
 
+    def test_roundtrip_row_passes_on_large_sphere(self):
+        # sphere round-trip rounding grows like L^2 and passes 1e-12 near
+        # L=128, so the row shares the truncation-independent transform tolerance
+        plan = basis.build_plan(basis.sphere(), 128)
+        ok, detail = cli._transform_roundtrip(plan, seed=0)
+        assert ok, detail
+        assert 1e-12 < float(detail.split()[-1]) <= cli.TRANSFORM_TOL
+
     def test_verify_flags_undersized_torus_grid(self, tmp_path, capsys, monkeypatch):
         # a 3K grid aliases |k_i| = 2K onto K; only the product comparison sees it
         monkeypatch.setattr(basis._TorusCore, "ngrid", property(lambda core: 3 * core.kmax))
@@ -340,6 +348,11 @@ class TestVerifySelftest:
         assert cli.main(["selftest", "--inject-sign-fault"]) == 1
         text = capsys.readouterr().out
         assert "operator-identities" in text and "FAIL" in text
+        status = {line.split()[0]: line.split()[1] for line in text.splitlines()[1:]}
+        # b_form sees the fault on the torus too, where the cancellation
+        # identities are blind to it
+        assert status["sphere:operator-identities"] == "FAIL"
+        assert status["torus:operator-identities"] == "FAIL"
 
 
 class TestErrorPaths:

@@ -228,6 +228,32 @@ class TestTangent:
         assert np.allclose(t.psi, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+def _separate_remainders(plan, psis, hs, params, fstate):
+    """Reference for the stacked kernel: the base grids synthesized once, each
+    tangent's grids separately, Ntilde(u, U) = zeta_U (n x u) + zeta_u (n x U)
+    formed per tangent, then one flow analysis each."""
+    filt = 1.0 + params.alpha**2 * plan.lam
+
+    def grids(psi, h):
+        zeta, grad = basis.flow_synthesis(plan, psi)
+        u = basis.rot90(grad)
+        if plan.n_harmonic:
+            u[0] += h[0]
+            u[1] += h[1]
+        return zeta, u
+
+    zeta0, u0 = grids(psis[0], hs[0])
+    p, q = basis.flow_analysis(plan, zeta0 * basis.rot90(u0))
+    out_psi = [(fstate.psi - p - params.sigma * psis[0]) / filt]
+    out_h = [fstate.harmonic - params.sigma * hs[0] - q]
+    for psi, h in zip(psis[1:], hs[1:]):
+        zeta, u = grids(psi, h)
+        p, q = basis.flow_analysis(plan, zeta * basis.rot90(u0) + zeta0 * basis.rot90(u))
+        out_psi.append((-p - params.sigma * psi) / filt)
+        out_h.append(-params.sigma * h - q)
+    return np.stack(out_psi), np.stack(out_h)
+
+
 class TestCoupledRemainder:
     def test_rows_match_base_and_tangent_remainders(self):
         for plan in (sphere_plan(), torus_plan()):
@@ -236,14 +262,22 @@ class TestCoupledRemainder:
             states = [ops.random_state(plan, seed=80 + k) for k in range(5)]
             psis = np.stack([s.psi for s in states])
             hs = np.random.default_rng(81).standard_normal((5, plan.n_harmonic))
-            dpsis, dhs = dyn._remainder_coupled(plan, psis, hs, p, fstate)
-            dpsi0, dh0 = dyn._remainder_u(plan, psis[0], hs[0], p, fstate)
-            aux = dyn.base_grids(plan, ops.VelocityState(psis[0], hs[0]))
-            dpsit, dht = dyn._remainder_tangent(plan, psis[1:], hs[1:], aux, p)
-            for got, want in ((dpsis[0], dpsi0), (dhs[0], dh0), (dpsis[1:], dpsit), (dhs[1:], dht)):
+            dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, fstate)
+            # row 0 does not depend on the rows stacked after it
+            dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, fstate)
+            assert np.array_equal(dpsis[0], dpsi0[0])
+            assert np.array_equal(dhs[0], dh0[0])
+            want_psi, want_h = _separate_remainders(plan, psis, hs, p, fstate)
+            # and keeps the one-state rounding, f - p - sigma psi
+            assert np.array_equal(dpsis[0], want_psi[0])
+            assert np.array_equal(dhs[0], want_h[0])
+            for got, want in ((dpsis, want_psi), (dhs, want_h)):
                 assert got.shape == want.shape
-                if want.size:
-                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                for k in range(1, 5):
+                    if want[k].size:
+                        assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(
+                            np.abs(want[k])
+                        ), k
 
 
 class TestTransformPasses:
@@ -273,10 +307,10 @@ class TestTransformPasses:
         hs = rng.standard_normal((7, 2))
         state = ops.VelocityState(psis[0], hs[0])
         calls = self._count_ffts(monkeypatch)
-        dyn._remainder_u(plan, psis[0], hs[0], params, fstate)
+        dyn._remainder_u(plan, psis[:1], hs[:1], params, fstate)
         assert calls == ["irfft2", "rfft2"]
         del calls[:]
-        dyn._remainder_coupled(plan, psis, hs, params, fstate)
+        dyn._remainder_u(plan, psis, hs, params, fstate)
         assert calls == ["irfft2", "rfft2"]
         del calls[:]
         dyn.rhs_u(plan, state, params)

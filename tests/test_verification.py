@@ -179,7 +179,7 @@ class TestIdentitySuite:
         for plan in (sphere_plan(), torus_plan()):
             p = dynamics.ModelParams(1.0, 1.0, 0.5, dynamics.zero_forcing(plan))
             table = verification.identity_suite(plan, p, seed=42)
-            assert len(table) == 4
+            assert len(table) == 5
             for name, residuals in table.items():
                 assert residuals.shape == (20,)
                 assert residuals.max() <= 1e-9, name
@@ -204,7 +204,7 @@ class TestIdentitySuite:
         plan = torus_plan(trunc=6)
         p = dynamics.ModelParams(1.0, 1.0, 0.5, dynamics.zero_forcing(plan))
         table = verification.identity_suite(plan, p, seed=7)
-        assert sorted(table) == ["b_energy", "b_swap", "b_uvv", "harmonic_pair"]
+        assert sorted(table) == ["b_energy", "b_form", "b_swap", "b_uvv", "harmonic_pair"]
         for name, residuals in table.items():
             assert residuals.max() <= 1e-12, name
 
