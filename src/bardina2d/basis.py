@@ -25,20 +25,42 @@ Torus
     (the 3/2 rule, Orszag 1971, J. Atmos. Sci. 28): products of two retained
     fields analyze onto every retained mode without aliasing, so all modes
     are active and no band mask is needed.  Coefficients pack straight into
-    the half spectrum of a real 2-d FFT, one rfft2 or irfft2 call per
-    transform.  Each nonzero lattice vector q labels one real basis
+    the half spectrum of a real 2-d FFT, one per transform: rfft2 forward,
+    and inverse its two axis passes, ifft then irfft, since np.fft.irfft2
+    allocates the first pass and ignores `out`.  Each nonzero lattice vector q labels one real basis
     function: cos for q in the right half-plane (q1 > 0, or q1 == 0 and
     q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot order is
     (|q|^2, q1, q2) lexicographic.
 
 The fused flow transforms take a streamfunction to its vorticity and
 gradient grids and a tangent grid field to its Leray streamfunction and
-harmonic pair; on the torus each is one FFT call over the stacked fields.
+harmonic pair; each is one FFT over the stacked fields.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
 (..., 2, nlat, nlon) with component 0 pointing along theta-hat (sphere,
 towards increasing colatitude) or x (torus).
+
+Workspaces
+    A transform flattens the leading axes into B stacked rows and works in
+    buffers the plan builds once for that B: the gathered Legendre rows,
+    the Legendre sums and the zero-padded half spectra (sphere), the packed
+    and flow spectra (torus), and, for the right-hand side in `dynamics`,
+    the vorticity/gradient grid stack and the product field g.  The FFTs
+    and matmuls write into them with out=, so stepping a batch allocates no
+    large temporaries; freed ones would be trimmed off the heap top and
+    faulted back in by the next call.  The rules:
+
+    - one workspace per plan and batch row count; a plan keeps those of
+      its WORKSPACES_PER_PLAN most recently used row counts, and two plans
+      share nothing;
+    - a workspace is not safe to share across threads: use one plan per
+      thread;
+    - returned arrays are never views of a workspace buffer, except the
+      grids `flow_synthesis` writes into an `out` its caller passes;
+    - size: 4.4 MB for one row at sphere L=85 and 4.2 MB at torus K=64
+      (0.28 MB at L=21 and at K=16), about linear in the row count (41 MB
+      for 9 rows at L=85, 29 MB for 7 rows at K=64).
 """
 
 from __future__ import annotations
@@ -53,6 +75,9 @@ from .errors import IndexRangeError, ShapeError, UnsupportedGeometryError
 
 SPHERE = "sphere"
 TORUS = "torus"
+
+# workspaces a plan keeps, one per recently used batch row count
+WORKSPACES_PER_PLAN = 2
 
 
 @dataclass(frozen=True)
@@ -160,78 +185,139 @@ class _SphereCore:
         self.ana_w_phi = -1j * self.ana_w * m_over_sin.T
         self.qw = np.repeat((self.wlat * self.dphi)[:, None], self.nlon, axis=1)
 
+        self.PT = self.P.transpose(0, 2, 1)
+        self.dPT = self.dP.transpose(0, 2, 1)
+        self.neg_lam = -self.lam
+        self._work = {}
+
+    def workspace(self, b):
+        return _cached_workspace(self._work, b, lambda: _SphereWork(self, b))
+
     # -- m-blocked Legendre stage ---------------------------------------
 
-    def _gather(self, coeffs):
-        """(B, n_modes) -> (lmax + 1, 2B, lmax): rows (field, cos|sin) per m."""
-        b = coeffs.shape[0]
-        pad = np.zeros((b, self.n_modes + 1))
-        pad[:, :-1] = coeffs
-        rows = pad[np.arange(b)[:, None, None], self.slots[:, None]]
-        return rows.reshape(self.lmax + 1, 2 * b, self.lmax)
+    def _gather(self, ws, k, coeffs, scale=None):
+        """(B, n_modes), times scale -> rows (field, cos|sin) per m: (lmax + 1, 2B, lmax)."""
+        if scale is None:
+            ws.pad[k, :, :-1] = coeffs
+        else:
+            np.multiply(scale, coeffs, out=ws.pad[k, :, :-1])
+        return np.take(ws.pad, ws.gather[k], out=ws.rows[k], mode="clip")
 
-    def _scatter(self, blocks, b):
-        """(lmax + 1, 2B, lmax) -> (B, n_modes): inverse of `_gather`."""
+    def _scatter(self, blocks):
+        """(lmax + 1, 2B, lmax) -> (B, n_modes): inverse of `_gather`, a new array."""
+        b = blocks.shape[1] // 2
         blocks = blocks.reshape(self.lmax + 1, b, 2, self.lmax).transpose(1, 0, 2, 3)
         return blocks[:, self.slot_m, self.slot_sc, self.slot_n]
 
-    def _to_spectrum(self, ab, weight, spec):
-        """Legendre sums (lmax + 1, 2B, nlat) into columns m of spec (B, nlat, nfreq)."""
-        nm = self.lmax + 1
-        ab = ab.reshape(nm, -1, 2, self.nlat)
-        spec[..., :nm] = (weight * (ab[:, :, 0] - 1j * ab[:, :, 1])).transpose(1, 2, 0)
+    def _legendre_sum(self, ws, rows, table, weight, k):
+        """rows @ table, weighted into columns m of the half spectrum ws.spec[:, k]."""
+        ab = np.matmul(rows, table, out=ws.sums[k]).reshape(self.lmax + 1, -1, 2, self.nlat)
+        z = np.multiply(1j, ab[:, :, 1], out=ws.cols_s)
+        np.subtract(ab[:, :, 0], z, out=z)
+        np.multiply(weight, z, out=z)
+        ws.spec[:, k, :, : self.lmax + 1] = z.transpose(1, 2, 0)
 
-    def _from_spectrum(self, g, weight):
-        """Weighted columns m of g (B, nlat, nfreq) as rows (Re, -Im): (lmax + 1, 2B, nlat)."""
-        gm = (g[..., : self.lmax + 1] * weight).transpose(2, 0, 1)
-        rows = np.stack((gm.real, -gm.imag), axis=2)
-        return rows.reshape(self.lmax + 1, -1, self.nlat)
+    def _rows(self, ws, g, weight):
+        """Weighted columns m of g (B, nlat, nfreq) as rows (Re, -Im): (lmax + 1, 2B, nlat).
 
-    def _empty_spec(self, b, *mid):
-        return np.zeros((b, *mid, self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
+        The rows are the float view of the conjugated columns, laid out
+        (B, nlat, m).  One field goes to the matmul as that strided view,
+        which BLAS reads transposed; a contiguous copy would take another
+        BLAS path, round differently and change output bits.
+        """
+        nm, b = self.lmax + 1, len(g)
+        cols = np.multiply(g[..., :nm], weight, out=ws.cols_a)
+        np.conjugate(cols, out=cols)
+        rows = cols.view(np.float64).reshape(b, self.nlat, nm, 2).transpose(2, 0, 3, 1)
+        if b == 1:
+            return rows.reshape(nm, 2, self.nlat)
+        np.copyto(ws.rows_a.reshape(nm, b, 2, self.nlat), rows)
+        return ws.rows_a
+
+    def _grad_adjoint(self, ws, g_theta, g_phi):
+        """Gradient-adjoint coefficients of the component spectra (B, nlat, nfreq)."""
+        np.matmul(self._rows(ws, g_theta, self.ana_w), self.dPT, out=ws.blocks[0])
+        np.matmul(self._rows(ws, g_phi, self.ana_w_phi), self.PT, out=ws.blocks[1])
+        return self._scatter(np.add(ws.blocks[0], ws.blocks[1], out=ws.blocks[0]))
+
+    def _irfft(self, spec, out=None):
+        return np.fft.irfft(spec, n=self.nlon, axis=-1, out=out)
 
     # -- scalar --------------------------------------------------------
 
     def synthesize(self, coeffs):
-        lead = coeffs.shape[:-1]
-        c = self._gather(coeffs.reshape(-1, self.n_modes))
-        spec = self._empty_spec(c.shape[1] // 2)
-        self._to_spectrum(c @ self.P, self.synth_w, spec)
-        out = np.fft.irfft(spec, n=self.nlon, axis=-1)
-        return out.reshape(lead + out.shape[-2:])
+        ws = self.workspace(len(coeffs))
+        self._legendre_sum(ws, self._gather(ws, 0, coeffs), self.P, self.synth_w, 0)
+        return self._irfft(ws.spec[:, 0])
 
     def analyze(self, f):
-        lead = f.shape[:-2]
-        g = np.fft.rfft(f.reshape((-1,) + f.shape[-2:]), axis=-1)
-        rows = self._from_spectrum(g, self.ana_w)
-        out = self._scatter(rows @ self.P.transpose(0, 2, 1), g.shape[0])
-        return out.reshape(lead + (self.n_modes,))
+        ws = self.workspace(len(f))
+        g = np.fft.rfft(f, axis=-1, out=ws.spec_a[:, 0])
+        np.matmul(self._rows(ws, g, self.ana_w), self.PT, out=ws.blocks[0])
+        return self._scatter(ws.blocks[0])
 
     # -- gradient ------------------------------------------------------
 
+    def _grad_spectra(self, ws, coeffs):
+        rows = self._gather(ws, 1, coeffs)
+        self._legendre_sum(ws, rows, self.dP, self.synth_w, 1)
+        self._legendre_sum(ws, rows, self.P, self.synth_w_phi, 2)
+
     def synth_grad(self, coeffs):
-        lead = coeffs.shape[:-1]
-        c = self._gather(coeffs.reshape(-1, self.n_modes))
-        spec = self._empty_spec(c.shape[1] // 2, 2)
-        self._to_spectrum(c @ self.dP, self.synth_w, spec[:, 0])
-        self._to_spectrum(c @ self.P, self.synth_w_phi, spec[:, 1])
-        out = np.fft.irfft(spec, n=self.nlon, axis=-1)
-        return out.reshape(lead + out.shape[-3:])
-
-    def flow_synthesis(self, psi):
-        return self.synthesize(-self.lam * psi), self.synth_grad(psi)
-
-    def flow_analysis(self, g):
-        return -self.grad_analysis(rot90(g)) / self.lam, np.zeros(g.shape[:-3] + (0,))
+        ws = self.workspace(len(coeffs))
+        self._grad_spectra(ws, coeffs)
+        return self._irfft(ws.spec[:, 1:])
 
     def grad_analysis(self, vec):
-        lead = vec.shape[:-3]
-        g = np.fft.rfft(vec.reshape((-1,) + vec.shape[-3:]), axis=-1)
-        rows_t = self._from_spectrum(g[:, 0], self.ana_w)
-        rows_p = self._from_spectrum(g[:, 1], self.ana_w_phi)
-        blocks = rows_t @ self.dP.transpose(0, 2, 1) + rows_p @ self.P.transpose(0, 2, 1)
-        out = self._scatter(blocks, g.shape[0])
-        return out.reshape(lead + (self.n_modes,))
+        ws = self.workspace(len(vec))
+        z = np.fft.rfft(vec, axis=-1, out=ws.spec_a)
+        return self._grad_adjoint(ws, z[:, 0], z[:, 1])
+
+    def flow_synthesis(self, psi, out=None):
+        ws = self.workspace(len(psi))
+        rows = self._gather(ws, 0, psi, self.neg_lam)
+        self._legendre_sum(ws, rows, self.P, self.synth_w, 0)
+        self._grad_spectra(ws, psi)
+        return self._irfft(ws.spec, out)
+
+    def flow_analysis(self, g):
+        ws = self.workspace(len(g))
+        z = np.fft.rfft(g, axis=-1, out=ws.spec_a)
+        # n x g = (-g_phi, g_theta): negate one spectrum instead of rotating g
+        np.negative(z[:, 1], out=z[:, 1])
+        p = self._grad_adjoint(ws, z[:, 1], z[:, 0])
+        np.negative(p, out=p)
+        p /= self.lam
+        return p, np.zeros((len(g), 0))
+
+
+class _SphereWork:
+    """Reused buffers of one sphere plan for B stacked fields.
+
+    pad holds the coefficient rows (-lam psi, psi) with the zero slot
+    n_modes appended, and gather the flat take-index of each entry of the
+    m-blocked rows.  The half spectra (vorticity, d/dtheta, d/dphi) are
+    zeroed once: columns beyond lmax are never written.
+    """
+
+    def __init__(self, core, b):
+        nm, lmax, nlat, nlon = core.lmax + 1, core.lmax, core.nlat, core.nlon
+        nfreq = nlon // 2 + 1
+        width = core.n_modes + 1
+        self.pad = np.zeros((2, b, width))
+        rows = (np.arange(2 * b) * width).reshape(2, 1, b, 1, 1)
+        self.gather = (rows + core.slots[None, :, None]).reshape(2, nm, 2 * b, lmax)
+        self.rows = np.empty(self.gather.shape)
+        self.sums = np.empty((3, nm, 2 * b, nlat))
+        self.cols_s = np.empty((nm, b, nlat), dtype=np.complex128)
+        self.spec = np.zeros((b, 3, nlat, nfreq), dtype=np.complex128)
+        self.grids = np.empty((b, 3, nlat, nlon))
+        self.g = np.empty((b, 2, nlat, nlon))
+        # analysis: component spectra, weighted columns, rows of B > 1 fields
+        self.spec_a = np.empty((b, 2, nlat, nfreq), dtype=np.complex128)
+        self.cols_a = np.empty((b, nlat, nm), dtype=np.complex128)
+        self.rows_a = np.empty((nm, 2 * b, nlat)) if b != 1 else None
+        self.blocks = np.empty((2, nm, 2 * b, lmax))
 
 
 def _legendre_tables(lmax, m, mu, sin_t):
@@ -290,8 +376,8 @@ class _TorusCore:
     half-plane) sits at bin (k1 mod N, k2) when k2 >= 0 and, conjugated, at
     (-k1 mod N, -k2) when k2 < 0; the k2 = 0 column holds both +k1 and its
     conjugate at -k1, since irfft2 treats that column as a full complex
-    one.  Every transform, the fused flow transforms included, is one rfft2
-    or irfft2 call over all stacked fields; packing and unpacking are one
+    one.  Every transform, the fused flow transforms included, is one real
+    2-d FFT over all stacked fields (`_irfft2` for the inverse); packing and unpacking are one
     scatter or gather on the spectrum viewed as interleaved (re, im), with
     the sign of the imaginary part flipped for conjugated bins.
     """
@@ -358,18 +444,27 @@ class _TorusCore:
         self.flow_mul = np.concatenate((-(self.w1**2 + self.w2**2)[None], self.grad_mul))
         self.qw = np.full((n, n), (length / n) ** 2)
 
+        self._work = {}
+
     @property
     def ngrid(self):
         return _fast_even(3 * self.kmax + 1)
 
-    def _spectrum(self, coeffs):
-        lead = coeffs.shape[:-1]
-        spec = np.zeros(lead + (2 * math.prod(self.spec_shape),))
-        spec[..., self.pack_dst] = coeffs[..., self.pack_src] * self.pack_scale
-        return spec.view(np.complex128).reshape(lead + self.spec_shape)
+    def workspace(self, b):
+        return _cached_workspace(self._work, b, lambda: _TorusWork(self, b))
 
-    def _irfft2(self, spec):
-        return np.fft.irfft2(spec, s=self.shape)
+    def _spectrum(self, ws, coeffs):
+        """Half spectra (B, N, N // 2 + 1) of coefficient rows, in ws.flat."""
+        vals = np.take(coeffs, self.pack_src, axis=-1, out=ws.packed, mode="clip")
+        ws.flat[:, self.pack_dst] = np.multiply(vals, self.pack_scale, out=vals)
+        return ws.flat.view(np.complex128).reshape((len(coeffs),) + self.spec_shape)
+
+    def _irfft2(self, spec, work, out=None):
+        """Inverse real 2-d FFT of spec, with its first pass written to work
+        (spec itself allowed): the two axis passes of np.fft.irfft2, which
+        would allocate that pass (and ignores `out`)."""
+        np.fft.ifft(spec, axis=-2, out=work)
+        return np.fft.irfft(work, n=self.shape[1], axis=-1, out=out)
 
     @staticmethod
     def _unpack(spec, idx, scale):
@@ -377,30 +472,79 @@ class _TorusCore:
         return flat[..., idx] * scale
 
     def synthesize(self, coeffs):
-        return self._irfft2(self._spectrum(coeffs))
+        ws = self.workspace(len(coeffs))
+        return self._irfft2(self._spectrum(ws, coeffs), ws.flow[:, 0])
 
     def analyze(self, f):
-        return self._unpack(np.fft.rfft2(f), self.ana_idx, self.ana_scale)
+        ws = self.workspace(len(f))
+        return self._unpack(np.fft.rfft2(f, out=ws.zdot[0]), self.ana_idx, self.ana_scale)
 
     def synth_grad(self, coeffs):
-        return self._irfft2(self._spectrum(coeffs)[..., None, :, :] * self.grad_mul)
+        ws = self.workspace(len(coeffs))
+        spec = self._spectrum(ws, coeffs)[:, None]
+        spec = np.multiply(spec, self.grad_mul, out=ws.flow[:, 1:])
+        return self._irfft2(spec, spec)
 
-    def _unpack_grad(self, z, scale):
-        zdot = self.w1 * z[..., 0, :, :] + self.w2 * z[..., 1, :, :]
+    def _unpack_grad(self, ws, z_x, z_y, scale):
+        zdot = np.multiply(self.w1, z_x, out=ws.zdot[0])
+        np.add(zdot, np.multiply(self.w2, z_y, out=ws.zdot[1]), out=zdot)
         return self._unpack(zdot, self.grad_idx, scale)
 
     def grad_analysis(self, vec):
-        return self._unpack_grad(np.fft.rfft2(vec), self.grad_scale)
+        ws = self.workspace(len(vec))
+        z = np.fft.rfft2(vec, out=ws.spec_a)
+        return self._unpack_grad(ws, z[:, 0], z[:, 1], self.grad_scale)
 
-    def flow_synthesis(self, psi):
-        grids = self._irfft2(self._spectrum(psi)[..., None, :, :] * self.flow_mul)
-        return grids[..., 0, :, :], grids[..., 1:, :, :]
+    def flow_synthesis(self, psi, out=None):
+        ws = self.workspace(len(psi))
+        spec = self._spectrum(ws, psi)[:, None]
+        spec = np.multiply(spec, self.flow_mul, out=ws.flow)
+        return self._irfft2(spec, spec, out)
 
     def flow_analysis(self, g):
+        ws = self.workspace(len(g))
         # the pointwise rotation commutes with the FFT; the area mean is the DC bin
-        z = np.fft.rfft2(g)
-        mean = z[..., 0, 0].real / math.prod(self.shape)
-        return self._unpack_grad(rot90(z), self.split_scale), mean
+        z = np.fft.rfft2(g, out=ws.spec_a)
+        mean = z[:, :, 0, 0].real / math.prod(self.shape)
+        # n x g = (-g_y, g_x): negate one spectrum instead of rotating g
+        np.negative(z[:, 1], out=z[:, 1])
+        return self._unpack_grad(ws, z[:, 1], z[:, 0], self.split_scale), mean
+
+
+class _TorusWork:
+    """Reused buffers of one torus plan for B stacked fields.
+
+    flat is the packed half spectrum viewed as interleaved (re, im); the
+    bins no coefficient packs into are zeroed once and never written.
+    """
+
+    def __init__(self, core, b):
+        n, nh = core.spec_shape
+        self.packed = np.empty((b, core.pack_src.size))
+        self.flat = np.zeros((b, 2 * n * nh))
+        # spectra of (vorticity, d/dx, d/dy), their grids, and the product g
+        self.flow = np.empty((b, 3, n, nh), dtype=np.complex128)
+        self.grids = np.empty((b, 3, n, n))
+        self.g = np.empty((b, 2, n, n))
+        self.spec_a = np.empty((b, 2, n, nh), dtype=np.complex128)
+        # the two terms of w . z in the gradient adjoints; [0] also takes
+        # the spectrum of a scalar analysis
+        self.zdot = np.empty((2, b, n, nh), dtype=np.complex128)
+
+
+def _cached_workspace(cache, b, build):
+    """The workspace of a core for b fields, built on first use.
+
+    A core keeps the workspaces of its WORKSPACES_PER_PLAN most recently
+    used batch sizes, so alternating base and stacked calls reuse both.
+    """
+    ws = cache.pop(b, None)
+    if ws is None:
+        ws = build()
+        while len(cache) >= WORKSPACES_PER_PLAN:
+            del cache[next(iter(cache))]
+    cache[b] = ws
+    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -505,55 +649,92 @@ def _check_field(plan, f, vec=False):
         raise ShapeError(f"grid field shape {f.shape} does not match plan grid {want}")
 
 
+def _rows_of(x, tail):
+    """x with its leading axes flattened into one row axis, and those axes."""
+    lead = x.shape[: x.ndim - tail]
+    return x.reshape((-1,) + x.shape[x.ndim - tail :]), lead
+
+
+def _unrows(x, lead, tail):
+    return x.reshape(lead + x.shape[x.ndim - tail :])
+
+
 def synthesize(plan, coeffs):
     """Evaluate a coefficient array on the plan grid."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_coeffs(plan, coeffs)
-    return plan.core.synthesize(coeffs)
+    rows, lead = _rows_of(coeffs, 1)
+    return _unrows(plan.core.synthesize(rows), lead, 2)
 
 
 def analyze(plan, f):
     """Project a grid field onto the basis by quadrature."""
     f = np.asarray(f, dtype=np.float64)
     _check_field(plan, f)
-    return plan.core.analyze(f)
+    rows, lead = _rows_of(f, 2)
+    return _unrows(plan.core.analyze(rows), lead, 1)
 
 
 def surface_gradient(plan, coeffs):
     """Tangent gradient of a scalar on the grid, components (theta, phi) or (x, y)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_coeffs(plan, coeffs)
-    return plan.core.synth_grad(coeffs)
+    rows, lead = _rows_of(coeffs, 1)
+    return _unrows(plan.core.synth_grad(rows), lead, 3)
 
 
 def gradient_analysis(plan, vec):
     """Adjoint of `surface_gradient`: slot s of the result is <vec, grad basis_s>."""
     vec = np.asarray(vec, dtype=np.float64)
     _check_field(plan, vec, vec=True)
-    return plan.core.grad_analysis(vec)
+    rows, lead = _rows_of(vec, 3)
+    return _unrows(plan.core.grad_analysis(rows), lead, 1)
 
 
-def flow_synthesis(plan, psi):
+def flow_synthesis(plan, psi, out=None):
     """Vorticity and gradient grids of streamfunction coefficients.
 
-    Equals (synthesize(plan, -lam * psi), surface_gradient(plan, psi)); on
-    the torus both come from one inverse FFT over the stacked fields.
+    Equals (synthesize(plan, -lam * psi), surface_gradient(plan, psi)), from
+    one inverse FFT over the three stacked fields.  With `out`, a
+    C-contiguous float array of shape psi.shape[:-1] + (3,) + grid shape,
+    the grids are written there and the pair are views of it.
     """
     psi = np.asarray(psi, dtype=np.float64)
     _check_coeffs(plan, psi)
-    return plan.core.flow_synthesis(psi)
+    rows, lead = _rows_of(psi, 1)
+    if out is not None:
+        want = lead + (3,) + plan.grid_shape
+        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ShapeError(f"out must be a C-contiguous float64 array of shape {want}")
+        out = out.reshape((-1, 3) + plan.grid_shape)
+    grids = _unrows(plan.core.flow_synthesis(rows, out), lead, 3)
+    return grids[..., 0, :, :], grids[..., 1:, :, :]
 
 
 def flow_analysis(plan, g):
     """Leray streamfunction coefficients and harmonic pair of a tangent grid field.
 
     Equals (-gradient_analysis(plan, rot90(g)) / lam, the area mean of each
-    component of g), the pair empty on the sphere; on the torus both come
-    from one forward FFT over the stacked fields.
+    component of g), the pair empty on the sphere; both come from one
+    forward FFT over the stacked components.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_field(plan, g, vec=True)
-    return plan.core.flow_analysis(g)
+    rows, lead = _rows_of(g, 3)
+    p, q = plan.core.flow_analysis(rows)
+    return _unrows(p, lead, 1), _unrows(q, lead, 1)
+
+
+def workspace(plan, rows):
+    """The plan's transform workspace for `rows` stacked fields.
+
+    Besides the transforms' own buffers, which every transform call with
+    `rows` fields on this plan overwrites, it holds two buffers that only
+    their user writes: the grid stack `grids` (rows, 3, *grid_shape), for
+    `flow_synthesis(..., out=grids)`, and the product field `g`
+    (rows, 2, *grid_shape) of the right-hand side.
+    """
+    return plan.core.workspace(rows)
 
 
 def dealias(plan, coeffs):

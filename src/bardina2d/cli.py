@@ -211,20 +211,29 @@ def _param_echo(spec):
 
 def _resume_anchor(resume_path, spec):
     """Envelope anchor of the original run, read from meta.json next to the
-    snapshot; resumed diagnostics then continue the original envelopes bitwise."""
+    snapshot; resumed diagnostics then continue the original envelopes bitwise.
+
+    Returns (anchor, None), or (None, cause) when meta.json is missing,
+    unreadable, made with other parameters or lacks the anchor.
+    """
     meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    echo = _param_echo(spec)
-    if any(meta.get(key) != value for key, value in echo.items()):
-        return None
+    except FileNotFoundError:
+        return None, f"no meta.json at {meta_path}"
+    except (OSError, ValueError) as exc:
+        return None, f"{meta_path} is unreadable ({exc})"
+    if not isinstance(meta, dict):
+        return None, f"{meta_path} is not a JSON object"
+    for key, value in _param_echo(spec).items():
+        if meta.get(key) != value:
+            return None, f"{meta_path}: {key} is {meta.get(key)!r}, the config has {value!r}"
     try:
-        return (float(meta["anchor_e1"]), float(meta["anchor_e2"]), float(meta["anchor_t"]))
+        anchor = (float(meta["anchor_e1"]), float(meta["anchor_e2"]), float(meta["anchor_t"]))
     except (KeyError, TypeError, ValueError):
-        return None
+        return None, f"{meta_path} holds no valid anchor_e1/anchor_e2/anchor_t"
+    return anchor, None
 
 
 def cmd_simulate(args, spec):
@@ -244,11 +253,11 @@ def cmd_simulate(args, spec):
         snapshot.check_snapshot(snap, plan, params)
         state = snapshot.as_state(snap)
         t_start = snap.t
-        anchor = _resume_anchor(args.resume, spec)
+        anchor, reanchor_cause = _resume_anchor(args.resume, spec)
     else:
         state = cfg.initial_state(plan, spec)
         t_start = 0.0
-        anchor = None
+        anchor, reanchor_cause = None, None
     if anchor is None:
         anchor = (
             ops.energy_e1(plan, state, params.alpha),
@@ -278,6 +287,11 @@ def cmd_simulate(args, spec):
             "snapshot": "final.bdna",
         }
     )
+    if reanchor_cause is not None:
+        # the envelopes restart from the snapshot state, not the original run
+        meta["anchor"] = "reanchored"
+        print(f"warning: --resume re-anchored the envelopes at t={t_start}: "
+              f"{reanchor_cause}", file=sys.stderr)
 
     records = []
 
@@ -450,10 +464,9 @@ def _transform_roundtrip(plan, seed):
     """Synthesize-analyze round trip and Parseval sum of one random field."""
     import numpy as np
 
-    from . import basis
+    from . import basis, verification
 
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
+    coeffs = verification.probe_state(plan, np.random.default_rng(seed)).psi
     f = basis.synthesize(plan, coeffs)
     back = basis.analyze(plan, f)
     rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
@@ -475,7 +488,7 @@ def _library_checks(plan, params, seed, prefix=""):
         # next plan whose grid is larger both ways; an undersized grid rule
         # aliases onto the edge modes of the first but not of the second
         rng = np.random.default_rng(seed + 2000)
-        pair = rng.standard_normal((2, plan.n_modes)) / np.sqrt(1.0 + plan.lam)
+        pair = np.stack([verification.probe_state(plan, rng).psi for _ in range(2)])
         fa, fb = basis.synthesize(plan, pair)
         got = basis.analyze(plan, fa * fb)
         truncation = plan.truncation + 1
@@ -501,14 +514,8 @@ def _library_checks(plan, params, seed, prefix=""):
         worst = 0.0
         for i in range(5):
             rng = np.random.default_rng(seed + 1000 + i)
-            u = ops.VelocityState(
-                rng.standard_normal(plan.n_modes) / (1.0 + plan.lam),
-                rng.standard_normal(plan.n_harmonic),
-            )
-            w = ops.VelocityState(
-                rng.standard_normal(plan.n_modes) / (1.0 + plan.lam),
-                rng.standard_normal(plan.n_harmonic),
-            )
+            u = verification.probe_state(plan, rng)
+            w = verification.probe_state(plan, rng)
             plus = ops.VelocityState(u.psi + eps * w.psi, u.harmonic + eps * w.harmonic)
             minus = ops.VelocityState(u.psi - eps * w.psi, u.harmonic - eps * w.harmonic)
             fp = dyn.rhs_u(plan, plus, params)
@@ -523,9 +530,7 @@ def _library_checks(plan, params, seed, prefix=""):
 
     def envelopes():
         run_params = _ensure_forced(plan, params)
-        rng = np.random.default_rng(seed)
-        psi = rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
-        state = ops.VelocityState(psi, np.zeros(plan.n_harmonic))
+        state = verification.probe_state(plan, np.random.default_rng(seed))
         scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
         traj = integrate.run(plan, state, run_params, scheme)
         recs = verification.trajectory_diagnostics(plan, traj, run_params)

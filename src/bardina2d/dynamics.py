@@ -98,23 +98,24 @@ def validate_params(plan, params):
 # nonlinearity
 
 
-def _grids(plan, psi, h):
-    """Vorticity and velocity grids of one or stacked (psi, harmonic) rows."""
-    zeta, grad = basis.flow_synthesis(plan, psi)
-    u = ops.rot90(grad)
-    if plan.n_harmonic:
-        u[..., 0, :, :] += h[..., 0, None, None]
-        u[..., 1, :, :] += h[..., 1, None, None]
-    return zeta, u
-
-
 def _nonlinearity(plan, psis, hs):
-    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1.."""
-    zeta, u = _grids(plan, psis, hs)
-    g = zeta[:, None] * ops.rot90(u[0])
+    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1..
+
+    With u = n x grad psi + h, n x u = -grad psi + n x h is formed in place
+    of the gradient grids, and the product in the plan workspace's g.
+    """
+    ws = basis.workspace(plan, len(psis))
+    zeta, r = basis.flow_synthesis(plan, psis, out=ws.grids)
+    if plan.n_harmonic:
+        # (-(grad_x + h_y), h_x - grad_y)
+        np.add(r[:, 0], hs[:, 1, None, None], out=r[:, 0])
+        np.negative(r[:, 0], out=r[:, 0])
+        np.subtract(hs[:, 0, None, None], r[:, 1], out=r[:, 1])
+    else:
+        np.negative(r, out=r)
+    g = np.multiply(zeta[:, None], r[0], out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
-        g[1:] += zeta[0] * ops.rot90(u[1:])
-    del zeta, u  # the analysis temporaries reuse their memory
+        g[1:] += np.multiply(zeta[0], r[1:], out=r[1:])
     return basis.flow_analysis(plan, g)
 
 

@@ -163,7 +163,10 @@ def check_trajectory(plan, records, params, slack=ENVELOPE_SLACK, dt=0.0):
 # identity residuals
 
 
-def _random_state(plan, rng, amplitude):
+def probe_state(plan, rng, amplitude=1.0):
+    """A random state filling every retained mode, for identity and
+    linearization probes: psi_s ~ N(0, 1) / sqrt(1 + lam_s) and a N(0, 1)
+    harmonic pair, both times `amplitude`, drawn in that order from `rng`."""
     psi = amplitude * rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
     h = amplitude * rng.standard_normal(plan.n_harmonic)
     return ops.VelocityState(psi, h)
@@ -189,9 +192,9 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
     names.append("b_form")
     table = {name: np.zeros(n_states) for name in names}
     for i in range(n_states):
-        u = _random_state(plan, rng, amplitude)
-        v = _random_state(plan, rng, amplitude)
-        w = _random_state(plan, rng, amplitude)
+        u = probe_state(plan, rng, amplitude)
+        v = probe_state(plan, rng, amplitude)
+        w = probe_state(plan, rng, amplitude)
         scale = ops.norm_v(plan, u) * ops.norm_v(plan, v) * ops.norm_v(plan, w)
         uvv = ops.trilinear_b(plan, u, v, v)
         swap = ops.trilinear_b(plan, u, v, w) + ops.trilinear_b(plan, u, w, v)
@@ -207,8 +210,8 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
             enst = ops.inner_l2(plan, bstate, ops.stokes_apply(plan, u))
             table["b_enstrophy"][i] = _relative(enst, scale)
         else:
-            zeta, uv = dyn._grids(plan, u.psi, u.harmonic)
-            hv = np.zeros_like(uv)
+            zeta, _ = basis.flow_synthesis(plan, u.psi)
+            hv = np.zeros((2,) + plan.grid_shape)
             hv[0], hv[1] = u.harmonic
             q = ops.harmonic_project(plan, zeta * ops.rot90(hv))
             pair = plan.area * float(np.dot(q, u.harmonic))

@@ -258,6 +258,74 @@ class TestTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+class TestWorkspaces:
+    """Transforms reuse per-plan buffers; what they return is never one of them."""
+
+    def _calls(self, plan, rng):
+        grid = plan.grid_shape
+
+        def coeffs():
+            return rng.standard_normal((3, plan.n_modes)) / (1.0 + plan.lam)
+
+        return (
+            (basis.synthesize, coeffs),
+            (basis.analyze, lambda: rng.standard_normal((3,) + grid)),
+            (basis.surface_gradient, coeffs),
+            (basis.gradient_analysis, lambda: rng.standard_normal((3, 2) + grid)),
+            (basis.flow_synthesis, coeffs),
+            (basis.flow_analysis, lambda: rng.standard_normal((3, 2) + grid)),
+        )
+
+    def test_results_survive_a_second_call(self):
+        for plan in plans():
+            rng = np.random.default_rng(30)
+            for fn, make in self._calls(plan, rng):
+                first = fn(plan, make())
+                first = first if isinstance(first, tuple) else (first,)
+                kept = [a.copy() for a in first]
+                fn(plan, make())
+                for a, b in zip(first, kept):
+                    assert np.array_equal(a, b), fn.__name__
+                buffers = [
+                    buf for buf in vars(basis.workspace(plan, 3)).values()
+                    if isinstance(buf, np.ndarray)
+                ]
+                for a in first:
+                    assert not any(np.shares_memory(a, buf) for buf in buffers), fn.__name__
+
+    def test_plans_of_one_truncation_share_no_buffers(self):
+        for make in (lambda: basis.build_plan(basis.sphere(), 9),
+                     lambda: basis.build_plan(basis.torus(2 * np.pi), 9)):
+            a, b = (vars(basis.workspace(make(), 2)) for _ in range(2))
+            for x in a.values():
+                for y in b.values():
+                    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+                        assert not np.shares_memory(x, y)
+
+    def test_workspaces_per_plan_are_bounded(self):
+        for plan in plans()[:2]:
+            first = basis.workspace(plan, 1)
+            assert basis.workspace(plan, 1) is first
+            for rows in range(1, 8):
+                basis.synthesize(plan, np.zeros((rows, plan.n_modes)))
+            assert len(plan.core._work) == basis.WORKSPACES_PER_PLAN
+            # the two most recent batch sizes are kept
+            assert sorted(plan.core._work) == [6, 7]
+
+    def test_flow_synthesis_out_is_checked_and_filled(self):
+        for plan in plans():
+            psi = np.random.default_rng(31).standard_normal((2, plan.n_modes))
+            out = np.empty((2, 3) + plan.grid_shape)
+            zeta, grad = basis.flow_synthesis(plan, psi, out=out)
+            want_zeta, want_grad = basis.flow_synthesis(plan, psi)
+            assert np.shares_memory(zeta, out) and np.shares_memory(grad, out)
+            assert np.array_equal(zeta, want_zeta) and np.array_equal(grad, want_grad)
+            with pytest.raises(ShapeError):
+                basis.flow_synthesis(plan, psi, out=np.empty((2, 2) + plan.grid_shape))
+            with pytest.raises(ShapeError):
+                basis.flow_synthesis(plan, psi, out=out[:, :, :, ::-1])
+
+
 class _FullComplexTorus:
     """Full-complex fft2/ifft2 torus transforms: the plain reference."""
 

@@ -118,6 +118,49 @@ class TestSimulate:
         tail_snap = (tmp_path / "tail" / "final.bdna").read_bytes()
         assert full_snap == tail_snap
 
+    def _half_and_tail(self, tmp_path, edit_meta, capsys):
+        """Resume a half run whose meta.json `edit_meta` altered; the tail's
+        meta and stderr."""
+        half_doc = forced_doc()
+        half_doc["scheme"]["t_end"] = 0.5
+        half = write_config(tmp_path, half_doc, "half.json")
+        full = write_config(tmp_path, forced_doc(), "full.json")
+        assert cli.main(["simulate", "--config", half, "--out", str(tmp_path / "half")]) == 0
+        edit_meta(tmp_path / "half" / "meta.json")
+        capsys.readouterr()
+        argv = ["simulate", "--config", full, "--out", str(tmp_path / "tail")]
+        argv += ["--resume", str(tmp_path / "half" / "final.bdna")]
+        assert cli.main(argv) == 0
+        meta = json.loads((tmp_path / "tail" / "meta.json").read_text())
+        return meta, capsys.readouterr().err
+
+    def test_resume_records_nothing_when_anchored(self, tmp_path, capsys):
+        meta, err = self._half_and_tail(tmp_path, lambda path: None, capsys)
+        assert "anchor" not in meta
+        assert meta["anchor_t"] == 0.0
+        assert err == ""
+
+    def test_resume_without_meta_records_reanchoring(self, tmp_path, capsys):
+        meta, err = self._half_and_tail(tmp_path, os.remove, capsys)
+        assert meta["anchor"] == "reanchored"
+        assert meta["anchor_t"] == 0.5
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "re-anchored" in lines[0] and "no meta.json at" in lines[0]
+
+    def test_resume_with_mismatched_nu_records_reanchoring(self, tmp_path, capsys):
+        def edit(path):
+            meta = json.loads(path.read_text())
+            meta["nu"] = 0.25
+            path.write_text(json.dumps(meta))
+
+        meta, err = self._half_and_tail(tmp_path, edit, capsys)
+        assert meta["anchor"] == "reanchored"
+        assert meta["anchor_t"] == 0.5
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "re-anchored" in lines[0] and "nu is 0.25" in lines[0]
+
     def test_resume_mismatched_truncation(self, tmp_path):
         config = write_config(tmp_path, forced_doc())
         out = tmp_path / "run"

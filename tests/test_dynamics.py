@@ -1,7 +1,14 @@
 """Tests for model tendencies, the tangent linearization, and the prepared equation."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import bardina2d
 
 from bardina2d import basis
 from bardina2d import dynamics as dyn
@@ -280,8 +287,204 @@ class TestCoupledRemainder:
                         ), k
 
 
+def _kernel_case(kind, trunc, rows, seed=3):
+    """Plan, parameters, forcing state and stacked rows with a nonzero harmonic part."""
+    plan = sphere_plan(trunc) if kind == "sphere" else torus_plan(trunc)
+    rng = np.random.default_rng(seed)
+    p = params_for(plan, seed=seed, sigma=0.3)
+    psis = rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam)
+    hs = rng.standard_normal((rows, plan.n_harmonic))
+    return plan, p, dyn.forcing_state(plan, p.forcing), psis, hs
+
+
+# 50 stacked remainders after a warm-up; prints the minor page faults they add
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from bardina2d import basis, dynamics as dyn
+
+kind, trunc, rows = {case!r}
+geometry = basis.sphere() if kind == "sphere" else basis.torus(2 * np.pi)
+plan = basis.build_plan(geometry, trunc)
+rng = np.random.default_rng(3)
+forcing = dyn.Forcing(
+    rng.standard_normal(plan.n_modes) / plan.lam, rng.standard_normal(plan.n_harmonic)
+)
+params = dyn.ModelParams(nu=0.3, alpha=0.8, sigma=0.3, forcing=forcing)
+fstate = dyn.forcing_state(plan, forcing)
+psis = rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam)
+hs = rng.standard_normal((rows, plan.n_harmonic))
+for _ in range(3):
+    dyn._remainder_u(plan, psis, hs, params, fstate)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    dyn._remainder_u(plan, psis, hs, params, fstate)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _rot90(vec):
+    return np.stack((-vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
+
+
+class _AllocatingRemainder:
+    """The stacked remainder with fresh temporaries at every stage, rotating
+    the gradient and the product by copies: the reference the workspace
+    kernel must match bit for bit."""
+
+    def __init__(self, plan):
+        self.plan, self.core = plan, plan.core
+
+    # sphere
+    def _gather(self, coeffs):
+        c, b = self.core, coeffs.shape[0]
+        pad = np.zeros((b, c.n_modes + 1))
+        pad[:, :-1] = coeffs
+        rows = pad[np.arange(b)[:, None, None], c.slots[:, None]]
+        return rows.reshape(c.lmax + 1, 2 * b, c.lmax)
+
+    def _scatter(self, blocks, b):
+        c = self.core
+        blocks = blocks.reshape(c.lmax + 1, b, 2, c.lmax).transpose(1, 0, 2, 3)
+        return blocks[:, c.slot_m, c.slot_sc, c.slot_n]
+
+    def _to_spectrum(self, ab, weight, spec):
+        c, nm = self.core, self.core.lmax + 1
+        ab = ab.reshape(nm, -1, 2, c.nlat)
+        spec[..., :nm] = (weight * (ab[:, :, 0] - 1j * ab[:, :, 1])).transpose(1, 2, 0)
+
+    def _from_spectrum(self, g, weight):
+        c = self.core
+        gm = (g[..., : c.lmax + 1] * weight).transpose(2, 0, 1)
+        rows = np.stack((gm.real, -gm.imag), axis=2)
+        return rows.reshape(c.lmax + 1, -1, c.nlat)
+
+    def _sphere_synthesis(self, psi):
+        c, b = self.core, psi.shape[0]
+        nfreq = c.nlon // 2 + 1
+        spec = np.zeros((b, c.nlat, nfreq), dtype=np.complex128)
+        self._to_spectrum(self._gather(-c.lam * psi) @ c.P, c.synth_w, spec)
+        zeta = np.fft.irfft(spec, n=c.nlon, axis=-1)
+        rows = self._gather(psi)
+        spec = np.zeros((b, 2, c.nlat, nfreq), dtype=np.complex128)
+        self._to_spectrum(rows @ c.dP, c.synth_w, spec[:, 0])
+        self._to_spectrum(rows @ c.P, c.synth_w_phi, spec[:, 1])
+        return zeta, np.fft.irfft(spec, n=c.nlon, axis=-1)
+
+    def _sphere_analysis(self, g):
+        c = self.core
+        z = np.fft.rfft(_rot90(g), axis=-1)
+        rows_t = self._from_spectrum(z[:, 0], c.ana_w)
+        rows_p = self._from_spectrum(z[:, 1], c.ana_w_phi)
+        blocks = rows_t @ c.dP.transpose(0, 2, 1) + rows_p @ c.P.transpose(0, 2, 1)
+        return -self._scatter(blocks, len(g)) / c.lam, np.zeros((len(g), 0))
+
+    # torus
+    def _torus_synthesis(self, psi):
+        c = self.core
+        spec = np.zeros(psi.shape[:-1] + (2 * math.prod(c.spec_shape),))
+        spec[..., c.pack_dst] = psi[..., c.pack_src] * c.pack_scale
+        spec = spec.view(np.complex128).reshape(psi.shape[:-1] + c.spec_shape)
+        grids = np.fft.irfft2(spec[..., None, :, :] * c.flow_mul, s=c.shape)
+        return grids[..., 0, :, :], grids[..., 1:, :, :]
+
+    def _torus_analysis(self, g):
+        c = self.core
+        z = np.fft.rfft2(g)
+        mean = z[..., 0, 0].real / math.prod(c.shape)
+        z = _rot90(z)
+        zdot = c.w1 * z[..., 0, :, :] + c.w2 * z[..., 1, :, :]
+        flat = zdot.reshape(zdot.shape[:-2] + (-1,)).view(np.float64)
+        return flat[..., c.grad_idx] * c.split_scale, mean
+
+    def remainder_u(self, psis, hs, params, fstate):
+        plan = self.plan
+        if plan.geometry.kind == basis.SPHERE:
+            synthesis, analysis = self._sphere_synthesis, self._sphere_analysis
+        else:
+            synthesis, analysis = self._torus_synthesis, self._torus_analysis
+        zeta, grad = synthesis(psis)
+        u = _rot90(grad)
+        if plan.n_harmonic:
+            u[..., 0, :, :] += hs[..., 0, None, None]
+            u[..., 1, :, :] += hs[..., 1, None, None]
+        g = zeta[:, None] * _rot90(u[0])
+        if len(g) > 1:
+            g[1:] += zeta[0] * _rot90(u[1:])
+        p, q = analysis(g)
+        filt = 1.0 + params.alpha**2 * plan.lam
+        drag_h = params.sigma * hs
+        p[0] -= fstate.psi
+        drag_h[0] -= fstate.harmonic
+        return (-p - params.sigma * psis) / filt, -drag_h - q
+
+
+class TestWorkspaceKernel:
+    """The remainder writes its temporaries into per-plan workspaces."""
+
+    @pytest.mark.parametrize(
+        "kind,trunc,rows",
+        [("sphere", 21, b) for b in (1, 2, 9)]
+        + [("sphere", 85, b) for b in (1, 2, 9)]
+        + [("torus", 16, b) for b in (1, 7)],
+    )
+    def test_matches_allocating_reference_bitwise(self, kind, trunc, rows):
+        plan, p, fstate, psis, hs = _kernel_case(kind, trunc, rows)
+        want = _AllocatingRemainder(plan).remainder_u(psis, hs, p, fstate)
+        for _ in range(2):  # a fresh and a reused workspace
+            got = dyn._remainder_u(plan, psis, hs, p, fstate)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,trunc,rows", [("sphere", 21, 9), ("sphere", 85, 1), ("torus", 16, 7)]
+    )
+    def test_stacked_calls_fault_no_pages(self, kind, trunc, rows):
+        # freed transform temporaries trimmed off the heap top are faulted
+        # back in by the next call, hundreds of pages each.  Whether glibc
+        # trims depends on the process's allocation history, so the calls
+        # run in a fresh interpreter, as a CLI run starts.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bardina2d.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE.format(case=(kind, trunc, rows))],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        faults = int(probe.stdout)
+        assert faults < 50, faults
+
+    def test_results_own_their_memory(self):
+        # a second call with the same batch shape reuses the workspace; what
+        # the first returned must not change, nor be a view of a buffer
+        for kind in ("sphere", "torus"):
+            plan, p, fstate, psis, hs = _kernel_case(kind, 9, 4)
+            states = [ops.VelocityState(psi, h) for psi, h in zip(psis, hs)]
+            calls = (
+                lambda k: dyn._remainder_u(plan, psis[2 * k : 2 * k + 2], hs[2 * k : 2 * k + 2], p, fstate),
+                lambda k: dyn.rhs_u(plan, states[k], p),
+                lambda k: dyn.nonlinear_term(plan, states[k]),
+            )
+            for call in calls:
+                first = call(0)
+                arrays = list(first) if isinstance(first, tuple) else list(vars(first).values())
+                kept = [a.copy() for a in arrays]
+                call(1)
+                for a, b in zip(arrays, kept):
+                    assert np.array_equal(a, b)
+                for rows in (1, 2):
+                    for buf in vars(basis.workspace(plan, rows)).values():
+                        if isinstance(buf, np.ndarray):
+                            assert not any(np.shares_memory(a, buf) for a in arrays)
+
+
 class TestTransformPasses:
-    """One torus right-hand side is one inverse and one forward real FFT."""
+    """One torus right-hand side is one inverse and one forward real 2-d FFT,
+    each over all stacked fields; the inverse is called as its two axis
+    passes, ifft then irfft, so that both write into the plan workspace."""
 
     NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
@@ -308,13 +511,13 @@ class TestTransformPasses:
         state = ops.VelocityState(psis[0], hs[0])
         calls = self._count_ffts(monkeypatch)
         dyn._remainder_u(plan, psis[:1], hs[:1], params, fstate)
-        assert calls == ["irfft2", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft2"]
         del calls[:]
         dyn._remainder_u(plan, psis, hs, params, fstate)
-        assert calls == ["irfft2", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft2"]
         del calls[:]
         dyn.rhs_u(plan, state, params)
-        assert calls == ["irfft2", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft2"]
 
 
 class TestCutoff:
