@@ -32,9 +32,13 @@ Torus
     q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot order is
     (|q|^2, q1, q2) lexicographic.
 
-The fused flow transforms take a streamfunction to its vorticity and
-gradient grids and a tangent grid field to its Leray streamfunction and
-harmonic pair; each is one FFT over the stacked fields.
+Each geometry implements four transforms.  `synthesize` and `analyze` take
+scalar coefficients to grid values and back by quadrature.  The flow pair
+carries the nonlinearity: `flow_synthesis` takes a streamfunction psi to the
+grids of its vorticity -lam psi and its gradient, and `flow_analysis` takes
+a tangent grid field g to its Leray streamfunction, slot s being
+<g, n x grad Y_s> / lam_s (the component of g along the unit-energy velocity
+of mode s), and its harmonic pair; each is one FFT over the stacked fields.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
@@ -128,7 +132,7 @@ class _SphereCore:
     to every coefficient row.  A transform is one gather into rows of shape
     (lmax + 1, 2B, lmax) for B stacked fields, one matmul batched over m,
     and one real FFT in longitude.  The longitude derivative needs
-    m P / sin(theta); rather than a third table, the gradient transforms
+    m P / sin(theta); rather than a third table, the flow transforms
     multiply by m / sin(theta) after the matmul (synthesis) or before it
     (analysis).
     """
@@ -234,12 +238,6 @@ class _SphereCore:
         np.copyto(ws.rows_a.reshape(nm, b, 2, self.nlat), rows)
         return ws.rows_a
 
-    def _grad_adjoint(self, ws, g_theta, g_phi):
-        """Gradient-adjoint coefficients of the component spectra (B, nlat, nfreq)."""
-        np.matmul(self._rows(ws, g_theta, self.ana_w), self.dPT, out=ws.blocks[0])
-        np.matmul(self._rows(ws, g_phi, self.ana_w_phi), self.PT, out=ws.blocks[1])
-        return self._scatter(np.add(ws.blocks[0], ws.blocks[1], out=ws.blocks[0]))
-
     def _irfft(self, spec, out=None):
         return np.fft.irfft(spec, n=self.nlon, axis=-1, out=out)
 
@@ -256,36 +254,26 @@ class _SphereCore:
         np.matmul(self._rows(ws, g, self.ana_w), self.PT, out=ws.blocks[0])
         return self._scatter(ws.blocks[0])
 
-    # -- gradient ------------------------------------------------------
-
-    def _grad_spectra(self, ws, coeffs):
-        rows = self._gather(ws, 1, coeffs)
-        self._legendre_sum(ws, rows, self.dP, self.synth_w, 1)
-        self._legendre_sum(ws, rows, self.P, self.synth_w_phi, 2)
-
-    def synth_grad(self, coeffs):
-        ws = self.workspace(len(coeffs))
-        self._grad_spectra(ws, coeffs)
-        return self._irfft(ws.spec[:, 1:])
-
-    def grad_analysis(self, vec):
-        ws = self.workspace(len(vec))
-        z = np.fft.rfft(vec, axis=-1, out=ws.spec_a)
-        return self._grad_adjoint(ws, z[:, 0], z[:, 1])
+    # -- flow ----------------------------------------------------------
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
         rows = self._gather(ws, 0, psi, self.neg_lam)
         self._legendre_sum(ws, rows, self.P, self.synth_w, 0)
-        self._grad_spectra(ws, psi)
+        rows = self._gather(ws, 1, psi)
+        self._legendre_sum(ws, rows, self.dP, self.synth_w, 1)
+        self._legendre_sum(ws, rows, self.P, self.synth_w_phi, 2)
         return self._irfft(ws.spec, out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
         z = np.fft.rfft(g, axis=-1, out=ws.spec_a)
-        # n x g = (-g_phi, g_theta): negate one spectrum instead of rotating g
+        # gradient adjoint of n x g = (-g_phi, g_theta): negate one spectrum
+        # instead of rotating g
         np.negative(z[:, 1], out=z[:, 1])
-        p = self._grad_adjoint(ws, z[:, 1], z[:, 0])
+        np.matmul(self._rows(ws, z[:, 1], self.ana_w), self.dPT, out=ws.blocks[0])
+        np.matmul(self._rows(ws, z[:, 0], self.ana_w_phi), self.PT, out=ws.blocks[1])
+        p = self._scatter(np.add(ws.blocks[0], ws.blocks[1], out=ws.blocks[0]))
         np.negative(p, out=p)
         p /= self.lam
         return p, np.zeros((len(g), 0))
@@ -433,15 +421,15 @@ class _TorusCore:
         self.ana_scale = np.where(is_cos, c, -sgn * c)
         # gradient adjoint: the cos slot reads Im, the sin slot Re of w.Z
         self.grad_idx = np.where(is_cos, im, re)
-        self.grad_scale = np.where(is_cos, c, sgn * c)
-        self.split_scale = -self.grad_scale / self.lam
+        self.split_scale = -np.where(is_cos, c, sgn * c) / self.lam
 
         w = 2.0 * np.pi / length
         self.w1 = (w * np.fft.fftfreq(n, d=1.0 / n))[:, None]
         self.w2 = (w * np.arange(nh))[None, :]
-        self.grad_mul = np.stack(np.broadcast_arrays(1j * self.w1, 1j * self.w2))
         # spectral multipliers of (vorticity, d/dx, d/dy) of a streamfunction
-        self.flow_mul = np.concatenate((-(self.w1**2 + self.w2**2)[None], self.grad_mul))
+        self.flow_mul = np.stack(
+            np.broadcast_arrays(-(self.w1**2 + self.w2**2), 1j * self.w1, 1j * self.w2)
+        )
         self.qw = np.full((n, n), (length / n) ** 2)
 
         self._work = {}
@@ -466,10 +454,10 @@ class _TorusCore:
         np.fft.ifft(spec, axis=-2, out=work)
         return np.fft.irfft(work, n=self.shape[1], axis=-1, out=out)
 
-    @staticmethod
-    def _unpack(spec, idx, scale):
-        flat = spec.reshape(spec.shape[:-2] + (-1,)).view(np.float64)
-        return flat[..., idx] * scale
+    def _unpack(self, spec, idx, scale):
+        """Slots of half spectra (B, N, N // 2 + 1), read at interleaved idx."""
+        flat = spec.reshape(len(spec), math.prod(self.spec_shape)).view(np.float64)
+        return flat[:, idx] * scale
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
@@ -478,22 +466,6 @@ class _TorusCore:
     def analyze(self, f):
         ws = self.workspace(len(f))
         return self._unpack(np.fft.rfft2(f, out=ws.zdot[0]), self.ana_idx, self.ana_scale)
-
-    def synth_grad(self, coeffs):
-        ws = self.workspace(len(coeffs))
-        spec = self._spectrum(ws, coeffs)[:, None]
-        spec = np.multiply(spec, self.grad_mul, out=ws.flow[:, 1:])
-        return self._irfft2(spec, spec)
-
-    def _unpack_grad(self, ws, z_x, z_y, scale):
-        zdot = np.multiply(self.w1, z_x, out=ws.zdot[0])
-        np.add(zdot, np.multiply(self.w2, z_y, out=ws.zdot[1]), out=zdot)
-        return self._unpack(zdot, self.grad_idx, scale)
-
-    def grad_analysis(self, vec):
-        ws = self.workspace(len(vec))
-        z = np.fft.rfft2(vec, out=ws.spec_a)
-        return self._unpack_grad(ws, z[:, 0], z[:, 1], self.grad_scale)
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
@@ -506,9 +478,10 @@ class _TorusCore:
         # the pointwise rotation commutes with the FFT; the area mean is the DC bin
         z = np.fft.rfft2(g, out=ws.spec_a)
         mean = z[:, :, 0, 0].real / math.prod(self.shape)
-        # n x g = (-g_y, g_x): negate one spectrum instead of rotating g
-        np.negative(z[:, 1], out=z[:, 1])
-        return self._unpack_grad(ws, z[:, 1], z[:, 0], self.split_scale), mean
+        # w . Z of n x g = (-g_y, g_x): negate one spectrum instead of rotating g
+        zdot = np.multiply(self.w1, np.negative(z[:, 1], out=z[:, 1]), out=ws.zdot[0])
+        np.add(zdot, np.multiply(self.w2, z[:, 0], out=ws.zdot[1]), out=zdot)
+        return self._unpack(zdot, self.grad_idx, self.split_scale), mean
 
 
 class _TorusWork:
@@ -527,8 +500,8 @@ class _TorusWork:
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))
         self.spec_a = np.empty((b, 2, n, nh), dtype=np.complex128)
-        # the two terms of w . z in the gradient adjoints; [0] also takes
-        # the spectrum of a scalar analysis
+        # the two terms of w . Z in flow_analysis; [0] also takes the
+        # spectrum of a scalar analysis
         self.zdot = np.empty((2, b, n, nh), dtype=np.complex128)
 
 
@@ -675,27 +648,12 @@ def analyze(plan, f):
     return _unrows(plan.core.analyze(rows), lead, 1)
 
 
-def surface_gradient(plan, coeffs):
-    """Tangent gradient of a scalar on the grid, components (theta, phi) or (x, y)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_coeffs(plan, coeffs)
-    rows, lead = _rows_of(coeffs, 1)
-    return _unrows(plan.core.synth_grad(rows), lead, 3)
-
-
-def gradient_analysis(plan, vec):
-    """Adjoint of `surface_gradient`: slot s of the result is <vec, grad basis_s>."""
-    vec = np.asarray(vec, dtype=np.float64)
-    _check_field(plan, vec, vec=True)
-    rows, lead = _rows_of(vec, 3)
-    return _unrows(plan.core.grad_analysis(rows), lead, 1)
-
-
 def flow_synthesis(plan, psi, out=None):
     """Vorticity and gradient grids of streamfunction coefficients.
 
-    Equals (synthesize(plan, -lam * psi), surface_gradient(plan, psi)), from
-    one inverse FFT over the three stacked fields.  With `out`, a
+    The vorticity equals synthesize(plan, -lam * psi); the gradient has
+    components (theta, phi) on the sphere, (x, y) on the torus.  Both come
+    from one inverse FFT over the three stacked fields.  With `out`, a
     C-contiguous float array of shape psi.shape[:-1] + (3,) + grid shape,
     the grids are written there and the pair are views of it.
     """
@@ -714,9 +672,10 @@ def flow_synthesis(plan, psi, out=None):
 def flow_analysis(plan, g):
     """Leray streamfunction coefficients and harmonic pair of a tangent grid field.
 
-    Equals (-gradient_analysis(plan, rot90(g)) / lam, the area mean of each
-    component of g), the pair empty on the sphere; both come from one
-    forward FFT over the stacked components.
+    Slot s of the streamfunction is <g, n x grad Y_s> / lam_s, so the
+    velocity of a streamfunction analyzes back to it and gradients to zero;
+    the pair is the area mean of each component of g, empty on the sphere.
+    Both come from one forward FFT over the stacked components.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_field(plan, g, vec=True)

@@ -166,16 +166,10 @@ def absorbing_radii(plan, params, norms=None):
 # ---------------------------------------------------------------------------
 # Grashof numbers and attractor dimension bounds
 
-SPHERE_VARIANT = "sphere"
-TORUS_VARIANT = "torus"
-DOMAIN_VARIANT = "domain"
-GENERIC_VARIANT = "generic"
 
-
-def grashof(nu, f_total, area=None):
-    """G = |f| / nu^2, or |f| area / nu^2 for the bounded-domain variant."""
-    g = f_total / nu**2
-    return g * area if area is not None else g
+def grashof(nu, f_total):
+    """G = |f| / nu^2."""
+    return f_total / nu**2
 
 
 def nstar_generic(nu, alpha, lambda_1, k1, k2, l2_over_deltap):
@@ -208,38 +202,13 @@ def nstar_torus(nu, alpha, length, f_total):
     return float(3.0 * np.sqrt(2.0) * length**3 / (16.0 * np.pi**3 * alpha) * shell * g)
 
 
-def nstar_domain(nu, alpha, area, f_total):
-    """Spherical-domain variant with |Omega| = area and G = |f| |Omega| / nu^2."""
-    g = grashof(nu, f_total, area=area)
-    shell = np.sqrt(1.0 + area / (2.0 * np.pi * alpha**2))
-    return float(np.sqrt(3.0 / np.pi) / (8.0 * np.pi * alpha) * shell * g)
-
-
-def attractor_bound(plan, params, norms=None, variant=None, area=None, l2_over_deltap=None):
-    """Dimension bound N* for the requested geometry variant.
-
-    variant defaults to the plan geometry.  "generic" requires an explicit
-    l2_over_deltap; "domain" requires the domain area.
-    """
+def attractor_bound(plan, params, norms=None):
+    """Dimension bound N*: the closed form of the plan geometry."""
     if norms is None:
         norms = forcing_norms(plan, params.forcing)
-    if variant is None:
-        variant = plan.geometry.kind
-    nu, al = params.nu, params.alpha
-    if variant == SPHERE_VARIANT:
-        return nstar_sphere(nu, al, norms.total)
-    if variant == TORUS_VARIANT:
-        return nstar_torus(nu, al, plan.geometry.length, norms.total)
-    if variant == DOMAIN_VARIANT:
-        if area is None:
-            raise ConfigurationError("the domain variant needs the domain area")
-        return nstar_domain(nu, al, area, norms.total)
-    if variant == GENERIC_VARIANT:
-        if l2_over_deltap is None:
-            raise ConfigurationError("the generic variant needs l2_over_deltap")
-        c = constants(plan, params, norms)
-        return nstar_generic(nu, al, c.lambda_1, c.k1, c.k2, l2_over_deltap)
-    raise ConfigurationError(f"unknown bound variant {variant!r}")
+    if plan.geometry.kind == basis.SPHERE:
+        return nstar_sphere(params.nu, params.alpha, norms.total)
+    return nstar_torus(params.nu, params.alpha, plan.geometry.length, norms.total)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +254,7 @@ def inertial_report(plan, params, rho, n_max=32, c=1.0):
 # assembled report
 
 
-def bounds_report(plan, params, n_max=32, c=1.0, area=None):
+def bounds_report(plan, params, n_max=32, c=1.0):
     """Self-describing dict of every constant, radius, and bound (JSON-ready)."""
     norms = forcing_norms(plan, params.forcing)
     con = constants(plan, params, norms)
@@ -319,7 +288,7 @@ def bounds_report(plan, params, n_max=32, c=1.0, area=None):
         "rho2": radii.rho2,
         "rho_v_sum": radii.rho_v_sum,
         "rho_v_half": radii.rho_v_half,
-        "grashof": grashof(params.nu, norms.total, area=area),
+        "grashof": grashof(params.nu, norms.total),
         "nstar": attractor_bound(plan, params, norms),
         "average_enstrophy_bound": 2.0 * con.l2 / con.delta_prime,
         "exponent_note": EXPONENT_NOTE,
@@ -337,7 +306,4 @@ def bounds_report(plan, params, n_max=32, c=1.0, area=None):
             "crossing": rep.crossing,
             "squeezing_note": rep.squeezing_note,
         }
-        if area is not None:
-            out["nstar_domain"] = nstar_domain(params.nu, params.alpha, area, norms.total)
-            out["grashof_domain"] = grashof(params.nu, norms.total, area=area)
     return out

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -209,14 +210,14 @@ def _param_echo(spec):
     }
 
 
-def _resume_anchor(resume_path, spec):
-    """Envelope anchor of the original run, read from meta.json next to the
-    snapshot; resumed diagnostics then continue the original envelopes bitwise.
+def _load_meta(meta_path, spec):
+    """(meta, cause) for the meta.json at meta_path.
 
-    Returns (anchor, None), or (None, cause) when meta.json is missing,
-    unreadable, made with other parameters or lacks the anchor.
+    meta is its dict, or None when the file is missing, unreadable or not a
+    JSON object.  cause is None when meta echoes the config's parameters;
+    otherwise it says why not: the read error, or the first key echoed
+    differently, with both values.
     """
-    meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -228,7 +229,21 @@ def _resume_anchor(resume_path, spec):
         return None, f"{meta_path} is not a JSON object"
     for key, value in _param_echo(spec).items():
         if meta.get(key) != value:
-            return None, f"{meta_path}: {key} is {meta.get(key)!r}, the config has {value!r}"
+            return meta, f"{meta_path}: {key} is {meta.get(key)!r}, the config has {value!r}"
+    return meta, None
+
+
+def _resume_anchor(resume_path, spec):
+    """Envelope anchor of the original run, read from meta.json next to the
+    snapshot; resumed diagnostics then continue the original envelopes bitwise.
+
+    Returns (anchor, None), or (None, cause) when meta.json is missing,
+    unreadable, made with other parameters or lacks the anchor.
+    """
+    meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
+    meta, cause = _load_meta(meta_path, spec)
+    if cause is not None:
+        return None, cause
     try:
         anchor = (float(meta["anchor_e1"]), float(meta["anchor_e2"]), float(meta["anchor_t"]))
     except (KeyError, TypeError, ValueError):
@@ -546,27 +561,32 @@ def _library_checks(plan, params, seed, prefix=""):
     ]
 
 
-def _recheck_run_dir(out):
+def _recheck_run_dir(out, spec, plan, params):
     """Re-test a completed run directory from its diagnostics.csv: the
-    recorded energies against the recorded envelopes (E1/E2 vs env1/env2) and
-    the worst recorded energy-law residual."""
+    recorded energies against the recorded envelopes (E1/E2 vs env1/env2),
+    the worst recorded energy-law residual, and the time average of ||u||^2
+    against its closed-form bound for the configured parameters."""
     import numpy as np
 
     from . import verification
+    from .errors import ConfigurationError
 
-    dt = 0.0
+    meta, meta_cause = _load_meta(os.path.join(out, "meta.json"), spec)
     try:
-        with open(os.path.join(out, "meta.json"), "r", encoding="utf-8") as fh:
-            dt = float(json.load(fh).get("dt", 0.0))
-    except (OSError, ValueError, TypeError):
-        pass
+        dt = float((meta or {}).get("dt", 0.0))
+    except (TypeError, ValueError):
+        dt = 0.0
     with open(os.path.join(out, "diagnostics.csv"), "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh]
     cols = {name: k for k, name in enumerate(header)}
 
     def column(name):
-        return np.array([float(parts[cols[name]]) for parts in rows])
+        # a missing column or a non-numeric field fails the row that reads it
+        try:
+            return np.array([float(parts[cols[name]]) for parts in rows])
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ConfigurationError(f"diagnostics.csv column {name}: {exc!r}") from exc
 
     def envelopes():
         over1, over2 = verification.envelope_flags(
@@ -580,7 +600,23 @@ def _recheck_run_dir(out):
         tol = verification.ENERGY_RESIDUAL_TOL
         return worst <= tol, f"worst residual {worst:.3e} (tolerance {tol:.0e})"
 
-    return [_run_check("run-envelopes", envelopes), _run_check("run-energy-law", energy_law)]
+    def average_enstrophy():
+        if len(rows) < 2:
+            return True, f"skipped: {len(rows)} row(s), a time average needs 2"
+        if meta_cause is not None:
+            return False, meta_cause
+        records = [
+            SimpleNamespace(t=t, u_v=u_v, e2=e2)
+            for t, u_v, e2 in zip(column("t"), column("norm_u_v"), column("E2"))
+        ]
+        rep = verification.average_enstrophy_check(plan, records, params)
+        return rep["ok"], f"average {rep['average']:.3e}, bound {rep['bound']:.3e}"
+
+    return [
+        _run_check("run-envelopes", envelopes),
+        _run_check("run-energy-law", energy_law),
+        _run_check("run-average-enstrophy", average_enstrophy),
+    ]
 
 
 def _print_table(checks):
@@ -607,7 +643,7 @@ def cmd_verify(args, spec):
     checks = _library_checks(plan, params, seed)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
-        checks.extend(_recheck_run_dir(run_dir))
+        checks.extend(_recheck_run_dir(run_dir, spec, plan, params))
     return _print_table(checks)
 
 

@@ -101,14 +101,21 @@ def random_state(plan, seed, slope=2.0, e1=1.0, alpha=1.0):
     return st
 
 
+def _flow_grids(plan, states):
+    """Vorticity and velocity grids of states, from one flow synthesis over
+    their stacked streamfunctions."""
+    for state in states:
+        _check(plan, state)
+    zeta, grad = basis.flow_synthesis(plan, np.stack([state.psi for state in states]))
+    u = rot90(grad)
+    if plan.n_harmonic:
+        u += np.stack([state.harmonic for state in states])[:, :, None, None]
+    return zeta, u
+
+
 def velocity_grid(plan, state):
     """Evaluate u = n x grad(psi) + u2 on the plan grid."""
-    _check(plan, state)
-    u = rot90(basis.surface_gradient(plan, state.psi))
-    if plan.n_harmonic:
-        u[0] += state.harmonic[0]
-        u[1] += state.harmonic[1]
-    return u
+    return _flow_grids(plan, [state])[1][0]
 
 
 def scalar_vorticity(plan, state):
@@ -215,10 +222,7 @@ def trilinear_b(plan, u, v, w):
     Exact for every retained state because the grid integrates triple
     products of fields within the truncation without error.
     """
-    ug, vg, wg = velocity_grid(plan, u), velocity_grid(plan, v), velocity_grid(plan, w)
-    zu = basis.synthesize(plan, scalar_vorticity(plan, u))
-    zv = basis.synthesize(plan, scalar_vorticity(plan, v))
-    zw = basis.synthesize(plan, scalar_vorticity(plan, w))
+    (zu, zv, zw), (ug, vg, wg) = _flow_grids(plan, (u, v, w))
     integrand = 0.5 * (
         -_cross2(ug, vg) * zw + zu * _cross2(vg, wg) + zv * _cross2(ug, wg)
     )

@@ -14,13 +14,12 @@ single-branch forms with rate nu lambda_1.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import trapezoid
 
-from . import basis, bounds, dynamics as dyn, integrate, operators as ops
+from . import basis, bounds, dynamics as dyn, operators as ops
 from .errors import ConfigurationError
 
 # discretization allowance: energies sampled from an RK4/Euler run may
@@ -225,37 +224,6 @@ def _relative(value, scale):
 
 # ---------------------------------------------------------------------------
 # trajectory studies
-
-
-def separation_growth(plan, state_a, state_b, params, scheme, t_end):
-    """Distance growth between two runs, reported without hard assertions.
-
-    The separation is the weighted-norm distance E1(a - b)^(1/2); alongside
-    it the report carries the cumulative enstrophy integral of the first
-    trajectory, the quantity whose exponential controls uniqueness (its
-    prefactor constant is not pinned down, hence report-only).
-    """
-    sch = dataclasses.replace(scheme, t_end=t_end)
-    traj_a = integrate.run(plan, state_a, params, sch)
-    traj_b = integrate.run(plan, state_b, params, sch)
-    ts = np.array([t for t, _ in traj_a.samples])
-    sep = np.zeros(ts.size)
-    enst = np.zeros(ts.size)
-    for i, ((_, sa), (_, sb)) in enumerate(zip(traj_a.samples, traj_b.samples)):
-        diff = ops.VelocityState(sa.psi - sb.psi, sa.harmonic - sb.harmonic)
-        sep[i] = np.sqrt(max(ops.energy_e1(plan, diff, params.alpha), 0.0))
-        enst[i] = ops.norm_v(plan, sa) ** 2
-    if sep[0] > 0.0:
-        with np.errstate(divide="ignore"):
-            log_growth = np.log(sep / sep[0])
-    else:
-        log_growth = np.zeros(ts.size)
-    return {
-        "t": ts,
-        "separation": sep,
-        "log_growth": log_growth,
-        "enstrophy_integral": cumulative_trapezoid(enst, ts, initial=0.0),
-    }
 
 
 def average_enstrophy_check(plan, records, params):

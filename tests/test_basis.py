@@ -119,14 +119,15 @@ class TestTransforms:
         for plan in plans():
             rng = np.random.default_rng(14)
             c = rng.standard_normal(plan.n_modes)
-            grad = basis.surface_gradient(plan, c)
-            # <grad f, grad basis_s> = lam_s c_s for band-limited f
-            back = basis.gradient_analysis(plan, grad)
+            grad = basis.flow_synthesis(plan, c)[1]
+            # <grad f, grad basis_s> = lam_s c_s for band-limited f, and
+            # lam_s flow_analysis(rot90(v))_s = <v, grad basis_s>
+            back = plan.lam * basis.flow_analysis(plan, basis.rot90(grad))[0]
             scale = np.max(plan.lam) * np.max(np.abs(c))
             assert np.max(np.abs(back - plan.lam * c)) <= 1e-12 * scale
             v = rng.standard_normal((2,) + plan.grid_shape)
             lhs = basis.integrate(plan, (grad * v).sum(axis=0))
-            rhs = np.dot(c, basis.gradient_analysis(plan, v))
+            rhs = np.dot(c, plan.lam * basis.flow_analysis(plan, basis.rot90(v))[0])
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_batched_transforms_match_single(self):
@@ -141,10 +142,19 @@ class TestTransforms:
                     assert np.allclose(F[i, j], basis.synthesize(plan, C[i, j]),
                                        rtol=0.0, atol=1e-13)
             V = rng.standard_normal((4, 2) + plan.grid_shape)
-            G = basis.gradient_analysis(plan, V)
+            P, Q = basis.flow_analysis(plan, V)
             for i in range(4):
-                assert np.allclose(G[i], basis.gradient_analysis(plan, V[i]),
-                                   rtol=0.0, atol=1e-12)
+                p, q = basis.flow_analysis(plan, V[i])
+                assert np.allclose(P[i], p, rtol=0.0, atol=1e-12)
+                assert np.allclose(Q[i], q, rtol=0.0, atol=1e-12)
+            # an empty batch comes back empty, in the shapes of its rows
+            grid, empty = plan.grid_shape, np.zeros((0, plan.n_modes))
+            assert basis.synthesize(plan, empty).shape == (0,) + grid
+            assert basis.analyze(plan, np.zeros((0,) + grid)).shape == (0, plan.n_modes)
+            zeta, grad = basis.flow_synthesis(plan, empty)
+            assert zeta.shape == (0,) + grid and grad.shape == (0, 2) + grid
+            p, q = basis.flow_analysis(plan, np.zeros((0, 2) + grid))
+            assert p.shape == (0, plan.n_modes) and q.shape == (0, plan.n_harmonic)
 
     def test_transforms_deterministic_across_plan_builds(self):
         g = basis.torus(5.0)
@@ -161,7 +171,7 @@ class TestTransforms:
         with pytest.raises(ShapeError):
             basis.analyze(plan, np.zeros((4, 4)))
         with pytest.raises(ShapeError):
-            basis.gradient_analysis(plan, np.zeros((3,) + plan.grid_shape))
+            basis.flow_analysis(plan, np.zeros((3,) + plan.grid_shape))
 
     def test_sphere_matches_per_order_reference(self):
         for lmax in (1, 4, 9):
@@ -171,11 +181,14 @@ class TestTransforms:
             f = rng.standard_normal((2,) + plan.grid_shape)
             v = rng.standard_normal((2, 2) + plan.grid_shape)
             ref = _PerOrderSphere(lmax, plan.core)
+            zeta, grad = basis.flow_synthesis(plan, c)
             for got, want in (
                 (basis.synthesize(plan, c), ref.synthesize(c)),
                 (basis.analyze(plan, f), ref.analyze(f)),
-                (basis.surface_gradient(plan, c), ref.synth_grad(c)),
-                (basis.gradient_analysis(plan, v), ref.grad_analysis(v)),
+                (zeta, ref.synthesize(-plan.lam * c)),
+                (grad, ref.synth_grad(c)),
+                (basis.flow_analysis(plan, v)[0],
+                 -ref.grad_analysis(basis.rot90(v)) / plan.lam),
             ):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -196,11 +209,14 @@ class TestTransforms:
             f = rng.standard_normal((2, 3) + plan.grid_shape)
             v = rng.standard_normal((2, 3, 2) + plan.grid_shape)
             ref = _FullComplexTorus(plan)
+            zeta, grad = basis.flow_synthesis(plan, c)
             for got, want in (
                 (basis.synthesize(plan, c), ref.synthesize(c)),
                 (basis.analyze(plan, f), ref.analyze(f)),
-                (basis.surface_gradient(plan, c), ref.synth_grad(c)),
-                (basis.gradient_analysis(plan, v), ref.grad_analysis(v)),
+                (zeta, ref.synthesize(-plan.lam * c)),
+                (grad, ref.synth_grad(c)),
+                (basis.flow_analysis(plan, v)[0],
+                 -ref.grad_analysis(basis.rot90(v)) / plan.lam),
             ):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -218,24 +234,30 @@ class TestTransforms:
                 c = np.zeros(plan.n_modes)
                 c[basis.mode_slot(plan, index)] = 1.0
                 f, grad = ref.synthesize(c), ref.synth_grad(c)
+                zeta, got_grad = basis.flow_synthesis(plan, c)
+                u = basis.rot90(grad)
                 for got, want in (
                     (basis.synthesize(plan, c), f),
-                    (basis.surface_gradient(plan, c), grad),
+                    (zeta, ref.synthesize(-plan.lam * c)),
+                    (got_grad, grad),
                     (basis.analyze(plan, f), c),
-                    (basis.gradient_analysis(plan, grad), ref.grad_analysis(grad)),
+                    (basis.flow_analysis(plan, u)[0],
+                     -ref.grad_analysis(basis.rot90(u)) / plan.lam),
                 ):
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), index
 
     def test_flow_transforms_equal_separate_calls(self):
         # a stacked base + tangent batch with a nonzero harmonic part, as in
-        # dynamics._remainder_u
+        # dynamics._remainder_u: the vorticity against `synthesize`, the
+        # gradient and the Leray part against the reference transforms
         for plan in plans():
             rng = np.random.default_rng(21)
             psis = rng.standard_normal((4, plan.n_modes)) / (1.0 + plan.lam)
             hs = rng.standard_normal((4, plan.n_harmonic))
             zeta, grad = basis.flow_synthesis(plan, psis)
             want_zeta = basis.synthesize(plan, -plan.lam * psis)
-            want_grad = basis.surface_gradient(plan, psis)
+            ref = _reference(plan)
+            want_grad = ref.synth_grad(psis)
             u = basis.rot90(grad)
             if plan.n_harmonic:
                 u += hs[:, :, None, None]
@@ -244,16 +266,15 @@ class TestTransforms:
             # the product is mean-free; offsets give the harmonic part a value
             g += rng.standard_normal((4, 2, 1, 1))
             p, q = basis.flow_analysis(plan, g)
-            want_p = -basis.gradient_analysis(plan, basis.rot90(g)) / plan.lam
+            want_p = -ref.grad_analysis(basis.rot90(g)) / plan.lam
             want_q = g.mean(axis=(-2, -1))[..., : plan.n_harmonic]
             assert q.shape == (4, plan.n_harmonic)
             if plan.geometry.kind == basis.SPHERE:
-                for got, want in ((zeta, want_zeta), (grad, want_grad), (p, want_p)):
-                    assert np.array_equal(got, want)
-                continue
-            for got, want in (
-                (zeta, want_zeta), (grad, want_grad), (p, want_p), (q, want_q)
-            ):
+                assert np.array_equal(zeta, want_zeta)
+            pairs = [(zeta, want_zeta), (grad, want_grad), (p, want_p)]
+            if plan.n_harmonic:
+                pairs.append((q, want_q))
+            for got, want in pairs:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -270,8 +291,6 @@ class TestWorkspaces:
         return (
             (basis.synthesize, coeffs),
             (basis.analyze, lambda: rng.standard_normal((3,) + grid)),
-            (basis.surface_gradient, coeffs),
-            (basis.gradient_analysis, lambda: rng.standard_normal((3, 2) + grid)),
             (basis.flow_synthesis, coeffs),
             (basis.flow_analysis, lambda: rng.standard_normal((3, 2) + grid)),
         )
@@ -324,6 +343,12 @@ class TestWorkspaces:
                 basis.flow_synthesis(plan, psi, out=np.empty((2, 2) + plan.grid_shape))
             with pytest.raises(ShapeError):
                 basis.flow_synthesis(plan, psi, out=out[:, :, :, ::-1])
+
+
+def _reference(plan):
+    if plan.geometry.kind == basis.SPHERE:
+        return _PerOrderSphere(plan.truncation, plan.core)
+    return _FullComplexTorus(plan)
 
 
 class _FullComplexTorus:
@@ -466,7 +491,7 @@ class TestKnownFunctions:
         theta, _ = basis.grid_points(plan)
         c = np.zeros(plan.n_modes)
         c[basis.mode_slot(plan, (1, 0))] = 1.0
-        grad = basis.surface_gradient(plan, c)
+        grad = basis.flow_synthesis(plan, c)[1]
         expect = -np.sqrt(3.0 / (4.0 * np.pi)) * np.sin(theta)
         assert np.max(np.abs(grad[0] - expect[:, None])) <= 1e-13
         assert np.max(np.abs(grad[1])) <= 1e-13

@@ -229,23 +229,6 @@ class TestDimensionBounds:
             want = bounds.nstar_torus(nu, alpha, length, f)
             assert abs(root - want) < 1e-10 * want
 
-    def test_domain_agrees_with_direct_majorant_root(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            nu, alpha, f = np.exp(rng.uniform(-1.0, 1.0, size=3))
-            area = float(np.exp(rng.uniform(0.5, 3.0)))
-            lam1 = 2.0 * np.pi / area
-
-            def q(nn):
-                drop = -np.pi * nn**2 * nu / area
-                shell = 1.0 + 1.0 / (lam1 * alpha**2)
-                rise = 3.0 / (64.0 * np.pi**2 * alpha**2) * shell * f**2 * area / nu**3
-                return drop + rise
-
-            root = brentq(q, 1e-9, 1e12, xtol=1e-300, rtol=8.9e-16)
-            want = bounds.nstar_domain(nu, alpha, area, f)
-            assert abs(root - want) < 1e-10 * want
-
     def test_bound_linear_in_grashof(self):
         a = bounds.nstar_sphere(0.5, 1.4, 3.0)
         b = bounds.nstar_sphere(0.5, 1.4, 6.0)
@@ -271,12 +254,6 @@ class TestDimensionBounds:
         p = params_with(sp, 1.0, 1.0, 0.0, f)
         n = bounds.forcing_norms(sp, f)
         assert bounds.attractor_bound(sp, p) == bounds.nstar_sphere(1.0, 1.0, n.total)
-        with pytest.raises(ConfigurationError):
-            bounds.attractor_bound(sp, p, variant=bounds.DOMAIN_VARIANT)
-        with pytest.raises(ConfigurationError):
-            bounds.attractor_bound(sp, p, variant=bounds.GENERIC_VARIANT)
-        with pytest.raises(ConfigurationError):
-            bounds.attractor_bound(sp, p, variant="plane")
         tp = torus_plan(length=3.0)
         ft = single_mode_forcing(tp, (1, 1), 2.0)
         pt = params_with(tp, 0.5, 1.0, 0.3, ft)
@@ -286,7 +263,6 @@ class TestDimensionBounds:
 
     def test_grashof_variants(self):
         assert bounds.grashof(0.5, 3.0) == 12.0
-        assert bounds.grashof(0.5, 3.0, area=2.0) == 24.0
 
 
 class TestInertialReport:
@@ -340,11 +316,10 @@ class TestBoundsReport:
         plan = sphere_plan()
         f = single_mode_forcing(plan, (1, 0), 2.0)
         p = params_with(plan, 1.0, 1.0, 0.0, f)
-        rep = bounds.bounds_report(plan, p, n_max=4, area=4.0 * np.pi)
+        rep = bounds.bounds_report(plan, p, n_max=4)
         json.dumps(rep)
         n = bounds.forcing_norms(plan, f)
         assert rep["nstar"] == bounds.nstar_sphere(1.0, 1.0, n.total)
-        assert rep["nstar_domain"] == bounds.nstar_domain(1.0, 1.0, 4.0 * np.pi, n.total)
         assert rep["l2_over_deltap_tight"] <= rep["l2_over_deltap_loose"] + 1e-16
         assert rep["inertial"]["crossing"] >= 1
         assert len(rep["inertial"]["gaps"]) == 4

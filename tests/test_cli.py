@@ -357,6 +357,7 @@ class TestVerifySelftest:
         assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "run-envelopes" in text and "run-energy-law" in text
+        assert "run-average-enstrophy" in text
         assert "FAIL" not in text
 
     def test_verify_flags_tampered_run(self, tmp_path, capsys):
@@ -384,8 +385,70 @@ class TestVerifySelftest:
         csv_path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
         assert cli.main(["verify", "--config", config, "--out", str(out)]) == 1
         table = capsys.readouterr().out.splitlines()
-        assert [line.split()[1] for line in table if line.startswith("run-")] == ["PASS", "FAIL"]
+        assert [line.split()[1] for line in table if line.startswith("run-")] == [
+            "PASS", "FAIL", "PASS"
+        ]
         assert any(line.startswith("run-energy-law") for line in table)
+
+    def _run_rows(self, capsys, config, out):
+        """Exit code of `verify` on a run directory, and its run- rows by name."""
+        code = cli.main(["verify", "--config", config, "--out", str(out)])
+        table = capsys.readouterr().out.splitlines()
+        return code, {
+            line.split()[0]: line.split(None, 2)[1:] for line in table if line.startswith("run-")
+        }
+
+    def test_verify_flags_average_enstrophy_above_bound(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        csv_path = out / "diagnostics.csv"
+        lines = csv_path.read_text().splitlines()
+        col = lines[0].split(",").index("norm_u_v")
+        edited = [lines[0]]
+        for line in lines[1:]:
+            row = line.split(",")
+            row[col] = format(100.0 * float(row[col]), ".17g")
+            edited.append(",".join(row))
+        csv_path.write_text("\n".join(edited) + "\n")
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        assert rows["run-average-enstrophy"][0] == "FAIL"
+        assert rows["run-envelopes"][0] == rows["run-energy-law"][0] == "PASS"
+
+    def test_average_enstrophy_row_names_mismatched_parameter(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        meta["alpha"] = 0.5
+        (out / "meta.json").write_text(json.dumps(meta))
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        status, detail = rows["run-average-enstrophy"]
+        assert status == "FAIL" and "alpha is 0.5" in detail
+
+    def test_non_numeric_diagnostics_field_fails_the_row(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        csv_path = out / "diagnostics.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        csv_path.write_text("\n".join(lines) + "\n")
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        status, detail = rows["run-average-enstrophy"]
+        assert status == "FAIL" and "column t" in detail
+
+    def test_average_enstrophy_row_skips_a_zero_length_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc(scheme={"dt": 0.01, "t_end": 0.0}))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 0
+        status, detail = rows["run-average-enstrophy"]
+        assert status == "PASS" and detail.startswith("skipped")
 
     def test_selftest_sign_fault_hook(self, tmp_path, capsys):
         assert cli.main(["selftest", "--inject-sign-fault"]) == 1

@@ -519,6 +519,19 @@ class TestTransformPasses:
         dyn.rhs_u(plan, state, params)
         assert calls == ["ifft", "irfft", "rfft2"]
 
+    def test_torus_trilinear_form_makes_one_synthesis(self, monkeypatch):
+        # b(u, v, w) takes the grids of all three states from one flow synthesis
+        plan = torus_plan(16)
+        rng = np.random.default_rng(8)
+        states = [
+            ops.VelocityState(rng.standard_normal(plan.n_modes) / (1.0 + plan.lam),
+                              rng.standard_normal(2))
+            for _ in range(3)
+        ]
+        calls = self._count_ffts(monkeypatch)
+        ops.trilinear_b(plan, *states)
+        assert calls == ["ifft", "irfft"]
+
 
 class TestCutoff:
     def test_plateau_and_support(self):

@@ -209,45 +209,6 @@ class TestIdentitySuite:
             assert residuals.max() <= 1e-12, name
 
 
-class TestSeparationGrowth:
-    def small_setup(self):
-        plan = torus_plan(trunc=4)
-        f = forcing_at(plan, (1, 1), 0.05)
-        p = dynamics.ModelParams(0.5, 1.0, 0.4, f)
-        scheme = integrate.SchemeConfig(dt=0.05, t_end=1.0, stride=2)
-        rng = np.random.default_rng(13)
-        psi = 1e-4 * rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
-        st = ops.VelocityState(psi, 1e-4 * rng.standard_normal(2))
-        return plan, p, scheme, st
-
-    def test_identical_states_zero_separation(self):
-        plan, p, scheme, st = self.small_setup()
-        other = ops.VelocityState(st.psi.copy(), st.harmonic.copy())
-        rep = verification.separation_growth(plan, st, other, p, scheme, 1.0)
-        assert np.all(rep["separation"] == 0.0)
-        assert np.all(rep["log_growth"] == 0.0)
-
-    def test_unforced_small_data_contracts(self):
-        plan, p, scheme, st = self.small_setup()
-        p = dataclasses.replace(p, forcing=dynamics.zero_forcing(plan))
-        other = ops.VelocityState(st.psi * 1.5, st.harmonic * 0.5)
-        rep = verification.separation_growth(plan, st, other, p, scheme, 2.0)
-        sep = rep["separation"]
-        assert sep[0] > 0.0
-        assert np.all(np.diff(sep) < 0.0)
-        assert rep["log_growth"][-1] < 0.0
-
-    def test_perturbed_forced_run_reports_finite_growth(self):
-        plan, p, scheme, st = self.small_setup()
-        bumped = ops.VelocityState(st.psi + 1e-8, st.harmonic.copy())
-        rep = verification.separation_growth(plan, st, bumped, p, scheme, 1.0)
-        assert rep["separation"][0] > 0.0
-        assert np.isfinite(rep["log_growth"]).all()
-        assert np.isfinite(rep["enstrophy_integral"]).all()
-        assert np.all(np.diff(rep["enstrophy_integral"]) >= 0.0)
-        assert rep["t"].shape == rep["separation"].shape
-
-
 class TestAverageEnstrophy:
     def test_forced_run_within_bound(self):
         plan = sphere_plan()
