@@ -11,12 +11,16 @@ Sphere
     eigenvalue n(n+1).  Mode (n, m): m >= 0 selects the cos(m phi) member,
     m < 0 the sin(|m| phi) member.  Slot order is (n, m) lexicographic.
     Gauss-Legendre latitudes, equispaced longitudes.  The Legendre stage is
-    m-blocked as in SHTns (Schaeffer 2013, G-Cubed 14): the recurrence fills
-    tables of P and dP/dtheta of shape (truncation + 1, truncation, nlat),
-    zero-padded below degree max(m, 1), so every transform is one matmul
-    batched over m, with the cos and sin rows of all fields stacked, plus a
-    real FFT in longitude.  The phi-derivative factor m / sin(theta) is
-    applied per latitude instead of being tabulated.
+    m-blocked and parity-folded as in SHTns (Schaeffer 2013, G-Cubed 14):
+    P_n^m(-mu) = (-1)^(n + m) P_n^m(mu) on the symmetric Gauss grid, so one
+    table over the northern latitudes, its rows split by the parity of
+    n - m, stacks -lam P, dP/dtheta and P along the latitude axis (shape
+    (2, truncation + 1, (truncation + 1) // 2, 3 nh), nh = (nlat + 1) // 2).
+    Every transform is one matmul against it, batched over (parity, m), with
+    the cos and sin rows of all fields stacked, plus one real FFT in
+    longitude; the even and odd sums unfold into the two hemispheres.  The
+    phi-derivative factor m / sin(theta) is applied per latitude instead of
+    being tabulated.
 
 Torus
     Fourier modes exp(2*pi*i k.x / L) on [0, L]^2 with max(|k1|, |k2|) <=
@@ -62,9 +66,9 @@ Workspaces
       thread;
     - returned arrays are never views of a workspace buffer, except the
       grids `flow_synthesis` writes into an `out` its caller passes;
-    - size: 4.4 MB for one row at sphere L=85 and 4.2 MB at torus K=64
-      (0.28 MB at L=21 and at K=16), about linear in the row count (41 MB
-      for 9 rows at L=85, 29 MB for 7 rows at K=64).
+    - size: 3.5 MB for one row at sphere L=85 and 4.2 MB at torus K=64
+      (0.23 MB at L=21, 0.28 MB at K=16), about linear in the row count
+      (38 MB for 9 rows at L=85, 29 MB for 7 rows at K=64).
 """
 
 from __future__ import annotations
@@ -122,25 +126,42 @@ def rot90(vec):
 
 
 class _SphereCore:
-    """Latitude tables and FFT bookkeeping for one sphere truncation.
+    """Latitude table and FFT bookkeeping for one sphere truncation.
 
-    The Legendre tables are m-blocked and zero-padded: P[m, n - 1] holds the
-    orthonormal P_n^m at every Gauss latitude and dP[m, n - 1] its theta
-    derivative, with zero rows where n < max(m, 1).  slots[m, 0, n - 1] is
-    the flat slot of the cos member (n, m) and slots[m, 1, n - 1] that of the
-    sin member; entries with no mode point at slot n_modes, a zero appended
-    to every coefficient row.  A transform is one gather into rows of shape
-    (lmax + 1, 2B, lmax) for B stacked fields, one matmul batched over m,
-    and one real FFT in longitude.  The longitude derivative needs
-    m P / sin(theta); rather than a third table, the flow transforms
-    multiply by m / sin(theta) after the matmul (synthesis) or before it
-    (analysis).
+    The Legendre stage is parity-folded as in SHTns (Schaeffer 2013): on the
+    symmetric Gauss grid P_n^m(-mu) = (-1)^(n + m) P_n^m(mu), so one table
+    over the nh = (nlat + 1) // 2 northern latitudes, pole to equator, serves
+    both hemispheres.  table[p, m, r] is the row of the r-th degree
+    n >= max(m, 1) with n - m = p (mod 2), zero where n > lmax: three blocks
+    of nh columns, -lam P, dP/dtheta and P, orthonormal with the
+    Condon-Shortley phase.  slots[p, m, r] holds the flat slots of the cos
+    and sin members of that (n, m); entries with no mode point at slot
+    n_modes, a zero appended to every coefficient row.
+
+    Each field's (cos, sin) pair is innermost in the Legendre rows and
+    sums, so it reads as one complex number, and the half spectra follow
+    the sums' layout, (m, K, nlat, B) for K stacked components and B
+    fields: the FFTs take them through transposed views, and no copy
+    transposes anything.  Synthesis is one gather into rows
+    (2, lmax + 1, nr, 2B), one matmul of table_t, the transposed view of
+    the table, batched over (parity, m), and an unfold: the even plus the
+    odd sums on the northern latitudes, their difference on the mirrored
+    southern ones, negated for dP, whose parity is opposite to P's.
+    Analysis weights the columns of a real FFT, folds the two hemispheres
+    into the even and odd combinations that meet each table block, and
+    makes one matmul of the folded rows against the blocks of table_t it
+    needs.  Both matmuls take a transposed view as their left operand; so
+    laid out, the rows of a field round the same however many fields are
+    stacked with it.  The longitude derivative needs m P / sin(theta);
+    rather than a fourth block, the flow transforms weight the P columns by
+    i m / sin(theta) (synthesis) or -i m / sin(theta) (analysis).
     """
 
     def __init__(self, lmax):
         self.lmax = lmax
         self.nlat = (3 * lmax + 2 + 1) // 2  # ceil((3L+2)/2)
         self.nlon = _fast_even(3 * lmax + 1)
+        self.nh = (self.nlat + 1) // 2
         mu, w = roots_legendre(self.nlat)
         self.mu = mu
         self.wlat = w
@@ -149,94 +170,89 @@ class _SphereCore:
         # cell weight for the longitude direction
         self.dphi = 2.0 * np.pi / self.nlon
 
-        nm = lmax + 1
-        self.P = np.zeros((nm, lmax, self.nlat))
-        self.dP = np.zeros((nm, lmax, self.nlat))
-        for m in range(nm):
-            p, dp = _legendre_tables(lmax, m, mu, self.sin_t)
-            n_start = max(m, 1)
-            self.P[m, n_start - 1 :] = p[n_start - m :]
-            self.dP[m, n_start - 1 :] = dp[n_start - m :]
+        nm, nh = lmax + 1, self.nh
+        # northern latitudes, pole to equator: grid rows nlat - 1 down to nlat - nh
+        self.table = _legendre_table(lmax, mu[::-1][:nh], self.sin_t[::-1][:nh])
+        self.table_t = self.table.transpose(0, 1, 3, 2)
 
         # flat slot layout: slot(n, m) = n^2 + n + m - 1
         self.n_modes, _ = mode_count(SPHERE, lmax)
         deg = np.repeat(np.arange(1, lmax + 1), 2 * np.arange(1, lmax + 1) + 1)
         order = np.arange(self.n_modes) + 1 - deg * deg - deg
         self.lam = (deg * (deg + 1)).astype(np.float64)
-
-        ns = np.arange(1, lmax + 1)[None, :]
-        ms = np.arange(nm)[:, None]
-        cos_slots = np.where(ns >= ms, ns * ns + ns + ms - 1, self.n_modes)
-        sin_slots = np.where((ns >= ms) & (ms > 0), ns * ns + ns - ms - 1, self.n_modes)
-        self.slots = np.stack((cos_slots, sin_slots), axis=1)
-        # where each slot sits in an (m, cos|sin, n - 1) block
-        self.slot_m = np.abs(order)
-        self.slot_sc = (order < 0).astype(np.int64)
-        self.slot_n = deg - 1
+        n, m = (a[..., None] for a in _parity_degrees(lmax))
+        cos = np.arange(2) == 0
+        self.slots = np.where(
+            (n <= lmax) & (cos | (m > 0)), n * n + n + np.where(cos, m, -m) - 1, self.n_modes
+        )
 
         k = np.full(nm, 1.0 / math.sqrt(math.pi))
         k[0] = 1.0 / math.sqrt(2.0 * math.pi)
-        # spectrum weight of k cos(m phi) is (nlon / 2) k, of the constant nlon k
+        # spectrum weight of k cos(m phi) is (nlon / 2) k, of the constant
+        # nlon k; a sin(m phi) coefficient b enters as -i b
         ks = 0.5 * self.nlon * k
         ks[0] *= 2.0
-        m_over_sin = ms / self.sin_t[None, :]
-        self.synth_w = ks[:, None, None]
-        # d/dphi brings i m, the metric 1 / sin(theta)
-        self.synth_w_phi = (1j * ks[:, None] * m_over_sin)[:, None, :]
-        # quadrature weight per (latitude, m), normalization folded in
-        self.ana_w = self.wlat[:, None] * (self.dphi * k)[None, :]
-        # -i m / sin(theta) turns rows (Re, -Im) of the phi spectrum into (Im, Re)
-        self.ana_w_phi = -1j * self.ana_w * m_over_sin.T
+        sign = np.where(order < 0, -1.0, 1.0)
+        self.pad_scale = sign * ks[np.abs(order)]
+        # weights of the (m, block, latitude) columns, broadcast over fields
+        m_over_sin = (np.arange(nm)[:, None] / self.sin_t)[:, None, :]
+        south = np.arange(self.nlat) < self.nlat - nh
+        # synthesis: the dP sums flip sign on the southern rows; d/dphi
+        # brings i m, the metric 1 / sin(theta)
+        dp_sign = np.broadcast_to(np.where(south, -1.0, 1.0), m_over_sin.shape)
+        self.synth_w = np.concatenate((dp_sign, 1j * m_over_sin), axis=1)
+        # analysis: quadrature weight, normalization folded in; an equator
+        # row (odd nlat) is folded into both hemispheres at half weight
+        wq = self.wlat.copy()
+        if self.nlat % 2:
+            wq[nh - 1] *= 0.5
+        w = (self.dphi * k)[:, None, None] * wq
+        # columns against the (dP, P) blocks: -g_phi, and g_theta through
+        # -i m / sin(theta), the gradient adjoint of n x g = (-g_phi, g_theta);
+        # a scalar analysis takes the first weight, -w
+        self.ana_w = np.concatenate((-w, -1j * w * m_over_sin), axis=1)
+        # the analysis rows are (Re, Im) of the weighted columns, so a sin
+        # slot sums -Im; a scalar analysis also undoes the sign of -w
+        self.ana_scale = -sign
+        self.flow_scale = -sign / self.lam
         self.qw = np.repeat((self.wlat * self.dphi)[:, None], self.nlon, axis=1)
-
-        self.PT = self.P.transpose(0, 2, 1)
-        self.dPT = self.dP.transpose(0, 2, 1)
-        self.neg_lam = -self.lam
         self._work = {}
 
     def workspace(self, b):
         return _cached_workspace(self._work, b, lambda: _SphereWork(self, b))
 
-    # -- m-blocked Legendre stage ---------------------------------------
+    # -- parity-folded Legendre stage ------------------------------------
 
-    def _gather(self, ws, k, coeffs, scale=None):
-        """(B, n_modes), times scale -> rows (field, cos|sin) per m: (lmax + 1, 2B, lmax)."""
-        if scale is None:
-            ws.pad[k, :, :-1] = coeffs
-        else:
-            np.multiply(scale, coeffs, out=ws.pad[k, :, :-1])
-        return np.take(ws.pad, ws.gather[k], out=ws.rows[k], mode="clip")
+    def _gather(self, ws, coeffs):
+        """(B, n_modes) -> scaled table rows (2, lmax + 1, nr, 2B), (cos, sin) per field."""
+        np.multiply(coeffs, self.pad_scale, out=ws.pad[:, :-1])
+        return np.take(ws.pad, ws.gather, out=ws.rows, mode="clip")
 
-    def _scatter(self, blocks):
-        """(lmax + 1, 2B, lmax) -> (B, n_modes): inverse of `_gather`, a new array."""
-        b = blocks.shape[1] // 2
-        blocks = blocks.reshape(self.lmax + 1, b, 2, self.lmax).transpose(1, 0, 2, 3)
-        return blocks[:, self.slot_m, self.slot_sc, self.slot_n]
+    def _unfold(self, sums, spec):
+        """Parity sums (2, lmax + 1, K nh, 2B) -> columns (lmax + 1, K, nlat, B) of half spectra.
 
-    def _legendre_sum(self, ws, rows, table, weight, k):
-        """rows @ table, weighted into columns m of the half spectrum ws.spec[:, k]."""
-        ab = np.matmul(rows, table, out=ws.sums[k]).reshape(self.lmax + 1, -1, 2, self.nlat)
-        z = np.multiply(1j, ab[:, :, 1], out=ws.cols_s)
-        np.subtract(ab[:, :, 0], z, out=z)
-        np.multiply(weight, z, out=z)
-        ws.spec[:, k, :, : self.lmax + 1] = z.transpose(1, 2, 0)
-
-    def _rows(self, ws, g, weight):
-        """Weighted columns m of g (B, nlat, nfreq) as rows (Re, -Im): (lmax + 1, 2B, nlat).
-
-        The rows are the float view of the conjugated columns, laid out
-        (B, nlat, m).  One field goes to the matmul as that strided view,
-        which BLAS reads transposed; a contiguous copy would take another
-        BLAS path, round differently and change output bits.
+        A field's (cos, sin) sums land as (re, im): the sin coefficients come in negated.
         """
-        nm, b = self.lmax + 1, len(g)
-        cols = np.multiply(g[..., :nm], weight, out=ws.cols_a)
-        np.conjugate(cols, out=cols)
-        rows = cols.view(np.float64).reshape(b, self.nlat, nm, 2).transpose(2, 0, 3, 1)
-        if b == 1:
-            return rows.reshape(nm, 2, self.nlat)
-        np.copyto(ws.rows_a.reshape(nm, b, 2, self.nlat), rows)
-        return ws.rows_a
+        s = sums.view(np.complex128).reshape((2,) + spec.shape[:2] + (self.nh, spec.shape[3]))
+        np.add(s[0], s[1], out=spec[:, :, ::-1][:, :, : self.nh])
+        ns = self.nlat - self.nh
+        np.subtract(s[0, :, :, :ns], s[1, :, :, :ns], out=spec[:, :, :ns])
+
+    def _fold(self, cols, even, odd):
+        """Weighted columns (lmax + 1, K, nlat, B) -> hemisphere sums and differences.
+
+        The sums go to even and the differences to odd, views
+        (lmax + 1, K, nh, B) of the analysis rows: component j at the parity
+        where its table block is symmetric, and at the other parity.
+        """
+        north, south = cols[:, :, ::-1][:, :, : self.nh], cols[:, :, : self.nh]
+        np.add(north, south, out=even)
+        np.subtract(north, south, out=odd)
+
+    def _scatter(self, ws, blocks, scale):
+        """Table-row sums (2, lmax + 1, 2B, nr) -> (B, n_modes) times scale, a new array."""
+        p = np.take(blocks, ws.scatter)
+        return np.multiply(p, scale, out=p)
 
     def _irfft(self, spec, out=None):
         return np.fft.irfft(spec, n=self.nlon, axis=-1, out=out)
@@ -245,98 +261,155 @@ class _SphereCore:
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        self._legendre_sum(ws, self._gather(ws, 0, coeffs), self.P, self.synth_w, 0)
-        return self._irfft(ws.spec[:, 0])
+        rows = self._gather(ws, coeffs)
+        sums = np.matmul(self.table_t[:, :, 2 * self.nh :], rows, out=ws.sums_p)
+        self._unfold(sums, ws.spec[: self.lmax + 1, :1])
+        return self._irfft(ws.spec[:, 0].T)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
-        g = np.fft.rfft(f, axis=-1, out=ws.spec_a[:, 0])
-        np.matmul(self._rows(ws, g, self.ana_w), self.PT, out=ws.blocks[0])
-        return self._scatter(ws.blocks[0])
+        np.fft.rfft(f, axis=-1, out=ws.spec_ap[:, 0].T)
+        cols = ws.spec_ap[: self.lmax + 1]
+        self._fold(np.multiply(cols, ws.ana_w[:, :1], out=cols), *ws.fold_p)
+        np.matmul(ws.rows_p.transpose(0, 1, 3, 2), self.table_t[:, :, 2 * self.nh :], out=ws.blocks)
+        return self._scatter(ws, ws.blocks, self.ana_scale)
 
     # -- flow ----------------------------------------------------------
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
-        rows = self._gather(ws, 0, psi, self.neg_lam)
-        self._legendre_sum(ws, rows, self.P, self.synth_w, 0)
-        rows = self._gather(ws, 1, psi)
-        self._legendre_sum(ws, rows, self.dP, self.synth_w, 1)
-        self._legendre_sum(ws, rows, self.P, self.synth_w_phi, 2)
-        return self._irfft(ws.spec, out)
+        np.matmul(self.table_t, self._gather(ws, psi), out=ws.sums)
+        cols = ws.spec[: self.lmax + 1]
+        self._unfold(ws.sums, cols)
+        grad = cols[:, 1:]
+        np.multiply(grad, ws.synth_w, out=grad)
+        return self._irfft(ws.spec.transpose(3, 1, 2, 0), out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
-        z = np.fft.rfft(g, axis=-1, out=ws.spec_a)
-        # gradient adjoint of n x g = (-g_phi, g_theta): negate one spectrum
-        # instead of rotating g
-        np.negative(z[:, 1], out=z[:, 1])
-        np.matmul(self._rows(ws, z[:, 1], self.ana_w), self.dPT, out=ws.blocks[0])
-        np.matmul(self._rows(ws, z[:, 0], self.ana_w_phi), self.PT, out=ws.blocks[1])
-        p = self._scatter(np.add(ws.blocks[0], ws.blocks[1], out=ws.blocks[0]))
-        np.negative(p, out=p)
-        p /= self.lam
-        return p, np.zeros((len(g), 0))
+        z = ws.spec_a
+        np.fft.rfft(g, axis=-1, out=z.transpose(3, 1, 2, 0))
+        # components (phi, theta) against the blocks (dP, P)
+        cols = z[: self.lmax + 1, ::-1]
+        self._fold(np.multiply(cols, ws.ana_w, out=cols), *ws.fold_a)
+        np.matmul(ws.rows_a.transpose(0, 1, 3, 2), self.table_t[:, :, self.nh :], out=ws.blocks)
+        return self._scatter(ws, ws.blocks, self.flow_scale), np.zeros((len(g), 0))
 
 
 class _SphereWork:
     """Reused buffers of one sphere plan for B stacked fields.
 
-    pad holds the coefficient rows (-lam psi, psi) with the zero slot
-    n_modes appended, and gather the flat take-index of each entry of the
-    m-blocked rows.  The half spectra (vorticity, d/dtheta, d/dphi) are
-    zeroed once: columns beyond lmax are never written.
+    pad holds the scaled coefficient rows with the zero slot n_modes
+    appended, gather the flat take-index of each entry of the table rows,
+    and scatter, its inverse, the position of each slot in the sums of an
+    analysis.  The half spectra spec (vorticity, d/dtheta, d/dphi) and
+    spec_a are laid out (m, K, nlat, B); spec is zeroed once, its columns
+    beyond lmax never written (numpy's irfft is slower on a shorter input
+    that it pads itself), and an analysis weights the columns of spec_a in
+    place.  The folded analysis rows live in the synthesis sums, which no
+    analysis reads.  The column weights are repeated over the B fields, so
+    that a weighting runs along contiguous rows.  The scalar transforms use
+    the leading parts (sums_p, spec_ap, rows_p) of the flow buffers.
     """
 
     def __init__(self, core, b):
-        nm, lmax, nlat, nlon = core.lmax + 1, core.lmax, core.nlat, core.nlon
+        nm, nh, nr = core.lmax + 1, core.nh, core.table.shape[2]
+        nlat, nlon = core.nlat, core.nlon
         nfreq = nlon // 2 + 1
         width = core.n_modes + 1
-        self.pad = np.zeros((2, b, width))
-        rows = (np.arange(2 * b) * width).reshape(2, 1, b, 1, 1)
-        self.gather = (rows + core.slots[None, :, None]).reshape(2, nm, 2 * b, lmax)
+        self.pad = np.zeros((b, width))
+        fields = (np.arange(b) * width)[:, None]
+        self.gather = (fields + core.slots[:, :, :, None]).reshape(2, nm, nr, 2 * b)
         self.rows = np.empty(self.gather.shape)
-        self.sums = np.empty((3, nm, 2 * b, nlat))
-        self.cols_s = np.empty((nm, b, nlat), dtype=np.complex128)
-        self.spec = np.zeros((b, 3, nlat, nfreq), dtype=np.complex128)
+        # analysis sums are (2, nm, 2b, nr)
+        blocks = np.arange(self.gather.size).reshape(2, nm, 2 * b, nr).transpose(0, 1, 3, 2)
+        scatter = np.empty(b * width, dtype=np.int64)
+        scatter[self.gather.ravel()] = blocks.ravel()
+        self.scatter = scatter.reshape(b, width)[:, :-1].copy()
+        self.sums = np.empty((2, nm, 3 * nh, 2 * b))
+        self.spec = np.zeros((nfreq, 3, nlat, b), dtype=np.complex128)
         self.grids = np.empty((b, 3, nlat, nlon))
         self.g = np.empty((b, 2, nlat, nlon))
-        # analysis: component spectra, weighted columns, rows of B > 1 fields
-        self.spec_a = np.empty((b, 2, nlat, nfreq), dtype=np.complex128)
-        self.cols_a = np.empty((b, nlat, nm), dtype=np.complex128)
-        self.rows_a = np.empty((nm, 2 * b, nlat)) if b != 1 else None
-        self.blocks = np.empty((2, nm, 2 * b, lmax))
+        # analysis: component spectra, folded rows, sums
+        self.spec_a = np.empty((nfreq, 2, nlat, b), dtype=np.complex128)
+        self.rows_a = _head(self.sums, (2, nm, 2 * nh, 2 * b))
+        self.blocks = np.empty((2, nm, 2 * b, nr))
+        self.synth_w, self.ana_w = (
+            np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
+            for w in (core.synth_w, core.ana_w)
+        )
+        self.sums_p = _head(self.sums, (2, nm, nh, 2 * b))
+        self.spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
+        self.rows_p = _head(self.rows_a, (2, nm, nh, 2 * b))
+        # where `_fold` writes: P is symmetric at parity 0; in the flow rows
+        # (dP, P) component j is symmetric at parity 1 - j, so its sum goes
+        # to parity 1 - j and its difference to parity j
+        rows = self.rows_p.view(np.complex128).reshape(2, nm, 1, nh, b)
+        self.fold_p = (rows[0], rows[1])
+        rows = self.rows_a.view(np.complex128).reshape(2, nm, 2, nh, b)
+        s = rows.strides
+        self.fold_a = tuple(
+            np.lib.stride_tricks.as_strided(rows[p], strides=(s[1], s[2] + step * s[0]) + s[3:])
+            for p, step in ((1, -1), (0, 1))
+        )
 
 
-def _legendre_tables(lmax, m, mu, sin_t):
-    """Orthonormal associated Legendre values and theta-derivatives.
+def _head(buf, shape):
+    """The contiguous leading part of buf, as an array of the given shape."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
-    Returns arrays of shape (lmax - m + 1, nlat) for degrees n = m..lmax,
-    normalized so the square integrates to 1 over mu in [-1, 1], with the
-    Condon-Shortley phase.
+
+def _parity_degrees(lmax):
+    """Degree and order of each table row (parity, m, r): the r-th n >= max(m, 1)
+    with n - m = parity (mod 2); rows past the truncation have n > lmax."""
+    p = np.arange(2)[:, None, None]
+    m = np.arange(lmax + 1)[None, :, None]
+    r = np.arange((lmax + 1) // 2)[None, None, :]
+    n = m + p + 2 * r + 2 * ((m == 0) & (p == 0))
+    return n, np.broadcast_to(m, n.shape)
+
+
+def _legendre_table(lmax, mu, sin_t):
+    """The parity table [-lam P | dP/dtheta | P] at latitudes mu: (2, lmax + 1, nr, 3 nlat).
+
+    Orthonormal associated Legendre values (the square integrates to 1
+    over mu in [-1, 1], Condon-Shortley phase) by the three-term
+    recurrence in n, run along k = n - m for every order m at once.
     """
-    rows = lmax - m + 1
-    p = np.zeros((max(rows, 1), mu.size))
-    # diagonal seed P_m^m
-    pmm = np.full(mu.size, 1.0 / math.sqrt(2.0))
-    for k in range(1, m + 1):
-        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * sin_t * pmm
-    if rows <= 0:
-        return p, np.zeros_like(p)
-    p[0] = pmm
-    if rows > 1:
-        p[1] = math.sqrt(2 * m + 3.0) * mu * pmm
-    for n in range(m + 2, lmax + 1):
-        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        p[n - m] = a * (mu * p[n - m - 1] - b * p[n - m - 2])
-
-    n = np.arange(m, lmax + 1)
-    e = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-    dp = n[:, None] * mu * p
-    dp[1:] -= e[1:, None] * p[:-1]
-    dp /= sin_t
-    return p, dp
+    nm, nlat = lmax + 1, mu.size
+    n_row, m_row = _parity_degrees(lmax)
+    table = np.zeros(n_row.shape + (3 * nlat,))
+    # flat table row of each (m, k); -1 where there is none (n = 0)
+    kept = n_row <= lmax
+    row_of = np.full((nm, nm), -1)
+    row_of[m_row[kept], (n_row - m_row)[kept]] = np.flatnonzero(kept)
+    rows = table.reshape(-1, 3 * nlat)
+    m = np.arange(nm)[:, None].astype(np.float64)
+    # diagonal seeds P_m^m
+    factors = -np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:])) * sin_t
+    prev2 = None
+    prev = np.cumprod(np.vstack((np.full((1, nlat), 1.0 / math.sqrt(2.0)), factors)), axis=0)
+    for k in range(nm):
+        mk = m[: nm - k]
+        n = mk + k
+        if k == 0:
+            cur = prev
+        elif k == 1:
+            cur = np.sqrt(2.0 * mk + 3.0) * mu * prev[: nm - k]
+        else:
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mk * mk))
+            b = np.sqrt(((n - 1.0) ** 2 - mk * mk) / (4.0 * (n - 1.0) ** 2 - 1.0))
+            cur = a * (mu * prev[: nm - k] - b * prev2[: nm - k])
+        dp = n * mu * cur
+        if k:
+            e = np.sqrt((n * n - mk * mk) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
+            dp -= e * prev[: nm - k]
+        dp /= sin_t
+        dst = row_of[: nm - k, k]
+        row = np.concatenate((-n * (n + 1.0) * cur, dp, cur), axis=1)
+        rows[dst[dst >= 0]] = row[dst >= 0]
+        prev2, prev = prev, cur
+    return table
 
 
 def _fast_even(n):

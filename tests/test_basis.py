@@ -1,5 +1,7 @@
 """Tests for the spectral basis plans (sphere and torus transforms)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,9 @@ class TestTransforms:
             basis.flow_analysis(plan, np.zeros((3,) + plan.grid_shape))
 
     def test_sphere_matches_per_order_reference(self):
-        for lmax in (1, 4, 9):
+        # odd nlat (L = 1, 4, 9) puts a latitude on the equator; even nlat
+        # (L = 2, 3, 6) does not
+        for lmax in (1, 2, 3, 4, 6, 9):
             plan = basis.build_plan(basis.sphere(), lmax)
             rng = np.random.default_rng(19)
             c = rng.standard_normal((2, plan.n_modes))
@@ -194,10 +198,11 @@ class TestTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sphere_legendre_tables_stay_small(self):
-        # the padded tables dominate a sphere plan's memory (15.1 MB at L=85);
-        # a second copy of them in any layout would show in peak RSS
+        # the parity table dominates a sphere plan's memory (11.5 MB at L=85);
+        # a second copy of it in any layout would show in peak RSS
         core = basis.build_plan(basis.sphere(), 85).core
-        assert core.P.nbytes + core.dP.nbytes <= 16e6
+        owned = [a for a in vars(core).values() if isinstance(a, np.ndarray) and a.base is None]
+        assert sum(a.nbytes for a in owned) <= 13e6
 
 
     def test_torus_matches_full_complex_reference(self):
@@ -269,8 +274,6 @@ class TestTransforms:
             want_p = -ref.grad_analysis(basis.rot90(g)) / plan.lam
             want_q = g.mean(axis=(-2, -1))[..., : plan.n_harmonic]
             assert q.shape == (4, plan.n_harmonic)
-            if plan.geometry.kind == basis.SPHERE:
-                assert np.array_equal(zeta, want_zeta)
             pairs = [(zeta, want_zeta), (grad, want_grad), (p, want_p)]
             if plan.n_harmonic:
                 pairs.append((q, want_q))
@@ -403,6 +406,37 @@ class _FullComplexTorus:
         return self._modes(self.quad * zdot.imag, self.quad * zdot.real)
 
 
+def _legendre_per_order(lmax, m, mu, sin_t):
+    """Orthonormal associated Legendre values and theta-derivatives.
+
+    Returns arrays of shape (lmax - m + 1, nlat) for degrees n = m..lmax,
+    normalized so the square integrates to 1 over mu in [-1, 1], with the
+    Condon-Shortley phase.
+    """
+    rows = lmax - m + 1
+    p = np.zeros((max(rows, 1), mu.size))
+    # diagonal seed P_m^m
+    pmm = np.full(mu.size, 1.0 / math.sqrt(2.0))
+    for k in range(1, m + 1):
+        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * sin_t * pmm
+    if rows <= 0:
+        return p, np.zeros_like(p)
+    p[0] = pmm
+    if rows > 1:
+        p[1] = math.sqrt(2 * m + 3.0) * mu * pmm
+    for n in range(m + 2, lmax + 1):
+        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        p[n - m] = a * (mu * p[n - m - 1] - b * p[n - m - 2])
+
+    n = np.arange(m, lmax + 1)
+    e = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
+    dp = n[:, None] * mu * p
+    dp[1:] -= e[1:, None] * p[:-1]
+    dp /= sin_t
+    return p, dp
+
+
 class _PerOrderSphere:
     """One matrix product per order m on unpadded tables: the plain reference."""
 
@@ -410,7 +444,7 @@ class _PerOrderSphere:
         self.lmax, self.core = lmax, core
         self.p, self.dp, self.cos, self.sin = [], [], [], []
         for m in range(lmax + 1):
-            p, dp = basis._legendre_tables(lmax, m, core.mu, core.sin_t)
+            p, dp = _legendre_per_order(lmax, m, core.mu, core.sin_t)
             n = np.arange(max(m, 1), lmax + 1)
             self.p.append(p[n - m])
             self.dp.append(dp[n - m])

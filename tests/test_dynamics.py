@@ -126,6 +126,51 @@ class TestNonlinearTerm:
         scale = ops.norm_l2(plan, b) * ops.norm_l2(plan, au) + 1e-6
         assert abs(ops.inner_l2(plan, b, au)) < 1e-13 * scale
 
+    # Closed forms of B(u, u) from the vorticity equation alone, without the
+    # code's rotation: with u = n x grad psi and zeta = lap psi, Euler gives
+    # d zeta / dt = -u . grad zeta = -J(psi, zeta), J(f, g) = n . (grad f x grad g),
+    # and d zeta / dt = lap(-p) = lam p on each mode.  A rotation fault made
+    # consistently in the kernel and in the velocity grids flips the sign.
+
+    def test_sphere_closed_form(self):
+        # Y_1^0 = c1 cos(theta), Y_2^{1, -1} = -c2 cos(theta) sin(theta) {cos, sin}(phi);
+        # J(f, g) = (f_theta g_phi - f_phi g_theta) / sin(theta), so
+        # J(Y_1^0, Y_2^1) = -c1 c2 cos sin sin(phi) = c1 Y_2^-1, and for
+        # psi = a Y_1^0 + b Y_2^1, zeta = -2a Y_1^0 - 6b Y_2^1:
+        # d zeta / dt = -J(psi, zeta) = 4ab J(Y_1^0, Y_2^1) = 4ab c1 Y_2^-1,
+        # p = 4ab c1 / 6 on (2, -1) and zero on every other slot
+        a, b = 0.7, 1.3
+        plan = sphere_plan(4)
+        psi = np.zeros(plan.n_modes)
+        psi[basis.mode_slot(plan, (1, 0))] = a
+        psi[basis.mode_slot(plan, (2, 1))] = b
+        p = dyn.nonlinear_term(plan, ops.VelocityState(psi, np.zeros(0))).p_part
+        want = np.zeros(plan.n_modes)
+        c1 = math.sqrt(3.0 / (4.0 * math.pi))
+        want[basis.mode_slot(plan, (2, -1))] = (2.0 / 3.0) * c1 * a * b
+        assert want.max() == pytest.approx(0.29641885722110445, rel=1e-15)
+        assert np.max(np.abs(p - want)) <= 1e-14
+
+    def test_torus_closed_form(self):
+        # L = 2 pi, A = sqrt(2) / L: psi = a A cos(x) + b A cos(2y),
+        # u = (-psi_y, psi_x) = (2bA sin 2y, -aA sin x), zeta = -aA cos x - 4bA cos 2y;
+        # d zeta / dt = -u . grad zeta = 6ab A^2 sin x sin 2y
+        #             = 3ab A (A cos(x - 2y) - A cos(x + 2y)),
+        # so p = +-(3/5) A a b on the cos modes (1, -+2), lam = 5; the
+        # harmonic part, the mean of zeta (n x u), is zero
+        a, b = 0.7, 1.3
+        plan = basis.build_plan(basis.torus(2 * np.pi), 4)
+        psi = np.zeros(plan.n_modes)
+        psi[basis.mode_slot(plan, (1, 0))] = a
+        psi[basis.mode_slot(plan, (0, 2))] = b
+        split = dyn.nonlinear_term(plan, ops.VelocityState(psi, np.zeros(2)))
+        c = 0.6 * math.sqrt(2.0) / (2 * np.pi) * a * b
+        want = np.zeros(plan.n_modes)
+        want[basis.mode_slot(plan, (1, -2))] = c
+        want[basis.mode_slot(plan, (1, 2))] = -c
+        assert np.max(np.abs(split.p_part - want)) <= 1e-14
+        assert np.max(np.abs(split.q_part)) <= 1e-15
+
     def test_matches_trilinear_form(self):
         # <B(u, u), w> = b(u, u, w) for every test direction w
         for plan in (sphere_plan(), torus_plan()):
@@ -339,45 +384,43 @@ class _AllocatingRemainder:
     def _gather(self, coeffs):
         c, b = self.core, coeffs.shape[0]
         pad = np.zeros((b, c.n_modes + 1))
-        pad[:, :-1] = coeffs
-        rows = pad[np.arange(b)[:, None, None], c.slots[:, None]]
-        return rows.reshape(c.lmax + 1, 2 * b, c.lmax)
+        pad[:, :-1] = coeffs * c.pad_scale
+        rows = pad[np.arange(b)[:, None], c.slots[:, :, :, None]]
+        return rows.reshape(2, c.lmax + 1, -1, 2 * b)
 
-    def _scatter(self, blocks, b):
+    def _scatter(self, blocks, b, scale):
         c = self.core
-        blocks = blocks.reshape(c.lmax + 1, b, 2, c.lmax).transpose(1, 0, 2, 3)
-        return blocks[:, c.slot_m, c.slot_sc, c.slot_n]
-
-    def _to_spectrum(self, ab, weight, spec):
-        c, nm = self.core, self.core.lmax + 1
-        ab = ab.reshape(nm, -1, 2, c.nlat)
-        spec[..., :nm] = (weight * (ab[:, :, 0] - 1j * ab[:, :, 1])).transpose(1, 2, 0)
-
-    def _from_spectrum(self, g, weight):
-        c = self.core
-        gm = (g[..., : c.lmax + 1] * weight).transpose(2, 0, 1)
-        rows = np.stack((gm.real, -gm.imag), axis=2)
-        return rows.reshape(c.lmax + 1, -1, c.nlat)
+        out = np.zeros((b, c.n_modes + 1))
+        out[:, c.slots] = blocks.reshape(2, c.lmax + 1, b, 2, -1).transpose(2, 0, 1, 4, 3)
+        return out[:, :-1] * scale
 
     def _sphere_synthesis(self, psi):
-        c, b = self.core, psi.shape[0]
-        nfreq = c.nlon // 2 + 1
-        spec = np.zeros((b, c.nlat, nfreq), dtype=np.complex128)
-        self._to_spectrum(self._gather(-c.lam * psi) @ c.P, c.synth_w, spec)
-        zeta = np.fft.irfft(spec, n=c.nlon, axis=-1)
-        rows = self._gather(psi)
-        spec = np.zeros((b, 2, c.nlat, nfreq), dtype=np.complex128)
-        self._to_spectrum(rows @ c.dP, c.synth_w, spec[:, 0])
-        self._to_spectrum(rows @ c.P, c.synth_w_phi, spec[:, 1])
-        return zeta, np.fft.irfft(spec, n=c.nlon, axis=-1)
+        c, b, nm, nh = self.core, psi.shape[0], self.core.lmax + 1, self.core.nh
+        sums = c.table.transpose(0, 1, 3, 2) @ self._gather(psi)
+        s = sums.view(np.complex128).reshape(2, nm, 3, nh, b)
+        spec = np.zeros((c.nlon // 2 + 1, 3, c.nlat, b), dtype=np.complex128)
+        # northern rows from the pole down, southern ones mirrored
+        ns = c.nlat - nh
+        spec[:nm, :, ::-1][:, :, :nh] = s[0] + s[1]
+        spec[:nm, :, :ns] = s[0, :, :, :ns] - s[1, :, :, :ns]
+        spec[:nm, 1:] = spec[:nm, 1:] * c.synth_w[..., None]
+        grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
+        return grids[:, 0], grids[:, 1:]
 
     def _sphere_analysis(self, g):
-        c = self.core
-        z = np.fft.rfft(_rot90(g), axis=-1)
-        rows_t = self._from_spectrum(z[:, 0], c.ana_w)
-        rows_p = self._from_spectrum(z[:, 1], c.ana_w_phi)
-        blocks = rows_t @ c.dP.transpose(0, 2, 1) + rows_p @ c.P.transpose(0, 2, 1)
-        return -self._scatter(blocks, len(g)) / c.lam, np.zeros((len(g), 0))
+        c, b, nm, nh = self.core, len(g), self.core.lmax + 1, self.core.nh
+        z = np.fft.rfft(g, axis=-1).transpose(3, 1, 2, 0)[:nm, ::-1]
+        cols = z * c.ana_w[..., None]
+        north, south = cols[:, :, ::-1][:, :, :nh], cols[:, :, :nh]
+        even, odd = north + south, north - south
+        # parity 0: [dP odd | P even], parity 1: [dP even | P odd]
+        rows = np.stack((
+            np.stack((odd[:, 0], even[:, 1]), axis=1),
+            np.stack((even[:, 0], odd[:, 1]), axis=1),
+        ))
+        rows = rows.view(np.float64).reshape(2, nm, 2 * nh, 2 * b)
+        blocks = rows.transpose(0, 1, 3, 2) @ c.table[..., nh:].transpose(0, 1, 3, 2)
+        return self._scatter(blocks, b, c.flow_scale), np.zeros((b, 0))
 
     # torus
     def _torus_synthesis(self, psi):
