@@ -469,10 +469,11 @@ def _ensure_forced(plan, params):
     )
 
 
-# relative tolerance of the transform rows: sphere rounding grows like
-# truncation^2 (round trip 3.6e-14 at L=21, 5.4e-13 at L=85, 3.0e-12 at
-# L=128), while an aliased grid is off by the edge coefficients, 1e-2 and more
-TRANSFORM_TOL = 1e-10
+# relative tolerance of the transform rows: sound transforms round to at
+# most 1.8e-14 at sphere L <= 256 (round trip 7.1e-15 at L=85, 1.3e-14 at
+# L=256) and 1.9e-15 at torus K <= 32, while an aliased grid is off by the
+# edge coefficients, 1e-2 and more
+TRANSFORM_TOL = 1e-12
 
 
 def _transform_roundtrip(plan, seed):

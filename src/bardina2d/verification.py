@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import basis, bounds, dynamics as dyn, operators as ops
 from .errors import ConfigurationError
@@ -243,7 +242,7 @@ def average_enstrophy_check(plan, records, params):
         rate = params.nu * plan.lambda_1
     else:
         rate = bounds.constants(plan, params).delta_prime
-    avg = trapezoid([r.u_v**2 for r in records], ts) / span
+    avg = np.trapezoid([r.u_v**2 for r in records], ts) / span
     transient = records[0].e2 / (rate * span)
     bound = bounds.average_enstrophy_bound(plan, params) + transient
     return {

@@ -93,6 +93,71 @@ class TestPlanStructure:
             basis.torus(0.0)
 
 
+class TestGaussLegendre:
+    SIZES = list(range(1, 41)) + [64, 129, 130, 257]
+
+    def test_nodes_match_scipy_ascending_and_symmetric(self):
+        from scipy.special import roots_legendre
+
+        for n in self.SIZES:
+            mu, w = basis._gauss_legendre(n)
+            assert mu.shape == w.shape == (n,)
+            assert np.all(np.diff(mu) > 0.0)
+            # the parity-folded transforms read the southern rows as mirrors
+            assert np.array_equal(mu, -mu[::-1]) and np.array_equal(w, w[::-1])
+            np.testing.assert_allclose(mu, roots_legendre(n)[0], rtol=0.0, atol=4.5e-16)
+
+    def test_weights_match_high_precision_reference(self):
+        pytest.importorskip("mpmath")
+        # near the poles a weight moves by 2 dx / (1 - mu^2) relative when its
+        # node moves by dx: scipy's rule is off by 1.8e-11 at n = 129
+        for n in (33, 129, 257):
+            mu, w = basis._gauss_legendre(n)
+            want = _gauss_legendre_weights_mp(n, mu[: (n + 1) // 2])
+            rel = np.abs(w[: want.size] / want - 1.0)
+            assert rel.max() <= 1e-12, (n, rel.max())
+
+    def test_rule_is_exact_to_degree_2n_minus_1(self):
+        for n in list(range(1, 13)) + [33, 129]:
+            mu, w = basis._gauss_legendre(n)
+            p0, p1 = np.ones_like(mu), mu
+            sums = [w.sum(), w @ mu]
+            for k in range(2, 2 * n):
+                p0, p1 = p1, ((2 * k - 1) * mu * p1 - (k - 1) * p0) / k
+                sums.append(w @ p1)
+            want = np.zeros(2 * n)
+            want[0] = 2.0
+            np.testing.assert_allclose(sums, want, rtol=0.0, atol=1e-14)
+
+    def test_sphere_sin_theta_has_no_cancellation(self):
+        mpmath = pytest.importorskip("mpmath")
+        core = basis.build_plan(basis.sphere(), 85).core
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.sqrt(1 - mpmath.mpf(float(m)) ** 2)) for m in core.mu])
+        # sqrt(1 - mu^2) is off by 6.2e-14 relative next to the poles here
+        assert np.abs(core.sin_t / want - 1.0).max() <= 4.5e-16
+
+
+def _gauss_legendre_weights_mp(n, mu):
+    """Gauss-Legendre weights at the roots nearest mu, by Newton's method in 40 digits."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(40):
+        for start in mu:
+            x = mpmath.mpf(float(start))
+            for step in range(4):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                if step < 3:
+                    x -= p1 / dp
+            assert abs(p1) < mpmath.mpf(10) ** -30
+            out.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(out)
+
+
 class TestTransforms:
     def test_roundtrip(self):
         for plan in plans():
