@@ -11,16 +11,21 @@ Sphere
     eigenvalue n(n+1).  Mode (n, m): m >= 0 selects the cos(m phi) member,
     m < 0 the sin(|m| phi) member.  Slot order is (n, m) lexicographic.
     Gauss-Legendre latitudes, equispaced longitudes.  The Legendre stage is
-    m-blocked and parity-folded as in SHTns (Schaeffer 2013, G-Cubed 14):
+    parity-folded as in SHTns (Schaeffer 2013, G-Cubed 14):
     P_n^m(-mu) = (-1)^(n + m) P_n^m(mu) on the symmetric Gauss grid, so one
     table over the northern latitudes, its rows split by the parity of
-    n - m, stacks -lam P, dP/dtheta and P along the latitude axis (shape
-    (2, truncation + 1, (truncation + 1) // 2, 3 nh), nh = (nlat + 1) // 2).
-    Every transform is one matmul against it, batched over (parity, m), with
-    the cos and sin rows of all fields stacked, plus one real FFT in
-    longitude; the even and odd sums unfold into the two hemispheres.  The
-    phi-derivative factor m / sin(theta) is applied per latitude instead of
-    being tabulated.
+    n - m, stacks -lam P, dP/dtheta and P along the latitude axis.  Order m
+    has about (truncation - m) / 2 rows per parity, so orders m and
+    top - m, top the truncation rounded up to odd, share one block of rows
+    with at most one padding row: shape (2, npair, nrp, 3 nh) with
+    npair = (truncation + 2) // 2, nrp about truncation / 2 + 1 and
+    nh = (nlat + 1) // 2: 5.9 MB at L=85, where one block per order would
+    take 11.5 MB, half of it zero rows past the truncation.  Every transform is
+    one matmul against it, batched over (parity, block), with the cos and
+    sin rows of all fields and both orders of a block stacked, plus one real
+    FFT in longitude; the even and odd sums unfold into the two
+    hemispheres.  The phi-derivative factor m / sin(theta) is applied per
+    latitude instead of being tabulated.
 
 Torus
     Fourier modes exp(2*pi*i k.x / L) on [0, L]^2 with max(|k1|, |k2|) <=
@@ -68,7 +73,9 @@ Workspaces
       grids `flow_synthesis` writes into an `out` its caller passes;
     - size: 3.5 MB for one row at sphere L=85 and 4.2 MB at torus K=64
       (0.23 MB at L=21, 0.28 MB at K=16), about linear in the row count
-      (38 MB for 9 rows at L=85, 29 MB for 7 rows at K=64).
+      (38 MB for 9 rows at L=85, 29 MB for 7 rows at K=64); a sphere
+      unfold and fold borrow the spectrum buffer of the other direction
+      instead of a buffer of their own.
 """
 
 from __future__ import annotations
@@ -130,30 +137,42 @@ class _SphereCore:
     The Legendre stage is parity-folded as in SHTns (Schaeffer 2013): on the
     symmetric Gauss grid P_n^m(-mu) = (-1)^(n + m) P_n^m(mu), so one table
     over the nh = (nlat + 1) // 2 northern latitudes, pole to equator, serves
-    both hemispheres.  table[p, m, r] is the row of the r-th degree
-    n >= max(m, 1) with n - m = p (mod 2), zero where n > lmax: three blocks
-    of nh columns, -lam P, dP/dtheta and P, orthonormal with the
-    Condon-Shortley phase.  slots[p, m, r] holds the flat slots of the cos
-    and sin members of that (n, m); entries with no mode point at slot
-    n_modes, a zero appended to every coefficient row.
+    both hemispheres.  Its rows are paired by order: block j of parity p
+    holds the degrees n >= max(m, 1) with n - m = p (mod 2) of order j,
+    then those of order top - j (`_paired_degrees`), so table[p, j, r] is a
+    row of three blocks of nh columns, -lam P, dP/dtheta and P, orthonormal
+    with the Condon-Shortley phase, or zero in the one padding row a block
+    may have.  For even lmax, top = lmax + 1 and order 0 stands alone.
+    slots[p, j, r, o, c] holds the flat slot of member c (cos, sin) of that
+    row's (n, m) when the row belongs to order o of the block (0: j, 1: its
+    partner); entries with no mode point at slot n_modes, a zero appended
+    to every coefficient row.
 
     Each field's (cos, sin) pair is innermost in the Legendre rows and
-    sums, so it reads as one complex number, and the half spectra follow
-    the sums' layout, (m, K, nlat, B) for K stacked components and B
-    fields: the FFTs take them through transposed views, and no copy
-    transposes anything.  Synthesis is one gather into rows
-    (2, lmax + 1, nr, 2B), one matmul of table_t, the transposed view of
-    the table, batched over (parity, m), and an unfold: the even plus the
-    odd sums on the northern latitudes, their difference on the mirrored
-    southern ones, negated for dP, whose parity is opposite to P's.
-    Analysis weights the columns of a real FFT, folds the two hemispheres
-    into the even and odd combinations that meet each table block, and
-    makes one matmul of the folded rows against the blocks of table_t it
-    needs.  Both matmuls take a transposed view as their left operand; so
-    laid out, the rows of a field round the same however many fields are
-    stacked with it.  The longitude derivative needs m P / sin(theta);
-    rather than a fourth block, the flow transforms weight the P columns by
-    i m / sin(theta) (synthesis) or -i m / sin(theta) (analysis).
+    sums, so it reads as one complex number, and the half spectra are laid
+    out (m, K, nlat, B) for K stacked components and B fields: the FFTs take
+    them through transposed views, and no copy transposes anything.
+    Synthesis is one gather into rows (2, npair, nrp, 4B), whose columns are
+    (order in block, field, cos|sin), so the column of one order takes
+    zeros on the other's rows; one matmul of table_t, the transposed view
+    of the table, batched over (parity, block); and an unfold: the even
+    plus the odd sums on the northern latitudes, their difference on the
+    mirrored southern ones, negated for dP, whose parity is opposite to
+    P's.  Analysis weights the columns of a real FFT, folds the two
+    hemispheres into the even and odd combinations that meet each table
+    block, both orders of a block side by side, and makes one matmul of the
+    folded rows against the blocks of table_t it needs: it multiplies each
+    order's rows with its partner's too, twice the flops for half the table
+    bytes, and the scatter drops those products.  The unfold and the fold
+    run their additions over whole contiguous buffers and move each order
+    between the block layout and the spectrum by copies, since additions
+    over the per-order views read or write every other run of B fields and
+    cost about twice as much.  Both matmuls take a transposed view as their
+    left operand; so laid out, the rows of a field round the same however
+    many fields are stacked with it.  The longitude derivative needs
+    m P / sin(theta); rather than a fourth block, the flow transforms weight
+    the P columns by i m / sin(theta) (synthesis) or -i m / sin(theta)
+    (analysis).
     """
 
     def __init__(self, lmax):
@@ -172,19 +191,26 @@ class _SphereCore:
         self.dphi = 2.0 * np.pi / self.nlon
 
         nm, nh = lmax + 1, self.nh
+        degrees = _paired_degrees(lmax)
         # northern latitudes, pole to equator: grid rows nlat - 1 down to nlat - nh
-        self.table = _legendre_table(lmax, mu[::-1][:nh], self.sin_t[::-1][:nh])
+        self.table = _legendre_table(lmax, degrees, mu[::-1][:nh], self.sin_t[::-1][:nh])
         self.table_t = self.table.transpose(0, 1, 3, 2)
+        # blocks, and the leading ones with no second order (1 for even lmax)
+        self.npair = self.table.shape[1]
+        self.lone = 2 * self.npair - nm
 
         # flat slot layout: slot(n, m) = n^2 + n + m - 1
         self.n_modes, _ = mode_count(SPHERE, lmax)
         deg = np.repeat(np.arange(1, lmax + 1), 2 * np.arange(1, lmax + 1) + 1)
         order = np.arange(self.n_modes) + 1 - deg * deg - deg
         self.lam = (deg * (deg + 1)).astype(np.float64)
-        n, m = (a[..., None] for a in _parity_degrees(lmax))
+        n, m = (a[..., None, None] for a in degrees)
+        second = m > np.arange(self.npair)[:, None, None, None]
         cos = np.arange(2) == 0
         self.slots = np.where(
-            (n <= lmax) & (cos | (m > 0)), n * n + n + np.where(cos, m, -m) - 1, self.n_modes
+            (n <= lmax) & (second == (np.arange(2)[:, None] == 1)) & (cos | (m > 0)),
+            n * n + n + np.where(cos, m, -m) - 1,
+            self.n_modes,
         )
 
         k = np.full(nm, 1.0 / math.sqrt(math.pi))
@@ -222,36 +248,72 @@ class _SphereCore:
     def workspace(self, b):
         return _cached_workspace(self._work, b, lambda: _SphereWork(self, b))
 
-    # -- parity-folded Legendre stage ------------------------------------
+    # -- paired, parity-folded Legendre stage ----------------------------
 
     def _gather(self, ws, coeffs):
-        """(B, n_modes) -> scaled table rows (2, lmax + 1, nr, 2B), (cos, sin) per field."""
+        """(B, n_modes) -> scaled table rows (2, npair, nrp, 4B).
+
+        Columns are (order in block, field, cos|sin).
+        """
         np.multiply(coeffs, self.pad_scale, out=ws.pad[:, :-1])
         return np.take(ws.pad, ws.gather, out=ws.rows, mode="clip")
 
-    def _unfold(self, sums, spec):
-        """Parity sums (2, lmax + 1, K nh, 2B) -> columns (lmax + 1, K, nlat, B) of half spectra.
+    def _pairs(self, x):
+        """(order in block, blocks, view of x) for the first and the second
+        orders of the blocks, x indexed by m on its first axis."""
+        return (
+            (0, slice(None), x[: self.npair]),
+            (1, slice(self.lone, None), x[::-1][: self.npair - self.lone]),
+        )
 
-        A field's (cos, sin) sums land as (re, im): the sin coefficients come in negated.
+    def _unfold(self, ws, sums, spec):
+        """Block sums (2, npair, K nh, 4B) -> columns (lmax + 1, K, nlat, B) of half spectra.
+
+        A field's (cos, sin) sums land as (re, im): the sin coefficients come
+        in negated.  The even plus the odd sums (northern latitudes), then
+        their difference (the mirrored southern ones), are formed over the
+        whole contiguous sums, in the block layout, into ws.spec_a, which a
+        synthesis does not read; copies take each order in block to its
+        columns, reversing the latitudes of the northern half.
         """
-        s = sums.view(np.complex128).reshape((2,) + spec.shape[:2] + (self.nh, spec.shape[3]))
-        np.add(s[0], s[1], out=spec[:, :, ::-1][:, :, : self.nh])
+        k, b = spec.shape[1], spec.shape[3]
+        s = sums.view(np.complex128).reshape(2, self.npair, k, self.nh, 2, b)
+        h = _head(ws.spec_a, s.shape[1:])
+        np.add(s[0], s[1], out=h)
+        for o, blocks, cols in self._pairs(spec):
+            np.copyto(cols[:, :, ::-1][:, :, : self.nh], h[blocks, ..., o, :])
+        np.subtract(s[0], s[1], out=h)
         ns = self.nlat - self.nh
-        np.subtract(s[0, :, :, :ns], s[1, :, :, :ns], out=spec[:, :, :ns])
+        for o, blocks, cols in self._pairs(spec):
+            np.copyto(cols[:, :, :ns], h[blocks, :, :ns, o, :])
 
-    def _fold(self, cols, even, odd):
+    def _fold(self, ws, cols, even, odd):
         """Weighted columns (lmax + 1, K, nlat, B) -> hemisphere sums and differences.
 
-        The sums go to even and the differences to odd, views
-        (lmax + 1, K, nh, B) of the analysis rows: component j at the parity
-        where its table block is symmetric, and at the other parity.
+        Copies take each order's two hemispheres, pole to equator, to its
+        place in the block layout, in the retained columns of ws.spec, which
+        every synthesis writes before it reads them; the sums then go to even
+        and the differences to odd, views (npair, K, nh, 2, B) of the
+        analysis rows: component j at the parity where its table block is
+        symmetric, and at the other parity.
         """
-        north, south = cols[:, :, ::-1][:, :, : self.nh], cols[:, :, : self.nh]
-        np.add(north, south, out=even)
-        np.subtract(north, south, out=odd)
+        shape = (2, self.npair, cols.shape[1], self.nh, 2, cols.shape[3])
+        h = _head(ws.spec[: self.lmax + 1], shape)
+        # a lone order's empty partner: only products the scatter drops read it
+        h[:, : self.lone, ..., 1, :] = 0.0
+        for o, blocks, part in self._pairs(cols):
+            np.copyto(h[0, blocks, ..., o, :], part[:, :, ::-1][:, :, : self.nh])
+            np.copyto(h[1, blocks, ..., o, :], part[:, :, : self.nh])
+        np.add(h[0], h[1], out=even)
+        np.subtract(h[0], h[1], out=odd)
 
     def _scatter(self, ws, blocks, scale):
-        """Table-row sums (2, lmax + 1, 2B, nr) -> (B, n_modes) times scale, a new array."""
+        """Block sums (2, npair, 4B, nrp) -> (B, n_modes) times scale, a new array.
+
+        Each order's folded rows meet every row of its block, so the sums
+        hold products with the partner order's rows too; the scatter drops
+        them.
+        """
         p = np.take(blocks, ws.scatter)
         return np.multiply(p, scale, out=p)
 
@@ -264,14 +326,14 @@ class _SphereCore:
         ws = self.workspace(len(coeffs))
         rows = self._gather(ws, coeffs)
         sums = np.matmul(self.table_t[:, :, 2 * self.nh :], rows, out=ws.sums_p)
-        self._unfold(sums, ws.spec[: self.lmax + 1, :1])
+        self._unfold(ws, sums, ws.spec[: self.lmax + 1, :1])
         return self._irfft(ws.spec[:, 0].T)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
         np.fft.rfft(f, axis=-1, out=ws.spec_ap[:, 0].T)
         cols = ws.spec_ap[: self.lmax + 1]
-        self._fold(np.multiply(cols, ws.ana_w[:, :1], out=cols), *ws.fold_p)
+        self._fold(ws, np.multiply(cols, ws.ana_w[:, :1], out=cols), *ws.fold_p)
         np.matmul(ws.rows_p.transpose(0, 1, 3, 2), self.table_t[:, :, 2 * self.nh :], out=ws.blocks)
         return self._scatter(ws, ws.blocks, self.ana_scale)
 
@@ -281,7 +343,7 @@ class _SphereCore:
         ws = self.workspace(len(psi))
         np.matmul(self.table_t, self._gather(ws, psi), out=ws.sums)
         cols = ws.spec[: self.lmax + 1]
-        self._unfold(ws.sums, cols)
+        self._unfold(ws, ws.sums, cols)
         grad = cols[:, 1:]
         np.multiply(grad, ws.synth_w, out=grad)
         return self._irfft(ws.spec.transpose(3, 1, 2, 0), out)
@@ -292,7 +354,7 @@ class _SphereCore:
         np.fft.rfft(g, axis=-1, out=z.transpose(3, 1, 2, 0))
         # components (phi, theta) against the blocks (dP, P)
         cols = z[: self.lmax + 1, ::-1]
-        self._fold(np.multiply(cols, ws.ana_w, out=cols), *ws.fold_a)
+        self._fold(ws, np.multiply(cols, ws.ana_w, out=cols), *ws.fold_a)
         np.matmul(ws.rows_a.transpose(0, 1, 3, 2), self.table_t[:, :, self.nh :], out=ws.blocks)
         return self._scatter(ws, ws.blocks, self.flow_scale), np.zeros((len(g), 0))
 
@@ -307,47 +369,50 @@ class _SphereWork:
     spec_a are laid out (m, K, nlat, B); spec is zeroed once, its columns
     beyond lmax never written (numpy's irfft is slower on a shorter input
     that it pads itself), and an analysis weights the columns of spec_a in
-    place.  The folded analysis rows live in the synthesis sums, which no
-    analysis reads.  The column weights are repeated over the B fields, so
-    that a weighting runs along contiguous rows.  The scalar transforms use
-    the leading parts (sums_p, spec_ap, rows_p) of the flow buffers.
+    place.  An unfold forms its hemispheres in spec_a, and a fold in the
+    retained columns of spec; the other kind of transform writes those
+    before it reads them.  The folded analysis rows live in the synthesis
+    sums, which no analysis reads.  The
+    column weights are repeated over the B fields, so that a weighting runs
+    along contiguous rows.  The scalar transforms use the leading parts
+    (sums_p, spec_ap, rows_p) of the flow buffers.
     """
 
     def __init__(self, core, b):
-        nm, nh, nr = core.lmax + 1, core.nh, core.table.shape[2]
+        npair, nh, nrp = core.npair, core.nh, core.table.shape[2]
         nlat, nlon = core.nlat, core.nlon
         nfreq = nlon // 2 + 1
         width = core.n_modes + 1
         self.pad = np.zeros((b, width))
         fields = (np.arange(b) * width)[:, None]
-        self.gather = (fields + core.slots[:, :, :, None]).reshape(2, nm, nr, 2 * b)
+        self.gather = (fields + core.slots[..., None, :]).reshape(2, npair, nrp, 4 * b)
         self.rows = np.empty(self.gather.shape)
-        # analysis sums are (2, nm, 2b, nr)
-        blocks = np.arange(self.gather.size).reshape(2, nm, 2 * b, nr).transpose(0, 1, 3, 2)
+        # analysis sums are (2, npair, 4b, nrp)
+        blocks = np.arange(self.gather.size).reshape(2, npair, 4 * b, nrp).transpose(0, 1, 3, 2)
         scatter = np.empty(b * width, dtype=np.int64)
         scatter[self.gather.ravel()] = blocks.ravel()
         self.scatter = scatter.reshape(b, width)[:, :-1].copy()
-        self.sums = np.empty((2, nm, 3 * nh, 2 * b))
+        self.sums = np.empty((2, npair, 3 * nh, 4 * b))
         self.spec = np.zeros((nfreq, 3, nlat, b), dtype=np.complex128)
         self.grids = np.empty((b, 3, nlat, nlon))
         self.g = np.empty((b, 2, nlat, nlon))
         # analysis: component spectra, folded rows, sums
         self.spec_a = np.empty((nfreq, 2, nlat, b), dtype=np.complex128)
-        self.rows_a = _head(self.sums, (2, nm, 2 * nh, 2 * b))
-        self.blocks = np.empty((2, nm, 2 * b, nr))
+        self.rows_a = _head(self.sums, (2, npair, 2 * nh, 4 * b))
+        self.blocks = np.empty((2, npair, 4 * b, nrp))
         self.synth_w, self.ana_w = (
             np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
             for w in (core.synth_w, core.ana_w)
         )
-        self.sums_p = _head(self.sums, (2, nm, nh, 2 * b))
+        self.sums_p = _head(self.sums, (2, npair, nh, 4 * b))
         self.spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
-        self.rows_p = _head(self.rows_a, (2, nm, nh, 2 * b))
+        self.rows_p = _head(self.rows_a, (2, npair, nh, 4 * b))
         # where `_fold` writes: P is symmetric at parity 0; in the flow rows
         # (dP, P) component j is symmetric at parity 1 - j, so its sum goes
         # to parity 1 - j and its difference to parity j
-        rows = self.rows_p.view(np.complex128).reshape(2, nm, 1, nh, b)
+        rows = self.rows_p.view(np.complex128).reshape(2, npair, 1, nh, 2, b)
         self.fold_p = (rows[0], rows[1])
-        rows = self.rows_a.view(np.complex128).reshape(2, nm, 2, nh, b)
+        rows = self.rows_a.view(np.complex128).reshape(2, npair, 2, nh, 2, b)
         s = rows.strides
         self.fold_a = tuple(
             np.lib.stride_tricks.as_strided(rows[p], strides=(s[1], s[2] + step * s[0]) + s[3:])
@@ -360,14 +425,29 @@ def _head(buf, shape):
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _parity_degrees(lmax):
-    """Degree and order of each table row (parity, m, r): the r-th n >= max(m, 1)
-    with n - m = parity (mod 2); rows past the truncation have n > lmax."""
+def _paired_degrees(lmax):
+    """Degree n and order m of each table row (parity, j, r), in closed form.
+
+    Block j holds the degrees n >= max(m, 1) with n - m = parity (mod 2) of
+    order j, ascending, then those of order top - j, top being lmax rounded
+    up to odd.  Order m has about (lmax - m) / 2 rows per parity, so every
+    block is full but for at most one padding row; pairing j with lmax - j
+    at even lmax would leave two in half the blocks.  For even lmax, order 0
+    stands alone (order lmax + 1 has no rows).  Padding rows have
+    n = lmax + 1.
+    """
+    j = np.arange((lmax + 2) // 2)
+    orders = np.stack((j, (lmax | 1) - j), axis=-1)
     p = np.arange(2)[:, None, None]
-    m = np.arange(lmax + 1)[None, :, None]
-    r = np.arange((lmax + 1) // 2)[None, None, :]
-    n = m + p + 2 * r + 2 * ((m == 0) & (p == 0))
-    return n, np.broadcast_to(m, n.shape)
+    # lowest degree and row count of each (parity, block, order in block)
+    n0 = orders + p + 2 * ((orders == 0) & (p == 0))
+    count = (lmax - n0) // 2 + 1
+    r = np.arange(count.sum(axis=-1).max())
+    second = r >= count[..., :1]
+    k = r - np.where(second, count[..., :1], 0)
+    n0, count = (np.where(second, a[..., 1:], a[..., :1]) for a in (n0, count))
+    n = np.where(k < count, n0 + 2 * k, lmax + 1)
+    return n, np.where(second, orders[:, 1:], orders[:, :1])
 
 
 def _gauss_legendre(n):
@@ -397,15 +477,17 @@ def _gauss_legendre(n):
     return np.concatenate((x, -x[:half][::-1])), np.concatenate((w, w[:half][::-1]))
 
 
-def _legendre_table(lmax, mu, sin_t):
-    """The parity table [-lam P | dP/dtheta | P] at latitudes mu: (2, lmax + 1, nr, 3 nlat).
+def _legendre_table(lmax, degrees, mu, sin_t):
+    """The paired table [-lam P | dP/dtheta | P] at latitudes mu: (2, npair, nrp, 3 nlat).
 
+    Rows as `_paired_degrees` lays them out (its result is `degrees`), zero
+    past the truncation.
     Orthonormal associated Legendre values (the square integrates to 1
     over mu in [-1, 1], Condon-Shortley phase) by the three-term
     recurrence in n, run along k = n - m for every order m at once.
     """
     nm, nlat = lmax + 1, mu.size
-    n_row, m_row = _parity_degrees(lmax)
+    n_row, m_row = degrees
     table = np.zeros(n_row.shape + (3 * nlat,))
     # flat table row of each (m, k); -1 where there is none (n = 0)
     kept = n_row <= lmax

@@ -263,11 +263,33 @@ class TestTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sphere_legendre_tables_stay_small(self):
-        # the parity table dominates a sphere plan's memory (11.5 MB at L=85);
-        # a second copy of it in any layout would show in peak RSS
+        # the paired table dominates a sphere plan's memory (5.9 MB at L=85;
+        # one block per order would take 11.5 MB); a second copy of it in any
+        # layout would show in peak RSS
         core = basis.build_plan(basis.sphere(), 85).core
         owned = [a for a in vars(core).values() if isinstance(a, np.ndarray) and a.base is None]
-        assert sum(a.nbytes for a in owned) <= 13e6
+        assert sum(a.nbytes for a in owned) <= 8e6
+
+    @pytest.mark.parametrize("lmax", [1, 2, 3, 20, 21, 85])
+    def test_sphere_table_pairs_orders_with_at_most_one_padding_row(self, lmax):
+        plan = basis.build_plan(basis.sphere(), lmax)
+        core = plan.core
+        n, m = basis._paired_degrees(lmax)
+        assert core.table.shape[:3] == n.shape == (2, (lmax + 2) // 2, n.shape[2])
+        kept = n <= lmax
+        # every (n, m >= 0) in exactly one row, at the parity of n - m
+        rows = sorted(zip(n[kept].tolist(), m[kept].tolist()))
+        assert rows == [(d, o) for d in range(1, lmax + 1) for o in range(d + 1)]
+        assert np.all((n - m)[kept] % 2 == np.nonzero(kept)[0] % 2)
+        # padding rows are zero, and no block holds more than one
+        assert not np.any(core.table[~kept]) and np.all(np.any(core.table[kept], axis=-1))
+        assert (~kept).sum(axis=-1).max() <= 1
+        # each slot of each field appears exactly once in a gather
+        width = plan.n_modes + 1
+        for b in (1, 3):
+            idx = basis.workspace(plan, b).gather.ravel()
+            counts = np.bincount(idx[idx % width != plan.n_modes], minlength=b * width)
+            assert np.all(counts.reshape(b, width)[:, :-1] == 1)
 
 
     def test_torus_matches_full_complex_reference(self):

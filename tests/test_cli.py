@@ -329,6 +329,17 @@ class TestVerifySelftest:
             assert name in text
         assert "FAIL" not in text
 
+    def test_verify_passes_unforced_sphere_truncation_one(self, tmp_path, capsys):
+        # degree-1 products have no degree-1 part, and the forcing verify
+        # injects must lie inside truncation 1
+        doc = decay_doc(truncation=1, seed=3)
+        doc["initial"] = {"kind": "random", "slope": 2.0, "energy": 0.5}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", config]) == 0
+        text = capsys.readouterr().out
+        assert "FAIL" not in text and "nan" not in text
+        assert text.count("PASS") == 5
+
     def test_roundtrip_row_passes_on_large_sphere(self):
         # with accurate Gauss weights the sphere round trip stays near 1e-14
         # at L=128; weights off by 1e-11 near the poles put it at 3e-12

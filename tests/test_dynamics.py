@@ -331,6 +331,17 @@ class TestCoupledRemainder:
                             np.abs(want[k])
                         ), k
 
+    @pytest.mark.parametrize("trunc,rows", [(t, b) for t in (20, 85) for b in (2, 9)])
+    def test_sphere_row0_keeps_one_state_rounding(self, trunc, rows):
+        # an even truncation (order 0 alone in its table block), an odd one,
+        # and more stacked fields, so more columns in each Legendre matmul
+        plan, p, fstate, psis, hs = _kernel_case("sphere", trunc, rows)
+        dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, fstate)
+        dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, fstate)
+        want_psi, want_h = _separate_remainders(plan, psis[:1], hs[:1], p, fstate)
+        assert dpsis[0].tobytes() == dpsi0[0].tobytes() == want_psi[0].tobytes()
+        assert dhs[0].tobytes() == dh0[0].tobytes() == want_h[0].tobytes()
+
 
 def _kernel_case(kind, trunc, rows, seed=3):
     """Plan, parameters, forcing state and stacked rows with a nonzero harmonic part."""
@@ -380,29 +391,42 @@ class _AllocatingRemainder:
     def __init__(self, plan):
         self.plan, self.core = plan, plan.core
 
-    # sphere
+    # sphere: table block j pairs order j with order top - j, top being lmax
+    # rounded up to odd; the columns are (order in block, field, cos|sin)
+    def _orders(self):
+        c = self.core
+        j = np.arange(c.npair)
+        return j, (c.lmax | 1) - j
+
     def _gather(self, coeffs):
         c, b = self.core, coeffs.shape[0]
         pad = np.zeros((b, c.n_modes + 1))
         pad[:, :-1] = coeffs * c.pad_scale
-        rows = pad[np.arange(b)[:, None], c.slots[:, :, :, None]]
-        return rows.reshape(2, c.lmax + 1, -1, 2 * b)
+        rows = pad[np.arange(b)[:, None], c.slots[..., None, :]]
+        return rows.reshape(2, c.npair, -1, 4 * b)
 
     def _scatter(self, blocks, b, scale):
         c = self.core
         out = np.zeros((b, c.n_modes + 1))
-        out[:, c.slots] = blocks.reshape(2, c.lmax + 1, b, 2, -1).transpose(2, 0, 1, 4, 3)
+        blocks = blocks.reshape(2, c.npair, 2, b, 2, -1)
+        out[:, c.slots] = blocks.transpose(3, 0, 1, 5, 2, 4)
         return out[:, :-1] * scale
 
     def _sphere_synthesis(self, psi):
         c, b, nm, nh = self.core, psi.shape[0], self.core.lmax + 1, self.core.nh
         sums = c.table.transpose(0, 1, 3, 2) @ self._gather(psi)
-        s = sums.view(np.complex128).reshape(2, nm, 3, nh, b)
+        s = sums.view(np.complex128).reshape(2, c.npair, 3, nh, 2, b)
+        # per order: even plus odd sums, and their difference
+        first, second = self._orders()
+        north, south = np.zeros((2, nm + 1, 3, nh, b), dtype=np.complex128)
+        for half, part in ((north, s[0] + s[1]), (south, s[0] - s[1])):
+            half[first] = part[..., 0, :]
+            half[second] = part[..., 1, :]
         spec = np.zeros((c.nlon // 2 + 1, 3, c.nlat, b), dtype=np.complex128)
         # northern rows from the pole down, southern ones mirrored
         ns = c.nlat - nh
-        spec[:nm, :, ::-1][:, :, :nh] = s[0] + s[1]
-        spec[:nm, :, :ns] = s[0, :, :, :ns] - s[1, :, :, :ns]
+        spec[:nm, :, ::-1][:, :, :nh] = north[:nm]
+        spec[:nm, :, :ns] = south[:nm, :, :ns]
         spec[:nm, 1:] = spec[:nm, 1:] * c.synth_w[..., None]
         grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
         return grids[:, 0], grids[:, 1:]
@@ -418,7 +442,11 @@ class _AllocatingRemainder:
             np.stack((odd[:, 0], even[:, 1]), axis=1),
             np.stack((even[:, 0], odd[:, 1]), axis=1),
         ))
-        rows = rows.view(np.float64).reshape(2, nm, 2 * nh, 2 * b)
+        # both orders of a block; order lmax + 1 (even lmax) has no rows
+        rows = np.concatenate((rows, np.zeros_like(rows[:, :1])), axis=1)
+        first, second = self._orders()
+        rows = np.stack((rows[:, first], rows[:, second]), axis=-2)
+        rows = rows.view(np.float64).reshape(2, c.npair, 2 * nh, 4 * b)
         blocks = rows.transpose(0, 1, 3, 2) @ c.table[..., nh:].transpose(0, 1, 3, 2)
         return self._scatter(blocks, b, c.flow_scale), np.zeros((b, 0))
 
@@ -469,6 +497,7 @@ class TestWorkspaceKernel:
         "kind,trunc,rows",
         [("sphere", 21, b) for b in (1, 2, 9)]
         + [("sphere", 85, b) for b in (1, 2, 9)]
+        + [("sphere", 20, 2)]
         + [("torus", 16, b) for b in (1, 7)],
     )
     def test_matches_allocating_reference_bitwise(self, kind, trunc, rows):
