@@ -310,8 +310,8 @@ def cmd_simulate(args, spec):
 
     records = []
 
-    def observe(t, st):
-        records.append(verification.energy_record(plan, st, params, t, anchor))
+    def observe(t, st, tend):
+        records.append(verification.energy_record(plan, st, params, t, anchor, tend))
 
     if scheme.t_end == t_start:
         # zero-length run: header-only diagnostics plus the initial snapshot

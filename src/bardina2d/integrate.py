@@ -12,6 +12,13 @@ transformed variable:
 The harmonic component carries no stiff part and is stepped with the same
 rule using its full tendency.  Step size is fixed; a run either completes
 or raises DivergenceError at the first non-finite state.
+
+Observers are called as obs(t, state, tend) at every sample, where `tend` is
+the full tendency of `state` (what dynamics.rhs_u returns for it, bit for
+bit).  A sampled state's tendency is evaluated once: its non-stiff part is
+the first stage of the step that follows, so a sampled run makes one extra
+right-hand side only for the final sample, and only when there are
+observers.
 """
 
 from __future__ import annotations
@@ -62,16 +69,17 @@ class Trajectory:
         return self.samples[-1][1]
 
 
-def step_pair(psi, h, dt, e_full, e_half, rem, method):
+def step_pair(psi, h, dt, e_full, e_half, rem, method, first=None):
     """One integrating-factor step of dpsi/dt = -r psi + Gp, dh/dt = Gh.
 
     `rem(psi, h) -> (Gp, Gh)` is the non-stiff tendency; e_full/e_half are
-    exp(-r dt) and exp(-r dt/2).  Broadcasts over leading axes of psi/h.
+    exp(-r dt) and exp(-r dt/2).  `first`, when given, is rem(psi, h)
+    already evaluated and is used as the first stage.  Broadcasts over
+    leading axes of psi/h.
     """
+    g1, gh1 = rem(psi, h) if first is None else first
     if method == IF_EULER:
-        g1, gh1 = rem(psi, h)
         return e_full * (psi + dt * g1), h + dt * gh1
-    g1, gh1 = rem(psi, h)
     u1 = e_half * (psi + 0.5 * dt * g1)
     v1 = h + 0.5 * dt * gh1
     g2, gh2 = rem(u1, v1)
@@ -116,28 +124,39 @@ def _count_steps(span, dt, what):
     return n
 
 
-def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, observers, t_start):
+def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, t_start):
     n_steps = _count_steps(scheme.t_end - t_start, scheme.dt, "t_end - t_start")
     base = _count_steps(t_start, scheme.dt, "t_start") if t_start else 0
     e_full, e_half = e_pair
     traj = Trajectory()
 
-    def record(k, psi, h):
+    def sample(k, psi, h):
+        """Record state k; return its remainder when a step or an observer uses it."""
         t = (base + k) * scheme.dt
         st = make_state(psi, h)
         traj.samples.append((t, st))
-        for obs in observers:
-            obs(t, st)
+        first = None
+        if k < n_steps or observers:
+            with np.errstate(over="ignore", invalid="ignore"):
+                first = rem_fn(psi, h)
+        if observers:
+            tend = make_tend(psi, h, first)
+            for obs in observers:
+                obs(t, st, tend)
+        return first
 
-    record(0, psi, h)
+    first = sample(0, psi, h)
     for k in range(1, n_steps + 1):
         # overflow here surfaces as DivergenceError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            psi, h = step_pair(psi, h, scheme.dt, e_full, e_half, rem_fn, scheme.method)
+            psi, h = step_pair(
+                psi, h, scheme.dt, e_full, e_half, rem_fn, scheme.method, first
+            )
+        first = None
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(h))):
             raise DivergenceError((base + k) * scheme.dt)
         if k % scheme.stride == 0 or k == n_steps:
-            record(k, psi, h)
+            first = sample(k, psi, h)
     return traj
 
 
@@ -145,6 +164,8 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
     """Integrate the momentum equation from `state` at t_start to scheme.t_end.
 
     Samples are recorded at multiples of the stride and at the final step.
+    Each observer is called as obs(t, state, tend) at every sample, with
+    `tend` equal bit for bit to dynamics.rhs_u(plan, state, params).
     Restarting from a recorded state with the same dt reproduces the
     continuation of the original run bitwise.
     """
@@ -154,6 +175,11 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
     def rem(psi, h):
         return dyn._remainder_u(plan, psi, h, params, fstate)
 
+    def make_tend(psi, h, first):
+        # the stiff term added as dynamics.rhs_u adds it
+        dpsi, dh = first
+        return ops.VelocityState(dpsi[0] - params.nu * plan.lam * psi[0], dh[0])
+
     return _run_loop(
         plan,
         state.psi[None].copy(),
@@ -162,13 +188,18 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
         rem,
         decay_factors(plan, params.nu, scheme.dt),
         lambda p, h: ops.VelocityState(p[0].copy(), h[0].copy()),
+        make_tend,
         observers,
         t_start,
     )
 
 
 def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
-    """Integrate the prepared v-equation on the sphere (see dynamics.prepared_rhs)."""
+    """Integrate the prepared v-equation on the sphere (see dynamics.prepared_rhs).
+
+    Observers are called as in `run`, with `tend` equal bit for bit to
+    dynamics.prepared_rhs(plan, state, params, rho).
+    """
     # delegate validation of geometry / rho / sigma
     dyn.prepared_rhs(plan, vstate, params, rho)
     fstate = dyn.forcing_state(plan, params.forcing)
@@ -179,6 +210,9 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     def make_state(p, h):
         return ops.VelocityState(p.copy(), np.zeros(0))
 
+    def make_tend(p, h, first):
+        return ops.VelocityState(first[0] - params.nu * plan.lam * p, np.zeros(0))
+
     return _run_loop(
         plan,
         vstate.psi.copy(),
@@ -187,6 +221,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
         rem,
         decay_factors(plan, params.nu, scheme.dt),
         make_state,
+        make_tend,
         observers,
         t_start,
     )

@@ -51,13 +51,14 @@ class DiagnosticsRecord:
     energy_residual: float
 
 
-def energy_record(plan, state, params, t, anchor=None):
+def energy_record(plan, state, params, t, anchor=None, tend=None):
     """All norms of one state, computed modewise, plus the envelope values.
 
     `anchor` is (e1_0, e2_0, t0); when omitted the record is its own anchor,
     so the envelopes equal the energies.  The energy residual compares
     [u, du/dt] against <f, u> - nu E2 - sigma |u|^2, relative to the size
-    of those terms.
+    of those terms.  `tend` is du/dt as dynamics.rhs_u returns it (an
+    integrate.run observer receives it); when omitted it is evaluated here.
     """
     e1 = ops.energy_e1(plan, state, params.alpha)
     e2 = ops.energy_e2(plan, state, params.alpha)
@@ -69,7 +70,8 @@ def energy_record(plan, state, params, t, anchor=None):
     else:
         e1_0, e2_0, t0 = anchor
         env1, env2 = gronwall_envelopes(plan, e1_0, e2_0, t - t0, params)
-    tend = dyn.rhs_u(plan, state, params)
+    if tend is None:
+        tend = dyn.rhs_u(plan, state, params)
     fstate = dyn.forcing_state(plan, params.forcing)
     lhs = ops.inner_weighted(plan, state, tend, params.alpha)
     work = ops.inner_l2(plan, fstate, state)

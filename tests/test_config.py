@@ -130,8 +130,8 @@ class TestParseConfig:
         params = cfg.model_params(plan, spec)
         records = []
 
-        def observe(t, st):
-            records.append(verification.energy_record(plan, st, params, t))
+        def observe(t, st, tend):
+            records.append(verification.energy_record(plan, st, params, t, tend=tend))
 
         integrate.run(plan, cfg.initial_state(plan, spec), params, spec.scheme, (observe,))
         assert len(records) == 11

@@ -105,7 +105,7 @@ class TestBookkeeping:
         st = ops.random_state(plan, seed=3)
         seen = []
         sch = ti.SchemeConfig(dt=0.1, t_end=0.4, stride=2)
-        ti.run(plan, st, params, sch, observers=(lambda t, s: seen.append(t),))
+        ti.run(plan, st, params, sch, observers=(lambda t, s, tend: seen.append(t),))
         assert seen == pytest.approx([0.0, 0.2, 0.4])
 
     def test_resume_is_bitwise(self):
@@ -125,6 +125,67 @@ class TestBookkeeping:
         a = traj.samples[0][1].psi.copy()
         traj.samples[1][1].psi[:] = 0.0
         assert np.array_equal(traj.samples[0][1].psi, a)
+
+
+def forced_sphere():
+    plan = basis.build_plan(basis.sphere(), 8)
+    c = np.zeros(plan.n_modes)
+    c[basis.mode_slot(plan, (2, 1))] = 0.5
+    params = dyn.ModelParams(nu=0.05, alpha=0.8, sigma=0.1, forcing=dyn.Forcing(c, np.zeros(0)))
+    return plan, params
+
+
+class TestSharedTendency:
+    """A sampled state's tendency feeds its observers and the next step's first stage."""
+
+    def count_calls(self, monkeypatch, method, stride, observers):
+        plan, params = forced_torus()
+        calls = []
+        inner = dyn._remainder_u
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(dyn, "_remainder_u", counted)
+        sch = ti.SchemeConfig(dt=0.1, t_end=1.0, method=method, stride=stride)
+        ti.run(plan, ops.random_state(plan, seed=8), params, sch, observers)
+        return len(calls)
+
+    def test_one_extra_call_for_the_final_sample(self, monkeypatch):
+        obs = (lambda t, s, tend: None,)
+        n = 10
+        assert self.count_calls(monkeypatch, ti.IF_RK4, 1, obs) == 4 * n + 1
+        assert self.count_calls(monkeypatch, ti.IF_RK4, 3, obs) == 4 * n + 1
+        assert self.count_calls(monkeypatch, ti.IF_EULER, 1, obs) == n + 1
+
+    def test_no_extra_call_without_observers(self, monkeypatch):
+        assert self.count_calls(monkeypatch, ti.IF_RK4, 1, ()) == 4 * 10
+
+    def test_observed_tendency_is_rhs_u(self):
+        for plan, params in (forced_sphere(), forced_torus()):
+            seen = []
+            sch = ti.SchemeConfig(dt=0.05, t_end=0.25, stride=2)
+            ti.run(plan, ops.random_state(plan, seed=9), params, sch,
+                   (lambda t, s, tend: seen.append((s, tend)),))
+            assert len(seen) == 4
+            for st, tend in seen:
+                want = dyn.rhs_u(plan, st, params)
+                assert np.array_equal(tend.psi, want.psi)
+                assert np.array_equal(tend.harmonic, want.harmonic)
+
+    def test_prepared_observed_tendency_is_prepared_rhs(self):
+        plan, params = forced_sphere()
+        params = dyn.ModelParams(params.nu, params.alpha, 0.0, params.forcing)
+        v0 = ops.random_state(plan, seed=10, e1=4.0)
+        rho = ops.norm_l2(plan, v0)
+        seen = []
+        sch = ti.SchemeConfig(dt=0.05, t_end=0.2, stride=1)
+        ti.run_prepared(plan, v0, params, rho, sch, (lambda t, s, tend: seen.append((s, tend)),))
+        assert len(seen) == 5
+        for st, tend in seen:
+            want = dyn.prepared_rhs(plan, st, params, rho)
+            assert np.array_equal(tend.psi, want.psi)
 
 
 class TestDivergenceGuard:

@@ -91,6 +91,19 @@ class TestEnergyRecord:
         assert r.envelope2 == float(env2)
 
 
+    def test_given_tendency_matches_evaluated_one(self):
+        rng = np.random.default_rng(6)
+        for plan, sigma in ((sphere_plan(), 0.0), (torus_plan(), 0.3)):
+            c = rng.standard_normal(plan.n_modes)
+            f = dynamics.Forcing(c, 0.1 * rng.standard_normal(plan.n_harmonic))
+            p = dynamics.ModelParams(0.7, 1.2, sigma, f)
+            st = verification.probe_state(plan, rng)
+            tend = dynamics.rhs_u(plan, st, p)
+            given = verification.energy_record(plan, st, p, 1.0, (2.0, 3.0, 0.5), tend=tend)
+            evaluated = verification.energy_record(plan, st, p, 1.0, (2.0, 3.0, 0.5))
+            assert dataclasses.asdict(given) == dataclasses.asdict(evaluated)
+
+
 class TestGronwallEnvelopes:
     def test_zero_elapsed_returns_anchor(self):
         plan = sphere_plan()
