@@ -4,7 +4,10 @@ Little-endian layout: magic b"BDNA", format version (u32), geometry tag
 (u8: 0 sphere, 1 torus), truncation (u32), then t, nu, alpha, sigma as
 f64, payload length in coefficients (u64), the coefficient block (f64:
 streamfunction coefficients in slot order, then the harmonic pair on the
-torus), and finally CRC-32 of the coefficient bytes (u32).
+torus), and finally a CRC-32 (u32).  Version 2, the one written, takes the
+CRC over every byte before it, header included, so a flipped bit in t or a
+model parameter is caught.  Version 1 took it over the coefficient bytes
+only; such files still load.
 
 The torus period is not part of the header; a resumed run takes it from
 the config, and the mismatch checks therefore cover geometry kind,
@@ -23,7 +26,7 @@ from . import basis, operators as ops
 from .errors import CorruptSnapshotError, SnapshotMismatchError
 
 MAGIC = b"BDNA"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIBI4dQ")
 _TRAILER = struct.Struct("<I")
 _GEOMETRY_TAGS = {basis.SPHERE: 0, basis.TORUS: 1}
@@ -62,7 +65,7 @@ def save_snapshot(path, plan, state, t, params):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
-        fh.write(_TRAILER.pack(zlib.crc32(body)))
+        fh.write(_TRAILER.pack(zlib.crc32(body, zlib.crc32(header))))
 
 
 def load_snapshot(path):
@@ -74,7 +77,7 @@ def load_snapshot(path):
     magic, version, tag, truncation, t, nu, alpha, sigma, count = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CorruptSnapshotError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CorruptSnapshotError(f"{path}: unsupported format version {version}")
     if tag not in _GEOMETRY_KINDS:
         raise CorruptSnapshotError(f"{path}: unknown geometry tag {tag}")
@@ -90,7 +93,11 @@ def load_snapshot(path):
         raise CorruptSnapshotError(f"{path}: truncated or oversized payload")
     body = blob[_HEADER.size : body_end]
     (crc,) = _TRAILER.unpack_from(blob, body_end)
-    if crc != zlib.crc32(body):
+    if version == 1:
+        covered = body  # version 1 left the header unchecked
+    else:
+        covered = blob[:body_end]
+    if crc != zlib.crc32(covered):
         raise CorruptSnapshotError(f"{path}: checksum failure")
     coeffs = np.frombuffer(body, dtype="<f8").astype(float)
     return Snapshot(

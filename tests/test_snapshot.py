@@ -1,6 +1,7 @@
 """Binary snapshot format: roundtrip fidelity and corruption detection."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -76,6 +77,47 @@ class TestRoundtrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestVersion1:
+    def write_v1(self, path, plan, state, t, params):
+        # the version 1 layout, whose CRC covers the coefficient bytes only
+        body = np.concatenate([state.psi, state.harmonic]).astype("<f8").tobytes()
+        header = struct.pack(
+            "<4sIBI4dQ", b"BDNA", 1, 1, plan.truncation, t,
+            params.nu, params.alpha, params.sigma, plan.n_modes + plan.n_harmonic,
+        )
+        path.write_bytes(header + body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_hand_written_v1_loads(self, tmp_path):
+        plan = torus_plan()
+        params = params_for(plan, sigma=0.3)
+        state = rand_state(plan, 10)
+        path = tmp_path / "v1.bdna"
+        self.write_v1(path, plan, state, 0.25, params)
+        snap = snapshot.load_snapshot(path)
+        assert snap.geometry_kind == basis.TORUS
+        assert snap.t == 0.25
+        assert (snap.nu, snap.alpha, snap.sigma) == (0.7, 1.2, 0.3)
+        assert np.array_equal(snap.psi, state.psi)
+        assert np.array_equal(snap.harmonic, state.harmonic)
+        snapshot.check_snapshot(snap, plan, params)
+
+    def test_v1_payload_still_checked(self, tmp_path):
+        plan = torus_plan()
+        path = tmp_path / "v1.bdna"
+        self.write_v1(path, plan, rand_state(plan, 11), 1.0, params_for(plan, sigma=0.3))
+        blob = bytearray(path.read_bytes())
+        blob[-12] ^= 0x40
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshotError):
+            snapshot.load_snapshot(path)
+
+    def test_writer_uses_current_version(self, tmp_path):
+        plan = sphere_plan()
+        path = tmp_path / "s.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 12), 0.0, params_for(plan))
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+
+
 class TestCorruption:
     def write_one(self, tmp_path):
         plan = sphere_plan()
@@ -124,6 +166,28 @@ class TestCorruption:
         path = self.write_one(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[-12] ^= 0x40  # inside the payload, ahead of the CRC trailer
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshotError):
+            snapshot.load_snapshot(path)
+
+    def test_flipped_time_bit_fails_crc(self, tmp_path):
+        # t sits at bytes 13..20; flip a low mantissa bit and the lowest
+        # exponent bit (0.25 -> 0.125, a whole number of steps of most dt)
+        plan = sphere_plan()
+        path = tmp_path / "s.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 5), 0.25, params_for(plan))
+        good = path.read_bytes()
+        for offset, mask in ((13, 0x01), (19, 0x10)):
+            blob = bytearray(good)
+            blob[offset] ^= mask
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CorruptSnapshotError):
+                snapshot.load_snapshot(path)
+
+    def test_flipped_parameter_bit_fails_crc(self, tmp_path):
+        path = self.write_one(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[21 + 8 + 3] ^= 0x04  # inside alpha
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptSnapshotError):
             snapshot.load_snapshot(path)
