@@ -137,10 +137,11 @@ def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, obser
         traj.samples.append((t, st))
         first = None
         if k < n_steps or observers:
+            # the first stage of the next step, under that step's errstate
             with np.errstate(over="ignore", invalid="ignore"):
                 first = rem_fn(psi, h)
         if observers:
-            tend = make_tend(psi, h, first)
+            tend = make_tend(psi, first)
             for obs in observers:
                 obs(t, st, tend)
         return first
@@ -152,9 +153,9 @@ def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, obser
             psi, h = step_pair(
                 psi, h, scheme.dt, e_full, e_half, rem_fn, scheme.method, first
             )
-        first = None
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(h))):
             raise DivergenceError((base + k) * scheme.dt)
+        first = None
         if k % scheme.stride == 0 or k == n_steps:
             first = sample(k, psi, h)
     return traj
@@ -175,7 +176,7 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
     def rem(psi, h):
         return dyn._remainder_u(plan, psi, h, params, fstate)
 
-    def make_tend(psi, h, first):
+    def make_tend(psi, first):
         # the stiff term added as dynamics.rhs_u adds it
         dpsi, dh = first
         return ops.VelocityState(dpsi[0] - params.nu * plan.lam * psi[0], dh[0])
@@ -210,7 +211,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     def make_state(p, h):
         return ops.VelocityState(p.copy(), np.zeros(0))
 
-    def make_tend(p, h, first):
+    def make_tend(p, first):
         return ops.VelocityState(first[0] - params.nu * plan.lam * p, np.zeros(0))
 
     return _run_loop(
