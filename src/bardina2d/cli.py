@@ -50,7 +50,9 @@ def _fmt(x):
 
 
 def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    from .atomic import replacing
+
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -69,7 +71,9 @@ def _jsonable(value):
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    from .atomic import replacing
+
+    with replacing(path) as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -171,32 +175,28 @@ def _load_spec(args):
 # simulate
 
 
-def _diag_rows(records, dt):
+def _diag_row(r, dt):
+    """One diagnostics.csv line for one record, without its newline."""
     from . import verification
 
-    rows = []
-    for r in records:
-        over1, over2 = verification.envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt)
-        flags = int(over1) + int(over2)
-        rows.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.u_l2),
-                    _fmt(r.u_v),
-                    _fmt(r.au_l2),
-                    _fmt(r.h_l2),
-                    _fmt(r.v_l2),
-                    _fmt(r.e1),
-                    _fmt(r.e2),
-                    _fmt(r.envelope1),
-                    _fmt(r.envelope2),
-                    _fmt(r.energy_residual),
-                    str(flags),
-                ]
-            )
-        )
-    return rows
+    over1, over2 = verification.envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt)
+    flags = int(over1) + int(over2)
+    return ",".join(
+        [
+            _fmt(r.t),
+            _fmt(r.u_l2),
+            _fmt(r.u_v),
+            _fmt(r.au_l2),
+            _fmt(r.h_l2),
+            _fmt(r.v_l2),
+            _fmt(r.e1),
+            _fmt(r.e2),
+            _fmt(r.envelope1),
+            _fmt(r.envelope2),
+            _fmt(r.energy_residual),
+            str(flags),
+        ]
+    )
 
 
 def _param_echo(spec):
@@ -256,6 +256,7 @@ def cmd_simulate(args, spec):
     from . import dynamics as dyn
     from . import integrate, snapshot, verification
     from . import operators as ops
+    from .atomic import replacing
     from .errors import ConfigurationError, DivergenceError
 
     plan = cfg.build_plan(spec)
@@ -285,7 +286,6 @@ def cmd_simulate(args, spec):
         )
 
     out = _out_dir(args, spec)
-    csv_path = os.path.join(out, "diagnostics.csv")
     meta = _param_echo(spec)
     meta.update(
         {
@@ -299,7 +299,6 @@ def cmd_simulate(args, spec):
             "t_start": t_start,
             "seed": spec.seed,
             "diagnostics": "diagnostics.csv",
-            "snapshot": "final.bdna",
         }
     )
     if reanchor_cause is not None:
@@ -308,33 +307,46 @@ def cmd_simulate(args, spec):
         print(f"warning: --resume re-anchored the envelopes at t={t_start}: "
               f"{reanchor_cause}", file=sys.stderr)
 
-    records = []
+    envelopes = verification.envelopes(plan, params, *anchor)
+    last, diverged = (t_start, state), None
+    with replacing(os.path.join(out, "diagnostics.csv")) as csv:
+        csv.write(_DIAG_HEADER + "\n")
 
-    def observe(t, st, tend):
-        records.append(verification.energy_record(plan, st, params, t, anchor, tend))
+        def observe(t, st, tend):
+            record = verification.energy_record(plan, st, params, t, envelopes, tend)
+            csv.write(_diag_row(record, scheme.dt) + "\n")
 
-    if scheme.t_end == t_start:
-        # zero-length run: header-only diagnostics plus the initial snapshot
-        _write_lines(csv_path, [_DIAG_HEADER])
-        final_state, t_final = state, t_start
-    else:
-        try:
-            traj = integrate.run(
-                plan, state, params, scheme, observers=(observe,), t_start=t_start
-            )
-        except DivergenceError as exc:
-            _write_lines(csv_path, [_DIAG_HEADER] + _diag_rows(records, scheme.dt))
-            meta["diverged_at"] = exc.t
-            meta["t_final"] = records[-1].t if records else t_start
-            _write_json(os.path.join(out, "meta.json"), meta)
-            print(f"error: {exc}; partial diagnostics flushed", file=sys.stderr)
-            return 1
-        _write_lines(csv_path, [_DIAG_HEADER] + _diag_rows(records, scheme.dt))
-        final_state, t_final = traj.final_state, traj.final_time
+        # a zero-length run writes the header only and snapshots its start
+        if scheme.t_end > t_start:
+            try:
+                # only the latest sample is kept: it becomes the snapshot
+                for last in integrate.samples(
+                    plan, state, params, scheme, (observe,), t_start
+                ):
+                    pass
+            except DivergenceError as exc:
+                diverged = exc
 
-    snapshot.save_snapshot(os.path.join(out, "final.bdna"), plan, final_state, t_final, params)
+    # commit order: diagnostics.csv (above), the snapshot, then meta.json,
+    # which names both; the snapshot name meta does not give is removed
+    kept, stale = "final.bdna", "last_good.bdna"
+    if diverged is not None:
+        kept, stale = stale, kept
+    t_final, final_state = last
+    snapshot.save_snapshot(os.path.join(out, kept), plan, final_state, t_final, params)
+    meta["snapshot"] = kept
     meta["t_final"] = t_final
+    if diverged is not None:
+        meta["diverged_at"] = diverged.t
     _write_json(os.path.join(out, "meta.json"), meta)
+    try:
+        os.remove(os.path.join(out, stale))
+    except FileNotFoundError:
+        pass
+    if diverged is not None:
+        print(f"error: {diverged}; partial diagnostics flushed, last recorded "
+              f"state in {kept}", file=sys.stderr)
+        return 1
     return 0
 
 

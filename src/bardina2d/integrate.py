@@ -13,12 +13,19 @@ The harmonic component carries no stiff part and is stepped with the same
 rule using its full tendency.  Step size is fixed; a run either completes
 or raises DivergenceError at the first non-finite state.
 
-Observers are called as obs(t, state, tend) at every sample, where `tend` is
-the full tendency of `state` (what dynamics.rhs_u returns for it, bit for
-bit).  A sampled state's tendency is evaluated once: its non-stiff part is
-the first stage of the step that follows, so a sampled run makes one extra
-right-hand side only for the final sample, and only when there are
-observers.
+Samples are the states at multiples of the observer stride and at the
+final step.  `samples` yields them one at a time as the run makes them, so
+a caller that keeps only the latest (the CLI's `simulate`) runs in memory
+that does not grow with the run length; `run` collects them into a
+`Trajectory`.  Both come from one stepping loop and give the same states
+bit for bit.
+
+Observers are called as obs(t, state, tend) at every sample, before it is
+yielded, where `tend` is the full tendency of `state` (what dynamics.rhs_u
+returns for it, bit for bit).  A sampled state's tendency is evaluated
+once: its non-stiff part is the first stage of the step that follows, so a
+sampled run makes one extra right-hand side only for the final sample, and
+only when there are observers.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basis
 from . import operators as ops
 from . import dynamics as dyn
 from .errors import ConfigurationError, DivergenceError
@@ -56,7 +62,7 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded samples (t, state) at the observer stride plus the final state."""
+    """Every sample (t, state) of a run, the final state last."""
 
     samples: list = field(default_factory=list)
 
@@ -124,17 +130,23 @@ def _count_steps(span, dt, what):
     return n
 
 
-def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, t_start):
+def _run_loop(psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, t_start):
+    """Yield (t, state) at every sample, after that sample's observers ran.
+
+    The one stepping loop: `run` and `run_prepared` collect it, a streaming
+    caller keeps what it needs.  It holds the current stacked state and the
+    sample it last made, never earlier ones, so its memory does not grow
+    with the run length.  The step count is checked at the first `next`.
+    """
     n_steps = _count_steps(scheme.t_end - t_start, scheme.dt, "t_end - t_start")
     base = _count_steps(t_start, scheme.dt, "t_start") if t_start else 0
     e_full, e_half = e_pair
-    traj = Trajectory()
 
     def sample(k, psi, h):
-        """Record state k; return its remainder when a step or an observer uses it."""
+        """(t, state, remainder) of state k; the remainder when a step or an
+        observer uses it.  The observers run here."""
         t = (base + k) * scheme.dt
         st = make_state(psi, h)
-        traj.samples.append((t, st))
         first = None
         if k < n_steps or observers:
             # the first stage of the next step, under that step's errstate
@@ -144,9 +156,10 @@ def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, obser
             tend = make_tend(psi, first)
             for obs in observers:
                 obs(t, st, tend)
-        return first
+        return t, st, first
 
-    first = sample(0, psi, h)
+    t, st, first = sample(0, psi, h)
+    yield t, st
     for k in range(1, n_steps + 1):
         # overflow here surfaces as DivergenceError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -157,18 +170,18 @@ def _run_loop(plan, psi, h, scheme, rem_fn, e_pair, make_state, make_tend, obser
             raise DivergenceError((base + k) * scheme.dt)
         first = None
         if k % scheme.stride == 0 or k == n_steps:
-            first = sample(k, psi, h)
-    return traj
+            t, st, first = sample(k, psi, h)
+            yield t, st
 
 
-def run(plan, state, params, scheme, observers=(), t_start=0.0):
-    """Integrate the momentum equation from `state` at t_start to scheme.t_end.
+def samples(plan, state, params, scheme, observers=(), t_start=0.0):
+    """Generator of the samples `run` records, one at a time.
 
-    Samples are recorded at multiples of the stride and at the final step.
-    Each observer is called as obs(t, state, tend) at every sample, with
-    `tend` equal bit for bit to dynamics.rhs_u(plan, state, params).
-    Restarting from a recorded state with the same dt reproduces the
-    continuation of the original run bitwise.
+    Yields (t, state) at multiples of the stride and at the final step,
+    each after its observers were called, and raises DivergenceError at
+    the first non-finite state.  Parameters are validated here; the step
+    count at the first `next`.  A caller that keeps only the latest sample
+    runs in memory independent of the run length.
     """
     dyn.validate_params(plan, params)
     fstate = dyn.forcing_state(plan, params.forcing)
@@ -182,7 +195,6 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
         return ops.VelocityState(dpsi[0] - params.nu * plan.lam * psi[0], dh[0])
 
     return _run_loop(
-        plan,
         state.psi[None].copy(),
         state.harmonic[None].copy(),
         scheme,
@@ -193,6 +205,19 @@ def run(plan, state, params, scheme, observers=(), t_start=0.0):
         observers,
         t_start,
     )
+
+
+def run(plan, state, params, scheme, observers=(), t_start=0.0):
+    """Integrate the momentum equation from `state` at t_start to scheme.t_end.
+
+    Samples are recorded at multiples of the stride and at the final step.
+    Each observer is called as obs(t, state, tend) at every sample, with
+    `tend` equal bit for bit to dynamics.rhs_u(plan, state, params).
+    Restarting from a recorded state with the same dt reproduces the
+    continuation of the original run bitwise.  The trajectory holds every
+    sample; `samples` yields the same ones without holding them.
+    """
+    return Trajectory(list(samples(plan, state, params, scheme, observers, t_start)))
 
 
 def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
@@ -214,8 +239,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     def make_tend(p, first):
         return ops.VelocityState(first[0] - params.nu * plan.lam * p, np.zeros(0))
 
-    return _run_loop(
-        plan,
+    loop = _run_loop(
         vstate.psi.copy(),
         np.zeros(0),
         scheme,
@@ -226,6 +250,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
         observers,
         t_start,
     )
+    return Trajectory(list(loop))
 
 
 def suggested_dt(plan, params, state=None, cap=0.05):

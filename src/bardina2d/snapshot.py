@@ -9,6 +9,8 @@ CRC over every byte before it, header included, so a flipped bit in t or a
 model parameter is caught.  Version 1 took it over the coefficient bytes
 only; such files still load.
 
+Snapshots are written atomically: a reader never sees a partial file.
+
 The torus period is not part of the header; a resumed run takes it from
 the config, and the mismatch checks therefore cover geometry kind,
 truncation, and model parameters, not the period.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, operators as ops
+from .atomic import replacing
 from .errors import CorruptSnapshotError, SnapshotMismatchError
 
 MAGIC = b"BDNA"
@@ -48,7 +51,12 @@ class Snapshot:
 
 
 def save_snapshot(path, plan, state, t, params):
-    """Write one state with its time and model parameters."""
+    """Write one state with its time and model parameters, atomically.
+
+    The bytes go to a sibling file that replaces `path` only once complete
+    (atomic.replacing), so `path` holds either its old content or the whole
+    new snapshot, never a torn one, whatever interrupts the write.
+    """
     payload = np.concatenate([state.psi, state.harmonic]).astype("<f8")
     body = payload.tobytes()
     header = _HEADER.pack(
@@ -62,7 +70,7 @@ def save_snapshot(path, plan, state, t, params):
         params.sigma,
         payload.size,
     )
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
         fh.write(_TRAILER.pack(zlib.crc32(body, zlib.crc32(header))))

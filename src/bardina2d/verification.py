@@ -54,11 +54,15 @@ class DiagnosticsRecord:
 def energy_record(plan, state, params, t, anchor=None, tend=None):
     """All norms of one state, computed modewise, plus the envelope values.
 
-    `anchor` is (e1_0, e2_0, t0); when omitted the record is its own anchor,
-    so the envelopes equal the energies.  The energy residual compares
+    `anchor` is the `Envelopes` of the run (see `envelopes`, built once and
+    shared by every record); when omitted the record is its own anchor, so
+    the envelopes equal the energies.  The energy residual compares
     [u, du/dt] against <f, u> - nu E2 - sigma |u|^2, relative to the size
-    of those terms.  `tend` is du/dt as dynamics.rhs_u returns it (an
-    integrate.run observer receives it); when omitted it is evaluated here.
+    of those terms; it is 0 only when that size is exactly 0 (the zero
+    state) and NaN when the size is not finite (an overflowing state), so a
+    blown-up state never records a clean residual.  `tend` is du/dt as
+    dynamics.rhs_u returns it (an integrate.run observer receives it); when
+    omitted it is evaluated here.
     """
     e1 = ops.energy_e1(plan, state, params.alpha)
     e2 = ops.energy_e2(plan, state, params.alpha)
@@ -68,8 +72,7 @@ def energy_record(plan, state, params, t, anchor=None, tend=None):
     if anchor is None:
         env1, env2 = e1, e2
     else:
-        e1_0, e2_0, t0 = anchor
-        env1, env2 = gronwall_envelopes(plan, e1_0, e2_0, t - t0, params)
+        env1, env2 = anchor.at(t)
     if tend is None:
         tend = dyn.rhs_u(plan, state, params)
     fstate = dyn.forcing_state(plan, params.forcing)
@@ -77,7 +80,9 @@ def energy_record(plan, state, params, t, anchor=None, tend=None):
     work = ops.inner_l2(plan, fstate, state)
     drain = params.nu * e2 + params.sigma * ops.inner_l2(plan, state, state)
     scale = abs(work) + drain
-    residual = abs(lhs - (work - drain)) / scale if scale > 0.0 else 0.0
+    # a NaN scale (0 drag times an infinite |u|^2) must not pass as 0; an
+    # infinite one makes the difference infinite or NaN, so NaN as well
+    residual = abs(lhs - (work - drain)) / scale if scale != 0.0 else 0.0
     return DiagnosticsRecord(
         t=float(t),
         u_l2=float(u_l2),
@@ -98,7 +103,9 @@ def trajectory_diagnostics(plan, trajectory, params):
     if not trajectory.samples:
         return []
     t0, s0 = trajectory.samples[0]
-    anchor = (
+    anchor = envelopes(
+        plan,
+        params,
         ops.energy_e1(plan, s0, params.alpha),
         ops.energy_e2(plan, s0, params.alpha),
         t0,
@@ -106,17 +113,41 @@ def trajectory_diagnostics(plan, trajectory, params):
     return [energy_record(plan, s, params, t, anchor) for t, s in trajectory.samples]
 
 
-def gronwall_envelopes(plan, e1_0, e2_0, t, params):
-    """Exponential majorants of E1 and E2 at elapsed time t (scalar or array).
+@dataclass(frozen=True)
+class Envelopes:
+    """Gronwall envelopes of one run: the anchor energies e1_0, e2_0 at t0,
+    and the decay rates and source levels of the plan and parameters."""
+
+    e1_0: float
+    e2_0: float
+    t0: float
+    rate1: float
+    rate2: float
+    level1: float
+    level2: float
+
+    def at(self, t):
+        """(env1, env2) at time t (scalar or array)."""
+        elapsed = np.asarray(t, dtype=float) - self.t0
+        d1 = np.exp(-self.rate1 * elapsed)
+        d2 = np.exp(-self.rate2 * elapsed)
+        env1 = d1 * self.e1_0 + (self.level1 / self.rate1) * (1.0 - d1)
+        env2 = d2 * self.e2_0 + (self.level2 / self.rate2) * (1.0 - d2)
+        return env1, env2
+
+
+def envelopes(plan, params, e1_0, e2_0, t0=0.0):
+    """The `Envelopes` anchored at (e1_0, e2_0, t0).
 
     With drag: env1 = e^(-delta t) E1_0 + (L1/delta)(1 - e^(-delta t)) and
     env2 likewise with rate delta' and level 2 L2.  Without drag (sphere)
     both rates collapse to nu lambda_1 and the levels are the single-branch
-    |A^-1 f|^2/(nu alpha^2) and |A^-1/2 f|^2/(nu alpha^2), undoubled.
+    |A^-1 f|^2/(nu alpha^2) and |A^-1/2 f|^2/(nu alpha^2), undoubled.  The
+    rates and levels depend only on the plan and parameters, so a run builds
+    this once and every record reuses it.
     """
     dyn.validate_params(plan, params)
     norms = bounds.forcing_norms(plan, params.forcing)
-    t = np.asarray(t, dtype=float)
     if params.sigma == 0.0:
         rate1 = rate2 = params.nu * plan.lambda_1
         level1 = norms.f1_inv**2 / (params.nu * params.alpha**2)
@@ -125,11 +156,13 @@ def gronwall_envelopes(plan, e1_0, e2_0, t, params):
         c = bounds.constants(plan, params, norms)
         rate1, rate2 = c.delta, c.delta_prime
         level1, level2 = c.l1, 2.0 * c.l2
-    d1 = np.exp(-rate1 * t)
-    d2 = np.exp(-rate2 * t)
-    env1 = d1 * e1_0 + (level1 / rate1) * (1.0 - d1)
-    env2 = d2 * e2_0 + (level2 / rate2) * (1.0 - d2)
-    return env1, env2
+    return Envelopes(e1_0, e2_0, t0, rate1, rate2, level1, level2)
+
+
+def gronwall_envelopes(plan, e1_0, e2_0, t, params):
+    """Exponential majorants of E1 and E2 at elapsed time t (scalar or
+    array); see `envelopes`."""
+    return envelopes(plan, params, e1_0, e2_0).at(t)
 
 
 def envelope_flags(e1, env1, e2, env2, dt, slack=ENVELOPE_SLACK):

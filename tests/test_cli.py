@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bardina2d import basis, cli
+from bardina2d import basis, bounds, cli, snapshot, verification
 
 TWO_PI = 2.0 * np.pi
 
@@ -205,6 +206,114 @@ class TestSimulate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["diverged_at"] > 0.0
         assert not (out / "final.bdna").exists()
+
+    def test_divergence_in_reused_directory_leaves_agreeing_files(self, tmp_path, capsys):
+        # a completed torus run first, then a sphere run that diverges at t=4
+        # into the same directory, then a completed run again
+        out = tmp_path / "run"
+        good = write_config(tmp_path, forced_doc(), "good.json")
+        assert cli.main(["simulate", "--config", good, "--out", str(out)]) == 0
+        doc = {
+            "geometry": "sphere",
+            "truncation": 21,
+            "nu": 1e-4,
+            "alpha": 0.01,
+            "seed": 0,
+            "forcing": {"modes": [[2, 1, 10.0 * math.sqrt(6.0)]]},
+            "initial": {"kind": "random", "slope": 2.0, "energy": 1e4},
+            "scheme": {"dt": 0.5, "t_end": 200.0, "stride": 1, "method": "if-euler"},
+        }
+        bad = write_config(tmp_path, doc, "bad.json")
+        assert cli.main(["simulate", "--config", bad, "--out", str(out)]) == 1
+        assert "last_good.bdna" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["diagnostics.csv", "last_good.bdna", "meta.json"]
+        meta = json.loads((out / "meta.json").read_text())
+        header, rows = read_csv(out / "diagnostics.csv")
+        snap = snapshot.load_snapshot(str(out / meta["snapshot"]))
+        assert meta["geometry"] == snap.geometry_kind == "sphere"
+        assert meta["snapshot"] == "last_good.bdna"
+        assert snap.t == meta["t_final"] == float(rows[-1][0])
+        assert meta["diverged_at"] == meta["t_final"] + 0.5
+        # the last rows blew up: their residual is NaN, never a clean 0
+        assert math.isnan(float(rows[-1][header.index("energy_residual")]))
+
+        assert cli.main(["simulate", "--config", good, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["diagnostics.csv", "final.bdna", "meta.json"]
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["snapshot"] == "final.bdna" and "diverged_at" not in meta
+
+    def test_interrupt_leaves_earlier_run_untouched(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = write_config(tmp_path, forced_doc())
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        names = ["diagnostics.csv", "final.bdna", "meta.json"]
+        before = {name: (out / name).read_bytes() for name in names}
+
+        other = forced_doc(seed=12)
+        other["scheme"]["stride"] = 1
+        other_config = write_config(tmp_path, other, "other.json")
+        inner = verification.energy_record
+        for n in (1, 40, 101):  # the first, a middle and the last record
+            calls = []
+
+            def interrupted(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == n:
+                    raise KeyboardInterrupt
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(verification, "energy_record", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["simulate", "--config", other_config, "--out", str(out)])
+            assert sorted(os.listdir(out)) == names  # no partial file is left
+            assert {name: (out / name).read_bytes() for name in names} == before
+
+    def test_envelope_constants_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        inner = bounds.constants
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "constants", counted)
+        doc = forced_doc()
+        doc["scheme"]["stride"] = 1
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert len(read_csv(out / "diagnostics.csv")[1]) == 101
+        assert len(calls) == 1
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        def doc(t_end):
+            return {
+                "geometry": "sphere",
+                "truncation": 21,
+                "nu": 1.0,
+                "alpha": 1.0,
+                "seed": 0,
+                "forcing": {"modes": [[2, 1, 10.0 * math.sqrt(6.0)]]},
+                "initial": {"kind": "random", "slope": 2.0, "energy": 1.0},
+                "scheme": {"dt": 0.01, "t_end": t_end, "stride": 1},
+            }
+
+        def peak(t_end, name):
+            config = write_config(tmp_path, doc(t_end), name + ".json")
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / name)]) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            peak(0.5, "warm")  # plan, workspaces and imports
+            short = peak(0.5, "short")  # 50 steps
+            long = peak(4.0, "long")  # 400 steps
+        finally:
+            tracemalloc.stop()
+        # holding the 350 further samples and records took about 1.8 MB
+        assert long - short < 100_000, (short, long)
 
     def test_threads_never_change_outputs(self, tmp_path):
         config = write_config(tmp_path, forced_doc())

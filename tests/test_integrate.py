@@ -127,6 +127,54 @@ class TestBookkeeping:
         assert np.array_equal(traj.samples[0][1].psi, a)
 
 
+class TestSamplesGenerator:
+    """`samples` yields what `run` records, one sample at a time."""
+
+    def test_matches_run_bitwise(self):
+        for plan, params in (forced_sphere(), forced_torus()):
+            st = ops.random_state(plan, seed=12)
+            sch = ti.SchemeConfig(dt=0.05, t_end=0.5, stride=3)
+            seen_gen, seen_run = [], []
+            streamed = list(
+                ti.samples(plan, st, params, sch, (lambda t, s, tend: seen_gen.append(tend),))
+            )
+            held = ti.run(plan, st, params, sch, (lambda t, s, tend: seen_run.append(tend),)).samples
+            assert [t for t, _ in streamed] == [t for t, _ in held]
+            assert len(streamed) == 5  # k = 0, 3, 6, 9 and the final step
+            for (_, a), (_, b) in zip(streamed, held):
+                assert np.array_equal(a.psi, b.psi)
+                assert np.array_equal(a.harmonic, b.harmonic)
+            for a, b in zip(seen_gen, seen_run):
+                assert np.array_equal(a.psi, b.psi)
+
+    def test_observers_run_before_each_yield(self):
+        plan, params = forced_torus()
+        calls = []
+        gen = ti.samples(
+            plan,
+            ops.random_state(plan, seed=13),
+            params,
+            ti.SchemeConfig(dt=0.1, t_end=0.3),
+            (lambda t, s, tend: calls.append(t),),
+        )
+        assert calls == []  # nothing runs before the first next
+        for k, (t, _) in enumerate(gen, start=1):
+            assert len(calls) == k and calls[-1] == t
+
+    def test_divergence_follows_the_last_yield(self):
+        plan = basis.build_plan(basis.torus(2 * np.pi), 8)
+        big = ops.random_state(plan, seed=3, e1=1e8, alpha=1e-4)
+        params = dyn.ModelParams(nu=1e-6, alpha=1e-4, sigma=1e-6, forcing=dyn.zero_forcing(plan))
+        sch = ti.SchemeConfig(dt=10.0, t_end=1000.0, method=ti.IF_EULER)
+        got = []
+        with pytest.raises(DivergenceError) as err:
+            for t, st in ti.samples(plan, big, params, sch):
+                got.append((t, st))
+        t_last, st_last = got[-1]
+        assert t_last == err.value.t - sch.dt
+        assert np.all(np.isfinite(st_last.psi))
+
+
 def forced_sphere():
     plan = basis.build_plan(basis.sphere(), 8)
     c = np.zeros(plan.n_modes)

@@ -77,6 +77,24 @@ class TestRoundtrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # the checksum is formed after the header and payload are written
+        plan = sphere_plan()
+        params = params_for(plan)
+        path = tmp_path / "s.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 5), 1.0, params)
+        before = path.read_bytes()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(zlib, "crc32", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            snapshot.save_snapshot(path, plan, rand_state(plan, 6), 2.0, params)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.bdna"]
+
+
 class TestVersion1:
     def write_v1(self, path, plan, state, t, params):
         # the version 1 layout, whose CRC covers the coefficient bytes only

@@ -81,11 +81,31 @@ class TestEnergyRecord:
             assert np.isfinite([r.e1, r.e2, r.u_l2, r.u_v, r.au_l2, r.v_l2]).all()
             assert r.e1 >= 0.0 and r.e2 >= 0.0
 
+    def test_overflowing_state_records_nan_residual(self):
+        # |u|^2 overflows: sigma = 0 times inf makes the scale NaN on the
+        # sphere, drag makes it inf on the torus; neither may record 0
+        for plan, sigma in ((sphere_plan(), 0.0), (torus_plan(), 0.5)):
+            p = dynamics.ModelParams(1e-4, 0.01, sigma, forcing_at(plan, (1, 1), 1.0))
+            psi = np.full(plan.n_modes, 1e200)
+            st = ops.VelocityState(psi, np.full(plan.n_harmonic, 1e200))
+            with np.errstate(all="ignore"):
+                r = verification.energy_record(plan, st, p, 3.5)
+            assert np.isinf(r.e1) and np.isinf(r.e2)
+            assert np.isnan(r.energy_residual)
+
+    def test_forced_zero_state_records_zero_residual(self):
+        # <f, 0> = 0 and no drain: the scale is exactly 0, the residual 0
+        for plan, sigma in ((sphere_plan(), 0.0), (torus_plan(), 0.5)):
+            p = dynamics.ModelParams(1.0, 1.0, sigma, forcing_at(plan, (1, 1), 1.0))
+            st = ops.zero_state(plan)
+            assert verification.energy_record(plan, st, p, 0.0).energy_residual == 0.0
+
     def test_anchored_envelopes_use_elapsed_time(self):
         plan = sphere_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
         st = mode_state(plan, (1, 0), 1.0)
-        r = verification.energy_record(plan, st, p, 3.0, anchor=(5.0, 8.0, 1.0))
+        anchor = verification.envelopes(plan, p, 5.0, 8.0, 1.0)
+        r = verification.energy_record(plan, st, p, 3.0, anchor)
         env1, env2 = verification.gronwall_envelopes(plan, 5.0, 8.0, 2.0, p)
         assert r.envelope1 == float(env1)
         assert r.envelope2 == float(env2)
@@ -99,8 +119,9 @@ class TestEnergyRecord:
             p = dynamics.ModelParams(0.7, 1.2, sigma, f)
             st = verification.probe_state(plan, rng)
             tend = dynamics.rhs_u(plan, st, p)
-            given = verification.energy_record(plan, st, p, 1.0, (2.0, 3.0, 0.5), tend=tend)
-            evaluated = verification.energy_record(plan, st, p, 1.0, (2.0, 3.0, 0.5))
+            anchor = verification.envelopes(plan, p, 2.0, 3.0, 0.5)
+            given = verification.energy_record(plan, st, p, 1.0, anchor, tend=tend)
+            evaluated = verification.energy_record(plan, st, p, 1.0, anchor)
             assert dataclasses.asdict(given) == dataclasses.asdict(evaluated)
 
 
