@@ -256,7 +256,7 @@ def cmd_simulate(args, spec):
     from . import dynamics as dyn
     from . import integrate, snapshot, verification
     from . import operators as ops
-    from .atomic import replacing
+    from .atomic import committing
     from .errors import ConfigurationError, DivergenceError
 
     plan = cfg.build_plan(spec)
@@ -309,38 +309,47 @@ def cmd_simulate(args, spec):
 
     envelopes = verification.envelopes(plan, params, *anchor)
     last, diverged = (t_start, state), None
-    with replacing(os.path.join(out, "diagnostics.csv")) as csv:
-        csv.write(_DIAG_HEADER + "\n")
+    # all three files are staged and then renamed in staging order:
+    # diagnostics.csv, the snapshot, and meta.json last, since it names both
+    with committing() as stage:
+        with open(stage(os.path.join(out, "diagnostics.csv")), "w",
+                  encoding="utf-8", newline="") as csv:
+            csv.write(_DIAG_HEADER + "\n")
 
-        def observe(t, st, tend):
-            record = verification.energy_record(plan, st, params, t, envelopes, tend)
-            csv.write(_diag_row(record, scheme.dt) + "\n")
+            def observe(t, st, tend):
+                record = verification.energy_record(plan, st, params, t, envelopes, tend)
+                csv.write(_diag_row(record, scheme.dt) + "\n")
 
-        # a zero-length run writes the header only and snapshots its start
-        if scheme.t_end > t_start:
-            try:
-                # only the latest sample is kept: it becomes the snapshot
-                for last in integrate.samples(
-                    plan, state, params, scheme, (observe,), t_start
-                ):
-                    pass
-            except DivergenceError as exc:
-                diverged = exc
+            # a zero-length run writes the header only and snapshots its start
+            if scheme.t_end > t_start:
+                try:
+                    # only the latest sample is kept: it becomes the snapshot
+                    for last in integrate.samples(
+                        plan, state, params, scheme, (observe,), t_start
+                    ):
+                        pass
+                except DivergenceError as exc:
+                    diverged = exc
 
-    # commit order: diagnostics.csv (above), the snapshot, then meta.json,
-    # which names both; the snapshot name meta does not give is removed
-    kept, stale = "final.bdna", "last_good.bdna"
-    if diverged is not None:
-        kept, stale = stale, kept
-    t_final, final_state = last
-    snapshot.save_snapshot(os.path.join(out, kept), plan, final_state, t_final, params)
-    meta["snapshot"] = kept
-    meta["t_final"] = t_final
-    if diverged is not None:
-        meta["diverged_at"] = diverged.t
-    _write_json(os.path.join(out, "meta.json"), meta)
+        kept, stale = "final.bdna", "last_good.bdna"
+        if diverged is not None:
+            kept, stale = stale, kept
+        t_final, final_state = last
+        snapshot.save_snapshot(
+            stage(os.path.join(out, kept)), plan, final_state, t_final, params
+        )
+        meta["snapshot"] = kept
+        meta["t_final"] = t_final
+        if diverged is not None:
+            meta["diverged_at"] = diverged.t
+        _write_json(stage(os.path.join(out, "meta.json")), meta)
+
+    # the snapshot name meta does not give is an earlier run's, unless this
+    # run resumed from it
+    stale = os.path.join(out, stale)
     try:
-        os.remove(os.path.join(out, stale))
+        if not (args.resume and os.path.samefile(stale, args.resume)):
+            os.remove(stale)
     except FileNotFoundError:
         pass
     if diverged is not None:

@@ -130,16 +130,22 @@ def _count_steps(span, dt, what):
     return n
 
 
-def _run_loop(psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, t_start):
+def _step_range(scheme, t_start):
+    """(base, n_steps): t_start and the run length in steps of scheme.dt."""
+    n_steps = _count_steps(scheme.t_end - t_start, scheme.dt, "t_end - t_start")
+    base = _count_steps(t_start, scheme.dt, "t_start") if t_start else 0
+    return base, n_steps
+
+
+def _run_loop(psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, steps):
     """Yield (t, state) at every sample, after that sample's observers ran.
 
     The one stepping loop: `run` and `run_prepared` collect it, a streaming
     caller keeps what it needs.  It holds the current stacked state and the
     sample it last made, never earlier ones, so its memory does not grow
-    with the run length.  The step count is checked at the first `next`.
+    with the run length.  `steps` is `_step_range`'s (base, n_steps).
     """
-    n_steps = _count_steps(scheme.t_end - t_start, scheme.dt, "t_end - t_start")
-    base = _count_steps(t_start, scheme.dt, "t_start") if t_start else 0
+    base, n_steps = steps
     e_full, e_half = e_pair
 
     def sample(k, psi, h):
@@ -179,11 +185,12 @@ def samples(plan, state, params, scheme, observers=(), t_start=0.0):
 
     Yields (t, state) at multiples of the stride and at the final step,
     each after its observers were called, and raises DivergenceError at
-    the first non-finite state.  Parameters are validated here; the step
-    count at the first `next`.  A caller that keeps only the latest sample
-    runs in memory independent of the run length.
+    the first non-finite state.  Parameters and the step count are checked
+    here, before the first sample.  A caller that keeps only the latest
+    sample runs in memory independent of the run length.
     """
     dyn.validate_params(plan, params)
+    steps = _step_range(scheme, t_start)
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(psi, h):
@@ -203,7 +210,7 @@ def samples(plan, state, params, scheme, observers=(), t_start=0.0):
         lambda p, h: ops.VelocityState(p[0].copy(), h[0].copy()),
         make_tend,
         observers,
-        t_start,
+        steps,
     )
 
 
@@ -228,6 +235,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     """
     # delegate validation of geometry / rho / sigma
     dyn.prepared_rhs(plan, vstate, params, rho)
+    steps = _step_range(scheme, t_start)
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(vpsi, h):
@@ -248,7 +256,7 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
         make_state,
         make_tend,
         observers,
-        t_start,
+        steps,
     )
     return Trajectory(list(loop))
 

@@ -159,12 +159,6 @@ def envelopes(plan, params, e1_0, e2_0, t0=0.0):
     return Envelopes(e1_0, e2_0, t0, rate1, rate2, level1, level2)
 
 
-def gronwall_envelopes(plan, e1_0, e2_0, t, params):
-    """Exponential majorants of E1 and E2 at elapsed time t (scalar or
-    array); see `envelopes`."""
-    return envelopes(plan, params, e1_0, e2_0).at(t)
-
-
 def envelope_flags(e1, env1, e2, env2, dt, slack=ENVELOPE_SLACK):
     """Whether E1 and E2 exceed their envelopes, as a pair; broadcasts.
 

@@ -242,6 +242,57 @@ class TestSimulate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["snapshot"] == "final.bdna" and "diverged_at" not in meta
 
+    def test_diverging_resume_keeps_its_source_snapshot(self, tmp_path, capsys):
+        # the sphere config that diverges at t=4, first run to t=2 only
+        doc = {
+            "geometry": "sphere",
+            "truncation": 21,
+            "nu": 1e-4,
+            "alpha": 0.01,
+            "seed": 0,
+            "forcing": {"modes": [[2, 1, 10.0 * math.sqrt(6.0)]]},
+            "initial": {"kind": "random", "slope": 2.0, "energy": 1e4},
+            "scheme": {"dt": 0.5, "t_end": 2.0, "stride": 1, "method": "if-euler"},
+        }
+        out = tmp_path / "run"
+        short = write_config(tmp_path, doc, "short.json")
+        assert cli.main(["simulate", "--config", short, "--out", str(out)]) == 0
+        source = (out / "final.bdna").read_bytes()
+        doc["scheme"]["t_end"] = 200.0
+        long = write_config(tmp_path, doc, "long.json")
+        argv = ["simulate", "--config", long, "--resume", str(out / "final.bdna"), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "last_good.bdna" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == [
+            "diagnostics.csv", "final.bdna", "last_good.bdna", "meta.json"
+        ]
+        assert (out / "final.bdna").read_bytes() == source
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["snapshot"] == "last_good.bdna"
+        assert snapshot.load_snapshot(str(out / "last_good.bdna")).t == meta["t_final"]
+
+    def test_interrupt_while_committing_leaves_earlier_run_untouched(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = write_config(tmp_path, forced_doc())
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        names = ["diagnostics.csv", "final.bdna", "meta.json"]
+        before = {name: (out / name).read_bytes() for name in names}
+        other_config = write_config(tmp_path, forced_doc(seed=12), "other.json")
+        # each writer completes its staged file, then the interrupt arrives
+        for owner, attr in ((snapshot, "save_snapshot"), (cli, "_write_json")):
+            inner = getattr(owner, attr)
+
+            def interrupted(*args, inner=inner):
+                inner(*args)
+                raise KeyboardInterrupt
+
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, attr, interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(["simulate", "--config", other_config, "--out", str(out)])
+            assert sorted(os.listdir(out)) == names  # no partial file is left
+            assert {name: (out / name).read_bytes() for name in names} == before
+
     def test_interrupt_leaves_earlier_run_untouched(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         config = write_config(tmp_path, forced_doc())

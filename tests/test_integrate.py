@@ -161,6 +161,14 @@ class TestSamplesGenerator:
         for k, (t, _) in enumerate(gen, start=1):
             assert len(calls) == k and calls[-1] == t
 
+    def test_step_count_checked_at_call(self):
+        plan, params = forced_torus()
+        st = ops.random_state(plan, seed=13)
+        with pytest.raises(ConfigurationError):
+            ti.samples(plan, st, params, ti.SchemeConfig(dt=0.1, t_end=0.25))
+        with pytest.raises(ConfigurationError):
+            ti.samples(plan, st, params, ti.SchemeConfig(dt=0.1, t_end=0.5), t_start=0.05)
+
     def test_divergence_follows_the_last_yield(self):
         plan = basis.build_plan(basis.torus(2 * np.pi), 8)
         big = ops.random_state(plan, seed=3, e1=1e8, alpha=1e-4)

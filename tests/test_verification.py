@@ -106,9 +106,9 @@ class TestEnergyRecord:
         st = mode_state(plan, (1, 0), 1.0)
         anchor = verification.envelopes(plan, p, 5.0, 8.0, 1.0)
         r = verification.energy_record(plan, st, p, 3.0, anchor)
-        env1, env2 = verification.gronwall_envelopes(plan, 5.0, 8.0, 2.0, p)
-        assert r.envelope1 == float(env1)
-        assert r.envelope2 == float(env2)
+        # unforced sphere: both envelopes decay at nu lambda_1 = 2 over t - t0 = 2
+        assert r.envelope1 == 5.0 * np.exp(-4.0)
+        assert r.envelope2 == 8.0 * np.exp(-4.0)
 
 
     def test_given_tendency_matches_evaluated_one(self):
@@ -129,7 +129,7 @@ class TestGronwallEnvelopes:
     def test_zero_elapsed_returns_anchor(self):
         plan = sphere_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, forcing_at(plan, (1, 0), 1.0))
-        env1, env2 = verification.gronwall_envelopes(plan, 4.0, 9.0, 0.0, p)
+        env1, env2 = verification.envelopes(plan, p, 4.0, 9.0).at(0.0)
         assert env1 == 4.0
         assert env2 == 9.0
 
@@ -139,7 +139,7 @@ class TestGronwallEnvelopes:
         f = forcing_at(plan, (2, 1), 1.5)
         p = dynamics.ModelParams(0.8, 1.1, 0.0, f)
         n = bounds.forcing_norms(plan, f)
-        env1, env2 = verification.gronwall_envelopes(plan, 10.0, 10.0, 1e6, p)
+        env1, env2 = verification.envelopes(plan, p, 10.0, 10.0).at(1e6)
         want1 = n.f1_inv**2 / (0.8**2 * 1.1**2 * 2.0)
         want2 = n.f1_half_inv**2 / (0.8**2 * 1.1**2 * 2.0)
         assert abs(env1 - want1) < 1e-12 * want1
@@ -150,7 +150,7 @@ class TestGronwallEnvelopes:
         f = forcing_at(plan, (1, 0), 1.0)
         p = dynamics.ModelParams(0.5, 1.0, 0.4, f)
         c = bounds.constants(plan, p)
-        env1, env2 = verification.gronwall_envelopes(plan, 1.0, 1.0, 1e7, p)
+        env1, env2 = verification.envelopes(plan, p, 1.0, 1.0).at(1e7)
         assert abs(env1 - c.l1 / c.delta) < 1e-12 * env1
         assert abs(env2 - 2.0 * c.l2 / c.delta_prime) < 1e-12 * env2
 
@@ -159,7 +159,7 @@ class TestGronwallEnvelopes:
         p = dynamics.ModelParams(1.0, 1.0, 0.5, dynamics.zero_forcing(plan))
         c = bounds.constants(plan, p)
         t = np.array([0.0, 0.5, 2.0])
-        env1, env2 = verification.gronwall_envelopes(plan, 3.0, 7.0, t, p)
+        env1, env2 = verification.envelopes(plan, p, 3.0, 7.0).at(t)
         assert np.allclose(env1, 3.0 * np.exp(-c.delta * t), rtol=1e-15)
         assert np.allclose(env2, 7.0 * np.exp(-c.delta_prime * t), rtol=1e-15)
         assert env1.shape == t.shape
@@ -168,7 +168,7 @@ class TestGronwallEnvelopes:
         plan = torus_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
         with pytest.raises(ConfigurationError):
-            verification.gronwall_envelopes(plan, 1.0, 1.0, 1.0, p)
+            verification.envelopes(plan, p, 1.0, 1.0)
 
 
 class TestCheckTrajectory:
