@@ -33,13 +33,17 @@ Torus
     the smallest fast even length >= 3*truncation + 1, the sphere's nlon rule
     (the 3/2 rule, Orszag 1971, J. Atmos. Sci. 28): products of two retained
     fields analyze onto every retained mode without aliasing, so all modes
-    are active and no band mask is needed.  Coefficients pack straight into
-    the half spectrum of a real 2-d FFT, one per transform: rfft2 forward,
-    and inverse its two axis passes, ifft then irfft, since np.fft.irfft2
-    allocates the first pass and ignores `out`.  Each nonzero lattice vector q labels one real basis
-    function: cos for q in the right half-plane (q1 > 0, or q1 == 0 and
-    q2 > 0), sin(2 pi k.x/L) with k = -q otherwise.  Slot order is
-    (|q|^2, q1, q2) lexicographic.
+    are active and no band mask is needed.  Coefficients pack into the
+    half spectrum of a real 2-d FFT, one per transform, run as its two axis
+    passes: forward rfft then fft, inverse ifft then irfft.  Only the
+    truncation + 1 columns k2 <= truncation hold modes, and the k1 pass
+    runs over those alone, rounded up to an even count (18 of 26 columns at
+    truncation 16).  The spectral multipliers of the flow synthesis are
+    applied to the packed values, and w . Z of the flow analysis to the
+    slots it reads, not to whole spectra.
+    Each nonzero lattice vector q labels one real basis function: cos for q
+    in the right half-plane (q1 > 0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L)
+    with k = -q otherwise.  Slot order is (|q|^2, q1, q2) lexicographic.
 
 Each geometry implements four transforms.  `synthesize` and `analyze` take
 scalar coefficients to grid values and back by quadrature.  The flow pair
@@ -58,8 +62,9 @@ Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the gathered Legendre rows,
     the Legendre sums and the zero-padded half spectra (sphere), the packed
-    and flow spectra (torus), and, for the right-hand side in `dynamics`,
-    the vorticity/gradient grid stack and the product field g.  The FFTs
+    values, mode spectra and half spectra (torus), and, for the right-hand
+    side in `dynamics`, the vorticity/gradient grid stack and the product
+    field g.  The FFTs
     and matmuls write into them with out=, so stepping a batch allocates no
     large temporaries; freed ones would be trimmed off the heap top and
     faulted back in by the next call.  The rules:
@@ -71,11 +76,11 @@ Workspaces
       thread;
     - returned arrays are never views of a workspace buffer, except the
       grids `flow_synthesis` writes into an `out` its caller passes;
-    - size: 3.5 MB for one row at sphere L=85 and 4.2 MB at torus K=64
-      (0.23 MB at L=21, 0.28 MB at K=16), about linear in the row count
+    - size: 3.5 MB for one row at sphere L=85 and 4.1 MB at torus K=64
+      (0.23 MB at L=21, 0.27 MB at K=16), about linear in the row count
       (38 MB for 9 rows at L=85, 29 MB for 7 rows at K=64); a sphere
-      unfold and fold borrow the spectrum buffer of the other direction
-      instead of a buffer of their own.
+      unfold and fold, and a torus pack, borrow the spectrum buffer of the
+      other direction instead of a buffer of their own.
 """
 
 from __future__ import annotations
@@ -542,15 +547,30 @@ def _fast_even(n):
 class _TorusCore:
     """Half-spectrum FFT bookkeeping for one torus truncation.
 
-    Coefficients pack straight into the (N, N // 2 + 1) spectrum of numpy's
-    real 2-d FFT.  The wavevector k of each cos/sin pair (k in the right
+    Coefficients live in the (N, N // 2 + 1) half spectrum of numpy's real
+    2-d FFT.  The wavevector k of each cos/sin pair (k in the right
     half-plane) sits at bin (k1 mod N, k2) when k2 >= 0 and, conjugated, at
     (-k1 mod N, -k2) when k2 < 0; the k2 = 0 column holds both +k1 and its
-    conjugate at -k1, since irfft2 treats that column as a full complex
-    one.  Every transform, the fused flow transforms included, is one real
-    2-d FFT over all stacked fields (`_irfft2` for the inverse); packing and unpacking are one
-    scatter or gather on the spectrum viewed as interleaved (re, im), with
-    the sign of the imaginary part flipped for conjugated bins.
+    conjugate at -k1, since the k1 pass treats that column as a full complex
+    one.  Only the K + 1 columns k2 <= K hold modes, so each 2-d FFT runs as
+    its two axis passes with the k1 pass over the first C columns alone, C
+    being K + 1 rounded up to even: the inverse is ifft along k1 from the
+    (B, F, N, C) mode spectra into the first C columns of the half spectra,
+    then irfft; the forward is rfft, then fft along k1 in place on the first
+    C columns.  (With an odd column count numpy's FFT also runs its code for
+    a lone last column, 0.13 MB more resident pages in every process.)
+    Every transform, the fused flow transforms included, is one such pair
+    over all stacked fields.
+
+    Packing is one take of the coefficients, a multiply by the pack scale
+    (the sign of the imaginary part flipped for conjugated bins) and one
+    scatter into the mode spectrum viewed as interleaved (re, im).  The flow
+    synthesis multiplies the scaled values by the spectral multiplier of
+    vorticity, d/dx and d/dy at each destination, -|w|^2, i w1 and i w2,
+    before the scatter: a factor i w sends a real part to the imaginary one
+    times w and an imaginary part to the real one times -w.  Unpacking is one
+    take at each slot's bin; the flow analysis forms w . Z on the slots it
+    takes, not over the whole spectrum.
     """
 
     def __init__(self, kmax, length):
@@ -559,7 +579,7 @@ class _TorusCore:
         n = self.ngrid
         nh = n // 2 + 1
         self.shape = (n, n)
-        self.spec_shape = (n, nh)
+        self.ncols = 2 * (kmax // 2 + 1)
 
         qs = []
         for q1 in range(-kmax, kmax + 1):
@@ -577,42 +597,46 @@ class _TorusCore:
 
         q1, q2 = self.qvec[:, 0], self.qvec[:, 1]
         is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
-        # wavevector k of each slot's cos/sin pair, its bin, and -1 where the
-        # bin holds the conjugate
+        # wavevector k of each slot's cos/sin pair, its bin (row, col), the
+        # part the slot holds there (0 re, 1 im), and -1 where the bin holds
+        # the conjugate
         k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
         flip = k2 < 0
         sgn = np.where(flip, -1.0, 1.0)
-        pos = (np.where(flip, -k1, k1) % n) * nh + np.abs(k2)
-        re, im = 2 * pos, 2 * pos + 1
+        row, col = np.where(flip, -k1, k1) % n, np.abs(k2)
+        part = np.where(is_cos, 0, 1)
 
         amp = math.sqrt(2.0) / length
         # a amp cos(2 pi k.x / L) + b amp sin(...) has bin value (N^2 amp / 2)(a - i b)
         a = 0.5 * n * n * amp
         mirror = np.nonzero(is_cos & (k2 == 0))[0]
-        mirror_pos = (-k1[mirror] % n) * nh
         sin_of = np.array([self.slot_of[(-int(x), -int(y))] for x, y in self.qvec[mirror]])
-        self.pack_dst = np.concatenate(
-            (np.where(is_cos, re, im), 2 * mirror_pos, 2 * mirror_pos + 1)
-        )
         self.pack_src = np.concatenate((np.arange(self.n_modes), mirror, sin_of))
-        self.pack_scale = np.concatenate(
-            (np.where(is_cos, a, -sgn * a), np.full(mirror.size, a), np.full(mirror.size, a))
-        )
-        # quadrature weight times the normalization, per slot
-        c = amp * length**2 / (n * n)
-        self.ana_idx = np.where(is_cos, re, im)
-        self.ana_scale = np.where(is_cos, c, -sgn * c)
-        # gradient adjoint: the cos slot reads Im, the sin slot Re of w.Z
-        self.grad_idx = np.where(is_cos, im, re)
-        self.split_scale = -np.where(is_cos, c, sgn * c) / self.lam
-
+        self.pack_scale = np.concatenate((np.where(is_cos, a, -sgn * a), np.full(2 * mirror.size, a)))
+        # bin and part of each packed value (the mirrored ones at -k1), and
+        # its interleaved offsets in the (3, N, C) mode spectra of
+        # (vorticity, d/dx, d/dy); offset row 0 alone is the scalar synthesis
+        to_row, to_col, to_part = row[self.pack_src], col[self.pack_src], part[self.pack_src]
+        to_row[self.n_modes :] = -to_row[self.n_modes :] % n
+        at = 2 * (to_row * self.ncols + to_col)
+        stride = 2 * n * self.ncols
+        self.pack_dst = np.stack((at + to_part, at + stride + 1 - to_part, at + 2 * stride + 1 - to_part))
         w = 2.0 * np.pi / length
-        self.w1 = (w * np.fft.fftfreq(n, d=1.0 / n))[:, None]
-        self.w2 = (w * np.arange(nh))[None, :]
-        # spectral multipliers of (vorticity, d/dx, d/dy) of a streamfunction
-        self.flow_mul = np.stack(
-            np.broadcast_arrays(-(self.w1**2 + self.w2**2), 1j * self.w1, 1j * self.w2)
-        )
+        w1, w2 = (w * np.fft.fftfreq(n, d=1.0 / n))[to_row], (w * np.arange(nh))[to_col]
+        turn = 1 - 2 * to_part
+        self.pack_mul = np.stack((-(w1**2 + w2**2), turn * w1, turn * w2))
+
+        # slots read from the (N, N // 2 + 1) half spectrum as interleaved
+        # (re, im), times the quadrature weight and normalization
+        c = amp * length**2 / (n * n)
+        at = 2 * (row * nh + col)
+        self.ana_idx = at + part
+        self.ana_scale = np.where(is_cos, c, -sgn * c)
+        # gradient adjoint: the cos slot reads Im, the sin slot Re of w . Z,
+        # Z the spectra of n x g = (-g_y, g_x), so w2 multiplies Z_x and -w1 Z_y
+        self.grad_idx = at + 1 - part
+        self.grad_w = np.stack((w2[: self.n_modes], -w1[: self.n_modes]))
+        self.split_scale = -np.where(is_cos, c, sgn * c) / self.lam
         self.qw = np.full((n, n), (length / n) ** 2)
 
         self._work = {}
@@ -624,68 +648,81 @@ class _TorusCore:
     def workspace(self, b):
         return _cached_workspace(self._work, b, lambda: _TorusWork(self, b))
 
-    def _spectrum(self, ws, coeffs):
-        """Half spectra (B, N, N // 2 + 1) of coefficient rows, in ws.flat."""
-        vals = np.take(coeffs, self.pack_src, axis=-1, out=ws.packed, mode="clip")
-        ws.flat[:, self.pack_dst] = np.multiply(vals, self.pack_scale, out=vals)
-        return ws.flat.view(np.complex128).reshape((len(coeffs),) + self.spec_shape)
+    def _pack(self, ws, coeffs, fields):
+        """Scatter coefficient rows into ws.modes: the scalar synthesis
+        (fields 1) or the spectra of vorticity, d/dx and d/dy (fields 3)."""
+        vals = np.take(coeffs, self.pack_src, axis=-1, out=ws.vals, mode="clip")
+        np.multiply(vals, self.pack_scale, out=vals)
+        if fields > 1:
+            vals = np.multiply(vals[:, None], self.pack_mul, out=ws.packed)
+        dst = self.pack_dst[:fields]
+        for b, row in enumerate(ws.modes_flat):
+            row[dst] = vals[b]
 
-    def _irfft2(self, spec, work, out=None):
-        """Inverse real 2-d FFT of spec, with its first pass written to work
-        (spec itself allowed): the two axis passes of np.fft.irfft2, which
-        would allocate that pass (and ignores `out`)."""
-        np.fft.ifft(spec, axis=-2, out=work)
-        return np.fft.irfft(work, n=self.shape[1], axis=-1, out=out)
+    def _inverse(self, modes, spec, out=None):
+        """Grids of the mode spectra: ifft along k1 into the first C
+        columns of spec, whose other columns stay zero, then irfft."""
+        np.fft.ifft(modes, axis=-2, out=spec[..., : self.ncols])
+        return np.fft.irfft(spec, n=self.shape[1], axis=-1, out=out)
 
-    def _unpack(self, spec, idx, scale):
-        """Slots of half spectra (B, N, N // 2 + 1), read at interleaved idx."""
-        flat = spec.reshape(len(spec), math.prod(self.spec_shape)).view(np.float64)
-        return flat[:, idx] * scale
+    def _forward(self, f, spec):
+        """Half spectra of f written to spec, the k1 pass on the first C columns only."""
+        z = np.fft.rfft(f, axis=-1, out=spec)
+        cols = z[..., : self.ncols]
+        np.fft.fft(cols, axis=-2, out=cols)
+        return z
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        return self._irfft2(self._spectrum(ws, coeffs), ws.flow[:, 0])
+        self._pack(ws, coeffs, 1)
+        return self._inverse(ws.modes[:, 0], ws.spec[:, 0])
 
     def analyze(self, f):
         ws = self.workspace(len(f))
-        return self._unpack(np.fft.rfft2(f, out=ws.zdot[0]), self.ana_idx, self.ana_scale)
+        self._forward(f, ws.zspec[:, 0])
+        return ws.zflat[:, 0, self.ana_idx] * self.ana_scale
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
-        spec = self._spectrum(ws, psi)[:, None]
-        spec = np.multiply(spec, self.flow_mul, out=ws.flow)
-        return self._irfft2(spec, spec, out)
+        self._pack(ws, psi, 3)
+        return self._inverse(ws.modes, ws.spec, out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
         # the pointwise rotation commutes with the FFT; the area mean is the DC bin
-        z = np.fft.rfft2(g, out=ws.spec_a)
+        z = self._forward(g, ws.zspec)
         mean = z[:, :, 0, 0].real / math.prod(self.shape)
-        # w . Z of n x g = (-g_y, g_x): negate one spectrum instead of rotating g
-        zdot = np.multiply(self.w1, np.negative(z[:, 1], out=z[:, 1]), out=ws.zdot[0])
-        np.add(zdot, np.multiply(self.w2, z[:, 0], out=ws.zdot[1]), out=zdot)
-        return self._unpack(zdot, self.grad_idx, self.split_scale), mean
+        parts = np.take(ws.zflat, self.grad_idx, axis=-1, out=ws.parts)
+        np.multiply(parts, self.grad_w, out=parts)
+        p = np.add(parts[:, 0], parts[:, 1])
+        return np.multiply(p, self.split_scale, out=p), mean
 
 
 class _TorusWork:
     """Reused buffers of one torus plan for B stacked fields.
 
-    flat is the packed half spectrum viewed as interleaved (re, im); the
-    bins no coefficient packs into are zeroed once and never written.
+    modes, the packed (B, 3, N, C) mode spectra, is written only by the
+    pack scatter, and spec, the (B, 3, N, N // 2 + 1) half spectra of the
+    inverse, only by the k1 pass into its first C columns, so the bins
+    no coefficient reaches stay zero from construction on.  The forward
+    half spectra zspec are a buffer of their own.  A pack borrows the head
+    of zspec for the scaled coefficients vals, and a flow analysis the head
+    of packed, the values of each field, for the slots parts it reads.
     """
 
     def __init__(self, core, b):
-        n, nh = core.spec_shape
-        self.packed = np.empty((b, core.pack_src.size))
-        self.flat = np.zeros((b, 2 * n * nh))
-        # spectra of (vorticity, d/dx, d/dy), their grids, and the product g
-        self.flow = np.empty((b, 3, n, nh), dtype=np.complex128)
+        n, nk, size = core.shape[0], core.ncols, core.pack_src.size
+        nh = n // 2 + 1
+        self.modes = np.zeros((b, 3, n, nk), dtype=np.complex128)
+        self.modes_flat = self.modes.reshape(b, 3 * n * nk).view(np.float64)
+        self.spec = np.zeros((b, 3, n, nh), dtype=np.complex128)
+        # grids of (vorticity, d/dx, d/dy), and the product g
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))
-        self.spec_a = np.empty((b, 2, n, nh), dtype=np.complex128)
-        # the two terms of w . Z in flow_analysis; [0] also takes the
-        # spectrum of a scalar analysis
-        self.zdot = np.empty((2, b, n, nh), dtype=np.complex128)
+        self.zspec = np.empty((b, 2, n, nh), dtype=np.complex128)
+        self.zflat = self.zspec.reshape(b, 2, n * nh).view(np.float64)
+        self.packed = np.empty((b, 3, size))
+        self.vals, self.parts = _head(self.zflat, (b, size)), _head(self.packed, (b, 2, core.n_modes))
 
 
 def _cached_workspace(cache, b, build):

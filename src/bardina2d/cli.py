@@ -729,9 +729,11 @@ def cmd_selftest(args):
                 snapshot.check_snapshot(snap, plan, params)
                 back = snapshot.as_state(snap)
                 same = bool(np.array_equal(back.psi, state.psi)) and snap.t == 1.25
-                blob = bytearray(open(path, "rb").read())
+                with open(path, "rb") as fh:
+                    blob = bytearray(fh.read())
                 blob[-10] ^= 0x01  # flip one payload byte
-                open(path, "wb").write(bytes(blob))
+                with open(path, "wb") as fh:
+                    fh.write(bytes(blob))
                 try:
                     snapshot.load_snapshot(path)
                     caught = False

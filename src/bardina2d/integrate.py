@@ -154,14 +154,16 @@ def _run_loop(psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, 
         t = (base + k) * scheme.dt
         st = make_state(psi, h)
         first = None
-        if k < n_steps or observers:
-            # the first stage of the next step, under that step's errstate
-            with np.errstate(over="ignore", invalid="ignore"):
+        # the steps' errstate: a finite state near overflow overflows in the
+        # first stage of the next step and in the observers' norms too, and
+        # surfaces as a NaN residual and the next step's DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k < n_steps or observers:
                 first = rem_fn(psi, h)
-        if observers:
-            tend = make_tend(psi, first)
-            for obs in observers:
-                obs(t, st, tend)
+            if observers:
+                tend = make_tend(psi, first)
+                for obs in observers:
+                    obs(t, st, tend)
         return t, st, first
 
     t, st, first = sample(0, psi, h)

@@ -421,6 +421,31 @@ class TestWorkspaces:
             # the two most recent batch sizes are kept
             assert sorted(plan.core._work) == [6, 7]
 
+    @pytest.mark.parametrize("kmax", [7, 8])
+    def test_torus_unwritten_bins_stay_zero(self, kmax):
+        # the torus inverse reads spectrum bins that no pack writes and
+        # relies on them being zero; interleaved transforms on one plan must
+        # give what each gives on a plan of its own
+        geometry = basis.torus(2 * np.pi)
+        plan = basis.build_plan(geometry, kmax)
+        rng = np.random.default_rng(32 + kmax)
+        row_shape = {
+            "synthesize": (plan.n_modes,),
+            "analyze": plan.grid_shape,
+            "flow_synthesis": (plan.n_modes,),
+            "flow_analysis": (2,) + plan.grid_shape,
+        }
+        schedule = [(rows, name) for rows in (0, 1, 7) for name in row_shape]
+        schedule += [(rows, name) for name in row_shape for rows in (1, 7)]
+        for rows, name in 2 * schedule:
+            x = rng.standard_normal((rows,) + row_shape[name])
+            fn = getattr(basis, name)
+            got = fn(plan, x)
+            want = fn(basis.build_plan(geometry, kmax), x)
+            got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (rows, name)
+
     def test_flow_synthesis_out_is_checked_and_filled(self):
         for plan in plans():
             psi = np.random.default_rng(31).standard_normal((2, plan.n_modes))

@@ -450,23 +450,60 @@ class _AllocatingRemainder:
         blocks = rows.transpose(0, 1, 3, 2) @ c.table[..., nh:].transpose(0, 1, 3, 2)
         return self._scatter(blocks, b, c.flow_scale), np.zeros((b, 0))
 
-    # torus
+    # torus: bins, scales and multipliers derived here from the lattice
+    # vectors, the period and the grid alone, packed into the full half
+    # spectrum and transformed by numpy's whole 2-d real FFTs
+    def _torus_bins(self):
+        """Per slot: cos (or sin) member, conjugated bin, and bin (row, col).
+
+        Slot q labels cos(2 pi q.x / L) for q in the right half-plane and
+        sin(2 pi k.x / L), k = -q, otherwise; the pair's k sits at bin
+        (k1 mod N, k2), or conjugated at (-k1 mod N, -k2) when k2 < 0.
+        """
+        n = self.core.shape[0]
+        q1, q2 = self.core.qvec[:, 0], self.core.qvec[:, 1]
+        cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
+        k1, k2 = np.where(cos, q1, -q1), np.where(cos, q2, -q2)
+        conj = k2 < 0
+        return cos, conj, np.where(conj, -k1, k1) % n, np.abs(k2)
+
+    def _torus_wavenumbers(self):
+        n, w = self.core.shape[0], 2.0 * np.pi / self.core.length
+        return (w * np.fft.fftfreq(n, d=1.0 / n))[:, None], (w * np.arange(n // 2 + 1))[None, :]
+
     def _torus_synthesis(self, psi):
         c = self.core
-        spec = np.zeros(psi.shape[:-1] + (2 * math.prod(c.spec_shape),))
-        spec[..., c.pack_dst] = psi[..., c.pack_src] * c.pack_scale
-        spec = spec.view(np.complex128).reshape(psi.shape[:-1] + c.spec_shape)
-        grids = np.fft.irfft2(spec[..., None, :, :] * c.flow_mul, s=c.shape)
+        n = c.shape[0]
+        amp = math.sqrt(2.0) / c.length  # amplitude of a unit-norm cos or sin
+        a = 0.5 * n * n * amp  # its bin value
+        cos, conj, row, col = self._torus_bins()
+        sin = ~cos
+        spec = np.zeros((len(psi), n, n // 2 + 1), dtype=np.complex128)
+        spec.real[:, row[cos], col[cos]] = psi[:, cos] * a
+        spec.imag[:, row[sin], col[sin]] = psi[:, sin] * np.where(conj[sin], a, -a)
+        # the k2 = 0 column also holds the conjugate of each pair at -k1
+        edge = col == 0
+        spec.real[:, -c.qvec[cos & edge, 0] % n, 0] = psi[:, cos & edge] * a
+        spec.imag[:, c.qvec[sin & edge, 0] % n, 0] = psi[:, sin & edge] * a
+        w1, w2 = self._torus_wavenumbers()
+        mul = np.stack(np.broadcast_arrays(-(w1**2 + w2**2), 1j * w1, 1j * w2))
+        grids = np.fft.irfft2(spec[:, None] * mul, s=c.shape)
         return grids[..., 0, :, :], grids[..., 1:, :, :]
 
     def _torus_analysis(self, g):
         c = self.core
+        n = c.shape[0]
         z = np.fft.rfft2(g)
         mean = z[..., 0, 0].real / math.prod(c.shape)
         z = _rot90(z)
-        zdot = c.w1 * z[..., 0, :, :] + c.w2 * z[..., 1, :, :]
-        flat = zdot.reshape(zdot.shape[:-2] + (-1,)).view(np.float64)
-        return flat[..., c.grad_idx] * c.split_scale, mean
+        w1, w2 = self._torus_wavenumbers()
+        zdot = w1 * z[..., 0, :, :] + w2 * z[..., 1, :, :]
+        cos, conj, row, col = self._torus_bins()
+        at = zdot[:, row, col]
+        amp = math.sqrt(2.0) / c.length
+        quad = amp * c.length**2 / (n * n)  # amplitude times quadrature weight
+        scale = -np.where(cos, quad, np.where(conj, -quad, quad)) / self.plan.lam
+        return np.where(cos, at.imag, at.real) * scale, mean
 
     def remainder_u(self, psis, hs, params, fstate):
         plan = self.plan
@@ -555,8 +592,9 @@ class TestWorkspaceKernel:
 
 class TestTransformPasses:
     """One torus right-hand side is one inverse and one forward real 2-d FFT,
-    each over all stacked fields; the inverse is called as its two axis
-    passes, ifft then irfft, so that both write into the plan workspace."""
+    each over all stacked fields and each called as its two axis passes, so
+    that the k1 pass runs over the spectral columns that hold modes only:
+    ifft then irfft, rfft then fft."""
 
     NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
@@ -583,13 +621,13 @@ class TestTransformPasses:
         state = ops.VelocityState(psis[0], hs[0])
         calls = self._count_ffts(monkeypatch)
         dyn._remainder_u(plan, psis[:1], hs[:1], params, fstate)
-        assert calls == ["ifft", "irfft", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft", "fft"]
         del calls[:]
         dyn._remainder_u(plan, psis, hs, params, fstate)
-        assert calls == ["ifft", "irfft", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft", "fft"]
         del calls[:]
         dyn.rhs_u(plan, state, params)
-        assert calls == ["ifft", "irfft", "rfft2"]
+        assert calls == ["ifft", "irfft", "rfft", "fft"]
 
     def test_torus_trilinear_form_makes_one_synthesis(self, monkeypatch):
         # b(u, v, w) takes the grids of all three states from one flow synthesis
