@@ -22,7 +22,7 @@ import numpy as np
 from . import basis, dynamics, integrate, lyapunov, operators as ops
 from .errors import ConfigurationError, IndexRangeError
 
-SWEEP_KEYS = ("nu", "alpha", "sigma")
+SWEEP_KEYS = dynamics.MODEL_PARAMS
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,13 @@ def _get_int(obj, key, path, default=None, minimum=None):
         _fail(f"{path}{key}", f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{path}{key}", f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_param(kind, key, value, path):
+    why = dynamics.param_error(kind, key, value)
+    if why:
+        _fail(path, why)
     return value
 
 
@@ -202,7 +209,7 @@ def _parse_lyapunov(obj, top_seed):
         raise ConfigurationError(msg if msg.startswith("lyapunov") else f"lyapunov: {msg}") from exc
 
 
-def _parse_sweep(obj):
+def _parse_sweep(obj, kind):
     if obj is None:
         return None
     _reject_unknown(obj, {"key", "values"}, "sweep")
@@ -216,7 +223,7 @@ def _parse_sweep(obj):
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             _fail(f"sweep.values[{i}]", f"expected a number, got {v!r}")
-        out.append(float(v))
+        out.append(_check_param(kind, key, float(v), f"sweep.values[{i}]"))
     return (key, tuple(out))
 
 
@@ -257,11 +264,9 @@ def parse_config(text):
             _fail("length", "only valid with torus geometry")
         geometry = basis.sphere()
     truncation = _get_int(raw, "truncation", "", minimum=1)
-    nu = _get_number(raw, "nu", "", minimum=0.0, strict_min=True)
-    alpha = _get_number(raw, "alpha", "", minimum=0.0, strict_min=True)
-    sigma = _get_number(raw, "sigma", "", default=0.0, minimum=0.0)
-    if kind == basis.TORUS and sigma == 0.0:
-        _fail("sigma", "must be positive on the torus (harmonic drag)")
+    nu = _check_param(kind, "nu", _get_number(raw, "nu", ""), "nu")
+    alpha = _check_param(kind, "alpha", _get_number(raw, "alpha", ""), "alpha")
+    sigma = _check_param(kind, "sigma", _get_number(raw, "sigma", "", default=0.0), "sigma")
     seed = raw.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         _fail("seed", f"expected an integer, got {seed!r}")
@@ -282,7 +287,7 @@ def parse_config(text):
         lyapunov=_parse_lyapunov(raw.get("lyapunov"), seed),
         seed=seed,
         out=out,
-        sweep=_parse_sweep(raw.get("sweep")),
+        sweep=_parse_sweep(raw.get("sweep"), kind),
     )
 
 

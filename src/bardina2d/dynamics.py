@@ -78,19 +78,26 @@ def forcing_state(plan, forcing):
     return ops.VelocityState(-forcing.f1_curl / plan.lam, forcing.f2.copy())
 
 
+MODEL_PARAMS = ("nu", "alpha", "sigma")
+
+
+def param_error(kind, key, value):
+    """Why model parameter `key` may not be `value` on geometry `kind`, or None.
+
+    nu and alpha must be positive.  sigma must be nonnegative, and positive
+    on the torus, where it alone damps the harmonic component.
+    """
+    if key == "sigma" and kind != basis.TORUS:
+        return None if value >= 0.0 else f"must be nonnegative, got {value}"
+    return None if value > 0.0 else f"must be positive, got {value}"
+
+
 def validate_params(plan, params):
     """Parameter sanity shared by integrators, envelopes, and the CLI."""
-    if not params.nu > 0.0:
-        raise ConfigurationError(f"nu must be positive, got {params.nu}")
-    if not params.alpha > 0.0:
-        raise ConfigurationError(f"alpha must be positive, got {params.alpha}")
-    if params.sigma < 0.0:
-        raise ConfigurationError(f"sigma must be nonnegative, got {params.sigma}")
-    if plan.geometry.kind == basis.TORUS and not params.sigma > 0.0:
-        raise ConfigurationError(
-            "sigma must be positive on the torus; the harmonic component is "
-            "otherwise undamped"
-        )
+    for key in MODEL_PARAMS:
+        why = param_error(plan.geometry.kind, key, getattr(params, key))
+        if why:
+            raise ConfigurationError(f"{key} {why}")
     forcing_state(plan, params.forcing)
 
 
@@ -172,12 +179,13 @@ def cutoff_theta(x):
     return out if out.ndim else float(out)
 
 
-def _remainder_prepared(plan, vpsi, params, rho, fstate):
-    upsi = vpsi / (1.0 + params.alpha**2 * plan.lam)
-    split = nonlinear_term(plan, ops.VelocityState(upsi, np.zeros(0)))
-    nv = float(np.sqrt(np.dot(plan.lam * vpsi, vpsi)))
+def _remainder_prepared(plan, vpsis, params, rho, fstate):
+    """Non-stiff tendency of the prepared equation on a one-row stack."""
+    upsis = vpsis / (1.0 + params.alpha**2 * plan.lam)
+    p, _ = _nonlinearity(plan, upsis, np.zeros((1, 0)))
+    nv = float(np.sqrt(np.dot(plan.lam * vpsis[0], vpsis[0])))
     th = cutoff_theta(nv / rho)
-    return -th * (split.p_part - fstate.psi)
+    return -th * (p - fstate.psi)
 
 
 def prepared_rhs(plan, vstate, params, rho):
@@ -192,5 +200,5 @@ def prepared_rhs(plan, vstate, params, rho):
     if params.sigma != 0.0:
         raise ConfigurationError("the prepared equation carries no drag; set sigma = 0")
     fstate = forcing_state(plan, params.forcing)
-    dpsi = _remainder_prepared(plan, vstate.psi, params, rho, fstate)
+    dpsi = _remainder_prepared(plan, vstate.psi[None], params, rho, fstate)[0]
     return ops.VelocityState(dpsi - params.nu * plan.lam * vstate.psi, np.zeros(0))

@@ -13,12 +13,14 @@ The harmonic component carries no stiff part and is stepped with the same
 rule using its full tendency.  Step size is fixed; a run either completes
 or raises DivergenceError at the first non-finite state.
 
-Samples are the states at multiples of the observer stride and at the
-final step.  `samples` yields them one at a time as the run makes them, so
-a caller that keeps only the latest (the CLI's `simulate`) runs in memory
-that does not grow with the run length; `run` collects them into a
-`Trajectory`.  Both come from one stepping loop and give the same states
-bit for bit.
+One loop, `_run_loop`, makes every step and is the one place a divergence
+is caught.  It steps stacked rows (row 0 the state, rows 1.. any tangents)
+and yields the live rows at each sample; a caller may change them in place
+before the next step, which is how lyapunov.benettin_run renormalizes its
+tangents.  `samples` yields a one-row run's samples one at a time, so a
+caller that keeps only the latest (the CLI's `simulate`) runs in memory
+that does not grow with the run length; `run` and `run_prepared` collect
+them into a `Trajectory`.
 
 Observers are called as obs(t, state, tend) at every sample, before it is
 yielded, where `tend` is the full tendency of `state` (what dynamics.rhs_u
@@ -107,20 +109,6 @@ def decay_factors(plan, nu, dt):
     return np.exp(-dt * r), np.exp(-0.5 * dt * r)
 
 
-def step(plan, state, params, scheme):
-    """Advance one state by a single step of the configured scheme."""
-    fstate = dyn.forcing_state(plan, params.forcing)
-    e_full, e_half = decay_factors(plan, params.nu, scheme.dt)
-
-    def rem(psi, h):
-        return dyn._remainder_u(plan, psi, h, params, fstate)
-
-    psi, h = step_pair(
-        state.psi[None], state.harmonic[None], scheme.dt, e_full, e_half, rem, scheme.method
-    )
-    return ops.VelocityState(psi[0], h[0])
-
-
 def _count_steps(span, dt, what):
     n = int(round(span / dt))
     if abs(n * dt - span) > 1e-9 * max(dt, abs(span)):
@@ -133,53 +121,74 @@ def _count_steps(span, dt, what):
 def _step_range(scheme, t_start):
     """(base, n_steps): t_start and the run length in steps of scheme.dt."""
     n_steps = _count_steps(scheme.t_end - t_start, scheme.dt, "t_end - t_start")
-    base = _count_steps(t_start, scheme.dt, "t_start") if t_start else 0
-    return base, n_steps
+    return _count_steps(t_start, scheme.dt, "t_start"), n_steps
 
 
-def _run_loop(psi, h, scheme, rem_fn, e_pair, make_state, make_tend, observers, steps):
-    """Yield (t, state) at every sample, after that sample's observers ran.
+# the steps' errstate: a finite state near overflow overflows in a stage of
+# the next step and surfaces as its DivergenceError, not as a warning
+_STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
-    The one stepping loop: `run` and `run_prepared` collect it, a streaming
-    caller keeps what it needs.  It holds the current stacked state and the
-    sample it last made, never earlier ones, so its memory does not grow
-    with the run length.  `steps` is `_step_range`'s (base, n_steps).
+
+def _run_loop(psis, hs, rem, decay, scheme, steps):
+    """Yield (t, psis, hs, first) at every sample of the stacked rows psis/hs.
+
+    Samples are made at multiples of scheme.stride and at the final step;
+    `steps` is `_step_range`'s (base, n_steps).  psis/hs are the live rows.
+    `first()` evaluates rem(psis, hs) once, and the next step reuses it as
+    its first stage.  A caller may change the rows in place before it calls
+    first(), or without calling it: the next step starts from the changed
+    rows.  Raises DivergenceError at the first non-finite state.
     """
     base, n_steps = steps
-    e_full, e_half = e_pair
+    e_full, e_half = decay
+    g1 = None
 
-    def sample(k, psi, h):
-        """(t, state, remainder) of state k; the remainder when a step or an
-        observer uses it.  The observers run here."""
-        t = (base + k) * scheme.dt
-        st = make_state(psi, h)
-        first = None
-        # the steps' errstate: a finite state near overflow overflows in the
-        # first stage of the next step and in the observers' norms too, and
-        # surfaces as a NaN residual and the next step's DivergenceError
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k < n_steps or observers:
-                first = rem_fn(psi, h)
-            if observers:
-                tend = make_tend(psi, first)
+    def first():
+        nonlocal g1
+        if g1 is None:
+            with np.errstate(**_STEP_ERRSTATE):
+                g1 = rem(psis, hs)
+        return g1
+
+    for k in range(n_steps + 1):
+        if k:
+            with np.errstate(**_STEP_ERRSTATE):
+                psis, hs = step_pair(
+                    psis, hs, scheme.dt, e_full, e_half, rem, scheme.method, g1
+                )
+            if not (np.all(np.isfinite(psis)) and np.all(np.isfinite(hs))):
+                raise DivergenceError((base + k) * scheme.dt)
+            g1 = None
+        if k % scheme.stride == 0 or k == n_steps:
+            yield (base + k) * scheme.dt, psis, hs, first
+
+
+def _one_row(plan, params, state, rem, scheme, steps, observers):
+    """Yield (t, state) for a one-row run, each sample a copy of the row.
+
+    Each sample's observers are called before it is yielded, with the full
+    tendency: the sample's first() plus the stiff term, added as
+    dynamics.rhs_u adds it.
+    """
+    loop = _run_loop(
+        state.psi[None].copy(),
+        state.harmonic[None].copy(),
+        rem,
+        decay_factors(plan, params.nu, scheme.dt),
+        scheme,
+        steps,
+    )
+    stiff = params.nu * plan.lam
+    for t, psis, hs, first in loop:
+        st = ops.VelocityState(psis[0].copy(), hs[0].copy())
+        if observers:
+            # near overflow the observers' norms overflow as the step does
+            with np.errstate(**_STEP_ERRSTATE):
+                dpsi, dh = first()
+                tend = ops.VelocityState(dpsi[0] - stiff * psis[0], dh[0])
                 for obs in observers:
                     obs(t, st, tend)
-        return t, st, first
-
-    t, st, first = sample(0, psi, h)
-    yield t, st
-    for k in range(1, n_steps + 1):
-        # overflow here surfaces as DivergenceError, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi, h = step_pair(
-                psi, h, scheme.dt, e_full, e_half, rem_fn, scheme.method, first
-            )
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(h))):
-            raise DivergenceError((base + k) * scheme.dt)
-        first = None
-        if k % scheme.stride == 0 or k == n_steps:
-            t, st, first = sample(k, psi, h)
-            yield t, st
+        yield t, st
 
 
 def samples(plan, state, params, scheme, observers=(), t_start=0.0):
@@ -198,22 +207,7 @@ def samples(plan, state, params, scheme, observers=(), t_start=0.0):
     def rem(psi, h):
         return dyn._remainder_u(plan, psi, h, params, fstate)
 
-    def make_tend(psi, first):
-        # the stiff term added as dynamics.rhs_u adds it
-        dpsi, dh = first
-        return ops.VelocityState(dpsi[0] - params.nu * plan.lam * psi[0], dh[0])
-
-    return _run_loop(
-        state.psi[None].copy(),
-        state.harmonic[None].copy(),
-        scheme,
-        rem,
-        decay_factors(plan, params.nu, scheme.dt),
-        lambda p, h: ops.VelocityState(p[0].copy(), h[0].copy()),
-        make_tend,
-        observers,
-        steps,
-    )
+    return _one_row(plan, params, state, rem, scheme, steps, observers)
 
 
 def run(plan, state, params, scheme, observers=(), t_start=0.0):
@@ -241,26 +235,10 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(vpsi, h):
-        return dyn._remainder_prepared(plan, vpsi, params, rho, fstate), h[:0]
+        return dyn._remainder_prepared(plan, vpsi, params, rho, fstate), np.zeros_like(h)
 
-    def make_state(p, h):
-        return ops.VelocityState(p.copy(), np.zeros(0))
-
-    def make_tend(p, first):
-        return ops.VelocityState(first[0] - params.nu * plan.lam * p, np.zeros(0))
-
-    loop = _run_loop(
-        vstate.psi.copy(),
-        np.zeros(0),
-        scheme,
-        rem,
-        decay_factors(plan, params.nu, scheme.dt),
-        make_state,
-        make_tend,
-        observers,
-        steps,
-    )
-    return Trajectory(list(loop))
+    state = ops.VelocityState(vstate.psi, np.zeros(0))
+    return Trajectory(list(_one_row(plan, params, state, rem, scheme, steps, observers)))
 
 
 def suggested_dt(plan, params, state=None, cap=0.05):

@@ -5,23 +5,26 @@ The ensemble machinery lives in the inner product
 metric of the filtered model: modewise weight lam (1 + alpha^2 lam) on
 streamfunction coefficients, the plain area weight on harmonic pairs.
 
-benettin_run co-integrates the base state with N tangent vectors through
-the same integrating-factor stepper used for single trajectories (the
-stacked rows share the -nu lam stiff part), renormalizing the ensemble by
-modified Gram-Schmidt at a fixed cadence.  Exponents are the time averages
-of the log scale factors after a transient discard; their partial sums
-estimate the trace of F' compressed to the leading N directions, the
-quantity the dimension bound N* controls.
+benettin_run co-integrates the base state with N tangent vectors as one
+stacked run of integrate's stepping loop (row 0 the base state, rows 1..
+the tangents; all share the -nu lam stiff part), so a trajectory and the
+ensemble are stepped, and their divergence caught, by the same code.  The
+loop yields the live rows every renormalization interval, and the ensemble
+is renormalized there in place by modified Gram-Schmidt; the next step
+starts from the renormalized rows.  Exponents are the time averages of the
+log scale factors after a transient discard; their partial sums estimate
+the trace of F' compressed to the leading N directions, the quantity the
+dimension bound N* controls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds, dynamics as dyn, integrate, operators as ops
-from .errors import ConfigurationError, DegenerateEnsembleError, DivergenceError
+from .errors import ConfigurationError, DegenerateEnsembleError
 
 DEGENERACY_FLOOR = 1e-300
 ORTHONORMALITY_TOL = 1e-12
@@ -63,8 +66,6 @@ class ExponentReport:
     nstar: float
     mu_series: np.ndarray | None = None  # running per-direction averages, row per renorm
     gs_min_scale: float = 1.0  # smallest scale factor of any renormalization
-    measured_crossing: int = -1
-    measured_le_analytic: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -172,59 +173,55 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     """
     dyn.validate_params(plan, params)
     _validate_ensemble_size(plan, config)
-    dt = scheme.dt
-    m = integrate._count_steps(config.renorm_interval, dt, "renorm_interval")
+    m = integrate._count_steps(config.renorm_interval, scheme.dt, "renorm_interval")
     if m < 1:
         raise ConfigurationError("renorm_interval must cover at least one step")
     n_av = integrate._count_steps(config.t_average, config.renorm_interval, "t_average")
     if n_av < 1:
         raise ConfigurationError("t_average must cover at least one renormalization")
-    if config.t_transient == 0.0:
-        n_tr = 0
-    else:
-        n_tr = integrate._count_steps(config.t_transient, config.renorm_interval, "t_transient")
+    n_tr = integrate._count_steps(config.t_transient, config.renorm_interval, "t_transient")
     n = config.n_ensemble
     rng = np.random.default_rng(config.seed)
     tps, ths = _initial_ensemble(plan, n, params.alpha, rng)
-    psis = np.concatenate([state.psi[None], tps])
-    hs = np.concatenate([state.harmonic[None], ths])
-    e_full, e_half = integrate.decay_factors(plan, params.nu, dt)
     fstate = dyn.forcing_state(plan, params.forcing)
 
     def rem(p, h):
         return dyn._remainder_u(plan, p, h, params, fstate)
 
+    loop = integrate._run_loop(
+        np.concatenate([state.psi[None], tps]),
+        np.concatenate([state.harmonic[None], ths]),
+        rem,
+        integrate.decay_factors(plan, params.nu, scheme.dt),
+        replace(scheme, stride=m),
+        (0, (n_tr + n_av) * m),
+    )
+    next(loop)  # the start, where the ensemble is orthonormal already
     logsum = np.zeros(n)
     t_series = np.zeros(n_av)
     q_series = np.zeros(n_av)
     mu_series = np.zeros((n_av, n))
     gs_min_scale = np.inf
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for interval in range(n_tr + n_av):
-            for _ in range(m):
-                psis, hs = integrate.step_pair(psis, hs, dt, e_full, e_half, rem, scheme.method)
-                step += 1
-                if not (np.isfinite(psis).all() and np.isfinite(hs).all()):
-                    raise DivergenceError(step * dt)
-            r = _orthonormalize_arrays(plan, psis[1:], hs[1:], params.alpha)
-            gs_min_scale = min(gs_min_scale, float(r.min()))
-            if interval >= n_tr:
-                logsum += np.log(r)
-                elapsed = (interval - n_tr + 1) * config.renorm_interval
-                row = interval - n_tr
-                t_series[row] = config.t_transient + elapsed
-                q_series[row] = logsum.sum() / elapsed
-                mu_series[row] = logsum / elapsed
-            if monitor is not None:
-                base = ops.VelocityState(psis[0].copy(), hs[0].copy())
-                ensemble = [
-                    ops.VelocityState(psis[1 + k].copy(), hs[1 + k].copy()) for k in range(n)
-                ]
-                monitor((interval + 1) * config.renorm_interval, base, ensemble)
+    for interval, (_, psis, hs, _) in enumerate(loop):
+        # in place, so the next step starts from the renormalized tangents
+        r = _orthonormalize_arrays(plan, psis[1:], hs[1:], params.alpha)
+        gs_min_scale = min(gs_min_scale, float(r.min()))
+        if interval >= n_tr:
+            logsum += np.log(r)
+            elapsed = (interval - n_tr + 1) * config.renorm_interval
+            row = interval - n_tr
+            t_series[row] = config.t_transient + elapsed
+            q_series[row] = logsum.sum() / elapsed
+            mu_series[row] = logsum / elapsed
+        if monitor is not None:
+            base = ops.VelocityState(psis[0].copy(), hs[0].copy())
+            ensemble = [
+                ops.VelocityState(psis[1 + k].copy(), hs[1 + k].copy()) for k in range(n)
+            ]
+            monitor((interval + 1) * config.renorm_interval, base, ensemble)
     exponents = np.sort(logsum / config.t_average)[::-1]
     q_partial = np.cumsum(exponents)
-    dim, saturated = kaplan_yorke(exponents, with_flag=True)
+    dim, saturated = kaplan_yorke(exponents)
     return ExponentReport(
         exponents=exponents,
         q_partial=q_partial,
@@ -242,12 +239,13 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
 # dimension estimates and verdicts
 
 
-def kaplan_yorke(exponents, with_flag=False):
-    """j + (sum of the first j exponents)/|mu_(j+1)| at the last nonnegative sum.
+def kaplan_yorke(exponents):
+    """(value, saturated): j + (sum of the first j exponents)/|mu_(j+1)| at the
+    last nonnegative sum.
 
-    Returns 0 when even the leading exponent is negative; when every partial
-    sum is nonnegative the spectrum only gives the lower bound N, reported
-    with the saturation flag (with_flag=True returns (value, saturated)).
+    The value is 0 when even the leading exponent is negative.  When every
+    partial sum is nonnegative the spectrum only gives the lower bound N, and
+    `saturated` is True.
     """
     mu = np.asarray(exponents, dtype=float)
     if mu.size == 0:
@@ -256,17 +254,16 @@ def kaplan_yorke(exponents, with_flag=False):
         raise ConfigurationError("exponents must be sorted descending")
     sums = np.cumsum(mu)
     if mu[0] < 0.0:
-        return (0.0, False) if with_flag else 0.0
+        return 0.0, False
     neg = np.nonzero(sums < 0.0)[0]
     if neg.size == 0:
-        return (float(mu.size), True) if with_flag else float(mu.size)
+        return float(mu.size), True
     j = int(neg[0])  # sums[j] < 0 <= sums[j-1]; mu[j] < 0 follows
-    value = j + sums[j - 1] / abs(mu[j])
-    return (float(value), False) if with_flag else float(value)
+    return float(j + sums[j - 1] / abs(mu[j])), False
 
 
 def compare_bound(plan, report, params):
-    """Fill the verdict fields: measured q_N crossing against the analytic N*.
+    """The verdict: the measured q_N crossing against the analytic N*.
 
     The crossing is the first N with q_N < 0; consistency means it does not
     exceed max(1, ceil(N*)), the shell from which the theory forces
@@ -276,6 +273,4 @@ def compare_bound(plan, report, params):
     crossing = int(neg[0]) + 1 if neg.size else -1
     nstar = bounds.attractor_bound(plan, params)
     ok = crossing != -1 and crossing <= max(1.0, np.ceil(nstar))
-    report.measured_crossing = crossing
-    report.measured_le_analytic = bool(ok)
     return {"measured_crossing": crossing, "nstar": float(nstar), "consistent": bool(ok)}

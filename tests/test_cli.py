@@ -473,6 +473,23 @@ class TestBounds:
         values = [float(row[nstar]) for row in rows]
         assert values[0] > values[1] > values[2]  # more viscosity, smaller bound
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            decay_doc(sweep={"key": "nu", "values": [1.0, 0.0]}),
+            forced_doc(sweep={"key": "nu", "values": [1.0, -0.5]}),
+            forced_doc(sweep={"key": "alpha", "values": [1.0, -1.0]}),
+            forced_doc(sweep={"key": "sigma", "values": [1.0, 0.0]}),
+        ],
+        ids=["sphere-nu-zero", "torus-nu-negative", "alpha-negative", "torus-sigma-zero"],
+    )
+    def test_sweep_value_out_of_range(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "bounds"
+        assert cli.main(["bounds", "--config", config, "--out", str(out)]) == 2
+        assert "sweep.values[1]" in capsys.readouterr().err
+        assert not (out / "bounds_sweep.csv").exists()
+
 
 class TestVerifySelftest:
     def test_verify_clean_config(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from bardina2d import basis
 from bardina2d import dynamics as dyn
 from bardina2d import integrate as ti
+from bardina2d import lyapunov
 from bardina2d import operators as ops
 from bardina2d.errors import ConfigurationError, DivergenceError
 
@@ -57,15 +58,6 @@ class TestExactDecay:
             assert traj.final_state.psi[slot] == pytest.approx(exact, rel=1e-12)
             others = np.delete(traj.final_state.psi, slot)
             assert np.max(np.abs(others)) < 1e-13
-
-    def test_step_matches_run(self):
-        plan, params = forced_torus()
-        st = ops.random_state(plan, seed=1)
-        sch = ti.SchemeConfig(dt=0.02, t_end=0.02)
-        one = ti.step(plan, st, params, sch)
-        traj = ti.run(plan, st, params, sch)
-        assert np.array_equal(one.psi, traj.final_state.psi)
-        assert np.array_equal(one.harmonic, traj.final_state.harmonic)
 
 
 class TestConvergenceOrder:
@@ -170,10 +162,7 @@ class TestSamplesGenerator:
             ti.samples(plan, st, params, ti.SchemeConfig(dt=0.1, t_end=0.5), t_start=0.05)
 
     def test_divergence_follows_the_last_yield(self):
-        plan = basis.build_plan(basis.torus(2 * np.pi), 8)
-        big = ops.random_state(plan, seed=3, e1=1e8, alpha=1e-4)
-        params = dyn.ModelParams(nu=1e-6, alpha=1e-4, sigma=1e-6, forcing=dyn.zero_forcing(plan))
-        sch = ti.SchemeConfig(dt=10.0, t_end=1000.0, method=ti.IF_EULER)
+        plan, big, params, sch = blowup(basis.torus(2 * np.pi))
         got = []
         with pytest.raises(DivergenceError) as err:
             for t, st in ti.samples(plan, big, params, sch):
@@ -244,16 +233,75 @@ class TestSharedTendency:
             assert np.array_equal(tend.psi, want.psi)
 
 
+class TestRunLoop:
+    """The stepping loop's contract: live rows, changed in place between samples."""
+
+    def test_in_place_changes_match_explicit_loop(self):
+        # a base row with two tangents, renormalized at every sample as
+        # Benettin's method does; first() is taken after the change at some
+        # samples and not at all at the others
+        plan, params = forced_torus()
+        fstate = dyn.forcing_state(plan, params.forcing)
+
+        def rem(p, h):
+            return dyn._remainder_u(plan, p, h, params, fstate)
+
+        rng = np.random.default_rng(21)
+        psis0 = rng.standard_normal((3, plan.n_modes)) / (1.0 + plan.lam)
+        hs0 = rng.standard_normal((3, plan.n_harmonic))
+
+        def renormalize(psis, hs):
+            scale = np.sqrt(np.sum(psis[1:] ** 2, axis=1) + np.sum(hs[1:] ** 2, axis=1))
+            psis[1:] /= scale[:, None]
+            hs[1:] /= scale[:, None]
+
+        sch = ti.SchemeConfig(dt=0.05, t_end=1.0, stride=3)
+        decay = ti.decay_factors(plan, params.nu, sch.dt)
+        got = []
+        loop = ti._run_loop(psis0.copy(), hs0.copy(), rem, decay, sch, (0, 20))
+        for i, (t, psis, hs, first) in enumerate(loop):
+            renormalize(psis, hs)
+            if i % 2:
+                first()
+            got.append((t, psis.tobytes(), hs.tobytes()))
+
+        want = []
+        psis, hs = psis0.copy(), hs0.copy()
+        for k in range(21):
+            if k:
+                psis, hs = ti.step_pair(psis, hs, sch.dt, *decay, rem, sch.method)
+            if k % 3 == 0 or k == 20:
+                renormalize(psis, hs)
+                want.append((k * sch.dt, psis.tobytes(), hs.tobytes()))
+        assert len(got) == 8  # k = 0, 3, ..., 18 and the final step
+        assert got == want
+
+
+def blowup(geometry):
+    """A state that IF-Euler with dt = 10 drives to overflow within 1000."""
+    plan = basis.build_plan(geometry, 8)
+    big = ops.random_state(plan, seed=3, e1=1e8, alpha=1e-4)
+    params = dyn.ModelParams(nu=1e-6, alpha=1e-4, sigma=1e-6, forcing=dyn.zero_forcing(plan))
+    return plan, big, params, ti.SchemeConfig(dt=10.0, t_end=1000.0, method=ti.IF_EULER)
+
+
 class TestDivergenceGuard:
     def test_blowup_raises_with_time(self):
-        plan = basis.build_plan(basis.torus(2 * np.pi), 8)
-        big = ops.random_state(plan, seed=3, e1=1e8, alpha=1e-4)
-        params = dyn.ModelParams(nu=1e-6, alpha=1e-4, sigma=1e-6, forcing=dyn.zero_forcing(plan))
-        sch = ti.SchemeConfig(dt=10.0, t_end=1000.0, method=ti.IF_EULER)
+        plan, big, params, sch = blowup(basis.torus(2 * np.pi))
         with pytest.raises(DivergenceError) as err:
             ti.run(plan, big, params, sch)
         assert err.value.t > 0.0
         assert err.value.t <= 1000.0
+
+    @pytest.mark.parametrize("geometry", [basis.torus(2 * np.pi), basis.sphere()])
+    def test_ensemble_diverges_with_its_base_state(self, geometry):
+        plan, big, params, sch = blowup(geometry)
+        with pytest.raises(DivergenceError) as run_err:
+            ti.run(plan, big, params, sch)
+        config = lyapunov.LyapunovConfig(2, 0.0, sch.t_end, sch.dt)
+        with pytest.raises(DivergenceError) as ens_err:
+            lyapunov.benettin_run(plan, big, params, sch, config)
+        assert ens_err.value.t == run_err.value.t < sch.t_end
 
 
 class TestPreparedRun:
