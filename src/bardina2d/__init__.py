@@ -11,6 +11,9 @@ Subpackage layout:
     lyapunov     Benettin exponent estimation and Kaplan-Yorke dimension
     config       JSON run specifications
     snapshot     binary state checkpoints
+    atomic       whole-or-nothing output files
+    errors       exception hierarchy rooted at ModelError
+    checks       the verify / selftest check battery
     cli          command line entry point
 
 Submodules load lazily so the command line tool can pin the linear algebra

@@ -247,7 +247,7 @@ class _SphereCore:
         # slot sums -Im; a scalar analysis also undoes the sign of -w
         self.ana_scale = -sign
         self.flow_scale = -sign / self.lam
-        self.qw = np.repeat((self.wlat * self.dphi)[:, None], self.nlon, axis=1)
+        self.qw = self.wlat * self.dphi
         self._work = {}
 
     def workspace(self, b):
@@ -637,7 +637,7 @@ class _TorusCore:
         self.grad_idx = at + 1 - part
         self.grad_w = np.stack((w2[: self.n_modes], -w1[: self.n_modes]))
         self.split_scale = -np.where(is_cos, c, sgn * c) / self.lam
-        self.qw = np.full((n, n), (length / n) ** 2)
+        self.qw = np.full(n, (length / n) ** 2)
 
         self._work = {}
 
@@ -925,10 +925,13 @@ def dealias(plan, coeffs):
 
 
 def integrate(plan, f):
-    """Surface integral of a grid field by the plan quadrature."""
+    """Surface integral over the last two (grid) axes, leading axes kept.
+
+    Grid row j weighs each of its points by qw[j]: its Gauss weight times
+    dphi on the sphere, (L / N)^2 on the torus."""
     f = np.asarray(f, dtype=np.float64)
     _check_field(plan, f)
-    out = np.einsum("...jk,jk->...", f, plan.core.qw)
+    out = np.einsum("...jk,j->...", f, plan.core.qw)
     return float(out) if out.ndim == 0 else out
 
 

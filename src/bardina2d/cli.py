@@ -5,7 +5,8 @@ the BLAS thread pools, and serializes reports.  The pools are pinned to one
 thread before numpy is first imported so that reductions always run in the
 same order: --threads is accepted (a speed hint for wrappers) but can never
 change a single output bit.  CSV numbers are written with 17 significant
-digits, so every 64-bit float round-trips exactly.
+digits, so every 64-bit float round-trips exactly.  The verify and
+selftest rows live in `checks`, which only those two commands import.
 
 Exit codes: 0 success, 1 runtime failure (divergence, degenerate ensemble,
 failed verification suite), 2 invalid configuration or input file.
@@ -18,8 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
-from types import SimpleNamespace
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -456,209 +455,11 @@ def cmd_bounds(args, spec):
 
 
 # ---------------------------------------------------------------------------
-# verify / selftest check suites
-
-
-def _run_check(name, fn):
-    from .errors import ModelError
-
-    try:
-        ok, detail = fn()
-    except ModelError as exc:
-        return (name, False, f"error: {exc}")
-    return (name, bool(ok), detail)
-
-
-def _ensure_forced(plan, params):
-    """Inject a unit single-mode force when the config carries none, so the
-    envelope check exercises a nontrivial balance: mode (2, 1) on the sphere
-    ((1, 1) at truncation 1, where (2, 1) is not retained), (1, 1) on the
-    torus."""
-    import numpy as np
-
-    from . import basis
-    from . import dynamics as dyn
-
-    if np.any(params.forcing.f1_curl != 0.0) or np.any(params.forcing.f2 != 0.0):
-        return params
-    c = np.zeros(plan.n_modes)
-    index = (min(2, plan.truncation), 1) if plan.geometry.kind == basis.SPHERE else (1, 1)
-    c[basis.mode_slot(plan, index)] = 1.0
-    return dyn.ModelParams(
-        nu=params.nu,
-        alpha=params.alpha,
-        sigma=params.sigma,
-        forcing=dyn.Forcing(c, np.zeros(plan.n_harmonic)),
-    )
-
-
-# relative tolerance of the transform rows: sound transforms round to at
-# most 1.8e-14 at sphere L <= 256 (round trip 7.1e-15 at L=85, 1.3e-14 at
-# L=256) and 1.9e-15 at torus K <= 32, while an aliased grid is off by the
-# edge coefficients, 1e-2 and more
-TRANSFORM_TOL = 1e-12
-
-
-def _transform_roundtrip(plan, seed):
-    """Synthesize-analyze round trip and Parseval sum of one random field."""
-    import numpy as np
-
-    from . import basis, verification
-
-    coeffs = verification.probe_state(plan, np.random.default_rng(seed)).psi
-    f = basis.synthesize(plan, coeffs)
-    back = basis.analyze(plan, f)
-    rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
-    ss = float(np.dot(coeffs, coeffs))
-    parseval = abs(basis.integrate(plan, f * f) - ss) / ss
-    worst = max(float(rel), float(parseval))
-    return worst <= TRANSFORM_TOL, f"max residual {worst:.3e}"
-
-
-def _library_checks(plan, params, seed, prefix=""):
-    import numpy as np
-
-    from . import basis, integrate, verification
-    from . import dynamics as dyn
-    from . import operators as ops
-
-    def alias():
-        # a product of two retained fields analyzed on the plan grid and on the
-        # next plan whose grid is larger both ways; an undersized grid rule
-        # aliases onto the edge modes of the first but not of the second.
-        # The residual is relative to the whole product on the larger plan,
-        # whose retained part can vanish (degree-1 fields at sphere L=1)
-        rng = np.random.default_rng(seed + 2000)
-        pair = np.stack([verification.probe_state(plan, rng).psi for _ in range(2)])
-        fa, fb = basis.synthesize(plan, pair)
-        got = basis.analyze(plan, fa * fb)
-        truncation = plan.truncation + 1
-        larger = basis.build_plan(plan.geometry, truncation)
-        while not all(b > a for a, b in zip(plan.grid_shape, larger.grid_shape)):
-            truncation += 1
-            larger = basis.build_plan(plan.geometry, truncation)
-        slots = basis.slot_map(plan, larger)
-        lifted = np.zeros((2, larger.n_modes))
-        lifted[:, slots] = pair
-        fa, fb = basis.synthesize(larger, lifted)
-        full = basis.analyze(larger, fa * fb)
-        rel = float(np.linalg.norm(got - full[slots]) / np.linalg.norm(full))
-        return rel <= TRANSFORM_TOL, f"residual {rel:.3e} against truncation {truncation}"
-
-    def identities():
-        table = verification.identity_suite(plan, params, seed, n_states=20)
-        worst = max(float(np.max(vals)) for vals in table.values())
-        return worst <= 1e-9, f"max residual {worst:.3e}"
-
-    def tangent():
-        eps = 1e-6
-        worst = 0.0
-        for i in range(5):
-            rng = np.random.default_rng(seed + 1000 + i)
-            u = verification.probe_state(plan, rng)
-            w = verification.probe_state(plan, rng)
-            plus = ops.VelocityState(u.psi + eps * w.psi, u.harmonic + eps * w.harmonic)
-            minus = ops.VelocityState(u.psi - eps * w.psi, u.harmonic - eps * w.harmonic)
-            fp = dyn.rhs_u(plan, plus, params)
-            fm = dyn.rhs_u(plan, minus, params)
-            lin = dyn.rhs_tangent(plan, w, u, params)
-            num = np.linalg.norm((fp.psi - fm.psi) / (2 * eps) - lin.psi) + np.linalg.norm(
-                (fp.harmonic - fm.harmonic) / (2 * eps) - lin.harmonic
-            )
-            den = np.linalg.norm(lin.psi) + np.linalg.norm(lin.harmonic)
-            worst = max(worst, num / den)
-        return worst <= 1e-6, f"max residual {worst:.3e}"
-
-    def envelopes():
-        run_params = _ensure_forced(plan, params)
-        state = verification.probe_state(plan, np.random.default_rng(seed))
-        scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
-        traj = integrate.run(plan, state, run_params, scheme)
-        recs = verification.trajectory_diagnostics(plan, traj, run_params)
-        bad = verification.check_trajectory(plan, recs, run_params, dt=scheme.dt)
-        return not bad, f"{len(bad)} violation(s) in {len(recs)} samples"
-
-    return [
-        _run_check(prefix + "transform-roundtrip", lambda: _transform_roundtrip(plan, seed)),
-        _run_check(prefix + "transform-alias", alias),
-        _run_check(prefix + "operator-identities", identities),
-        _run_check(prefix + "tangent-linearization", tangent),
-        _run_check(prefix + "gronwall-envelopes", envelopes),
-    ]
-
-
-def _recheck_run_dir(out, spec, plan, params):
-    """Re-test a completed run directory from its diagnostics.csv: the
-    recorded energies against the recorded envelopes (E1/E2 vs env1/env2),
-    the worst recorded energy-law residual, and the time average of ||u||^2
-    against its closed-form bound for the configured parameters."""
-    import numpy as np
-
-    from . import verification
-    from .errors import ConfigurationError
-
-    meta, meta_cause = _load_meta(os.path.join(out, "meta.json"), spec)
-    try:
-        dt = float((meta or {}).get("dt", 0.0))
-    except (TypeError, ValueError):
-        dt = 0.0
-    with open(os.path.join(out, "diagnostics.csv"), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh]
-    cols = {name: k for k, name in enumerate(header)}
-
-    def column(name):
-        # a missing column or a non-numeric field fails the row that reads it
-        try:
-            return np.array([float(parts[cols[name]]) for parts in rows])
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ConfigurationError(f"diagnostics.csv column {name}: {exc!r}") from exc
-
-    def envelopes():
-        over1, over2 = verification.envelope_flags(
-            column("E1"), column("env1"), column("E2"), column("env2"), dt
-        )
-        bad = int(np.sum(over1) + np.sum(over2))
-        return bad == 0, f"{bad} violation(s) in {len(rows)} rows"
-
-    def energy_law():
-        worst = float(np.max(column("energy_residual"), initial=0.0))
-        tol = verification.ENERGY_RESIDUAL_TOL
-        return worst <= tol, f"worst residual {worst:.3e} (tolerance {tol:.0e})"
-
-    def average_enstrophy():
-        if len(rows) < 2:
-            return True, f"skipped: {len(rows)} row(s), a time average needs 2"
-        if meta_cause is not None:
-            return False, meta_cause
-        records = [
-            SimpleNamespace(t=t, u_v=u_v, e2=e2)
-            for t, u_v, e2 in zip(column("t"), column("norm_u_v"), column("E2"))
-        ]
-        rep = verification.average_enstrophy_check(plan, records, params)
-        return rep["ok"], f"average {rep['average']:.3e}, bound {rep['bound']:.3e}"
-
-    return [
-        _run_check("run-envelopes", envelopes),
-        _run_check("run-energy-law", energy_law),
-        _run_check("run-average-enstrophy", average_enstrophy),
-    ]
-
-
-def _print_table(checks):
-    width = max(len(name) for name, _, _ in checks)
-    print(f"{'check':<{width}}  status  detail")
-    failures = sum(0 if ok else 1 for _, ok, _ in checks)
-    for name, ok, detail in checks:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL':<6}  {detail}")
-    if failures:
-        sys.stdout.flush()
-        print(f"{failures} check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+# verify / selftest
 
 
 def cmd_verify(args, spec):
+    from . import checks
     from . import config as cfg
     from . import dynamics as dyn
 
@@ -666,88 +467,22 @@ def cmd_verify(args, spec):
     params = cfg.model_params(plan, spec)
     dyn.validate_params(plan, params)
     seed = spec.seed if spec.seed is not None else 0
-    checks = _library_checks(plan, params, seed)
+    rows = checks.library_checks(plan, params, seed)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
-        checks.extend(_recheck_run_dir(run_dir, spec, plan, params))
-    return _print_table(checks)
+        meta, meta_cause = _load_meta(os.path.join(run_dir, "meta.json"), spec)
+        try:
+            dt = float((meta or {}).get("dt", 0.0))
+        except (TypeError, ValueError):
+            dt = 0.0
+        rows.extend(checks.recheck_run_dir(run_dir, plan, params, dt, meta_cause))
+    return checks.print_table(rows)
 
 
 def cmd_selftest(args):
-    import numpy as np
+    from . import checks
 
-    from . import basis, snapshot
-    from . import dynamics as dyn
-    from . import integrate
-    from . import operators as ops
-    from .errors import CorruptSnapshotError
-
-    restore = None
-    if args.inject_sign_fault:
-        # the rotation is defined in basis and re-exported by operators
-        restore = basis.rot90
-
-        def unsigned_rot90(vec):
-            # deliberately wrong: drops the minus sign of the rotation
-            return np.stack((vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
-
-        basis.rot90 = ops.rot90 = unsigned_rot90
-
-    try:
-        checks = []
-        for kind in (basis.SPHERE, basis.TORUS):
-            if kind == basis.SPHERE:
-                plan = basis.build_plan(basis.sphere(), 21)
-                sigma, index, f2 = 0.0, (2, 1), np.zeros(0)
-            else:
-                plan = basis.build_plan(basis.torus(2.0 * np.pi), 21)
-                sigma, index, f2 = 0.5, (1, 1), np.array([0.1, 0.0])
-            c = np.zeros(plan.n_modes)
-            c[basis.mode_slot(plan, index)] = 1.0
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=sigma, forcing=dyn.Forcing(c, f2))
-            checks.extend(_library_checks(plan, params, seed=0, prefix=kind + ":"))
-
-        def decay():
-            plan = basis.build_plan(basis.sphere(), 6)
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
-            state = ops.state_from_mode(plan, (3, 1), amplitude=0.7)
-            lam = basis.eigenvalue(plan, (3, 1))
-            scheme = integrate.SchemeConfig(dt=1e-3, t_end=0.5, method=integrate.IF_RK4)
-            traj = integrate.run(plan, state, params, scheme)
-            expected = ops.norm_l2(plan, state) * np.exp(-params.nu * lam * scheme.t_end)
-            rel = abs(ops.norm_l2(plan, traj.final_state) - expected) / expected
-            return rel <= 1e-8, f"relative error {rel:.3e}"
-
-        def snapshot_roundtrip():
-            plan = basis.build_plan(basis.sphere(), 4)
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
-            state = ops.random_state(plan, seed=3)
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "state.bdna")
-                snapshot.save_snapshot(path, plan, state, 1.25, params)
-                snap = snapshot.load_snapshot(path)
-                snapshot.check_snapshot(snap, plan, params)
-                back = snapshot.as_state(snap)
-                same = bool(np.array_equal(back.psi, state.psi)) and snap.t == 1.25
-                with open(path, "rb") as fh:
-                    blob = bytearray(fh.read())
-                blob[-10] ^= 0x01  # flip one payload byte
-                with open(path, "wb") as fh:
-                    fh.write(bytes(blob))
-                try:
-                    snapshot.load_snapshot(path)
-                    caught = False
-                except CorruptSnapshotError:
-                    caught = True
-            ok = same and caught
-            return ok, "roundtrip bitwise, corruption detected" if ok else "mismatch"
-
-        checks.append(_run_check("eigenmode-decay", decay))
-        checks.append(_run_check("snapshot-roundtrip", snapshot_roundtrip))
-        return _print_table(checks)
-    finally:
-        if restore is not None:
-            basis.rot90 = ops.rot90 = restore
+    return checks.print_table(checks.selftest(args.inject_sign_fault))
 
 
 # ---------------------------------------------------------------------------

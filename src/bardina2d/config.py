@@ -15,6 +15,7 @@ are rejected by name so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +69,25 @@ def _reject_unknown(obj, allowed, path):
             _fail(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _number(value, path):
+    """`value` as a float; a non-number or a non-finite number fails naming `path`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
+
+
 def _get_number(obj, key, path, default=None, minimum=None, strict_min=False):
     if key not in obj:
         if default is None:
             _fail(f"{path}{key}", "missing required key")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}{key}", f"expected a number, got {value!r}")
-    value = float(value)
+    value = _number(obj[key], f"{path}{key}")
     if minimum is not None:
         if strict_min and not value > minimum:
             _fail(f"{path}{key}", f"must be > {minimum}, got {value}")
@@ -129,20 +140,16 @@ def _parse_forcing(obj, geometry, truncation):
         for part in idx:
             if isinstance(part, bool) or not isinstance(part, int):
                 _fail(path, f"mode indices must be integers, got {row!r}")
-        if isinstance(row[2], bool) or not isinstance(row[2], (int, float)):
-            _fail(path, f"amplitude must be a number, got {row[2]!r}")
+        amplitude = _number(row[2], path)
         _check_mode_index(geometry, truncation, tuple(idx), path)
-        modes.append((tuple(idx), float(row[2])))
+        modes.append((tuple(idx), amplitude))
     harmonic = obj.get("harmonic", [])
     if harmonic and geometry.kind == basis.SPHERE:
         _fail("forcing.harmonic", "the sphere has no harmonic component")
     if harmonic:
         if not isinstance(harmonic, list) or len(harmonic) != 2:
             _fail("forcing.harmonic", f"expected a pair, got {harmonic!r}")
-        for i, v in enumerate(harmonic):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(f"forcing.harmonic[{i}]", f"expected a number, got {v!r}")
-        harmonic = [float(v) for v in harmonic]
+        harmonic = [_number(v, f"forcing.harmonic[{i}]") for i, v in enumerate(harmonic)]
     return tuple(modes), tuple(harmonic)
 
 
@@ -221,9 +228,8 @@ def _parse_sweep(obj, kind):
         _fail("sweep.values", "expected a nonempty list of numbers")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            _fail(f"sweep.values[{i}]", f"expected a number, got {v!r}")
-        out.append(_check_param(kind, key, float(v), f"sweep.values[{i}]"))
+        path = f"sweep.values[{i}]"
+        out.append(_check_param(kind, key, _number(v, path), path))
     return (key, tuple(out))
 
 
@@ -248,7 +254,7 @@ def parse_config(text):
     """Parse and validate one JSON run spec; every error names its key path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigurationError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("the top level must be a JSON object")

@@ -240,16 +240,3 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     state = ops.VelocityState(vstate.psi, np.zeros(0))
     return Trajectory(list(_one_row(plan, params, state, rem, scheme, steps, observers)))
 
-
-def suggested_dt(plan, params, state=None, cap=0.05):
-    """Step size heuristic: resolve the stiffest retained mode and advection.
-
-    dt = 0.5 / (nu lam_max + sqrt(lam_max) max|u|), capped at `cap`.  The
-    advective rate uses the grid maximum of |u| at the initial state.
-    """
-    rate = params.nu * float(plan.lam[-1])
-    if state is not None:
-        u = ops.velocity_grid(plan, state)
-        umax = float(np.max(np.hypot(u[0], u[1])))
-        rate += np.sqrt(float(plan.lam[-1])) * umax
-    return min(cap, 0.5 / rate)

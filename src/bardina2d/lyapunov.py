@@ -27,7 +27,6 @@ from . import bounds, dynamics as dyn, integrate, operators as ops
 from .errors import ConfigurationError, DegenerateEnsembleError
 
 DEGENERACY_FLOOR = 1e-300
-ORTHONORMALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,6 @@ def _orthonormalize_arrays(plan, psis, hs, alpha):
             psis[k + 1 :] -= proj[:, None] * psis[k]
             hs[k + 1 :] -= proj[:, None] * hs[k]
     return r
-
-
-def orthonormalize(plan, tangents, alpha):
-    """Weighted Gram-Schmidt on a list of states; returns (states, scale factors)."""
-    psis = np.stack([t.psi for t in tangents])
-    hs = np.stack([t.harmonic for t in tangents])
-    r = _orthonormalize_arrays(plan, psis, hs, alpha)
-    out = [ops.VelocityState(psis[k].copy(), hs[k].copy()) for k in range(len(tangents))]
-    return out, r
 
 
 def eigenvalue_ladder(plan, n):

@@ -257,8 +257,8 @@ def _relative(value, scale):
 def average_enstrophy_check(plan, records, params):
     """Time-average of ||u||^2 against 2 L2/delta' plus the measured transient.
 
-    The transient term is E2(0)/(delta' t); with drag delta' is the generic
-    min rate, without drag it is nu lambda_1.
+    The transient term is E2(0)/(delta' t); delta' and L2 come from one
+    bounds.constants call.
     """
     if len(records) < 2:
         raise ConfigurationError("need at least two records to form a time average")
@@ -266,14 +266,11 @@ def average_enstrophy_check(plan, records, params):
     span = ts[-1] - ts[0]
     if not span > 0.0:
         raise ConfigurationError("records must span a positive time interval")
-    if params.sigma == 0.0:
-        dyn.validate_params(plan, params)
-        rate = params.nu * plan.lambda_1
-    else:
-        rate = bounds.constants(plan, params).delta_prime
+    dyn.validate_params(plan, params)
+    c = bounds.constants(plan, params)
     avg = np.trapezoid([r.u_v**2 for r in records], ts) / span
-    transient = records[0].e2 / (rate * span)
-    bound = bounds.average_enstrophy_bound(plan, params) + transient
+    transient = records[0].e2 / (c.delta_prime * span)
+    bound = 2.0 * c.l2 / c.delta_prime + transient
     return {
         "average": float(avg),
         "bound": float(bound),

@@ -173,6 +173,20 @@ class TestTransforms:
             f = basis.synthesize(plan, c)
             assert basis.integrate(plan, f * f) == pytest.approx(np.dot(c, c), rel=1e-12)
 
+    def test_integrate_keeps_leading_axes(self):
+        # one integral per grid of a stack, each equal to its own call; a
+        # constant 1 integrates to the area
+        for plan in plans():
+            rng = np.random.default_rng(15)
+            f = rng.standard_normal((2, 3) + plan.grid_shape)
+            got = basis.integrate(plan, f)
+            assert got.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    assert got[i, j] == basis.integrate(plan, f[i, j])
+            one = basis.integrate(plan, np.ones(plan.grid_shape))
+            assert one == pytest.approx(plan.area, rel=1e-14)
+
     def test_analysis_is_quadrature_adjoint(self):
         for plan in plans():
             rng = np.random.default_rng(13)

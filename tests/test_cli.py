@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bardina2d import basis, bounds, cli, snapshot, verification
+from bardina2d import basis, bounds, checks, cli, snapshot, verification
 
 TWO_PI = 2.0 * np.pi
 
@@ -521,7 +521,7 @@ class TestVerifySelftest:
         # with accurate Gauss weights the sphere round trip stays near 1e-14
         # at L=128; weights off by 1e-11 near the poles put it at 3e-12
         plan = basis.build_plan(basis.sphere(), 128)
-        ok, detail = cli._transform_roundtrip(plan, seed=0)
+        ok, detail = checks.transform_roundtrip(plan, seed=0)
         assert ok, detail
         assert float(detail.split()[-1]) <= 1e-13
 
@@ -658,8 +658,23 @@ import json, sys
 from bardina2d import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": mods}))
+print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in sys.modules}))
 """
+
+    def _fresh_run(self, runs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(runs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * len(runs)
+        return report
 
     def test_no_command_imports_scipy(self, tmp_path):
         lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
@@ -673,22 +688,58 @@ print(json.dumps({"codes": codes, "scipy": mods}))
             ["verify", "--config", torus, "--out", str(tmp_path / "t")],
             ["selftest"],
         ]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(runs)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0] * len(runs)
-        assert report["scipy"] == []
+        assert self._fresh_run(runs)["scipy"] == []
+
+    def test_running_commands_never_import_the_check_battery(self, tmp_path):
+        lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
+        torus = write_config(tmp_path, forced_doc(lyapunov=lyap))
+        runs = [
+            ["simulate", "--config", torus, "--out", str(tmp_path / "t")],
+            ["lyapunov", "--config", torus, "--out", str(tmp_path / "l")],
+            ["bounds", "--config", torus, "--out", str(tmp_path / "b")],
+        ]
+        assert self._fresh_run(runs)["checks"] is False
+
+
+def _non_finite_cases():
+    """(key path, config document holding the marker "@X@" at that key)."""
+    lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
+    X = "@X@"
+    cases = [(key, forced_doc(**{key: X})) for key in ("length", "nu", "alpha", "sigma")]
+    for key in ("slope", "energy"):
+        cases.append((f"initial.{key}", forced_doc(initial={"kind": "random", key: X})))
+    eigen = {"kind": "eigenmode", "mode": [3, 1], "amplitude": X}
+    cases.append(("initial.amplitude", decay_doc(initial=eigen)))
+    for key in ("dt", "t_end"):
+        cases.append((f"scheme.{key}", forced_doc(scheme=dict(forced_doc()["scheme"], **{key: X}))))
+    for key in ("t_transient", "t_average", "renorm_interval"):
+        cases.append((f"lyapunov.{key}", forced_doc(lyapunov=dict(lyap, **{key: X}))))
+    cases.append(("forcing.modes[0]", forced_doc(forcing={"modes": [[1, 2, X]]})))
+    cases.append(("forcing.harmonic[1]", forced_doc(forcing={"harmonic": [0.2, X]})))
+    cases.append(("sweep.values[1]", forced_doc(sweep={"key": "nu", "values": [1.0, X]})))
+    return cases
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "key,doc", [pytest.param(key, doc, id=key) for key, doc in _non_finite_cases()]
+    )
+    def test_non_finite_number_is_rejected(self, tmp_path, capsys, key, doc, literal):
+        # Python's json reads NaN and +-Infinity, and an integer too large
+        # for a float; each must fail the parse and name its key
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc).replace('"@X@"', literal))
+        out = tmp_path / "out"
+        for command in ("simulate", "lyapunov", "bounds"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: ") and "finite" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
         assert "error" in capsys.readouterr().err

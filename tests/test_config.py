@@ -65,6 +65,12 @@ class TestParseConfig:
             cfg.parse_config("{nope")
         assert "malformed JSON" in str(err.value)
 
+    def test_integer_past_the_digit_limit_is_malformed(self):
+        # json raises a plain ValueError there (Python >= 3.10.7), not a
+        # JSONDecodeError
+        with pytest.raises(ConfigurationError):
+            cfg.parse_config('{"nu": 1' + "0" * 5000 + "}")
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigurationError):
             cfg.parse_config("[1, 2]")

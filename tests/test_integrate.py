@@ -326,13 +326,3 @@ class TestPreparedRun:
         with pytest.raises(UnsupportedGeometryError):
             ti.run_prepared(plan, v, params, 1.0, ti.SchemeConfig(dt=0.1, t_end=0.2))
 
-
-class TestSuggestedStep:
-    def test_positive_and_capped(self):
-        plan, params = forced_torus()
-        st = ops.random_state(plan, seed=7)
-        dt = ti.suggested_dt(plan, params, st)
-        assert 0.0 < dt <= 0.05
-        # stronger advection tightens the step
-        hot = ops.random_state(plan, seed=7, e1=100.0)
-        assert ti.suggested_dt(plan, params, hot) <= dt
