@@ -33,14 +33,11 @@ Torus
     the smallest fast even length >= 3*truncation + 1, the sphere's nlon rule
     (the 3/2 rule, Orszag 1971, J. Atmos. Sci. 28): products of two retained
     fields analyze onto every retained mode without aliasing, so all modes
-    are active and no band mask is needed.  Coefficients pack into the
-    half spectrum of a real 2-d FFT, one per transform, run as its two axis
-    passes: forward rfft then fft, inverse ifft then irfft.  Only the
-    truncation + 1 columns k2 <= truncation hold modes, and the k1 pass
-    runs over those alone, rounded up to an even count (18 of 26 columns at
-    truncation 16).  The spectral multipliers of the flow synthesis are
-    applied to the packed values, and w . Z of the flow analysis to the
-    slots it reads, not to whole spectra.
+    are active and no band mask is needed.  The transforms are separable
+    real DFTs by partial summation: the coefficients pack into a
+    (2K + 1, 2K + 1) matrix M over products of per-axis cos and sin
+    columns, and a grid field is E M E^T, E the (N, 2K + 1) table of those
+    columns; each transform is a few small matrix products, and no FFT.
     Each nonzero lattice vector q labels one real basis function: cos for q
     in the right half-plane (q1 > 0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L)
     with k = -q otherwise.  Slot order is (|q|^2, q1, q2) lexicographic.
@@ -51,7 +48,8 @@ carries the nonlinearity: `flow_synthesis` takes a streamfunction psi to the
 grids of its vorticity -lam psi and its gradient, and `flow_analysis` takes
 a tangent grid field g to its Leray streamfunction, slot s being
 <g, n x grad Y_s> / lam_s (the component of g along the unit-energy velocity
-of mode s), and its harmonic pair; each is one FFT over the stacked fields.
+of mode s), and its harmonic pair; each makes one pass of its transform
+over the stacked fields.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
@@ -62,12 +60,12 @@ Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the gathered Legendre rows,
     the Legendre sums and the zero-padded half spectra (sphere), the packed
-    values, mode spectra and half spectra (torus), and, for the right-hand
-    side in `dynamics`, the vorticity/gradient grid stack and the product
-    field g.  The FFTs
-    and matmuls write into them with out=, so stepping a batch allocates no
-    large temporaries; freed ones would be trimmed off the heap top and
-    faulted back in by the next call.  The rules:
+    coefficient matrices and the products of one axis (torus), and, for the
+    right-hand side in `dynamics`, the vorticity/gradient grid stack and the
+    product field g.  The FFTs and matmuls write into them with out=, so
+    stepping a batch allocates no large temporaries; freed ones would be
+    trimmed off the heap top and faulted back in by the next call.  The
+    rules:
 
     - one workspace per plan and batch row count; a plan keeps those of
       its WORKSPACES_PER_PLAN most recently used row counts, and two plans
@@ -76,11 +74,12 @@ Workspaces
       thread;
     - returned arrays are never views of a workspace buffer, except the
       grids `flow_synthesis` writes into an `out` its caller passes;
-    - size: 3.5 MB for one row at sphere L=85 and 4.1 MB at torus K=64
-      (0.23 MB at L=21, 0.27 MB at K=16), about linear in the row count
-      (38 MB for 9 rows at L=85, 29 MB for 7 rows at K=64); a sphere
-      unfold and fold, and a torus pack, borrow the spectrum buffer of the
-      other direction instead of a buffer of their own.
+    - size: 3.5 MB for one row at sphere L=85 and 3.1 MB at torus K=64
+      (0.23 MB at L=21, 0.20 MB at K=16), about linear in the row count
+      (38 MB for 9 rows at L=85, 22 MB for 7 rows at K=64); a sphere
+      unfold and fold borrow the spectrum buffer of the other direction,
+      and a torus unpack the first products of its analysis, instead of a
+      buffer of their own.
 """
 
 from __future__ import annotations
@@ -545,99 +544,91 @@ def _fast_even(n):
 
 
 class _TorusCore:
-    """Half-spectrum FFT bookkeeping for one torus truncation.
+    """Separable real-DFT tables for one torus truncation.
 
-    Coefficients live in the (N, N // 2 + 1) half spectrum of numpy's real
-    2-d FFT.  The wavevector k of each cos/sin pair (k in the right
-    half-plane) sits at bin (k1 mod N, k2) when k2 >= 0 and, conjugated, at
-    (-k1 mod N, -k2) when k2 < 0; the k2 = 0 column holds both +k1 and its
-    conjugate at -k1, since the k1 pass treats that column as a full complex
-    one.  Only the K + 1 columns k2 <= K hold modes, so each 2-d FFT runs as
-    its two axis passes with the k1 pass over the first C columns alone, C
-    being K + 1 rounded up to even: the inverse is ifft along k1 from the
-    (B, F, N, C) mode spectra into the first C columns of the half spectra,
-    then irfft; the forward is rfft, then fft along k1 in place on the first
-    C columns.  (With an odd column count numpy's FFT also runs its code for
-    a lone last column, 0.13 MB more resident pages in every process.)
-    Every transform, the fused flow transforms included, is one such pair
-    over all stacked fields.
+    Partial summation (Boyd 2001, Chebyshev and Fourier Spectral Methods,
+    2nd ed., ch. 10): tables = [E, dE, E] (3, N, 2K + 1), E holding
+    cos(w a x_j), a = 0..K, then sin(w a x_j), a = 1..K (w = 2 pi / L,
+    x_j = L j / N), read off one table of the unit circle at a j mod N, and
+    dE its x-derivative; tables_t = [E^T | dE^T].  A field is E M E^T, the
+    rows of M indexing the x factor.  A slot's cos or sin of w k.x (k = q
+    for cos slots, -q for sin slots, so k1 >= 0) is cos cos -/+ sin sin or
+    sin cos +/- cos sin: it lands in at most two entries of M, and an entry
+    takes at most two slots, one with k2 >= 0 (link 0) and one with k2 < 0
+    (link 1).  A pack takes both links of every entry from the
+    coefficients, a zero slot appended, weights them by +-sqrt(2) / L and
+    adds; an unpack is the transposed map, weighted by the quadrature
+    weight (over lam for the flow analysis).
 
-    Packing is one take of the coefficients, a multiply by the pack scale
-    (the sign of the imaginary part flipped for conjugated bins) and one
-    scatter into the mode spectrum viewed as interleaved (re, im).  The flow
-    synthesis multiplies the scaled values by the spectral multiplier of
-    vorticity, d/dx and d/dy at each destination, -|w|^2, i w1 and i w2,
-    before the scatter: a factor i w sends a real part to the imaginary one
-    times w and an imaginary part to the real one times -w.  Unpacking is one
-    take at each slot's bin; the flow analysis forms w . Z on the slots it
-    takes, not over the whole spectrum.
+    Synthesis is E (M E^T); the flow synthesis multiplies [E, dE, E] by
+    [-lam o M, M, M] [E^T, E^T, dE^T], the grids of vorticity, d/dx and
+    d/dy.  Analysis is E^T (f E); the flow analysis forms [E^T, dE^T]
+    ([g_x, g_y] [dE, E]), whose difference dE^T g_y E - E^T g_x dE is
+    <g, n x grad> of each entry, and the grid mean.  Each product is one
+    matmul over the stacked fields, the same BLAS call for every field.
     """
 
     def __init__(self, kmax, length):
         self.kmax = kmax
         self.length = length
         n = self.ngrid
-        nh = n // 2 + 1
         self.shape = (n, n)
-        self.ncols = 2 * (kmax // 2 + 1)
+        nb = 2 * kmax + 1
 
-        qs = []
-        for q1 in range(-kmax, kmax + 1):
-            for q2 in range(-kmax, kmax + 1):
-                if q1 == 0 and q2 == 0:
-                    continue
-                qs.append((q1 * q1 + q2 * q2, q1, q2))
-        qs.sort()
-        self.qvec = np.array([(q1, q2) for _, q1, q2 in qs], dtype=np.int64)
+        # slot order (|q|^2, q1, q2); q = 0 sorts first and is dropped
+        r = range(-kmax, kmax + 1)
+        qs = sorted((q1 * q1 + q2 * q2, q1, q2) for q1 in r for q2 in r)[1:]
+        self.qvec = np.array([q[1:] for q in qs], dtype=np.int64)
         self.n_modes, _ = mode_count(TORUS, kmax)
-        self.lam = (2.0 * np.pi / length) ** 2 * (
-            self.qvec[:, 0] ** 2 + self.qvec[:, 1] ** 2
-        ).astype(np.float64)
-        self.slot_of = {(int(q1), int(q2)): s for s, (q1, q2) in enumerate(self.qvec)}
-
-        q1, q2 = self.qvec[:, 0], self.qvec[:, 1]
-        is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
-        # wavevector k of each slot's cos/sin pair, its bin (row, col), the
-        # part the slot holds there (0 re, 1 im), and -1 where the bin holds
-        # the conjugate
-        k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
-        flip = k2 < 0
-        sgn = np.where(flip, -1.0, 1.0)
-        row, col = np.where(flip, -k1, k1) % n, np.abs(k2)
-        part = np.where(is_cos, 0, 1)
-
-        amp = math.sqrt(2.0) / length
-        # a amp cos(2 pi k.x / L) + b amp sin(...) has bin value (N^2 amp / 2)(a - i b)
-        a = 0.5 * n * n * amp
-        mirror = np.nonzero(is_cos & (k2 == 0))[0]
-        sin_of = np.array([self.slot_of[(-int(x), -int(y))] for x, y in self.qvec[mirror]])
-        self.pack_src = np.concatenate((np.arange(self.n_modes), mirror, sin_of))
-        self.pack_scale = np.concatenate((np.where(is_cos, a, -sgn * a), np.full(2 * mirror.size, a)))
-        # bin and part of each packed value (the mirrored ones at -k1), and
-        # its interleaved offsets in the (3, N, C) mode spectra of
-        # (vorticity, d/dx, d/dy); offset row 0 alone is the scalar synthesis
-        to_row, to_col, to_part = row[self.pack_src], col[self.pack_src], part[self.pack_src]
-        to_row[self.n_modes :] = -to_row[self.n_modes :] % n
-        at = 2 * (to_row * self.ncols + to_col)
-        stride = 2 * n * self.ncols
-        self.pack_dst = np.stack((at + to_part, at + stride + 1 - to_part, at + 2 * stride + 1 - to_part))
+        q1, q2 = self.qvec.T
         w = 2.0 * np.pi / length
-        w1, w2 = (w * np.fft.fftfreq(n, d=1.0 / n))[to_row], (w * np.arange(nh))[to_col]
-        turn = 1 - 2 * to_part
-        self.pack_mul = np.stack((-(w1**2 + w2**2), turn * w1, turn * w2))
+        self.lam = w**2 * (q1 * q1 + q2 * q2)
+        self.slot_of = {q[1:]: s for s, q in enumerate(qs)}
 
-        # slots read from the (N, N // 2 + 1) half spectrum as interleaved
-        # (re, im), times the quadrature weight and normalization
-        c = amp * length**2 / (n * n)
-        at = 2 * (row * nh + col)
-        self.ana_idx = at + part
-        self.ana_scale = np.where(is_cos, c, -sgn * c)
-        # gradient adjoint: the cos slot reads Im, the sin slot Re of w . Z,
-        # Z the spectra of n x g = (-g_y, g_x), so w2 multiplies Z_x and -w1 Z_y
-        self.grad_idx = at + 1 - part
-        self.grad_w = np.stack((w2[: self.n_modes], -w1[: self.n_modes]))
-        self.split_scale = -np.where(is_cos, c, sgn * c) / self.lam
+        # tables = [E, dE, E]: cos columns a = 0..K, then sin columns a = 1..K,
+        # read off cos and sin of 2 pi i / N at i = a j mod N
+        cos = np.array([math.cos(2.0 * math.pi * i / n) for i in range(n)])
+        sin = np.array([math.sin(2.0 * math.pi * i / n) for i in range(n)])
+        a = np.arange(kmax + 1)
+        at = np.outer(np.arange(n), a) % n
+        wa = w * a
+        self.tables = np.empty((3, n, nb))
+        e, de = self.tables[0], self.tables[1]
+        e[:, : kmax + 1], e[:, kmax + 1 :] = cos[at], sin[at[:, 1:]]
+        de[:, : kmax + 1], de[:, kmax + 1 :] = -wa * sin[at], wa[1:] * cos[at[:, 1:]]
+        self.tables[2] = e
+        # [E^T | dE^T], so that no product takes a transposed right operand
+        self.tables_t = np.ascontiguousarray(self.tables[:2].reshape(2 * n, nb).T)
+        # -lam of every entry of M
+        a2 = np.concatenate((a, a[1:])) ** 2
+        self.neg_lam = -(w**2) * (a2[:, None] + a2[None, :])
+
+        # the two entries of each slot, flat in M, and their signs
+        is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
+        k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
+        b = np.abs(k2)
+        # cos: (cos k1, cos b) and (sin k1, sin b) times -sgn k2; sin: (sin k1,
+        # cos b) and (cos k1, sin b) times sgn k2; a factor sin(0 x) drops out
+        entry = np.stack((
+            np.where(is_cos, k1, kmax + k1) * nb + b,
+            np.where(is_cos, kmax + k1, k1) * nb + kmax + b,
+        ))
+        sgn = np.where(k2 < 0, -1.0, 1.0) * (b > 0)
+        sign = np.stack((is_cos | (k1 > 0), np.where(is_cos, -sgn * (k1 > 0), sgn)))
+        amp = math.sqrt(2.0) / length
+        # per entry and link: the slot (n_modes, the appended zero, for none)
+        # and its weight; per slot: its two entries (0 where a sign is 0)
+        link = (k2 < 0).astype(np.int64)
+        self.entry_slot = np.full((2, nb * nb), self.n_modes)
+        self.entry_w = np.zeros((2, nb * nb))
+        for ent, sg in zip(entry, sign):
+            on = sg != 0.0
+            self.entry_slot[link[on], ent[on]] = np.flatnonzero(on)
+            self.entry_w[link[on], ent[on]] = amp * sg[on]
+        self.slot_entry = np.where(sign != 0.0, entry, 0)
         self.qw = np.full(n, (length / n) ** 2)
+        self.ana_w = amp * self.qw[0] * sign
+        self.flow_w = self.ana_w / self.lam
 
         self._work = {}
 
@@ -648,81 +639,76 @@ class _TorusCore:
     def workspace(self, b):
         return _cached_workspace(self._work, b, lambda: _TorusWork(self, b))
 
-    def _pack(self, ws, coeffs, fields):
-        """Scatter coefficient rows into ws.modes: the scalar synthesis
-        (fields 1) or the spectra of vorticity, d/dx and d/dy (fields 3)."""
-        vals = np.take(coeffs, self.pack_src, axis=-1, out=ws.vals, mode="clip")
-        np.multiply(vals, self.pack_scale, out=vals)
-        if fields > 1:
-            vals = np.multiply(vals[:, None], self.pack_mul, out=ws.packed)
-        dst = self.pack_dst[:fields]
-        for b, row in enumerate(ws.modes_flat):
-            row[dst] = vals[b]
+    def _pack(self, ws, coeffs):
+        """Coefficient rows -> M, (B, 2K + 1, 2K + 1) in ws.m."""
+        np.copyto(ws.pad[:, :-1], coeffs)
+        v = np.take(ws.pad, self.entry_slot, axis=-1, out=ws.pairs_flat)
+        np.multiply(v, self.entry_w, out=v)
+        np.add(v[:, 0], v[:, 1], out=ws.m_flat)
+        return ws.m
 
-    def _inverse(self, modes, spec, out=None):
-        """Grids of the mode spectra: ifft along k1 into the first C
-        columns of spec, whose other columns stay zero, then irfft."""
-        np.fft.ifft(modes, axis=-2, out=spec[..., : self.ncols])
-        return np.fft.irfft(spec, n=self.shape[1], axis=-1, out=out)
-
-    def _forward(self, f, spec):
-        """Half spectra of f written to spec, the k1 pass on the first C columns only."""
-        z = np.fft.rfft(f, axis=-1, out=spec)
-        cols = z[..., : self.ncols]
-        np.fft.fft(cols, axis=-2, out=cols)
-        return z
+    def _unpack(self, ws, a, weight):
+        """Flat entries a (B, (2K + 1)^2) -> slot rows times weight, a new array."""
+        v = np.take(a, self.slot_entry, axis=-1, out=ws.parts)
+        np.multiply(v, weight, out=v)
+        return np.add(v[:, 0], v[:, 1])
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        self._pack(ws, coeffs, 1)
-        return self._inverse(ws.modes[:, 0], ws.spec[:, 0])
+        n = self.shape[0]
+        t = np.matmul(self._pack(ws, coeffs), self.tables_t[:, :n], out=ws.t[..., :n])
+        return np.matmul(self.tables[0], t)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
-        self._forward(f, ws.zspec[:, 0])
-        return ws.zflat[:, 0, self.ana_idx] * self.ana_scale
+        e = self.tables[0]
+        np.matmul(e.T, np.matmul(f, e, out=ws.p[:, 0]), out=ws.pairs[:, 0])
+        return self._unpack(ws, ws.pairs_flat[:, 0], self.ana_w)
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
-        self._pack(ws, psi, 3)
-        return self._inverse(ws.modes, ws.spec, out)
+        n = self.shape[0]
+        m = self._pack(ws, psi)
+        lam_m = np.multiply(m, self.neg_lam, out=ws.pairs[:, 0])
+        # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
+        np.matmul(lam_m, self.tables_t[:, :n], out=ws.t[..., :n])
+        np.matmul(m, self.tables_t, out=ws.t[..., n:])
+        return np.matmul(self.tables, ws.t_split, out=out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
-        # the pointwise rotation commutes with the FFT; the area mean is the DC bin
-        z = self._forward(g, ws.zspec)
-        mean = z[:, :, 0, 0].real / math.prod(self.shape)
-        parts = np.take(ws.zflat, self.grad_idx, axis=-1, out=ws.parts)
-        np.multiply(parts, self.grad_w, out=parts)
-        p = np.add(parts[:, 0], parts[:, 1])
-        return np.multiply(p, self.split_scale, out=p), mean
+        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
+        p = np.matmul(g, self.tables[1:], out=ws.p)
+        q = np.matmul(self.tables[:2].transpose(0, 2, 1), p, out=ws.pairs)
+        np.subtract(q[:, 1], q[:, 0], out=ws.m)
+        mean = g.sum(axis=(-2, -1)) / math.prod(self.shape)
+        return self._unpack(ws, ws.m_flat, self.flow_w), mean
 
 
 class _TorusWork:
     """Reused buffers of one torus plan for B stacked fields.
 
-    modes, the packed (B, 3, N, C) mode spectra, is written only by the
-    pack scatter, and spec, the (B, 3, N, N // 2 + 1) half spectra of the
-    inverse, only by the k1 pass into its first C columns, so the bins
-    no coefficient reaches stay zero from construction on.  The forward
-    half spectra zspec are a buffer of their own.  A pack borrows the head
-    of zspec for the scaled coefficients vals, and a flow analysis the head
-    of packed, the values of each field, for the slots parts it reads.
+    A pack takes its links into pairs and sums them into m; a flow
+    synthesis scales m by -lam into pairs[:, 0] and writes its first
+    products [-lam o M E^T | M E^T | M dE^T] into t, which t_split views
+    as (B, 3, 2K + 1, N).  An analysis writes its first products into p
+    and its second into pairs; its unpack takes into the head of p.
     """
 
     def __init__(self, core, b):
-        n, nk, size = core.shape[0], core.ncols, core.pack_src.size
-        nh = n // 2 + 1
-        self.modes = np.zeros((b, 3, n, nk), dtype=np.complex128)
-        self.modes_flat = self.modes.reshape(b, 3 * n * nk).view(np.float64)
-        self.spec = np.zeros((b, 3, n, nh), dtype=np.complex128)
+        n, nb = core.tables.shape[1:]
+        self.pad = np.zeros((b, core.n_modes + 1))
+        self.pairs = np.empty((b, 2, nb, nb))
+        self.pairs_flat = self.pairs.reshape(b, 2, nb * nb)
+        self.m = np.empty((b, nb, nb))
+        self.m_flat = self.m.reshape(b, nb * nb)
+        self.t = np.empty((b, nb, 3 * n))
+        self.t_split = self.t.reshape(b, nb, 3, n).transpose(0, 2, 1, 3)
+        self.p = np.empty((b, 2, n, nb))
+        self.parts = _head(self.p, (b, 2, core.n_modes))
         # grids of (vorticity, d/dx, d/dy), and the product g
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))
-        self.zspec = np.empty((b, 2, n, nh), dtype=np.complex128)
-        self.zflat = self.zspec.reshape(b, 2, n * nh).view(np.float64)
-        self.packed = np.empty((b, 3, size))
-        self.vals, self.parts = _head(self.zflat, (b, size)), _head(self.packed, (b, 2, core.n_modes))
 
 
 def _cached_workspace(cache, b, build):
@@ -870,8 +856,8 @@ def flow_synthesis(plan, psi, out=None):
     """Vorticity and gradient grids of streamfunction coefficients.
 
     The vorticity equals synthesize(plan, -lam * psi); the gradient has
-    components (theta, phi) on the sphere, (x, y) on the torus.  Both come
-    from one inverse FFT over the three stacked fields.  With `out`, a
+    components (theta, phi) on the sphere, (x, y) on the torus.  All three
+    come from one inverse transform over the stacked fields.  With `out`, a
     C-contiguous float array of shape psi.shape[:-1] + (3,) + grid shape,
     the grids are written there and the pair are views of it.
     """
@@ -893,7 +879,7 @@ def flow_analysis(plan, g):
     Slot s of the streamfunction is <g, n x grad Y_s> / lam_s, so the
     velocity of a streamfunction analyzes back to it and gradients to zero;
     the pair is the area mean of each component of g, empty on the sphere.
-    Both come from one forward FFT over the stacked components.
+    Both come from one forward transform over the stacked components.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_field(plan, g, vec=True)

@@ -121,12 +121,6 @@ def constants(plan, params, norms=None):
     return DissipativityConstants(lam1, delta, delta_p, l1, l2, K1_SLT, k2, direct)
 
 
-def average_enstrophy_bound(plan, params, norms=None):
-    """Long-time bound on (1/t) integral of ||u||^2: returns 2 L2 / delta'."""
-    c = constants(plan, params, norms)
-    return 2.0 * c.l2 / c.delta_prime
-
-
 # ---------------------------------------------------------------------------
 # absorbing radii
 

@@ -400,6 +400,8 @@ def cmd_lyapunov(args, spec):
             "nstar": report.nstar,
             "measured_crossing": verdict["measured_crossing"],
             "consistent": verdict["consistent"],
+            "verdict": verdict["verdict"],
+            "advice": verdict["advice"],
             "gs_min_scale": report.gs_min_scale,
             "n_ensemble": spec.lyapunov.n_ensemble,
             "t_transient": spec.lyapunov.t_transient,

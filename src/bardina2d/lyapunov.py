@@ -255,12 +255,36 @@ def kaplan_yorke(exponents):
 def compare_bound(plan, report, params):
     """The verdict: the measured q_N crossing against the analytic N*.
 
-    The crossing is the first N with q_N < 0; consistency means it does not
-    exceed max(1, ceil(N*)), the shell from which the theory forces
-    contraction of N-volumes.
+    The crossing is the first N with q_N < 0; the bound is max(1, ceil(N*)),
+    the shell from which the theory forces N-volumes to contract.  The
+    verdict is "consistent" when the crossing does not exceed the bound,
+    "inconsistent" when it does, or when no partial sum turns negative
+    although the ensemble reaches the bound, and "undecided" when no
+    partial sum turns negative within an ensemble smaller than the bound:
+    the crossing lies beyond the ensemble, and only a larger n_ensemble can
+    place it.  `consistent` is true for "consistent" alone; `advice` says
+    what would decide an undecided run, and is None otherwise.
     """
     neg = np.nonzero(report.q_partial < 0.0)[0]
     crossing = int(neg[0]) + 1 if neg.size else -1
     nstar = bounds.attractor_bound(plan, params)
-    ok = crossing != -1 and crossing <= max(1.0, np.ceil(nstar))
-    return {"measured_crossing": crossing, "nstar": float(nstar), "consistent": bool(ok)}
+    bound = max(1.0, np.ceil(nstar))
+    n = report.q_partial.size
+    advice = None
+    if crossing != -1:
+        verdict = "consistent" if crossing <= bound else "inconsistent"
+    elif n >= bound:
+        verdict = "inconsistent"
+    else:
+        verdict = "undecided"
+        advice = (
+            f"no partial sum of the {n} exponents is negative; raise n_ensemble "
+            f"above {n} (up to {bound:.0f}) to place the crossing"
+        )
+    return {
+        "measured_crossing": crossing,
+        "nstar": float(nstar),
+        "consistent": verdict == "consistent",
+        "verdict": verdict,
+        "advice": advice,
+    }

@@ -327,6 +327,31 @@ class TestTransforms:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rows", [0, 1, 3, 7])
+    @pytest.mark.parametrize("kmax", [1, 2, 7, 8, 16])
+    def test_torus_rows_match_full_complex_reference(self, kmax, rows):
+        # every transform of a stack of rows against the FFT oracle, down to
+        # the smallest truncations (grids of 4 and 8 points) and empty stacks
+        plan = basis.build_plan(basis.torus(2.9), kmax)
+        rng = np.random.default_rng(22 + kmax + rows)
+        c = rng.standard_normal((rows, plan.n_modes))
+        f = rng.standard_normal((rows,) + plan.grid_shape)
+        v = rng.standard_normal((rows, 2) + plan.grid_shape)
+        ref = _FullComplexTorus(plan)
+        zeta, grad = basis.flow_synthesis(plan, c)
+        p, q = basis.flow_analysis(plan, v)
+        for got, want in (
+            (basis.synthesize(plan, c), ref.synthesize(c)),
+            (basis.analyze(plan, f), ref.analyze(f)),
+            (zeta, ref.synthesize(-plan.lam * c)),
+            (grad, ref.synth_grad(c)),
+            (p, -ref.grad_analysis(basis.rot90(v)) / plan.lam),
+            (q, np.fft.fft2(v)[..., 0, 0].real / plan.grid_shape[0] ** 2),
+        ):
+            assert got.shape == want.shape
+            if rows:
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_torus_column_and_edge_modes_match_reference(self):
         # the k2 = 0 column carries both +k1 and -k1 in the half spectrum
         for kmax in (7, 8):
@@ -436,10 +461,10 @@ class TestWorkspaces:
             assert sorted(plan.core._work) == [6, 7]
 
     @pytest.mark.parametrize("kmax", [7, 8])
-    def test_torus_unwritten_bins_stay_zero(self, kmax):
-        # the torus inverse reads spectrum bins that no pack writes and
-        # relies on them being zero; interleaved transforms on one plan must
-        # give what each gives on a plan of its own
+    def test_torus_interleaved_calls_match_fresh_plans(self, kmax):
+        # every kind of transform, at three batch sizes, reuses the buffers
+        # the others wrote; interleaved on one plan, each must give what it
+        # gives on a plan of its own, bit for bit
         geometry = basis.torus(2 * np.pi)
         plan = basis.build_plan(geometry, kmax)
         rng = np.random.default_rng(32 + kmax)

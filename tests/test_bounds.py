@@ -121,14 +121,6 @@ class TestConstants:
         assert abs(ct.k2 - 1.0 / (12.0 * np.pi)) < 1e-17
         assert ct.k2_direct
 
-    def test_average_enstrophy_bound(self):
-        plan = sphere_plan()
-        f = single_mode_forcing(plan, (1, 0), 1.0)
-        p = params_with(plan, 0.7, 1.3, 0.0, f)
-        c = bounds.constants(plan, p)
-        got = bounds.average_enstrophy_bound(plan, p)
-        assert abs(got - 2.0 * c.l2 / c.delta_prime) < 1e-16
-
 
 class TestAbsorbingRadii:
     def test_unit_sphere_energy_radius(self):

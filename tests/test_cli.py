@@ -174,6 +174,20 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_resume_with_changed_torus_length(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        other = write_config(tmp_path, forced_doc(length=7.0), "other.json")
+        code = cli.main(
+            ["simulate", "--config", other, "--resume", str(out / "final.bdna"), "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "length" in err and "7.0" in err
+        assert not (tmp_path / "x").exists()
+
     def test_resume_past_t_end(self, tmp_path):
         config = write_config(tmp_path, forced_doc())
         out = tmp_path / "run"
@@ -401,6 +415,9 @@ class TestLyapunov:
         assert last == sorted(last, reverse=True)
         assert np.allclose(sorted(report["exponents"]), sorted(last))
         assert isinstance(report["consistent"], bool)
+        assert report["verdict"] in ("consistent", "inconsistent", "undecided")
+        assert report["consistent"] == (report["verdict"] == "consistent")
+        assert (report["advice"] is None) == (report["verdict"] != "undecided")
         assert report["nstar"] > 0.0
         assert 0.0 < report["gs_min_scale"] <= 1.0
 
@@ -658,7 +675,8 @@ import json, sys
 from bardina2d import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in sys.modules,
+                  "fft": "numpy.fft" in sys.modules}))
 """
 
     def _fresh_run(self, runs):
@@ -690,15 +708,21 @@ print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in
         ]
         assert self._fresh_run(runs)["scipy"] == []
 
-    def test_running_commands_never_import_the_check_battery(self, tmp_path):
+    def _torus_runs(self, tmp_path):
         lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
         torus = write_config(tmp_path, forced_doc(lyapunov=lyap))
-        runs = [
+        return self._fresh_run([
             ["simulate", "--config", torus, "--out", str(tmp_path / "t")],
             ["lyapunov", "--config", torus, "--out", str(tmp_path / "l")],
             ["bounds", "--config", torus, "--out", str(tmp_path / "b")],
-        ]
-        assert self._fresh_run(runs)["checks"] is False
+        ])
+
+    def test_running_commands_never_import_the_check_battery(self, tmp_path):
+        assert self._torus_runs(tmp_path)["checks"] is False
+
+    def test_torus_commands_never_import_numpy_fft(self, tmp_path):
+        # the torus transforms are matrix products; only the sphere uses np.fft
+        assert self._torus_runs(tmp_path)["fft"] is False
 
 
 def _non_finite_cases():

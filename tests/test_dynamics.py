@@ -450,60 +450,77 @@ class _AllocatingRemainder:
         blocks = rows.transpose(0, 1, 3, 2) @ c.table[..., nh:].transpose(0, 1, 3, 2)
         return self._scatter(blocks, b, c.flow_scale), np.zeros((b, 0))
 
-    # torus: bins, scales and multipliers derived here from the lattice
-    # vectors, the period and the grid alone, packed into the full half
-    # spectrum and transformed by numpy's whole 2-d real FFTs
-    def _torus_bins(self):
-        """Per slot: cos (or sin) member, conjugated bin, and bin (row, col).
+    # torus: the per-axis tables and the coefficient matrix M of each field
+    # (a field is E M E^T) derived here from the lattice vectors, the period
+    # and the grid alone, and transformed by separable products that each
+    # allocate; the products have the operand layouts of the kernel's, since
+    # BLAS may round other layouts differently
+    def _torus_axis_tables(self):
+        """E and dE (N, 2K + 1): cos(w a x_j), a = 0..K, then sin(w a x_j),
+        a = 1..K, and their x-derivatives, at x_j = L j / N."""
+        c = self.core
+        n, k, w = c.shape[0], c.kmax, 2.0 * np.pi / c.length
+        e, de = np.zeros((2, n, 2 * k + 1))
+        for j in range(n):
+            for a in range(k + 1):
+                t = 2.0 * math.pi * (a * j % n) / n  # w a x_j, reduced mod 2 pi
+                e[j, a], de[j, a] = math.cos(t), -(w * a) * math.sin(t)
+                if a:
+                    e[j, k + a], de[j, k + a] = math.sin(t), (w * a) * math.cos(t)
+        return e, de
 
-        Slot q labels cos(2 pi q.x / L) for q in the right half-plane and
-        sin(2 pi k.x / L), k = -q, otherwise; the pair's k sits at bin
-        (k1 mod N, k2), or conjugated at (-k1 mod N, -k2) when k2 < 0.
+    def _torus_links(self):
+        """Per slot: the entries [row, col] of M its basis function lands in, with signs.
+
+        Slot q is cos(w q.x) for q in the right half-plane and sin(w k.x),
+        k = -q, otherwise; with k1 = a >= 0, k2 = s b, b = |k2|,
+        cos(a x + k2 y) = cos cos - s sin sin and sin(a x + k2 y) =
+        sin cos + s cos sin.  Column a of a table is cos(w a x), column
+        K + a is sin(w a x); a sin factor of frequency 0 vanishes.
         """
-        n = self.core.shape[0]
-        q1, q2 = self.core.qvec[:, 0], self.core.qvec[:, 1]
-        cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
-        k1, k2 = np.where(cos, q1, -q1), np.where(cos, q2, -q2)
-        conj = k2 < 0
-        return cos, conj, np.where(conj, -k1, k1) % n, np.abs(k2)
-
-    def _torus_wavenumbers(self):
-        n, w = self.core.shape[0], 2.0 * np.pi / self.core.length
-        return (w * np.fft.fftfreq(n, d=1.0 / n))[:, None], (w * np.arange(n // 2 + 1))[None, :]
+        k = self.core.kmax
+        for slot, (q1, q2) in enumerate(self.core.qvec.tolist()):
+            is_cos = q1 > 0 or (q1 == 0 and q2 > 0)
+            a, k2 = (q1, q2) if is_cos else (-q1, -q2)
+            b, s = abs(k2), (1 if k2 >= 0 else -1)
+            if is_cos:
+                terms = ((("cos", a), ("cos", b), 1), (("sin", a), ("sin", b), -s))
+            else:
+                terms = ((("sin", a), ("cos", b), 1), (("cos", a), ("sin", b), s))
+            yield slot, [
+                (tuple(f if kind == "cos" else k + f for kind, f in (x, y)), sign)
+                for x, y, sign in terms
+                if ("sin", 0) not in (x, y)
+            ]
 
     def _torus_synthesis(self, psi):
         c = self.core
-        n = c.shape[0]
-        amp = math.sqrt(2.0) / c.length  # amplitude of a unit-norm cos or sin
-        a = 0.5 * n * n * amp  # its bin value
-        cos, conj, row, col = self._torus_bins()
-        sin = ~cos
-        spec = np.zeros((len(psi), n, n // 2 + 1), dtype=np.complex128)
-        spec.real[:, row[cos], col[cos]] = psi[:, cos] * a
-        spec.imag[:, row[sin], col[sin]] = psi[:, sin] * np.where(conj[sin], a, -a)
-        # the k2 = 0 column also holds the conjugate of each pair at -k1
-        edge = col == 0
-        spec.real[:, -c.qvec[cos & edge, 0] % n, 0] = psi[:, cos & edge] * a
-        spec.imag[:, c.qvec[sin & edge, 0] % n, 0] = psi[:, sin & edge] * a
-        w1, w2 = self._torus_wavenumbers()
-        mul = np.stack(np.broadcast_arrays(-(w1**2 + w2**2), 1j * w1, 1j * w2))
-        grids = np.fft.irfft2(spec[:, None] * mul, s=c.shape)
-        return grids[..., 0, :, :], grids[..., 1:, :, :]
+        n, amp, w = c.shape[0], math.sqrt(2.0) / c.length, 2.0 * np.pi / c.length
+        m = np.zeros((len(psi), 2 * c.kmax + 1, 2 * c.kmax + 1))
+        for slot, links in self._torus_links():
+            for (row, col), sign in links:
+                m[:, row, col] += (amp * sign) * psi[:, slot]
+        freq = np.concatenate((np.arange(c.kmax + 1), np.arange(1, c.kmax + 1)))
+        neg_lam = -(w**2) * (freq[:, None] ** 2 + freq[None, :] ** 2)
+        e, de = self._torus_axis_tables()
+        e_de_t = np.ascontiguousarray(np.concatenate((e, de)).T)  # [E^T | dE^T]
+        right = m @ e_de_t  # [M E^T | M dE^T]
+        zeta = e @ ((m * neg_lam) @ e_de_t[:, :n])
+        grad = np.stack((de @ right[..., :n], e @ right[..., n:]), axis=1)
+        return zeta, grad
 
     def _torus_analysis(self, g):
         c = self.core
-        n = c.shape[0]
-        z = np.fft.rfft2(g)
-        mean = z[..., 0, 0].real / math.prod(c.shape)
-        z = _rot90(z)
-        w1, w2 = self._torus_wavenumbers()
-        zdot = w1 * z[..., 0, :, :] + w2 * z[..., 1, :, :]
-        cos, conj, row, col = self._torus_bins()
-        at = zdot[:, row, col]
-        amp = math.sqrt(2.0) / c.length
-        quad = amp * c.length**2 / (n * n)  # amplitude times quadrature weight
-        scale = -np.where(cos, quad, np.where(conj, -quad, quad)) / self.plan.lam
-        return np.where(cos, at.imag, at.real) * scale, mean
+        n, amp = c.shape[0], math.sqrt(2.0) / c.length
+        e, de = self._torus_axis_tables()
+        # <g, n x grad> of each entry: integral of g_y d/dx - g_x d/dy
+        a = de.T @ (g[:, 1] @ e) - e.T @ (g[:, 0] @ de)
+        quad = (c.length / n) ** 2
+        p = np.zeros((len(g), c.n_modes))
+        for slot, links in self._torus_links():
+            for (row, col), sign in links:
+                p[:, slot] += a[:, row, col] * (amp * quad * sign / self.plan.lam[slot])
+        return p, g.mean(axis=(-2, -1))
 
     def remainder_u(self, psis, hs, params, fstate):
         plan = self.plan
@@ -591,10 +608,8 @@ class TestWorkspaceKernel:
 
 
 class TestTransformPasses:
-    """One torus right-hand side is one inverse and one forward real 2-d FFT,
-    each over all stacked fields and each called as its two axis passes, so
-    that the k1 pass runs over the spectral columns that hold modes only:
-    ifft then irfft, rfft then fft."""
+    """The torus transforms are separable matrix products: a torus
+    right-hand side, stacked or not, and the trilinear form make no FFT call."""
 
     NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
@@ -611,7 +626,7 @@ class TestTransformPasses:
             monkeypatch.setattr(np.fft, name, counted)
         return calls
 
-    def test_torus_remainders_make_two_fft_calls(self, monkeypatch):
+    def test_torus_remainders_make_no_fft_call(self, monkeypatch):
         plan = torus_plan(16)
         params = params_for(plan, seed=6)
         fstate = dyn.forcing_state(plan, params.forcing)
@@ -621,16 +636,15 @@ class TestTransformPasses:
         state = ops.VelocityState(psis[0], hs[0])
         calls = self._count_ffts(monkeypatch)
         dyn._remainder_u(plan, psis[:1], hs[:1], params, fstate)
-        assert calls == ["ifft", "irfft", "rfft", "fft"]
-        del calls[:]
         dyn._remainder_u(plan, psis, hs, params, fstate)
-        assert calls == ["ifft", "irfft", "rfft", "fft"]
-        del calls[:]
         dyn.rhs_u(plan, state, params)
-        assert calls == ["ifft", "irfft", "rfft", "fft"]
+        assert calls == []
+        # the counter sees the sphere's FFTs
+        sphere = sphere_plan(5)
+        dyn.rhs_u(sphere, ops.random_state(sphere, seed=9), params_for(sphere, seed=6))
+        assert calls == ["irfft", "rfft"]
 
-    def test_torus_trilinear_form_makes_one_synthesis(self, monkeypatch):
-        # b(u, v, w) takes the grids of all three states from one flow synthesis
+    def test_torus_trilinear_form_makes_no_fft_call(self, monkeypatch):
         plan = torus_plan(16)
         rng = np.random.default_rng(8)
         states = [
@@ -640,7 +654,7 @@ class TestTransformPasses:
         ]
         calls = self._count_ffts(monkeypatch)
         ops.trilinear_b(plan, *states)
-        assert calls == ["ifft", "irfft"]
+        assert calls == []
 
 
 class TestCutoff:

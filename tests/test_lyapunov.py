@@ -301,3 +301,34 @@ class TestCompareBound:
         verdict = lyapunov.compare_bound(plan, rep, params)
         assert verdict["measured_crossing"] == 3
         assert not verdict["consistent"]
+
+    def _verdict(self, monkeypatch, q_partial, nstar):
+        # a synthetic report judged against a fixed N*
+        monkeypatch.setattr(lyapunov.bounds, "attractor_bound", lambda plan, params: nstar)
+        plan = sphere_plan()
+        q = np.asarray(q_partial, dtype=float)
+        rep = lyapunov.ExponentReport(
+            exponents=np.concatenate((q[:1], np.diff(q))), q_partial=q,
+            t_series=np.zeros(1), q_series=np.zeros(1), dim_ky=0.0, ky_saturated=False, nstar=nstar,
+        )
+        return lyapunov.compare_bound(plan, rep, unforced(plan))
+
+    def test_three_verdicts(self, monkeypatch):
+        # N* = 5.5: the bound is shell 6
+        v = self._verdict(monkeypatch, [0.5, 0.6, 0.4, -0.1], 5.5)
+        assert (v["verdict"], v["consistent"], v["measured_crossing"]) == ("consistent", True, 4)
+        assert v["advice"] is None
+        # no crossing within 4 < 6 directions: the ensemble is too small to tell
+        v = self._verdict(monkeypatch, [0.5, 0.6, 0.4, 0.1], 5.5)
+        assert (v["verdict"], v["consistent"], v["measured_crossing"]) == ("undecided", False, -1)
+        assert "raise n_ensemble" in v["advice"]
+        # a crossing past the bound contradicts the theory
+        v = self._verdict(monkeypatch, [0.5, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05, -0.2], 5.5)
+        assert (v["verdict"], v["consistent"], v["measured_crossing"]) == ("inconsistent", False, 8)
+        assert v["advice"] is None
+
+    def test_no_crossing_in_an_ensemble_past_the_bound_is_inconsistent(self, monkeypatch):
+        # 7 directions reach shell 6, so the crossing lies past the bound
+        v = self._verdict(monkeypatch, [0.5, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05], 5.5)
+        assert (v["verdict"], v["consistent"], v["measured_crossing"]) == ("inconsistent", False, -1)
+        assert v["advice"] is None

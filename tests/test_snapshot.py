@@ -95,22 +95,25 @@ class TestRoundtrip:
         assert [p.name for p in tmp_path.iterdir()] == ["s.bdna"]
 
 
-class TestVersion1:
-    def write_v1(self, path, plan, state, t, params):
-        # the version 1 layout, whose CRC covers the coefficient bytes only
-        body = np.concatenate([state.psi, state.harmonic]).astype("<f8").tobytes()
-        header = struct.pack(
-            "<4sIBI4dQ", b"BDNA", 1, 1, plan.truncation, t,
-            params.nu, params.alpha, params.sigma, plan.n_modes + plan.n_harmonic,
-        )
-        path.write_bytes(header + body + struct.pack("<I", zlib.crc32(body)))
+def write_old(path, plan, state, t, params, version):
+    """A torus snapshot in the version 1 or 2 layout, which has no length
+    field; the version 1 CRC covers the coefficient bytes only."""
+    body = np.concatenate([state.psi, state.harmonic]).astype("<f8").tobytes()
+    header = struct.pack(
+        "<4sIBI4dQ", b"BDNA", version, 1, plan.truncation, t,
+        params.nu, params.alpha, params.sigma, plan.n_modes + plan.n_harmonic,
+    )
+    crc = zlib.crc32(body, zlib.crc32(header) if version == 2 else 0)
+    path.write_bytes(header + body + struct.pack("<I", crc))
 
+
+class TestVersion1:
     def test_hand_written_v1_loads(self, tmp_path):
         plan = torus_plan()
         params = params_for(plan, sigma=0.3)
         state = rand_state(plan, 10)
         path = tmp_path / "v1.bdna"
-        self.write_v1(path, plan, state, 0.25, params)
+        write_old(path, plan, state, 0.25, params, 1)
         snap = snapshot.load_snapshot(path)
         assert snap.geometry_kind == basis.TORUS
         assert snap.t == 0.25
@@ -122,7 +125,7 @@ class TestVersion1:
     def test_v1_payload_still_checked(self, tmp_path):
         plan = torus_plan()
         path = tmp_path / "v1.bdna"
-        self.write_v1(path, plan, rand_state(plan, 11), 1.0, params_for(plan, sigma=0.3))
+        write_old(path, plan, rand_state(plan, 11), 1.0, params_for(plan, sigma=0.3), 1)
         blob = bytearray(path.read_bytes())
         blob[-12] ^= 0x40
         path.write_bytes(bytes(blob))
@@ -133,7 +136,32 @@ class TestVersion1:
         plan = sphere_plan()
         path = tmp_path / "s.bdna"
         snapshot.save_snapshot(path, plan, rand_state(plan, 12), 0.0, params_for(plan))
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+        assert snapshot.load_snapshot(path).length == 0.0
+
+
+class TestOldVersions:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_versions_load_with_no_period_check(self, tmp_path, version):
+        plan = torus_plan()
+        params = params_for(plan, sigma=0.3)
+        state = rand_state(plan, 13)
+        path = tmp_path / "old.bdna"
+        write_old(path, plan, state, 0.5, params, version)
+        snap = snapshot.load_snapshot(path)
+        assert snap.length is None and np.array_equal(snap.psi, state.psi)
+        other = basis.build_plan(basis.torus(3.0), plan.truncation)
+        snapshot.check_snapshot(snap, other, params)
+
+    def test_v2_header_still_checked(self, tmp_path):
+        plan = torus_plan()
+        path = tmp_path / "v2.bdna"
+        write_old(path, plan, rand_state(plan, 14), 0.5, params_for(plan, sigma=0.3), 2)
+        blob = bytearray(path.read_bytes())
+        blob[21 + 3] ^= 0x04  # inside nu
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshotError):
+            snapshot.load_snapshot(path)
 
 
 class TestCorruption:
@@ -210,6 +238,16 @@ class TestCorruption:
         with pytest.raises(CorruptSnapshotError):
             snapshot.load_snapshot(path)
 
+    def test_flipped_length_bit_fails_crc(self, tmp_path):
+        plan = torus_plan()
+        path = tmp_path / "t.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 5), 0.25, params_for(plan))
+        blob = bytearray(path.read_bytes())
+        blob[45 + 2] ^= 0x08  # inside length, after t, nu, alpha and sigma
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshotError):
+            snapshot.load_snapshot(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = self.write_one(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
@@ -241,6 +279,17 @@ class TestMismatch:
         snap = snapshot.load_snapshot(path)
         with pytest.raises(SnapshotMismatchError):
             snapshot.check_snapshot(snap, plan, params_for(plan, nu=0.8))
+
+    def test_torus_length_mismatch(self, tmp_path):
+        plan = torus_plan()
+        params = params_for(plan, sigma=0.2)
+        path = tmp_path / "t.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 9), 1.0, params)
+        snap = snapshot.load_snapshot(path)
+        assert snap.length == 2.0 * np.pi
+        other = basis.build_plan(basis.torus(3.0), plan.truncation)
+        with pytest.raises(SnapshotMismatchError, match="length"):
+            snapshot.check_snapshot(snap, other, params)
 
     def test_matching_check_passes(self, tmp_path):
         plan = torus_plan()

@@ -255,7 +255,8 @@ class TestAverageEnstrophy:
         rep = verification.average_enstrophy_check(plan, recs, p)
         assert rep["ok"]
         assert rep["average"] <= rep["bound"]
-        want = bounds.average_enstrophy_bound(plan, p) + rep["transient"]
+        c = bounds.constants(plan, p)
+        want = 2.0 * c.l2 / c.delta_prime + rep["transient"]
         assert abs(rep["bound"] - want) < 1e-15 * want
 
     def test_requires_time_span(self):
