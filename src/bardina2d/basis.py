@@ -72,8 +72,9 @@ Workspaces
       share nothing;
     - a workspace is not safe to share across threads: use one plan per
       thread;
-    - returned arrays are never views of a workspace buffer, except the
-      grids `flow_synthesis` writes into an `out` its caller passes;
+    - returned arrays are never views of a workspace buffer; the
+      right-hand side, which calls the core transforms directly, borrows
+      the core workspace's `grids` and `g` and returns none of them;
     - size: 3.5 MB for one row at sphere L=85 and 3.1 MB at torus K=64
       (0.23 MB at L=21, 0.20 MB at K=16), about linear in the row count
       (38 MB for 9 rows at L=85, 22 MB for 7 rows at K=64); a sphere
@@ -852,24 +853,18 @@ def analyze(plan, f):
     return _unrows(plan.core.analyze(rows), lead, 1)
 
 
-def flow_synthesis(plan, psi, out=None):
+def flow_synthesis(plan, psi):
     """Vorticity and gradient grids of streamfunction coefficients.
 
     The vorticity equals synthesize(plan, -lam * psi); the gradient has
     components (theta, phi) on the sphere, (x, y) on the torus.  All three
-    come from one inverse transform over the stacked fields.  With `out`, a
-    C-contiguous float array of shape psi.shape[:-1] + (3,) + grid shape,
-    the grids are written there and the pair are views of it.
+    come from one inverse transform over the stacked fields, into a new
+    array of which the pair are views.
     """
     psi = np.asarray(psi, dtype=np.float64)
     _check_coeffs(plan, psi)
     rows, lead = _rows_of(psi, 1)
-    if out is not None:
-        want = lead + (3,) + plan.grid_shape
-        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ShapeError(f"out must be a C-contiguous float64 array of shape {want}")
-        out = out.reshape((-1, 3) + plan.grid_shape)
-    grids = _unrows(plan.core.flow_synthesis(rows, out), lead, 3)
+    grids = _unrows(plan.core.flow_synthesis(rows), lead, 3)
     return grids[..., 0, :, :], grids[..., 1:, :, :]
 
 
@@ -886,18 +881,6 @@ def flow_analysis(plan, g):
     rows, lead = _rows_of(g, 3)
     p, q = plan.core.flow_analysis(rows)
     return _unrows(p, lead, 1), _unrows(q, lead, 1)
-
-
-def workspace(plan, rows):
-    """The plan's transform workspace for `rows` stacked fields.
-
-    Besides the transforms' own buffers, which every transform call with
-    `rows` fields on this plan overwrites, it holds two buffers that only
-    their user writes: the grid stack `grids` (rows, 3, *grid_shape), for
-    `flow_synthesis(..., out=grids)`, and the product field `g`
-    (rows, 2, *grid_shape) of the right-hand side.
-    """
-    return plan.core.workspace(rows)
 
 
 def dealias(plan, coeffs):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -237,16 +238,21 @@ def _resume_anchor(resume_path, spec):
     snapshot; resumed diagnostics then continue the original envelopes bitwise.
 
     Returns (anchor, None), or (None, cause) when meta.json is missing,
-    unreadable, made with other parameters or lacks the anchor.
+    unreadable, made with other parameters, or lacks the anchor or holds a
+    non-finite one (json reads NaN and Infinity).
     """
     meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
     meta, cause = _load_meta(meta_path, spec)
     if cause is not None:
         return None, cause
+    keys = ("anchor_e1", "anchor_e2", "anchor_t")
     try:
-        anchor = (float(meta["anchor_e1"]), float(meta["anchor_e2"]), float(meta["anchor_t"]))
-    except (KeyError, TypeError, ValueError):
+        anchor = tuple(float(meta[key]) for key in keys)
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None, f"{meta_path} holds no valid anchor_e1/anchor_e2/anchor_t"
+    for key, value in zip(keys, anchor):
+        if not math.isfinite(value):
+            return None, f"{meta_path}: {key} is {value}, not a finite number"
     return anchor, None
 
 
@@ -510,31 +516,15 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     _pin_thread_pools()
-    from .errors import (
-        ConfigurationError,
-        DegenerateEnsembleError,
-        DivergenceError,
-        IndexRangeError,
-        ShapeError,
-        SnapshotError,
-        UnsupportedGeometryError,
-    )
+    from .errors import DegenerateEnsembleError, DivergenceError, ModelError
 
     try:
         return _dispatch(args)
-    except (
-        ConfigurationError,
-        IndexRangeError,
-        ShapeError,
-        SnapshotError,
-        UnsupportedGeometryError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DivergenceError, DegenerateEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
+        # every other package error is a bad configuration or input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -117,8 +117,13 @@ def _check_param(kind, key, value, path):
 
 
 def _check_mode_index(geometry, truncation, index, path):
+    """The index pair as a tuple; fails naming `path` unless both parts are
+    integers (not bools) and the mode lies within the truncation."""
+    for part in index:
+        if isinstance(part, bool) or not isinstance(part, int):
+            _fail(path, f"mode indices must be integers, got {index!r}")
     try:
-        basis.check_mode_index(geometry.kind, truncation, index)
+        return basis.check_mode_index(geometry.kind, truncation, index)
     except IndexRangeError as exc:
         _fail(path, str(exc))
 
@@ -136,13 +141,8 @@ def _parse_forcing(obj, geometry, truncation):
         path = f"forcing.modes[{i}]"
         if not isinstance(row, list) or len(row) != 3:
             _fail(path, f"expected [index, index, amplitude], got {row!r}")
-        idx = row[:2]
-        for part in idx:
-            if isinstance(part, bool) or not isinstance(part, int):
-                _fail(path, f"mode indices must be integers, got {row!r}")
-        amplitude = _number(row[2], path)
-        _check_mode_index(geometry, truncation, tuple(idx), path)
-        modes.append((tuple(idx), amplitude))
+        idx = _check_mode_index(geometry, truncation, row[:2], path)
+        modes.append((idx, _number(row[2], path)))
     harmonic = obj.get("harmonic", [])
     if harmonic and geometry.kind == basis.SPHERE:
         _fail("forcing.harmonic", "the sphere has no harmonic component")
@@ -165,9 +165,9 @@ def _parse_initial(obj, geometry, truncation, top_seed):
         mode = obj.get("mode")
         if not isinstance(mode, list) or len(mode) != 2:
             _fail("initial.mode", f"expected an index pair, got {mode!r}")
-        _check_mode_index(geometry, truncation, tuple(mode), "initial.mode")
+        mode = _check_mode_index(geometry, truncation, mode, "initial.mode")
         amp = _get_number(obj, "amplitude", "initial.", default=1.0)
-        return InitialSpec("eigenmode", mode=tuple(mode), amplitude=amp)
+        return InitialSpec("eigenmode", mode=mode, amplitude=amp)
     if kind == "random":
         _reject_unknown(obj, {"kind", "seed", "slope", "energy"}, "initial")
         seed = obj.get("seed", top_seed)

@@ -108,11 +108,20 @@ def validate_params(plan, params):
 def _nonlinearity(plan, psis, hs):
     """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1..
 
-    With u = n x grad psi + h, n x u = -grad psi + n x h is formed in place
-    of the gradient grids, and the product in the plan workspace's g.
+    The rows run through the plan core's transforms directly, checked here
+    once.  With u = n x grad psi + h, n x u = -grad psi + n x h is formed in
+    place of the gradient grids, which the core workspace's `grids` holds,
+    and the product in its `g`.
     """
-    ws = basis.workspace(plan, len(psis))
-    zeta, r = basis.flow_synthesis(plan, psis, out=ws.grids)
+    if psis.shape[1:] != (plan.n_modes,) or hs.shape != (len(psis), plan.n_harmonic):
+        raise ShapeError(
+            f"row shapes {psis.shape}/{hs.shape} do not match plan "
+            f"({plan.n_modes} modes, {plan.n_harmonic} harmonic)"
+        )
+    core = plan.core
+    ws = core.workspace(len(psis))
+    grids = core.flow_synthesis(psis, ws.grids)
+    zeta, r = grids[:, 0], grids[:, 1:]
     if plan.n_harmonic:
         # (-(grad_x + h_y), h_x - grad_y)
         np.add(r[:, 0], hs[:, 1, None, None], out=r[:, 0])
@@ -123,7 +132,7 @@ def _nonlinearity(plan, psis, hs):
     g = np.multiply(zeta[:, None], r[0], out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
         g[1:] += np.multiply(zeta[0], r[1:], out=r[1:])
-    return basis.flow_analysis(plan, g)
+    return core.flow_analysis(g)
 
 
 def nonlinear_term(plan, state):
@@ -160,6 +169,8 @@ def rhs_u(plan, state, params):
 
 def rhs_tangent(plan, delta, state, params):
     """Full tangent tendency at base state `state` (forcing drops out)."""
+    ops._check(plan, state)
+    ops._check(plan, delta)
     fstate = forcing_state(plan, params.forcing)
     psis = np.stack((state.psi, delta.psi))
     hs = np.stack((state.harmonic, delta.harmonic))
@@ -195,6 +206,7 @@ def prepared_rhs(plan, vstate, params, rho):
     """
     if plan.geometry.kind != basis.SPHERE:
         raise UnsupportedGeometryError("the prepared equation is defined on the sphere")
+    ops._check(plan, vstate)  # the filter inversion would broadcast a bad row first
     if not rho > 0.0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
     if params.sigma != 0.0:

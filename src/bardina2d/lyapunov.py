@@ -162,6 +162,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     Deterministic for a fixed config seed.
     """
     dyn.validate_params(plan, params)
+    ops._check(plan, state)  # before the base row is stacked with the tangents
     _validate_ensemble_size(plan, config)
     m = integrate._count_steps(config.renorm_interval, scheme.dt, "renorm_interval")
     if m < 1:

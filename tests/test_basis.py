@@ -301,7 +301,7 @@ class TestTransforms:
         # each slot of each field appears exactly once in a gather
         width = plan.n_modes + 1
         for b in (1, 3):
-            idx = basis.workspace(plan, b).gather.ravel()
+            idx = plan.core.workspace(b).gather.ravel()
             counts = np.bincount(idx[idx % width != plan.n_modes], minlength=b * width)
             assert np.all(counts.reshape(b, width)[:, :-1] == 1)
 
@@ -435,7 +435,7 @@ class TestWorkspaces:
                 for a, b in zip(first, kept):
                     assert np.array_equal(a, b), fn.__name__
                 buffers = [
-                    buf for buf in vars(basis.workspace(plan, 3)).values()
+                    buf for buf in vars(plan.core.workspace(3)).values()
                     if isinstance(buf, np.ndarray)
                 ]
                 for a in first:
@@ -444,7 +444,7 @@ class TestWorkspaces:
     def test_plans_of_one_truncation_share_no_buffers(self):
         for make in (lambda: basis.build_plan(basis.sphere(), 9),
                      lambda: basis.build_plan(basis.torus(2 * np.pi), 9)):
-            a, b = (vars(basis.workspace(make(), 2)) for _ in range(2))
+            a, b = (vars(make().core.workspace(2)) for _ in range(2))
             for x in a.values():
                 for y in b.values():
                     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
@@ -452,8 +452,8 @@ class TestWorkspaces:
 
     def test_workspaces_per_plan_are_bounded(self):
         for plan in plans()[:2]:
-            first = basis.workspace(plan, 1)
-            assert basis.workspace(plan, 1) is first
+            first = plan.core.workspace(1)
+            assert plan.core.workspace(1) is first
             for rows in range(1, 8):
                 basis.synthesize(plan, np.zeros((rows, plan.n_modes)))
             assert len(plan.core._work) == basis.WORKSPACES_PER_PLAN
@@ -484,19 +484,6 @@ class TestWorkspaces:
             got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), (rows, name)
-
-    def test_flow_synthesis_out_is_checked_and_filled(self):
-        for plan in plans():
-            psi = np.random.default_rng(31).standard_normal((2, plan.n_modes))
-            out = np.empty((2, 3) + plan.grid_shape)
-            zeta, grad = basis.flow_synthesis(plan, psi, out=out)
-            want_zeta, want_grad = basis.flow_synthesis(plan, psi)
-            assert np.shares_memory(zeta, out) and np.shares_memory(grad, out)
-            assert np.array_equal(zeta, want_zeta) and np.array_equal(grad, want_grad)
-            with pytest.raises(ShapeError):
-                basis.flow_synthesis(plan, psi, out=np.empty((2, 2) + plan.grid_shape))
-            with pytest.raises(ShapeError):
-                basis.flow_synthesis(plan, psi, out=out[:, :, :, ::-1])
 
 
 def _reference(plan):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bardina2d import basis, bounds, checks, cli, snapshot, verification
+from bardina2d.errors import DegenerateEnsembleError, ModelError
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,6 +164,33 @@ class TestSimulate:
         lines = err.splitlines()
         assert len(lines) == 1
         assert "re-anchored" in lines[0] and "nu is 0.25" in lines[0]
+
+    @pytest.mark.parametrize(
+        "bad,key",
+        [({"anchor_e1": math.nan, "anchor_e2": math.inf}, "anchor_e1"),
+         ({"anchor_e2": -math.inf}, "anchor_e2"),
+         ({"anchor_t": math.nan}, "anchor_t")],
+        ids=["e1-nan-e2-inf", "e2-minus-inf", "t-nan"],
+    )
+    def test_resume_with_non_finite_anchor_records_reanchoring(self, tmp_path, capsys, bad, key):
+        # json writes and reads NaN and Infinity; such an anchor must not
+        # reach the envelopes, where it would hide every violation
+        def edit(path):
+            meta = json.loads(path.read_text())
+            meta.update(bad)
+            path.write_text(json.dumps(meta))
+
+        meta, err = self._half_and_tail(tmp_path, edit, capsys)
+        assert meta["anchor"] == "reanchored"
+        assert meta["anchor_t"] == 0.5
+        assert all(math.isfinite(meta[k]) for k in ("anchor_e1", "anchor_e2"))
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "re-anchored" in lines[0] and key in lines[0]
+        header, rows = read_csv(tmp_path / "tail" / "diagnostics.csv")
+        for row in rows:
+            assert math.isfinite(float(row[header.index("env1")]))
+            assert math.isfinite(float(row[header.index("env2")]))
 
     def test_resume_mismatched_truncation(self, tmp_path):
         config = write_config(tmp_path, forced_doc())
@@ -763,6 +791,36 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {key}: ") and "finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "index", [[2.7, 1], ["2", 1], [True, 0], ["a", 1], [None, 1]],
+        ids=["float", "string-digit", "bool", "string", "null"],
+    )
+    @pytest.mark.parametrize("key", ["initial.mode", "forcing.modes[0]"])
+    def test_mode_index_must_be_integers(self, tmp_path, capsys, index, key):
+        # one check for both blocks: no index is converted, and none crashes
+        if key == "initial.mode":
+            doc = decay_doc(truncation=4, initial={"kind": "eigenmode", "mode": index})
+        else:
+            doc = decay_doc(truncation=4, forcing={"modes": [index + [1.0]]})
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: mode indices must be integers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base,code", [(ModelError, 2), (DegenerateEnsembleError, 1)])
+    def test_exit_code_follows_the_base_class(self, monkeypatch, capsys, base, code):
+        # a package error that `cli.main` does not name still exits cleanly
+        class NewError(base):
+            pass
+
+        def dispatch(args):
+            raise NewError("novel")
+
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        assert cli.main(["bounds", "--config", "unused.json"]) == code
+        assert capsys.readouterr().err == "error: novel\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "none.json")]) == 2

@@ -12,6 +12,7 @@ import bardina2d
 
 from bardina2d import basis
 from bardina2d import dynamics as dyn
+from bardina2d import integrate, lyapunov
 from bardina2d import operators as ops
 from bardina2d.errors import ConfigurationError, ShapeError, UnsupportedGeometryError
 
@@ -232,6 +233,47 @@ class TestTendency:
             )
             scale = abs(f_dot_u) + p.nu * ops.energy_e2(plan, st, p.alpha) + 1e-9
             assert abs(lhs - want) < 1e-12 * scale
+
+
+def _wrong_width_calls():
+    """Every entry point into the remainder, by name: call(plan, params, state)."""
+    scheme = integrate.SchemeConfig(dt=0.01, t_end=0.02)
+    ensemble = lyapunov.LyapunovConfig(n_ensemble=2, t_transient=0.0, t_average=0.02,
+                                       renorm_interval=0.01)
+    good = ops.zero_state
+    return {
+        "rhs_u": lambda plan, p, bad: dyn.rhs_u(plan, bad, p),
+        "rhs_tangent-delta": lambda plan, p, bad: dyn.rhs_tangent(plan, bad, good(plan), p),
+        "rhs_tangent-base": lambda plan, p, bad: dyn.rhs_tangent(plan, good(plan), bad, p),
+        "nonlinear_term": lambda plan, p, bad: dyn.nonlinear_term(plan, bad),
+        "integrate.run": lambda plan, p, bad: integrate.run(plan, bad, p, scheme),
+        "benettin_run": lambda plan, p, bad: lyapunov.benettin_run(plan, bad, p, scheme, ensemble),
+        "prepared_rhs": lambda plan, p, bad: dyn.prepared_rhs(plan, bad, p, 1.0),
+    }
+
+
+class TestWrongWidthRows:
+    """A state of the wrong width raises ShapeError from every entry point:
+    `_nonlinearity`'s row check is the only guard before the plan core's
+    transforms, and entry points that stack states check them first."""
+
+    @pytest.mark.parametrize(
+        "kind,short,name",
+        [(kind, short, name)
+         for kind, short in (("sphere", "psi"), ("torus", "psi"), ("torus", "harmonic"))
+         for name in _wrong_width_calls()
+         if not (kind == "torus" and name == "prepared_rhs")],  # sphere only
+    )
+    def test_raises_shape_error(self, kind, short, name):
+        plan = sphere_plan(5) if kind == "sphere" else torus_plan(5)
+        p = params_for(plan, seed=7)
+        st = ops.random_state(plan, seed=71)
+        if short == "psi":
+            bad = ops.VelocityState(st.psi[:-1], st.harmonic)
+        else:
+            bad = ops.VelocityState(st.psi, st.harmonic[:1])
+        with pytest.raises(ShapeError):
+            _wrong_width_calls()[name](plan, p, bad)
 
 
 class TestTangent:
@@ -602,7 +644,7 @@ class TestWorkspaceKernel:
                 for a, b in zip(arrays, kept):
                     assert np.array_equal(a, b)
                 for rows in (1, 2):
-                    for buf in vars(basis.workspace(plan, rows)).values():
+                    for buf in vars(plan.core.workspace(rows)).values():
                         if isinstance(buf, np.ndarray):
                             assert not any(np.shares_memory(a, buf) for a in arrays)
 
