@@ -3,6 +3,7 @@
 Subpackage layout:
 
     basis        orthonormal eigenbases, transforms, quadrature (sphere / torus)
+    legendre     the sphere's Gauss-Legendre rule and table of P_n^m
     operators    states, Stokes / Helmholtz / projection operators, norms
     dynamics     model tendencies, tangent linearization, prepared equation
     integrate    integrating-factor time steppers

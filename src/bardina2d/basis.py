@@ -13,19 +13,24 @@ Sphere
     Gauss-Legendre latitudes, equispaced longitudes.  The Legendre stage is
     parity-folded as in SHTns (Schaeffer 2013, G-Cubed 14):
     P_n^m(-mu) = (-1)^(n + m) P_n^m(mu) on the symmetric Gauss grid, so one
-    table over the northern latitudes, its rows split by the parity of
-    n - m, stacks -lam P, dP/dtheta and P along the latitude axis.  Order m
-    has about (truncation - m) / 2 rows per parity, so orders m and
-    top - m, top the truncation rounded up to odd, share one block of rows
-    with at most one padding row: shape (2, npair, nrp, 3 nh) with
-    npair = (truncation + 2) // 2, nrp about truncation / 2 + 1 and
-    nh = (nlat + 1) // 2: 5.9 MB at L=85, where one block per order would
-    take 11.5 MB, half of it zero rows past the truncation.  Every transform is
-    one matmul against it, batched over (parity, block), with the cos and
-    sin rows of all fields and both orders of a block stacked, plus one real
-    FFT in longitude; the even and odd sums unfold into the two
-    hemispheres.  The phi-derivative factor m / sin(theta) is applied per
-    latitude instead of being tabulated.
+    table of P over the northern latitudes, its rows split by the parity
+    of n - m, serves both hemispheres.  It holds degrees up to
+    truncation + 1 and no derivative: theta derivatives come from the
+    degree recurrence sin(theta) dP_n/dtheta = n e_{n+1} P_{n+1} -
+    (n + 1) e_n P_{n-1} (Bourke 1972, Mon. Wea. Rev. 100), applied to the
+    coefficient rows before the synthesis matmul and, transposed, to the
+    sums after the analysis one.  Order m has about (truncation - m) / 2
+    rows per parity, so orders m and top - m, top the truncation rounded
+    up to odd, share one block of rows with at most one padding row: shape
+    (2, npair, nrp, nh) with npair = (truncation + 2) // 2,
+    nrp = (truncation + 1) // 2 + 2 and nh = (nlat + 1) // 2: 2.0 MB at
+    L=85, where stacking -lam P, dP/dtheta and P took 5.9 MB and one block
+    per order 11.5 MB.  Every transform is one matmul against it, batched
+    over (parity, block), with the cos and sin rows of all fields and both
+    orders of a block stacked, plus one real FFT in longitude; the even and
+    odd sums unfold into the two hemispheres.  The factors 1 / sin(theta)
+    of the recurrence and m / sin(theta) of the phi derivative are applied
+    per latitude instead of being tabulated.
 
 Torus
     Fourier modes exp(2*pi*i k.x / L) on [0, L]^2 with max(|k1|, |k2|) <=
@@ -58,8 +63,9 @@ towards increasing colatitude) or x (torus).
 
 Workspaces
     A transform flattens the leading axes into B stacked rows and works in
-    buffers the plan builds once for that B: the gathered Legendre rows,
-    the Legendre sums and the zero-padded half spectra (sphere), the packed
+    buffers the plan builds once for that B: the Legendre rows of psi,
+    -lam psi and D psi and their weights, the Legendre sums and the
+    zero-padded half spectra (sphere), the packed
     coefficient matrices and the products of one axis (torus), and, for the
     right-hand side in `dynamics`, the vorticity/gradient grid stack and the
     product field g.  The FFTs and matmuls write into them with out=, so
@@ -75,9 +81,9 @@ Workspaces
     - returned arrays are never views of a workspace buffer; the
       right-hand side, which calls the core transforms directly, borrows
       the core workspace's `grids` and `g` and returns none of them;
-    - size: 3.5 MB for one row at sphere L=85 and 3.1 MB at torus K=64
-      (0.23 MB at L=21, 0.20 MB at K=16), about linear in the row count
-      (38 MB for 9 rows at L=85, 22 MB for 7 rows at K=64); a sphere
+    - size: 4.5 MB for one row at sphere L=85 and 3.1 MB at torus K=64
+      (0.30 MB at L=21, 0.20 MB at K=16), about linear in the row count
+      (44 MB for 9 rows at L=85, 22 MB for 7 rows at K=64); a sphere
       unfold and fold borrow the spectrum buffer of the other direction,
       and a torus unpack the first products of its analysis, instead of a
       buffer of their own.
@@ -91,6 +97,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexRangeError, ShapeError, UnsupportedGeometryError
+from .legendre import epsilon, gauss_legendre, legendre_table, paired_degrees
 
 SPHERE = "sphere"
 TORUS = "torus"
@@ -141,43 +148,58 @@ class _SphereCore:
 
     The Legendre stage is parity-folded as in SHTns (Schaeffer 2013): on the
     symmetric Gauss grid P_n^m(-mu) = (-1)^(n + m) P_n^m(mu), so one table
-    over the nh = (nlat + 1) // 2 northern latitudes, pole to equator, serves
-    both hemispheres.  Its rows are paired by order: block j of parity p
-    holds the degrees n >= max(m, 1) with n - m = p (mod 2) of order j,
-    then those of order top - j (`_paired_degrees`), so table[p, j, r] is a
-    row of three blocks of nh columns, -lam P, dP/dtheta and P, orthonormal
-    with the Condon-Shortley phase, or zero in the one padding row a block
-    may have.  For even lmax, top = lmax + 1 and order 0 stands alone.
-    slots[p, j, r, o, c] holds the flat slot of member c (cos, sin) of that
-    row's (n, m) when the row belongs to order o of the block (0: j, 1: its
-    partner); entries with no mode point at slot n_modes, a zero appended
-    to every coefficient row.
+    of P over the nh = (nlat + 1) // 2 northern latitudes, pole to equator,
+    serves both hemispheres.  Its rows are paired by order
+    (`legendre.paired_degrees`): block j of parity p holds the degrees
+    n = m + p, m + p + 2, ... up to lmax + 1 of order j, then those of order
+    top - j, top being lmax rounded up to odd, so row r of parity 1 holds
+    degree n + 1 of the order whose degree n is row r of parity 0.
+    table[p, j, r] is that row, orthonormal with the Condon-Shortley phase,
+    or zero in the one padding row a block may have: (2, npair, nrp, nh),
+    npair = (lmax + 2) // 2, nrp = (lmax + 1) // 2 + 2, 2.0 MB at L=85.
+    For even lmax, order 0 stands alone.  slots[p, j, r, o, c] holds the
+    flat slot of member c (cos, sin) of that row's (n, m) when the row
+    belongs to order o of the block (0: j, 1: its partner); entries with no
+    mode, degrees 0 and lmax + 1 among them, point at slot n_modes, a zero
+    appended to every coefficient row.
+
+    Theta derivatives come from P alone by the degree recurrence (Bourke
+    1972, Mon. Wea. Rev. 100): with e_n = sqrt((n^2 - m^2) / (4 n^2 - 1)),
+    sin(theta) dP_n/dtheta = n e_{n+1} P_{n+1} - (n + 1) e_n P_{n-1}, so
+    sum_n psi_n dP_n/dtheta = sum_n (D psi)_n P_n / sin(theta), where
+    (D psi)_n = lo_n psi_{n-1} + hi_n psi_{n+1}, lo_n = (n - 1) e_n and
+    hi_n = -(n + 2) e_{n+1}; degree lmax + 1 holds D's top row, degree 0 of
+    order 0 its bottom one.  A row of parity p reads rows r - 1 + p and
+    r + p of the other parity.  row_w holds -lam of every row, then lo and
+    hi indexed by the parity of the rows they read; hi is zero where the
+    next even row is another order's.  The flow analysis
+    contracts g_phi / sin(theta) with P like g_theta, and applies D^T to
+    those sums in its scatter: slot n takes n e_{n+1} of the sum at degree
+    n + 1 and -(n + 1) e_n of that at n - 1.
 
     Each field's (cos, sin) pair is innermost in the Legendre rows and
     sums, so it reads as one complex number, and the half spectra are laid
     out (m, K, nlat, B) for K stacked components and B fields: the FFTs take
-    them through transposed views, and no copy transposes anything.
-    Synthesis is one gather into rows (2, npair, nrp, 4B), whose columns are
-    (order in block, field, cos|sin), so the column of one order takes
-    zeros on the other's rows; one matmul of table_t, the transposed view
-    of the table, batched over (parity, block); and an unfold: the even
-    plus the odd sums on the northern latitudes, their difference on the
-    mirrored southern ones, negated for dP, whose parity is opposite to
-    P's.  Analysis weights the columns of a real FFT, folds the two
-    hemispheres into the even and odd combinations that meet each table
-    block, both orders of a block side by side, and makes one matmul of the
-    folded rows against the blocks of table_t it needs: it multiplies each
-    order's rows with its partner's too, twice the flops for half the table
-    bytes, and the scatter drops those products.  The unfold and the fold
-    run their additions over whole contiguous buffers and move each order
-    between the block layout and the spectrum by copies, since additions
-    over the per-order views read or write every other run of B fields and
-    cost about twice as much.  Both matmuls take a transposed view as their
-    left operand; so laid out, the rows of a field round the same however
-    many fields are stacked with it.  The longitude derivative needs
-    m P / sin(theta); rather than a fourth block, the flow transforms weight
-    the P columns by i m / sin(theta) (synthesis) or -i m / sin(theta)
-    (analysis).
+    them through transposed views.  Synthesis gathers the rows of psi,
+    whose columns are (order in block, field, cos|sin), so the column of
+    one order takes zeros on the other's rows; a flow synthesis forms
+    -lam psi and D psi beside them and makes one matmul of table_t, the
+    transposed view of the table, batched over (parity, block, component);
+    an unfold adds the even and odd sums on the northern latitudes and
+    subtracts them on the mirrored southern ones.  Analysis weights the
+    columns of a real FFT, folds the two hemispheres into the even and odd
+    combinations, both orders of a block side by side, and makes one
+    matmul per (parity, block) of the folded rows of every component
+    against table_t: it multiplies each order's rows with its partner's
+    too, twice the flops for half the table bytes, and the scatter drops
+    those products.  The unfold and the fold run their additions over
+    whole contiguous buffers and move each order between the block layout
+    and the spectrum by copies.  Both matmuls take a transposed view as
+    their left operand; so laid out, the rows of a field round the same
+    however many fields are stacked with it.  Per latitude, 1 / sin(theta)
+    weights D psi and the i m / sin(theta) of d/dphi the psi sums of a
+    flow synthesis; -wq / sin(theta) and -i m wq / sin(theta), wq the
+    quadrature weight, weight g_phi and g_theta in a flow analysis.
     """
 
     def __init__(self, lmax):
@@ -186,7 +208,9 @@ class _SphereCore:
         self.nlon = _fast_even(3 * lmax + 1)
         self.shape = (self.nlat, self.nlon)
         self.nh = (self.nlat + 1) // 2
-        mu, w = _gauss_legendre(self.nlat)
+        # the northern latitudes, pole to equator: grid rows nlat - 1 down to nlat - nh
+        self.north = slice(None, -self.nh - 1, -1)
+        mu, w = gauss_legendre(self.nlat)
         self.mu = mu
         self.wlat = w
         # factored: 1 - mu^2 cancels near the poles
@@ -196,9 +220,8 @@ class _SphereCore:
         self.dphi = 2.0 * np.pi / self.nlon
 
         nm, nh = lmax + 1, self.nh
-        degrees = _paired_degrees(lmax)
-        # northern latitudes, pole to equator: grid rows nlat - 1 down to nlat - nh
-        self.table = _legendre_table(lmax, degrees, mu[::-1][:nh], self.sin_t[::-1][:nh])
+        degrees = paired_degrees(lmax)
+        self.table = legendre_table(lmax, degrees, mu[self.north], self.sin_t[self.north])
         self.table_t = self.table.transpose(0, 1, 3, 2)
         # blocks, and the leading ones with no second order (1 for even lmax)
         self.npair = self.table.shape[1]
@@ -213,10 +236,15 @@ class _SphereCore:
         second = m > np.arange(self.npair)[:, None, None, None]
         cos = np.arange(2) == 0
         self.slots = np.where(
-            (n <= lmax) & (second == (np.arange(2)[:, None] == 1)) & (cos | (m > 0)),
+            (0 < n) & (n <= lmax) & (second == (np.arange(2)[:, None] == 1)) & (cos | (m > 0)),
             n * n + n + np.where(cos, m, -m) - 1,
             self.n_modes,
         )
+        n, m = degrees
+        lo, hi = (n - 1.0) * epsilon(n, m), -(n + 2.0) * epsilon(n + 1.0, m)
+        self.row_w = np.stack((-n * (n + 1.0), lo[::-1], hi[::-1]))
+        self.row_w[2, 0, :, :-1] *= n[0, :, 1:] == n[1, :, :-1] + 1.0
+        self.row_w[2, 0, :, -1] = 0.0
 
         k = np.full(nm, 1.0 / math.sqrt(math.pi))
         k[0] = 1.0 / math.sqrt(2.0 * math.pi)
@@ -226,27 +254,21 @@ class _SphereCore:
         ks[0] *= 2.0
         sign = np.where(order < 0, -1.0, 1.0)
         self.pad_scale = sign * ks[np.abs(order)]
-        # weights of the (m, block, latitude) columns, broadcast over fields
-        m_over_sin = (np.arange(nm)[:, None] / self.sin_t)[:, None, :]
-        south = np.arange(self.nlat) < self.nlat - nh
-        # synthesis: the dP sums flip sign on the southern rows; d/dphi
-        # brings i m, the metric 1 / sin(theta)
-        dp_sign = np.broadcast_to(np.where(south, -1.0, 1.0), m_over_sin.shape)
-        self.synth_w = np.concatenate((dp_sign, 1j * m_over_sin), axis=1)
-        # analysis: quadrature weight, normalization folded in; an equator
-        # row (odd nlat) is folded into both hemispheres at half weight
-        wq = self.wlat.copy()
+        # column weights, per latitude (1 / sin(theta), and the quadrature
+        # weights wq of a scalar analysis and -wq / sin(theta) of g_phi) and
+        # per order and latitude (i m / sin(theta), and -i m wq / sin(theta)
+        # of g_theta, as n x g = (-g_phi, g_theta)); an equator row (odd
+        # nlat) is folded into both hemispheres at half weight.  The
+        # analysis rows are (Re, Im) of the weighted columns, so a sin slot
+        # sums -Im; ana_scale also holds each order's factor k
+        wq = self.wlat * self.dphi
         if self.nlat % 2:
             wq[nh - 1] *= 0.5
-        w = (self.dphi * k)[:, None, None] * wq
-        # columns against the (dP, P) blocks: -g_phi, and g_theta through
-        # -i m / sin(theta), the gradient adjoint of n x g = (-g_phi, g_theta);
-        # a scalar analysis takes the first weight, -w
-        self.ana_w = np.concatenate((-w, -1j * w * m_over_sin), axis=1)
-        # the analysis rows are (Re, Im) of the weighted columns, so a sin
-        # slot sums -Im; a scalar analysis also undoes the sign of -w
-        self.ana_scale = -sign
-        self.flow_scale = -sign / self.lam
+        m_over_sin = np.arange(nm)[:, None] / self.sin_t
+        self.synth_w = np.stack((1.0 / self.sin_t + 0 * m_over_sin, 1j * m_over_sin), axis=1)
+        self.lat_w = np.stack((wq, -wq / self.sin_t)) + 0j
+        self.ana_w = -1j * m_over_sin * wq
+        self.ana_scale = sign * k[np.abs(order)]
         self.qw = self.wlat * self.dphi
         self._work = {}
 
@@ -256,12 +278,13 @@ class _SphereCore:
     # -- paired, parity-folded Legendre stage ----------------------------
 
     def _gather(self, ws, coeffs):
-        """(B, n_modes) -> scaled table rows (2, npair, nrp, 4B).
+        """(B, n_modes) -> scaled psi rows (2, npair, nrp, 4B) in ws.comps[2].
 
         Columns are (order in block, field, cos|sin).
         """
         np.multiply(coeffs, self.pad_scale, out=ws.pad[:, :-1])
-        return np.take(ws.pad, ws.gather, out=ws.rows, mode="clip")
+        np.take(ws.pad, ws.gather, out=ws.psi, mode="clip")
+        return ws.comps[2]
 
     def _pairs(self, x):
         """(order in block, blocks, view of x) for the first and the second
@@ -272,7 +295,7 @@ class _SphereCore:
         )
 
     def _unfold(self, ws, sums, spec):
-        """Block sums (2, npair, K nh, 4B) -> columns (lmax + 1, K, nlat, B) of half spectra.
+        """Block sums (2, npair, K, nh, 4B) -> columns (lmax + 1, K, nlat, B) of half spectra.
 
         A field's (cos, sin) sums land as (re, im): the sin coefficients come
         in negated.  The even plus the odd sums (northern latitudes), then
@@ -281,250 +304,170 @@ class _SphereCore:
         synthesis does not read; copies take each order in block to its
         columns, reversing the latitudes of the northern half.
         """
-        k, b = spec.shape[1], spec.shape[3]
-        s = sums.view(np.complex128).reshape(2, self.npair, k, self.nh, 2, b)
+        s = sums.view(np.complex128).reshape(2, self.npair, spec.shape[1], self.nh, 2, -1)
         h = _head(ws.spec_a, s.shape[1:])
-        np.add(s[0], s[1], out=h)
-        for o, blocks, cols in self._pairs(spec):
-            np.copyto(cols[:, :, ::-1][:, :, : self.nh], h[blocks, ..., o, :])
-        np.subtract(s[0], s[1], out=h)
-        ns = self.nlat - self.nh
-        for o, blocks, cols in self._pairs(spec):
-            np.copyto(cols[:, :, :ns], h[blocks, :, :ns, o, :])
+        for add, lat in ((np.add, self.north), (np.subtract, slice(self.nlat - self.nh))):
+            add(s[0], s[1], out=h)
+            for o, blocks, cols in self._pairs(spec[:, :, lat]):
+                np.copyto(cols, h[blocks, :, : cols.shape[2], o])
 
-    def _fold(self, ws, cols, even, odd):
+    def _fold(self, ws, cols, rows):
         """Weighted columns (lmax + 1, K, nlat, B) -> hemisphere sums and differences.
 
-        Copies take each order's two hemispheres, pole to equator, to its
-        place in the block layout, in the retained columns of ws.spec, which
-        every synthesis writes before it reads them; the sums then go to even
-        and the differences to odd, views (npair, K, nh, 2, B) of the
-        analysis rows: component j at the parity where its table block is
-        symmetric, and at the other parity.
+        Copies take each component of each order's two hemispheres, pole to
+        equator, to its place in the block layout, in the retained columns
+        of ws.spec, which every synthesis writes before it reads them; the
+        sums then go to parity 0 and the differences to parity 1 of the
+        analysis rows (2, npair, nh, 4KB), as every component has the
+        parity of P.
         """
-        shape = (2, self.npair, cols.shape[1], self.nh, 2, cols.shape[3])
+        shape = (2, self.npair, self.nh, cols.shape[1], 2, cols.shape[3])
         h = _head(ws.spec[: self.lmax + 1], shape)
         # a lone order's empty partner: only products the scatter drops read it
         h[:, : self.lone, ..., 1, :] = 0.0
-        for o, blocks, part in self._pairs(cols):
-            np.copyto(h[0, blocks, ..., o, :], part[:, :, ::-1][:, :, : self.nh])
-            np.copyto(h[1, blocks, ..., o, :], part[:, :, : self.nh])
+        for half, lat in enumerate((self.north, slice(self.nh))):
+            for o, blocks, part in self._pairs(cols[:, :, lat]):
+                for j in range(shape[3]):
+                    np.copyto(h[half, blocks, :, j, o], part[:, j])
+        even, odd = rows.view(np.complex128).reshape(shape)
         np.add(h[0], h[1], out=even)
         np.subtract(h[0], h[1], out=odd)
-
-    def _scatter(self, ws, blocks, scale):
-        """Block sums (2, npair, 4B, nrp) -> (B, n_modes) times scale, a new array.
-
-        Each order's folded rows meet every row of its block, so the sums
-        hold products with the partner order's rows too; the scatter drops
-        them.
-        """
-        p = np.take(blocks, ws.scatter)
-        return np.multiply(p, scale, out=p)
-
-    def _irfft(self, spec, out=None):
-        return np.fft.irfft(spec, n=self.nlon, axis=-1, out=out)
 
     # -- scalar --------------------------------------------------------
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        rows = self._gather(ws, coeffs)
-        sums = np.matmul(self.table_t[:, :, 2 * self.nh :], rows, out=ws.sums_p)
+        sums = np.matmul(self.table_t, self._gather(ws, coeffs), out=ws.sums_p)
         self._unfold(ws, sums, ws.spec[: self.lmax + 1, :1])
-        return self._irfft(ws.spec[:, 0].T)
+        return np.fft.irfft(ws.spec[:, 0].T, n=self.nlon, axis=-1)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
         np.fft.rfft(f, axis=-1, out=ws.spec_ap[:, 0].T)
         cols = ws.spec_ap[: self.lmax + 1]
-        self._fold(ws, np.multiply(cols, ws.ana_w[:, :1], out=cols), *ws.fold_p)
-        np.matmul(ws.rows_p.transpose(0, 1, 3, 2), self.table_t[:, :, 2 * self.nh :], out=ws.blocks)
-        return self._scatter(ws, ws.blocks, self.ana_scale)
+        self._fold(ws, np.multiply(cols, ws.lat_w[0], out=cols), ws.sums_p)
+        # the sums go where a flow analysis has its theta sums
+        np.matmul(ws.sums_p.swapaxes(2, 3), self.table_t, out=ws.sums_a[:, :, 1])
+        p = np.take(ws.sums_a, ws.scatter[0])
+        return np.multiply(p, self.ana_scale, out=p)
 
     # -- flow ----------------------------------------------------------
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
-        np.matmul(self.table_t, self._gather(ws, psi), out=ws.sums)
+        self._gather(ws, psi)
+        # D psi: row i of parity p takes lo psi[1 - p, i - 1 + p] + hi
+        # psi[1 - p, i + p], rows flat over block and row; ws.pairs line
+        # those rows of parity 1 - p up with row i, and the lo products go
+        # through the -lam psi rows
+        c, (lam, lo, hi), (below, above) = ws.comps.reshape(3, 2, -1), ws.row_w, ws.pairs
+        np.multiply(below, lo, out=c[0, ::-1])
+        np.multiply(above, hi, out=c[1, ::-1])
+        np.add(c[1], c[0], out=c[1])
+        np.multiply(c[2], lam, out=c[0])
+        np.matmul(self.table_t[:, :, None], ws.comps.transpose(1, 2, 0, 3, 4), out=ws.sums)
         cols = ws.spec[: self.lmax + 1]
         self._unfold(ws, ws.sums, cols)
         grad = cols[:, 1:]
         np.multiply(grad, ws.synth_w, out=grad)
-        return self._irfft(ws.spec.transpose(3, 1, 2, 0), out)
+        return np.fft.irfft(ws.spec.transpose(3, 1, 2, 0), n=self.nlon, axis=-1, out=out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
         z = ws.spec_a
         np.fft.rfft(g, axis=-1, out=z.transpose(3, 1, 2, 0))
-        # components (phi, theta) against the blocks (dP, P)
+        # components (phi, theta)
         cols = z[: self.lmax + 1, ::-1]
-        self._fold(ws, np.multiply(cols, ws.ana_w, out=cols), *ws.fold_a)
-        np.matmul(ws.rows_a.transpose(0, 1, 3, 2), self.table_t[:, :, self.nh :], out=ws.blocks)
-        return self._scatter(ws, ws.blocks, self.flow_scale), np.zeros((len(g), 0))
+        for j, w in enumerate((ws.lat_w[1], ws.ana_w)):
+            np.multiply(cols[:, j], w, out=cols[:, j])
+        self._fold(ws, cols, ws.rows_a)
+        np.matmul(ws.rows_a.swapaxes(2, 3), self.table_t, out=ws.sums_flow)
+        # each slot reads the theta sum of its row and, times the weights of
+        # D^T, the phi sums of its rows of degree n + 1 and n - 1; each
+        # order's folded rows meet every row of its block, so the sums hold
+        # products with the partner order's rows too, which it drops
+        v = np.take(ws.sums_a, ws.scatter, out=ws.parts)
+        np.multiply(v, ws.flow_w[:, None], out=v)
+        return np.add.reduce(v), np.zeros((len(g), 0))
 
 
 class _SphereWork:
     """Reused buffers of one sphere plan for B stacked fields.
 
     pad holds the scaled coefficient rows with the zero slot n_modes
-    appended, gather the flat take-index of each entry of the table rows,
-    and scatter, its inverse, the position of each slot in the sums of an
-    analysis.  The half spectra spec (vorticity, d/dtheta, d/dphi) and
-    spec_a are laid out (m, K, nlat, B); spec is zeroed once, its columns
-    beyond lmax never written (numpy's irfft is slower on a shorter input
-    that it pads itself), and an analysis weights the columns of spec_a in
-    place.  An unfold forms its hemispheres in spec_a, and a fold in the
-    retained columns of spec; the other kind of transform writes those
-    before it reads them.  The folded analysis rows live in the synthesis
-    sums, which no analysis reads.  The
-    column weights are repeated over the B fields, so that a weighting runs
-    along contiguous rows.  The scalar transforms use the leading parts
-    (sums_p, spec_ap, rows_p) of the flow buffers.
+    appended, and gather the flat take-index of every psi row entry: the
+    rows of parity 0, two zero rows, then those of parity 1, into psi.
+    Read as (parity 0 and a zero row, a zero row and parity 1), psi lines
+    each parity's rows of degree n - 1 and n + 1 up with the other's row of
+    degree n, at rows i and i + 1: pairs holds those two views.  rows holds
+    the synthesis rows (-lam psi, D psi, psi), comps their
+    (3, 2, npair, nrp, 4B) view, each row's 4B columns contiguous, and
+    row_w their weights (-lam, lo, hi, as core.row_w) repeated over the
+    columns, so that each pass runs flat over whole rows: 0.37 MB each at
+    L=85 for one row.  The analysis sums sums_a
+    (2, npair, (phi, theta), 4B, nrp) take the head of rows; scatter holds
+    the three positions in them that each slot reads, and flow_w their
+    weights: the scale of the slot, times those of D^T for the phi sums.
+    The folded analysis rows, and the products of the scatter, live in the
+    synthesis sums, which no analysis reads.  The half spectra spec
+    (vorticity, d/dtheta, d/dphi) and spec_a are laid out (m, K, nlat, B);
+    spec is zeroed once, its columns beyond lmax never written (numpy's
+    irfft is slower on a shorter input that it pads itself), and an
+    analysis weights the columns of spec_a in place.  An unfold forms its
+    hemispheres in spec_a, and a fold in the retained columns of spec; the
+    other kind of transform writes those before it reads them.  The column
+    weights are repeated over the B fields, so that a weighting runs along
+    contiguous rows.  The scalar transforms use the leading parts (sums_p,
+    spec_ap) of the flow buffers.
     """
 
     def __init__(self, core, b):
         npair, nh, nrp = core.npair, core.nh, core.table.shape[2]
-        nlat, nlon = core.nlat, core.nlon
+        nlat, nlon, n = core.nlat, core.nlon, core.n_modes
         nfreq = nlon // 2 + 1
-        width = core.n_modes + 1
-        self.pad = np.zeros((b, width))
-        fields = (np.arange(b) * width)[:, None]
-        self.gather = (fields + core.slots[..., None, :]).reshape(2, npair, nrp, 4 * b)
-        self.rows = np.empty(self.gather.shape)
-        # analysis sums are (2, npair, 4b, nrp)
-        blocks = np.arange(self.gather.size).reshape(2, npair, 4 * b, nrp).transpose(0, 1, 3, 2)
-        scatter = np.empty(b * width, dtype=np.int64)
-        scatter[self.gather.ravel()] = blocks.ravel()
-        self.scatter = scatter.reshape(b, width)[:, :-1].copy()
-        self.sums = np.empty((2, npair, 3 * nh, 4 * b))
+        self.pad = np.zeros((b, n + 1))
+        idx = ((np.arange(b) * (n + 1))[:, None] + core.slots[..., None, :]).reshape(2, -1)
+        size, row = idx.shape[1], 4 * b
+        self.gather = np.concatenate((idx[0], np.full(2 * row, n), idx[1]))
+        self.rows = np.empty((3, 2, size + 2 * row))
+        self.psi = self.rows[2].reshape(-1)[: self.gather.size]
+        x = self.psi.reshape(2, -1)
+        self.pairs = x[:, :size], x[:, row:]
+        self.comps = self.rows[..., :size].reshape(3, 2, npair, nrp, row)
+        self.row_w = np.broadcast_to(core.row_w[..., None], self.comps.shape).reshape(3, 2, size)
+        self.sums_a = _head(self.rows, (2, npair, 2, row, nrp))
+        self.sums_flow = self.sums_a.reshape(2, npair, 2 * row, nrp)
+        # per slot: its theta sum, then the phi sums at degree n + 1 (row
+        # r + p of the other parity) and n - 1 (row r - 1 + p; none at a
+        # block's first row), with the weights of D^T
+        at = np.empty(core.slots.size, dtype=np.int64)
+        at[core.slots.ravel()] = np.arange(core.slots.size)
+        p, j, r, o, c = np.unravel_index(at[:n], core.slots.shape)
+        col = (o * b + np.arange(b)[:, None]) * 2 + c
+        at = np.ravel_multi_index((p, j, 1, col, r), self.sums_a.shape)
+        up = at + (1 - 2 * p) * self.sums_a[0].size - row * nrp + p
+        self.scatter = np.stack((at, up, up - 1))
+        w = core.row_w[1, p, j, r + p], core.row_w[2, p, j, r - 1 + p]
+        self.flow_w = -core.ana_scale / core.lam * np.stack((np.ones(n),) + w)
+        self.sums = np.empty((2, npair, 3, nh, row))
         self.spec = np.zeros((nfreq, 3, nlat, b), dtype=np.complex128)
         self.grids = np.empty((b, 3, nlat, nlon))
         self.g = np.empty((b, 2, nlat, nlon))
-        # analysis: component spectra, folded rows, sums
+        # analysis: component spectra, folded rows, products of the scatter
         self.spec_a = np.empty((nfreq, 2, nlat, b), dtype=np.complex128)
-        self.rows_a = _head(self.sums, (2, npair, 2 * nh, 4 * b))
-        self.blocks = np.empty((2, npair, 4 * b, nrp))
-        self.synth_w, self.ana_w = (
+        self.rows_a = _head(self.sums, (2, npair, nh, 8 * b))
+        self.parts = _head(self.sums, self.scatter.shape)
+        self.lat_w, self.synth_w, self.ana_w = (
             np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
-            for w in (core.synth_w, core.ana_w)
+            for w in (core.lat_w, core.synth_w, core.ana_w)
         )
-        self.sums_p = _head(self.sums, (2, npair, nh, 4 * b))
+        self.sums_p = _head(self.sums, (2, npair, nh, row))
         self.spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
-        self.rows_p = _head(self.rows_a, (2, npair, nh, 4 * b))
-        # where `_fold` writes: P is symmetric at parity 0; in the flow rows
-        # (dP, P) component j is symmetric at parity 1 - j, so its sum goes
-        # to parity 1 - j and its difference to parity j
-        rows = self.rows_p.view(np.complex128).reshape(2, npair, 1, nh, 2, b)
-        self.fold_p = (rows[0], rows[1])
-        rows = self.rows_a.view(np.complex128).reshape(2, npair, 2, nh, 2, b)
-        s = rows.strides
-        self.fold_a = tuple(
-            np.lib.stride_tricks.as_strided(rows[p], strides=(s[1], s[2] + step * s[0]) + s[3:])
-            for p, step in ((1, -1), (0, 1))
-        )
 
 
 def _head(buf, shape):
     """The contiguous leading part of buf, as an array of the given shape."""
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
-def _paired_degrees(lmax):
-    """Degree n and order m of each table row (parity, j, r), in closed form.
-
-    Block j holds the degrees n >= max(m, 1) with n - m = parity (mod 2) of
-    order j, ascending, then those of order top - j, top being lmax rounded
-    up to odd.  Order m has about (lmax - m) / 2 rows per parity, so every
-    block is full but for at most one padding row; pairing j with lmax - j
-    at even lmax would leave two in half the blocks.  For even lmax, order 0
-    stands alone (order lmax + 1 has no rows).  Padding rows have
-    n = lmax + 1.
-    """
-    j = np.arange((lmax + 2) // 2)
-    orders = np.stack((j, (lmax | 1) - j), axis=-1)
-    p = np.arange(2)[:, None, None]
-    # lowest degree and row count of each (parity, block, order in block)
-    n0 = orders + p + 2 * ((orders == 0) & (p == 0))
-    count = (lmax - n0) // 2 + 1
-    r = np.arange(count.sum(axis=-1).max())
-    second = r >= count[..., :1]
-    k = r - np.where(second, count[..., :1], 0)
-    n0, count = (np.where(second, a[..., 1:], a[..., :1]) for a in (n0, count))
-    n = np.where(k < count, n0 + 2 * k, lmax + 1)
-    return n, np.where(second, orders[:, 1:], orders[:, :1])
-
-
-def _gauss_legendre(n):
-    """Gauss-Legendre nodes mu, ascending, and weights w of the n-point rule on [-1, 1].
-
-    Newton's method on the three-term recurrence of P_n, vectorized over the
-    roots (Hale & Townsend 2013, SIAM J. Sci. Comput. 35), run on the
-    nonpositive half and mirrored, so the rule is exactly symmetric with 0 a
-    node when n is odd.  Tricomi's first guess is within a few 1e-3 of
-    1 - x relative at every n, so three steps reach full precision.  The
-    weight 2 / ((1 - x^2) P_n'(x)^2) moves by 2x dx / (1 - x^2) relative when
-    its node moves by dx, up to 1e-12 near the poles for a node rounding, so
-    it is corrected to first order by the last step dx.
-    """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.sin(np.pi * (2 * k - n - 1) / (2 * n + 1))
-    for _ in range(3):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) / j) * x * p1 - ((j - 1) / j) * p0
-        s = (1.0 - x) * (1.0 + x)
-        dp = n * (p0 - x * p1) / s
-        dx = p1 / dp
-        x = x - dx
-    w = 2.0 / (s * dp * dp) * (1.0 + 2.0 * x * dx / s)
-    half = n // 2
-    return np.concatenate((x, -x[:half][::-1])), np.concatenate((w, w[:half][::-1]))
-
-
-def _legendre_table(lmax, degrees, mu, sin_t):
-    """The paired table [-lam P | dP/dtheta | P] at latitudes mu: (2, npair, nrp, 3 nlat).
-
-    Rows as `_paired_degrees` lays them out (its result is `degrees`), zero
-    past the truncation.
-    Orthonormal associated Legendre values (the square integrates to 1
-    over mu in [-1, 1], Condon-Shortley phase) by the three-term
-    recurrence in n, run along k = n - m for every order m at once.
-    """
-    nm, nlat = lmax + 1, mu.size
-    n_row, m_row = degrees
-    table = np.zeros(n_row.shape + (3 * nlat,))
-    # flat table row of each (m, k); -1 where there is none (n = 0)
-    kept = n_row <= lmax
-    row_of = np.full((nm, nm), -1)
-    row_of[m_row[kept], (n_row - m_row)[kept]] = np.flatnonzero(kept)
-    rows = table.reshape(-1, 3 * nlat)
-    m = np.arange(nm)[:, None].astype(np.float64)
-    # diagonal seeds P_m^m
-    factors = -np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:])) * sin_t
-    prev2 = None
-    prev = np.cumprod(np.vstack((np.full((1, nlat), 1.0 / math.sqrt(2.0)), factors)), axis=0)
-    for k in range(nm):
-        mk = m[: nm - k]
-        n = mk + k
-        if k == 0:
-            cur = prev
-        elif k == 1:
-            cur = np.sqrt(2.0 * mk + 3.0) * mu * prev[: nm - k]
-        else:
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mk * mk))
-            b = np.sqrt(((n - 1.0) ** 2 - mk * mk) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            cur = a * (mu * prev[: nm - k] - b * prev2[: nm - k])
-        dp = n * mu * cur
-        if k:
-            e = np.sqrt((n * n - mk * mk) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-            dp -= e * prev[: nm - k]
-        dp /= sin_t
-        dst = row_of[: nm - k, k]
-        row = np.concatenate((-n * (n + 1.0) * cur, dp, cur), axis=1)
-        rows[dst[dst >= 0]] = row[dst >= 0]
-        prev2, prev = prev, cur
-    return table
 
 
 def _fast_even(n):
@@ -783,7 +726,10 @@ def mode_count(kind, truncation):
 
 
 def check_mode_index(kind, truncation, index):
-    """The index pair (n, m) or (k1, k2) as ints; IndexRangeError if outside the truncation."""
+    """The index pair (n, m) or (k1, k2) as ints; IndexRangeError unless both
+    parts are integers (Python or numpy ones, not bools) within the truncation."""
+    if any(isinstance(part, bool) or not isinstance(part, (int, np.integer)) for part in index):
+        raise IndexRangeError(f"mode indices must be integers, got {index!r}")
     a, b = (int(part) for part in index)
     if kind == SPHERE:
         if not (1 <= a <= truncation and -a <= b <= a):

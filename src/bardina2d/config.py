@@ -117,11 +117,9 @@ def _check_param(kind, key, value, path):
 
 
 def _check_mode_index(geometry, truncation, index, path):
-    """The index pair as a tuple; fails naming `path` unless both parts are
-    integers (not bools) and the mode lies within the truncation."""
-    for part in index:
-        if isinstance(part, bool) or not isinstance(part, int):
-            _fail(path, f"mode indices must be integers, got {index!r}")
+    """The index pair as a tuple; fails naming `path` where
+    `basis.check_mode_index` refuses it (not integers, or outside the
+    truncation)."""
     try:
         return basis.check_mode_index(geometry.kind, truncation, index)
     except IndexRangeError as exc:

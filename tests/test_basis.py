@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bardina2d import basis
+from bardina2d import basis, legendre
 from bardina2d.errors import IndexRangeError, ShapeError, UnsupportedGeometryError
 
 
@@ -71,6 +71,20 @@ class TestPlanStructure:
         with pytest.raises(IndexRangeError):
             basis.eigenvalue(planT, (0, 0))
 
+    def test_mode_indices_must_be_integers(self):
+        # int() would take (2.7, 1) and ("2", True) to the slot of (2, 1)
+        from bardina2d import operators as ops
+
+        for plan in (basis.build_plan(basis.sphere(), 4), basis.build_plan(basis.torus(1.0), 4)):
+            bad = ((2.7, 1), ("2", True), (2, True), (np.float64(2.0), 1), (2, np.bool_(True)))
+            for index in bad:
+                for call in (basis.mode_slot, basis.eigenvalue, ops.state_from_mode):
+                    with pytest.raises(IndexRangeError, match="integers"):
+                        call(plan, index)
+            # numpy integers are integers
+            slot = basis.mode_slot(plan, (2, 1))
+            assert basis.mode_slot(plan, (np.int64(2), np.int32(1))) == slot
+
     def test_grid_sizes_support_triple_products(self):
         plan = basis.build_plan(basis.sphere(), 21)
         nlat, nlon = plan.grid_shape
@@ -100,7 +114,7 @@ class TestGaussLegendre:
         from scipy.special import roots_legendre
 
         for n in self.SIZES:
-            mu, w = basis._gauss_legendre(n)
+            mu, w = legendre.gauss_legendre(n)
             assert mu.shape == w.shape == (n,)
             assert np.all(np.diff(mu) > 0.0)
             # the parity-folded transforms read the southern rows as mirrors
@@ -112,14 +126,14 @@ class TestGaussLegendre:
         # near the poles a weight moves by 2 dx / (1 - mu^2) relative when its
         # node moves by dx: scipy's rule is off by 1.8e-11 at n = 129
         for n in (33, 129, 257):
-            mu, w = basis._gauss_legendre(n)
+            mu, w = legendre.gauss_legendre(n)
             want = _gauss_legendre_weights_mp(n, mu[: (n + 1) // 2])
             rel = np.abs(w[: want.size] / want - 1.0)
             assert rel.max() <= 1e-12, (n, rel.max())
 
     def test_rule_is_exact_to_degree_2n_minus_1(self):
         for n in list(range(1, 13)) + [33, 129]:
-            mu, w = basis._gauss_legendre(n)
+            mu, w = legendre.gauss_legendre(n)
             p0, p1 = np.ones_like(mu), mu
             sums = [w.sum(), w @ mu]
             for k in range(2, 2 * n):
@@ -257,7 +271,9 @@ class TestTransforms:
     def test_sphere_matches_per_order_reference(self):
         # odd nlat (L = 1, 4, 9) puts a latitude on the equator; even nlat
         # (L = 2, 3, 6) does not
-        for lmax in (1, 2, 3, 4, 6, 9):
+        # L = 21 and 42 reach the polar rows where the recurrence for
+        # dP/dtheta cancels most, against this reference's own dP
+        for lmax in (1, 2, 3, 4, 6, 9, 21, 42):
             plan = basis.build_plan(basis.sphere(), lmax)
             rng = np.random.default_rng(19)
             c = rng.standard_normal((2, plan.n_modes))
@@ -277,24 +293,29 @@ class TestTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sphere_legendre_tables_stay_small(self):
-        # the paired table dominates a sphere plan's memory (5.9 MB at L=85;
-        # one block per order would take 11.5 MB); a second copy of it in any
-        # layout would show in peak RSS
+        # the paired table of P dominates a sphere plan's memory (2.0 MB at
+        # L=85; stacking -lam P and dP/dtheta beside it took 5.9 MB, one
+        # block per order 11.5 MB); a second copy or block would show in
+        # peak RSS
         core = basis.build_plan(basis.sphere(), 85).core
         owned = [a for a in vars(core).values() if isinstance(a, np.ndarray) and a.base is None]
-        assert sum(a.nbytes for a in owned) <= 8e6
+        assert sum(a.nbytes for a in owned) <= 3e6
 
     @pytest.mark.parametrize("lmax", [1, 2, 3, 20, 21, 85])
     def test_sphere_table_pairs_orders_with_at_most_one_padding_row(self, lmax):
         plan = basis.build_plan(basis.sphere(), lmax)
         core = plan.core
-        n, m = basis._paired_degrees(lmax)
+        n, m = legendre.paired_degrees(lmax)
         assert core.table.shape[:3] == n.shape == (2, (lmax + 2) // 2, n.shape[2])
-        kept = n <= lmax
-        # every (n, m >= 0) in exactly one row, at the parity of n - m
+        kept = n <= lmax + 1
+        # every (n, m >= 0) of degree up to lmax + 1 and order up to lmax in
+        # exactly one row, at the parity of n - m
         rows = sorted(zip(n[kept].tolist(), m[kept].tolist()))
-        assert rows == [(d, o) for d in range(1, lmax + 1) for o in range(d + 1)]
+        assert rows == [(d, o) for d in range(lmax + 2) for o in range(min(d, lmax) + 1)]
         assert np.all((n - m)[kept] % 2 == np.nonzero(kept)[0] % 2)
+        # row r of parity 1 holds degree n + 1 of the order of row r of parity 0
+        both = kept[1]
+        assert np.all(n[1][both] == n[0][both] + 1) and np.all(m[1][both] == m[0][both])
         # padding rows are zero, and no block holds more than one
         assert not np.any(core.table[~kept]) and np.all(np.any(core.table[kept], axis=-1))
         assert (~kept).sum(axis=-1).max() <= 1

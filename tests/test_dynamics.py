@@ -10,7 +10,7 @@ import pytest
 
 import bardina2d
 
-from bardina2d import basis
+from bardina2d import basis, legendre
 from bardina2d import dynamics as dyn
 from bardina2d import integrate, lyapunov
 from bardina2d import operators as ops
@@ -434,11 +434,25 @@ class _AllocatingRemainder:
         self.plan, self.core = plan, plan.core
 
     # sphere: table block j pairs order j with order top - j, top being lmax
-    # rounded up to odd; the columns are (order in block, field, cos|sin)
+    # rounded up to odd; the columns are (order in block, field, cos|sin).
+    # The table holds P alone, for degrees up to lmax + 1; every theta
+    # derivative comes from the degree recurrence
+    # sin(theta) dP_n/dtheta = n e_{n+1} P_{n+1} - (n + 1) e_n P_{n-1},
+    # applied here row by row
     def _orders(self):
         c = self.core
         j = np.arange(c.npair)
         return j, (c.lmax | 1) - j
+
+    @staticmethod
+    def _e(n, m):
+        return math.sqrt((n * n - m * m) / (4.0 * n * n - 1.0))
+
+    def _rows_of_degree(self):
+        """{(n, m): (parity, flat row)} over the table rows, flat per parity
+        over (block, row)."""
+        n, m = (a.reshape(2, -1) for a in legendre.paired_degrees(self.core.lmax))
+        return {(int(n[p, q]), int(m[p, q])): (p, q) for p in range(2) for q in range(n.shape[1])}
 
     def _gather(self, coeffs):
         c, b = self.core, coeffs.shape[0]
@@ -447,16 +461,26 @@ class _AllocatingRemainder:
         rows = pad[np.arange(b)[:, None], c.slots[..., None, :]]
         return rows.reshape(2, c.npair, -1, 4 * b)
 
-    def _scatter(self, blocks, b, scale):
-        c = self.core
-        out = np.zeros((b, c.n_modes + 1))
-        blocks = blocks.reshape(2, c.npair, 2, b, 2, -1)
-        out[:, c.slots] = blocks.transpose(3, 0, 1, 5, 2, 4)
-        return out[:, :-1] * scale
-
     def _sphere_synthesis(self, psi):
         c, b, nm, nh = self.core, psi.shape[0], self.core.lmax + 1, self.core.nh
-        sums = c.table.transpose(0, 1, 3, 2) @ self._gather(psi)
+        g = self._gather(psi)
+        flat = g.reshape(2, -1, 4 * b)
+        # -lam psi and D psi row by row: (D psi)_n = (n - 1) e_n psi_{n-1}
+        # - (n + 2) e_{n+1} psi_{n+1}, the rows of one order
+        rows = self._rows_of_degree()
+        lam, d = np.zeros_like(flat), np.zeros_like(flat)
+        for (n, m), (p, q) in rows.items():
+            if n > c.lmax + 1:
+                continue
+            lam[p, q] = -float(n) * (n + 1.0) * flat[p, q]
+            terms = []
+            hi, lo = -(n + 2.0) * self._e(n + 1.0, m), (n - 1.0) * self._e(n, m)
+            for k, w in ((n + 1, hi), (n - 1, lo)):
+                if (k, m) in rows and k >= m:
+                    terms.append(w * flat[rows[k, m]])
+            d[p, q] = terms[0] + terms[1] if len(terms) == 2 else terms[0]
+        comps = np.stack((lam, d, flat), axis=1).reshape(2, 3, c.npair, -1, 4 * b)
+        sums = c.table.transpose(0, 1, 3, 2)[:, :, None] @ comps.transpose(0, 2, 1, 3, 4)
         s = sums.view(np.complex128).reshape(2, c.npair, 3, nh, 2, b)
         # per order: even plus odd sums, and their difference
         first, second = self._orders()
@@ -469,28 +493,55 @@ class _AllocatingRemainder:
         ns = c.nlat - nh
         spec[:nm, :, ::-1][:, :, :nh] = north[:nm]
         spec[:nm, :, :ns] = south[:nm, :, :ns]
-        spec[:nm, 1:] = spec[:nm, 1:] * c.synth_w[..., None]
+        # D psi over sin(theta); d/dphi is i m / sin(theta)
+        spec[:nm, 1] = spec[:nm, 1] * (1.0 / c.sin_t + 0j)[:, None]
+        m_over_sin = 1j * (np.arange(nm)[:, None] / c.sin_t)
+        spec[:nm, 2] = spec[:nm, 2] * m_over_sin[..., None]
         grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
         return grids[:, 0], grids[:, 1:]
 
     def _sphere_analysis(self, g):
         c, b, nm, nh = self.core, len(g), self.core.lmax + 1, self.core.nh
         z = np.fft.rfft(g, axis=-1).transpose(3, 1, 2, 0)[:nm, ::-1]
-        cols = z * c.ana_w[..., None]
+        # quadrature weight: an equator row (odd nlat) counts half in each
+        # hemisphere; -g_phi / sin(theta) meets P (D^T below takes it to
+        # dP/dtheta), g_theta meets -i m P / sin(theta)
+        wq = c.wlat * c.dphi
+        if c.nlat % 2:
+            wq[nh - 1] *= 0.5
+        m_over_sin = 1j * (np.arange(nm)[:, None] / c.sin_t)
+        phi_w, theta_w = (-wq / c.sin_t + 0j)[:, None], (-m_over_sin * wq)[..., None]
+        cols = np.stack((z[:, 0] * phi_w, z[:, 1] * theta_w), axis=1)
         north, south = cols[:, :, ::-1][:, :, :nh], cols[:, :, :nh]
-        even, odd = north + south, north - south
-        # parity 0: [dP odd | P even], parity 1: [dP even | P odd]
-        rows = np.stack((
-            np.stack((odd[:, 0], even[:, 1]), axis=1),
-            np.stack((even[:, 0], odd[:, 1]), axis=1),
-        ))
+        # every component has the parity of P
+        rows = np.stack((north + south, north - south)).transpose(0, 1, 3, 2, 4)
         # both orders of a block; order lmax + 1 (even lmax) has no rows
         rows = np.concatenate((rows, np.zeros_like(rows[:, :1])), axis=1)
         first, second = self._orders()
         rows = np.stack((rows[:, first], rows[:, second]), axis=-2)
-        rows = rows.view(np.float64).reshape(2, c.npair, 2 * nh, 4 * b)
-        blocks = rows.transpose(0, 1, 3, 2) @ c.table[..., nh:].transpose(0, 1, 3, 2)
-        return self._scatter(blocks, b, c.flow_scale), np.zeros((b, 0))
+        rows = rows.view(np.float64).reshape(2, c.npair, nh, 8 * b)
+        sums = rows.transpose(0, 1, 3, 2) @ c.table.transpose(0, 1, 3, 2)
+        sums = sums.reshape(2, c.npair, 2, 2, b, 2, -1)
+        # slot (n, m): its theta sum, plus D^T of the phi sums,
+        # n e_{n+1} at degree n + 1 and -(n + 1) e_n at degree n - 1
+        rows_of = self._rows_of_degree()
+        nrp = c.table.shape[2]
+        out = np.zeros((b, c.n_modes))
+        k = np.full(nm, 1.0 / math.sqrt(math.pi))
+        k[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        for n in range(1, c.lmax + 1):
+            for m in range(-n, n + 1):
+                slot, a, cs = n * n + n + m - 1, abs(m), int(m < 0)
+                scale = -(-k[a] if m < 0 else k[a]) / (n * (n + 1.0))
+                def at(deg, kk):
+                    p, q = rows_of[deg, a]
+                    j, r = divmod(q, nrp)
+                    return sums[p, j, kk, int(a != j), :, cs, r]
+                v = scale * at(n, 1) + (scale * (n * self._e(n + 1.0, a))) * at(n + 1, 0)
+                if n - 1 >= a:
+                    v = v + (scale * (-(n + 1.0) * self._e(float(n), a))) * at(n - 1, 0)
+                out[:, slot] = v
+        return out, np.zeros((b, 0))
 
     # torus: the per-axis tables and the coefficient matrix M of each field
     # (a field is E M E^T) derived here from the lattice vectors, the period
