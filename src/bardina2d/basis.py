@@ -160,8 +160,8 @@ class _SphereCore:
     For even lmax, order 0 stands alone.  slots[p, j, r, o, c] holds the
     flat slot of member c (cos, sin) of that row's (n, m) when the row
     belongs to order o of the block (0: j, 1: its partner); entries with no
-    mode, degrees 0 and lmax + 1 among them, point at slot n_modes, a zero
-    appended to every coefficient row.
+    mode, degrees 0 and lmax + 1 among them, hold n_modes, and a gather
+    reads a zero for them.
 
     Theta derivatives come from P alone by the degree recurrence (Bourke
     1972, Mon. Wea. Rev. 100): with e_n = sqrt((n^2 - m^2) / (4 n^2 - 1)),
@@ -186,8 +186,8 @@ class _SphereCore:
     -lam psi and D psi beside them and makes one matmul of table_t, the
     transposed view of the table, batched over (parity, block, component);
     an unfold adds the even and odd sums on the northern latitudes and
-    subtracts them on the mirrored southern ones.  Analysis weights the
-    columns of a real FFT, folds the two hemispheres into the even and odd
+    subtracts them on the mirrored southern ones.  Analysis folds the
+    columns of a real FFT, the two hemispheres, into the even and odd
     combinations, both orders of a block side by side, and makes one
     matmul per (parity, block) of the folded rows of every component
     against table_t: it multiplies each order's rows with its partner's
@@ -196,10 +196,12 @@ class _SphereCore:
     whole contiguous buffers and move each order between the block layout
     and the spectrum by copies.  Both matmuls take a transposed view as
     their left operand; so laid out, the rows of a field round the same
-    however many fields are stacked with it.  Per latitude, 1 / sin(theta)
-    weights D psi and the i m / sin(theta) of d/dphi the psi sums of a
-    flow synthesis; -wq / sin(theta) and -i m wq / sin(theta), wq the
-    quadrature weight, weight g_phi and g_theta in a flow analysis.
+    however many fields are stacked with it.  The weights per latitude are
+    even, so they apply to the even and odd sums alike: a flow synthesis
+    weights its sums of D psi by 1 / sin(theta) and those of psi by
+    i m / sin(theta) (d/dphi), and a flow analysis its folded rows of
+    g_phi by -wq / sin(theta) and of g_theta by -i wq / sin(theta), wq the
+    quadrature weight, the m of d/dphi going to the scatter weights flow_w.
     """
 
     def __init__(self, lmax):
@@ -254,21 +256,37 @@ class _SphereCore:
         ks[0] *= 2.0
         sign = np.where(order < 0, -1.0, 1.0)
         self.pad_scale = sign * ks[np.abs(order)]
-        # column weights, per latitude (1 / sin(theta), and the quadrature
-        # weights wq of a scalar analysis and -wq / sin(theta) of g_phi) and
-        # per order and latitude (i m / sin(theta), and -i m wq / sin(theta)
-        # of g_theta, as n x g = (-g_phi, g_theta)); an equator row (odd
+        # weights: a scalar analysis weights its columns by wq, the
+        # quadrature weight; the flow transforms weight their sums, at the
+        # northern latitudes, by 1 / sin(theta) (D psi) and i m / sin(theta)
+        # (d/dphi of psi), and their folded rows by -wq / sin(theta) (g_phi)
+        # and -i wq / sin(theta) (g_theta, as n x g = (-g_phi, g_theta); the
+        # m goes to flow_w): all are even in latitude.  An equator row (odd
         # nlat) is folded into both hemispheres at half weight.  The
         # analysis rows are (Re, Im) of the weighted columns, so a sin slot
         # sums -Im; ana_scale also holds each order's factor k
         wq = self.wlat * self.dphi
         if self.nlat % 2:
             wq[nh - 1] *= 0.5
-        m_over_sin = np.arange(nm)[:, None] / self.sin_t
-        self.synth_w = np.stack((1.0 / self.sin_t + 0 * m_over_sin, 1j * m_over_sin), axis=1)
-        self.lat_w = np.stack((wq, -wq / self.sin_t)) + 0j
-        self.ana_w = -1j * m_over_sin * wq
+        inv_sin = 1.0 / self.sin_t[self.north]
+        m_pair = np.stack((np.arange(self.npair), (lmax | 1) - np.arange(self.npair)), axis=-1)
+        self.synth_w = np.stack(
+            np.broadcast_arrays(inv_sin[:, None], 1j * m_pair[:, None] * inv_sin[:, None])
+        )
+        self.lat_w = wq.astype(np.complex128)
+        wn = -wq[self.north] * inv_sin
+        self.ana_w = np.broadcast_to(np.stack((wn, 1j * wn), axis=-1)[..., None], (self.npair, nh, 2, 2))
         self.ana_scale = sign * k[np.abs(order)]
+        # scatter of a flow analysis: each slot's (parity, block, row, order
+        # in block, member) and the weights of its theta sum (times m, the
+        # i m of d/dphi) and of its phi sums at degree n + 1 and n - 1 (D^T)
+        at = np.empty(self.slots.size, dtype=np.int64)
+        at[self.slots.ravel()] = np.arange(self.slots.size)
+        self.slot_at = np.unravel_index(at[: self.n_modes], self.slots.shape)
+        p, j, r = self.slot_at[:3]
+        w = self.row_w[1, p, j, r + p], self.row_w[2, p, j, r - 1 + p]
+        self.flow_w = (-self.ana_scale / self.lam * np.stack((np.abs(order),) + w))[:, None]
+        self.table_tk = self.table_t[:, :, None]
         self.qw = self.wlat * self.dphi
         self._work = {}
 
@@ -278,13 +296,12 @@ class _SphereCore:
     # -- paired, parity-folded Legendre stage ----------------------------
 
     def _gather(self, ws, coeffs):
-        """(B, n_modes) -> scaled psi rows (2, npair, nrp, 4B) in ws.comps[2].
+        """(B, n_modes) -> scaled psi rows (2, npair, nrp, 4B), ws.psi_rows.
 
         Columns are (order in block, field, cos|sin).
         """
-        np.multiply(coeffs, self.pad_scale, out=ws.pad[:, :-1])
+        np.multiply(coeffs, self.pad_scale, out=ws.pad_in)
         np.take(ws.pad, ws.gather, out=ws.psi, mode="clip")
-        return ws.comps[2]
 
     def _pairs(self, x):
         """(order in block, blocks, view of x) for the first and the second
@@ -294,61 +311,24 @@ class _SphereCore:
             (1, slice(self.lone, None), x[::-1][: self.npair - self.lone]),
         )
 
-    def _unfold(self, ws, sums, spec):
-        """Block sums (2, npair, K, nh, 4B) -> columns (lmax + 1, K, nlat, B) of half spectra.
-
-        A field's (cos, sin) sums land as (re, im): the sin coefficients come
-        in negated.  The even plus the odd sums (northern latitudes), then
-        their difference (the mirrored southern ones), are formed over the
-        whole contiguous sums, in the block layout, into ws.spec_a, which a
-        synthesis does not read; copies take each order in block to its
-        columns, reversing the latitudes of the northern half.
-        """
-        s = sums.view(np.complex128).reshape(2, self.npair, spec.shape[1], self.nh, 2, -1)
-        h = _head(ws.spec_a, s.shape[1:])
-        for add, lat in ((np.add, self.north), (np.subtract, slice(self.nlat - self.nh))):
-            add(s[0], s[1], out=h)
-            for o, blocks, cols in self._pairs(spec[:, :, lat]):
-                np.copyto(cols, h[blocks, :, : cols.shape[2], o])
-
-    def _fold(self, ws, cols, rows):
-        """Weighted columns (lmax + 1, K, nlat, B) -> hemisphere sums and differences.
-
-        Copies take each component of each order's two hemispheres, pole to
-        equator, to its place in the block layout, in the retained columns
-        of ws.spec, which every synthesis writes before it reads them; the
-        sums then go to parity 0 and the differences to parity 1 of the
-        analysis rows (2, npair, nh, 4KB), as every component has the
-        parity of P.
-        """
-        shape = (2, self.npair, self.nh, cols.shape[1], 2, cols.shape[3])
-        h = _head(ws.spec[: self.lmax + 1], shape)
-        # a lone order's empty partner: only products the scatter drops read it
-        h[:, : self.lone, ..., 1, :] = 0.0
-        for half, lat in enumerate((self.north, slice(self.nh))):
-            for o, blocks, part in self._pairs(cols[:, :, lat]):
-                for j in range(shape[3]):
-                    np.copyto(h[half, blocks, :, j, o], part[:, j])
-        even, odd = rows.view(np.complex128).reshape(shape)
-        np.add(h[0], h[1], out=even)
-        np.subtract(h[0], h[1], out=odd)
-
     # -- scalar --------------------------------------------------------
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        sums = np.matmul(self.table_t, self._gather(ws, coeffs), out=ws.sums_p)
-        self._unfold(ws, sums, ws.spec[: self.lmax + 1, :1])
-        return np.fft.irfft(ws.spec[:, 0].T, n=self.nlon, axis=-1)
+        self._gather(ws, coeffs)
+        np.matmul(self.table_t, ws.psi_rows, out=ws.sums_p)
+        _unfold(*ws.unfold_p)
+        return np.fft.irfft(ws.spec_p, n=self.nlon, axis=-1)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
-        np.fft.rfft(f, axis=-1, out=ws.spec_ap[:, 0].T)
-        cols = ws.spec_ap[: self.lmax + 1]
-        self._fold(ws, np.multiply(cols, ws.lat_w[0], out=cols), ws.sums_p)
+        cols = ws.cols_p
+        np.fft.rfft(f, axis=-1, out=ws.spec_ap)
+        np.multiply(cols, ws.lat_w, out=cols)
+        _fold(*ws.fold_p)
         # the sums go where a flow analysis has its theta sums
-        np.matmul(ws.sums_p.swapaxes(2, 3), self.table_t, out=ws.sums_a[:, :, 1])
-        p = np.take(ws.sums_a, ws.scatter[0])
+        np.matmul(ws.rows_p, self.table_t, out=ws.sums_theta)
+        p = np.take(ws.sums_a, ws.scatter[0], mode="clip")
         return np.multiply(p, self.ana_scale, out=p)
 
     # -- flow ----------------------------------------------------------
@@ -357,112 +337,204 @@ class _SphereCore:
         ws = self.workspace(len(psi))
         self._gather(ws, psi)
         # D psi: row i of parity p takes lo psi[1 - p, i - 1 + p] + hi
-        # psi[1 - p, i + p], rows flat over block and row; ws.pairs line
+        # psi[1 - p, i + p], rows flat over block and row; ws.links line
         # those rows of parity 1 - p up with row i, and the lo products go
         # through the -lam psi rows
-        c, (lam, lo, hi), (below, above) = ws.comps.reshape(3, 2, -1), ws.row_w, ws.pairs
-        np.multiply(below, lo, out=c[0, ::-1])
-        np.multiply(above, hi, out=c[1, ::-1])
-        np.add(c[1], c[0], out=c[1])
-        np.multiply(c[2], lam, out=c[0])
-        np.matmul(self.table_t[:, :, None], ws.comps.transpose(1, 2, 0, 3, 4), out=ws.sums)
-        cols = ws.spec[: self.lmax + 1]
-        self._unfold(ws, ws.sums, cols)
-        grad = cols[:, 1:]
-        np.multiply(grad, ws.synth_w, out=grad)
-        return np.fft.irfft(ws.spec.transpose(3, 1, 2, 0), n=self.nlon, axis=-1, out=out)
+        (below, above), (lo_out, hi_out) = ws.links, ws.link_out
+        (lam, lo, hi), (vort, d, psi_rows) = ws.row_w, ws.flat
+        np.multiply(below, lo, out=lo_out)
+        np.multiply(above, hi, out=hi_out)
+        np.add(d, vort, out=d)
+        np.multiply(psi_rows, lam, out=vort)
+        np.matmul(self.table_tk, ws.comps_k, out=ws.sums_k)
+        for grad in ws.grad_sums:
+            np.multiply(grad, ws.synth_w, out=grad)
+        _unfold(*ws.unfold)
+        return np.fft.irfft(ws.spec_t, n=self.nlon, axis=-1, out=out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
-        z = ws.spec_a
-        np.fft.rfft(g, axis=-1, out=z.transpose(3, 1, 2, 0))
-        # components (phi, theta)
-        cols = z[: self.lmax + 1, ::-1]
-        for j, w in enumerate((ws.lat_w[1], ws.ana_w)):
-            np.multiply(cols[:, j], w, out=cols[:, j])
-        self._fold(ws, cols, ws.rows_a)
-        np.matmul(ws.rows_a.swapaxes(2, 3), self.table_t, out=ws.sums_flow)
+        np.fft.rfft(g, axis=-1, out=ws.spec_at)
+        _fold(*ws.fold_a)
+        for rows in ws.rows_a:
+            np.multiply(rows, ws.ana_w, out=rows)
+        np.matmul(ws.rows_at, self.table_t, out=ws.sums_flow)
         # each slot reads the theta sum of its row and, times the weights of
         # D^T, the phi sums of its rows of degree n + 1 and n - 1; each
         # order's folded rows meet every row of its block, so the sums hold
         # products with the partner order's rows too, which it drops
-        v = np.take(ws.sums_a, ws.scatter, out=ws.parts)
-        np.multiply(v, ws.flow_w[:, None], out=v)
+        v = np.take(ws.sums_a, ws.scatter, out=ws.parts, mode="clip")
+        np.multiply(v, self.flow_w, out=v)
         return np.add.reduce(v), np.zeros((len(g), 0))
 
 
 class _SphereWork:
-    """Reused buffers of one sphere plan for B stacked fields.
+    """Reused buffers of one sphere plan for B stacked fields, and views of them.
 
-    pad holds the scaled coefficient rows with the zero slot n_modes
-    appended, and gather the flat take-index of every psi row entry: the
-    rows of parity 0, two zero rows, then those of parity 1, into psi.
-    Read as (parity 0 and a zero row, a zero row and parity 1), psi lines
-    each parity's rows of degree n - 1 and n + 1 up with the other's row of
-    degree n, at rows i and i + 1: pairs holds those two views.  rows holds
-    the synthesis rows (-lam psi, D psi, psi), comps their
-    (3, 2, npair, nrp, 4B) view, each row's 4B columns contiguous, and
-    row_w their weights (-lam, lo, hi, as core.row_w) repeated over the
-    columns, so that each pass runs flat over whole rows: 0.37 MB each at
-    L=85 for one row.  The analysis sums sums_a
+    pad holds the scaled coefficient rows, then one zero, and gather the
+    flat take-index of every psi row entry: the rows of parity 0, two zero
+    rows, then those of parity 1, into psi.  Read as (parity 0 and a zero
+    row, a zero row and parity 1), psi lines each parity's rows of degree
+    n - 1 and n + 1 up with the other's row of degree n, at rows i and
+    i + 1: links holds those two views.  rows holds the synthesis rows
+    (-lam psi, D psi, psi), comps their (3, 2, npair, nrp, 4B) view, each
+    row's 4B columns contiguous, and row_w their weights (-lam, lo, hi, as
+    core.row_w) repeated over the columns, so that each pass runs flat over
+    whole rows: 0.37 MB each at L=85 for one row.  The synthesis sums are
+    laid out (2, 3, npair, nh, 4B), so the gradient sums of one parity are
+    contiguous for their weights, synth_w.  The analysis sums sums_a
     (2, npair, (phi, theta), 4B, nrp) take the head of rows; scatter holds
-    the three positions in them that each slot reads, and flow_w their
-    weights: the scale of the slot, times those of D^T for the phi sums.
-    The folded analysis rows, and the products of the scatter, live in the
-    synthesis sums, which no analysis reads.  The half spectra spec
-    (vorticity, d/dtheta, d/dphi) and spec_a are laid out (m, K, nlat, B);
-    spec is zeroed once, its columns beyond lmax never written (numpy's
-    irfft is slower on a shorter input that it pads itself), and an
-    analysis weights the columns of spec_a in place.  An unfold forms its
-    hemispheres in spec_a, and a fold in the retained columns of spec; the
-    other kind of transform writes those before it reads them.  The column
-    weights are repeated over the B fields, so that a weighting runs along
-    contiguous rows.  The scalar transforms use the leading parts (sums_p,
-    spec_ap) of the flow buffers.
+    the three positions in them that each slot reads, weighted by
+    core.flow_w.  The folded analysis rows, weighted by ana_w, and the
+    products of the scatter live in the synthesis sums, which no analysis
+    reads.  rows lives in the head of g and the sums in that of grids: a
+    synthesis writes grids in its last FFT, after its matmul and unfold,
+    the right-hand side writes g after the synthesis, and an analysis reads
+    g in its first FFT only.  The half spectra spec (vorticity, d/dtheta,
+    d/dphi) and spec_a are laid out (m, K, nlat, B); spec is zeroed once,
+    its columns beyond lmax never written (numpy's irfft is slower on a
+    shorter input that it pads itself).  An unfold forms its hemispheres in
+    spec_a, and a fold in the retained columns of spec; the other kind of
+    transform writes those before it reads them.  The weights of rows and
+    sums are repeated to the full shape of what they weight, and weight it
+    in contiguous blocks: numpy 2 copies an operand it broadcasts over an
+    outer axis, or an in-place operand that is not contiguous, into a
+    temporary (0.37 MB at L=21 for 9 rows), which, trimmed off the heap and
+    faulted back in, costs more than the weights.  The scalar transforms use
+    the leading parts (sums_p, spec_ap) of the flow buffers.  Every view a
+    transform passes to numpy is made here once: at small sizes, making
+    them costs as much as the arithmetic.
     """
 
     def __init__(self, core, b):
         npair, nh, nrp = core.npair, core.nh, core.table.shape[2]
         nlat, nlon, n = core.nlat, core.nlon, core.n_modes
         nfreq = nlon // 2 + 1
-        self.pad = np.zeros((b, n + 1))
-        idx = ((np.arange(b) * (n + 1))[:, None] + core.slots[..., None, :]).reshape(2, -1)
+        self.pad = np.zeros(b * n + 1)
+        self.pad_in = self.pad[:-1].reshape(b, n)
+        slots = core.slots[..., None, :] + (np.arange(b) * n)[:, None]
+        idx = np.where(core.slots[..., None, :] < n, slots, b * n).reshape(2, -1)
         size, row = idx.shape[1], 4 * b
-        self.gather = np.concatenate((idx[0], np.full(2 * row, n), idx[1]))
-        self.rows = np.empty((3, 2, size + 2 * row))
+        self.gather = np.concatenate((idx[0], np.full(2 * row, b * n), idx[1]))
+        # the rows live in the head of g, and the sums in that of grids: a
+        # synthesis writes grids after its unfold, and the right-hand side g
+        # after the synthesis; an analysis reads g only in its first FFT
+        rows, sums = (3, 2, size + 2 * row), (2, 3, npair, nh, row)
+        grids, g = (b, 3, nlat, nlon), (b, 2, nlat, nlon)
+        grid_buf, g_buf = (np.empty(max(math.prod(a), math.prod(c))) for a, c in ((grids, sums), (g, rows)))
+        self.grids, self.g = _head(grid_buf, grids), _head(g_buf, g)
+        self.rows = _head(g_buf, rows)
         self.psi = self.rows[2].reshape(-1)[: self.gather.size]
         x = self.psi.reshape(2, -1)
-        self.pairs = x[:, :size], x[:, row:]
+        self.links = x[:, :size], x[:, row:]
         self.comps = self.rows[..., :size].reshape(3, 2, npair, nrp, row)
+        self.comps_k = self.comps.transpose(1, 2, 0, 3, 4)
+        self.psi_rows = self.comps[2]
+        self.flat = self.comps.reshape(3, 2, size)
+        self.link_out = self.flat[0, ::-1], self.flat[1, ::-1]
         self.row_w = np.broadcast_to(core.row_w[..., None], self.comps.shape).reshape(3, 2, size)
         self.sums_a = _head(self.rows, (2, npair, 2, row, nrp))
         self.sums_flow = self.sums_a.reshape(2, npair, 2 * row, nrp)
+        self.sums_theta = self.sums_a[:, :, 1]
         # per slot: its theta sum, then the phi sums at degree n + 1 (row
-        # r + p of the other parity) and n - 1 (row r - 1 + p; none at a
-        # block's first row), with the weights of D^T
-        at = np.empty(core.slots.size, dtype=np.int64)
-        at[core.slots.ravel()] = np.arange(core.slots.size)
-        p, j, r, o, c = np.unravel_index(at[:n], core.slots.shape)
+        # r + p of the other parity) and n - 1 (row r - 1 + p)
+        p, j, r, o, c = core.slot_at
         col = (o * b + np.arange(b)[:, None]) * 2 + c
         at = np.ravel_multi_index((p, j, 1, col, r), self.sums_a.shape)
         up = at + (1 - 2 * p) * self.sums_a[0].size - row * nrp + p
         self.scatter = np.stack((at, up, up - 1))
-        w = core.row_w[1, p, j, r + p], core.row_w[2, p, j, r - 1 + p]
-        self.flow_w = -core.ana_scale / core.lam * np.stack((np.ones(n),) + w)
-        self.sums = np.empty((2, npair, 3, nh, row))
+        self.sums = _head(grid_buf, sums)
+        self.sums_k = self.sums.transpose(0, 2, 1, 3, 4)
+        self.grad_sums = tuple(self.sums.view(np.complex128).reshape(2, 3, npair, nh, 2, b)[:, 1:])
         self.spec = np.zeros((nfreq, 3, nlat, b), dtype=np.complex128)
-        self.grids = np.empty((b, 3, nlat, nlon))
-        self.g = np.empty((b, 2, nlat, nlon))
+        self.spec_t = self.spec.transpose(3, 1, 2, 0)
+        self.spec_p = self.spec[:, 0].T
         # analysis: component spectra, folded rows, products of the scatter
         self.spec_a = np.empty((nfreq, 2, nlat, b), dtype=np.complex128)
-        self.rows_a = _head(self.sums, (2, npair, nh, 8 * b))
+        self.spec_at = self.spec_a.transpose(3, 1, 2, 0)
+        rows_a = _head(self.sums, (2, npair, nh, 8 * b))
+        self.rows_at = rows_a.swapaxes(2, 3)
+        self.rows_a = tuple(rows_a.view(np.complex128).reshape(2, npair, nh, 2, 2, b))
         self.parts = _head(self.sums, self.scatter.shape)
         self.lat_w, self.synth_w, self.ana_w = (
             np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
             for w in (core.lat_w, core.synth_w, core.ana_w)
         )
         self.sums_p = _head(self.sums, (2, npair, nh, row))
-        self.spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
+        self.rows_p = self.sums_p.swapaxes(2, 3)
+        spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
+        self.spec_ap = spec_ap[:, 0].T
+        self.cols_p = spec_ap[: core.lmax + 1]
+        # components (phi, theta)
+        cols_a = self.spec_a[: core.lmax + 1, ::-1]
+        self.unfold = self._unfold_plan(core, self.sums, self.spec[: core.lmax + 1])
+        self.unfold_p = self._unfold_plan(core, self.sums_p, self.spec[: core.lmax + 1, :1])
+        self.fold_a = self._fold_plan(core, cols_a, rows_a)
+        self.fold_p = self._fold_plan(core, self.cols_p, self.sums_p)
+
+    def _unfold_plan(self, core, sums, spec):
+        """Views of an unfold, block sums (2, K, npair, nh, 4B) -> columns
+        (lmax + 1, K, nlat, B) of half spectra, as `_unfold` takes them.
+
+        A field's (cos, sin) sums land as (re, im): the sin coefficients come
+        in negated.  The even plus the odd sums (northern latitudes), then
+        their difference (the mirrored southern ones), are formed over the
+        whole contiguous sums, in the block layout, into spec_a, which a
+        synthesis does not read; copies take each order in block to its
+        columns, reversing the latitudes of the northern half.
+        """
+        k = spec.shape[1]
+        s = sums.view(np.complex128).reshape(2, k, core.npair, core.nh, 2, -1)
+        h = _head(self.spec_a, s.shape[1:])
+        halves = tuple(
+            (add, tuple(
+                (cols, h[:, blocks, : cols.shape[2], o].swapaxes(0, 1))
+                for o, blocks, cols in core._pairs(spec[:, :, lat])
+            ))
+            for add, lat in ((np.add, core.north), (np.subtract, slice(core.nlat - core.nh)))
+        )
+        return s[0], s[1], h, halves
+
+    def _fold_plan(self, core, cols, rows):
+        """Views of a fold, weighted columns (lmax + 1, K, nlat, B) ->
+        hemisphere sums and differences, as `_fold` takes them.
+
+        Copies take each component of each order's two hemispheres, pole to
+        equator, to its place in the block layout, in the retained columns
+        of spec, which every synthesis writes before it reads them; the
+        sums then go to parity 0 and the differences to parity 1 of the
+        analysis rows (2, npair, nh, 4KB), as every component has the
+        parity of P.  A lone order's empty partner is zeroed: only products
+        the scatter drops read it.
+        """
+        shape = (2, core.npair, core.nh, cols.shape[1], 2, cols.shape[3])
+        h = _head(self.spec[: core.lmax + 1], shape)
+        copies = tuple(
+            (h[half, blocks, :, j, o], part[:, j])
+            for half, lat in enumerate((core.north, slice(core.nh)))
+            for o, blocks, part in core._pairs(cols[:, :, lat])
+            for j in range(shape[3])
+        )
+        even, odd = rows.view(np.complex128).reshape(shape)
+        return h[:, : core.lone, ..., 1, :], copies, h[0], h[1], even, odd
+
+
+def _unfold(even, odd, h, halves):
+    """Run an unfold `_SphereWork._unfold_plan` made: per half, even + odd
+    or even - odd into h, then its copies."""
+    for add, copies in halves:
+        add(even, odd, out=h)
+        for dst, src in copies:
+            np.copyto(dst, src)
+
+
+def _fold(lone, copies, h0, h1, even, odd):
+    """Run a fold `_SphereWork._fold_plan` made."""
+    lone.fill(0.0)
+    for dst, src in copies:
+        np.copyto(dst, src)
+    np.add(h0, h1, out=even)
+    np.subtract(h0, h1, out=odd)
 
 
 def _head(buf, shape):

@@ -127,12 +127,15 @@ def _nonlinearity(plan, psis, hs):
         np.add(r[:, 0], hs[:, 1, None, None], out=r[:, 0])
         np.negative(r[:, 0], out=r[:, 0])
         np.subtract(hs[:, 0, None, None], r[:, 1], out=r[:, 1])
-    else:
-        np.negative(r, out=r)
     g = np.multiply(zeta[:, None], r[0], out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
         g[1:] += np.multiply(zeta[0], r[1:], out=r[1:])
-    return core.flow_analysis(g)
+    p, q = core.flow_analysis(g)
+    if not plan.n_harmonic:
+        # n x u = -grad psi on the sphere: the product takes grad psi, and
+        # the sign goes to the analyzed rows, far fewer than grid points
+        np.negative(p, out=p)
+    return p, q
 
 
 def nonlinear_term(plan, state):

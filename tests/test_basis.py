@@ -319,12 +319,12 @@ class TestTransforms:
         # padding rows are zero, and no block holds more than one
         assert not np.any(core.table[~kept]) and np.all(np.any(core.table[kept], axis=-1))
         assert (~kept).sum(axis=-1).max() <= 1
-        # each slot of each field appears exactly once in a gather
-        width = plan.n_modes + 1
+        # each slot of each field appears exactly once in a gather; the
+        # other entries read the zero after the b fields' n_modes slots
         for b in (1, 3):
-            idx = plan.core.workspace(b).gather.ravel()
-            counts = np.bincount(idx[idx % width != plan.n_modes], minlength=b * width)
-            assert np.all(counts.reshape(b, width)[:, :-1] == 1)
+            idx, zero = plan.core.workspace(b).gather.ravel(), b * plan.n_modes
+            assert np.all(idx <= zero)
+            assert np.all(np.bincount(idx[idx != zero], minlength=zero) == 1)
 
 
     def test_torus_matches_full_complex_reference(self):

@@ -482,8 +482,15 @@ class _AllocatingRemainder:
         comps = np.stack((lam, d, flat), axis=1).reshape(2, 3, c.npair, -1, 4 * b)
         sums = c.table.transpose(0, 1, 3, 2)[:, :, None] @ comps.transpose(0, 2, 1, 3, 4)
         s = sums.view(np.complex128).reshape(2, c.npair, 3, nh, 2, b)
-        # per order: even plus odd sums, and their difference
+        # D psi over sin(theta); d/dphi is i m / sin(theta), m the order of
+        # the block's column; both weights are even, so they multiply the
+        # even and odd sums of the northern latitudes, pole to equator
         first, second = self._orders()
+        inv_sin = 1.0 / c.sin_t[::-1][:nh]
+        s[:, :, 1] = s[:, :, 1] * inv_sin[:, None, None]
+        m = np.stack((first, second), axis=-1)[:, None, :, None]
+        s[:, :, 2] = s[:, :, 2] * ((1j * m) * inv_sin[:, None, None])
+        # per order: even plus odd sums, and their difference
         north, south = np.zeros((2, nm + 1, 3, nh, b), dtype=np.complex128)
         for half, part in ((north, s[0] + s[1]), (south, s[0] - s[1])):
             half[first] = part[..., 0, :]
@@ -493,28 +500,24 @@ class _AllocatingRemainder:
         ns = c.nlat - nh
         spec[:nm, :, ::-1][:, :, :nh] = north[:nm]
         spec[:nm, :, :ns] = south[:nm, :, :ns]
-        # D psi over sin(theta); d/dphi is i m / sin(theta)
-        spec[:nm, 1] = spec[:nm, 1] * (1.0 / c.sin_t + 0j)[:, None]
-        m_over_sin = 1j * (np.arange(nm)[:, None] / c.sin_t)
-        spec[:nm, 2] = spec[:nm, 2] * m_over_sin[..., None]
         grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
         return grids[:, 0], grids[:, 1:]
 
     def _sphere_analysis(self, g):
         c, b, nm, nh = self.core, len(g), self.core.lmax + 1, self.core.nh
         z = np.fft.rfft(g, axis=-1).transpose(3, 1, 2, 0)[:nm, ::-1]
-        # quadrature weight: an equator row (odd nlat) counts half in each
-        # hemisphere; -g_phi / sin(theta) meets P (D^T below takes it to
-        # dP/dtheta), g_theta meets -i m P / sin(theta)
+        north, south = z[:, :, ::-1][:, :, :nh], z[:, :, :nh]
+        # every component has the parity of P
+        rows = np.stack((north + south, north - south))
+        # quadrature weight, even in latitude: an equator row (odd nlat)
+        # counts half in each hemisphere; -g_phi / sin(theta) meets P (D^T
+        # below takes it to dP/dtheta), g_theta meets -i P / sin(theta), and
+        # its sums m
         wq = c.wlat * c.dphi
         if c.nlat % 2:
             wq[nh - 1] *= 0.5
-        m_over_sin = 1j * (np.arange(nm)[:, None] / c.sin_t)
-        phi_w, theta_w = (-wq / c.sin_t + 0j)[:, None], (-m_over_sin * wq)[..., None]
-        cols = np.stack((z[:, 0] * phi_w, z[:, 1] * theta_w), axis=1)
-        north, south = cols[:, :, ::-1][:, :, :nh], cols[:, :, :nh]
-        # every component has the parity of P
-        rows = np.stack((north + south, north - south)).transpose(0, 1, 3, 2, 4)
+        wn = -wq[::-1][:nh] * (1.0 / c.sin_t[::-1][:nh])
+        rows = (rows * np.stack((wn + 0j, 1j * wn))[:, :, None]).transpose(0, 1, 3, 2, 4)
         # both orders of a block; order lmax + 1 (even lmax) has no rows
         rows = np.concatenate((rows, np.zeros_like(rows[:, :1])), axis=1)
         first, second = self._orders()
@@ -537,7 +540,7 @@ class _AllocatingRemainder:
                     p, q = rows_of[deg, a]
                     j, r = divmod(q, nrp)
                     return sums[p, j, kk, int(a != j), :, cs, r]
-                v = scale * at(n, 1) + (scale * (n * self._e(n + 1.0, a))) * at(n + 1, 0)
+                v = (scale * a) * at(n, 1) + (scale * (n * self._e(n + 1.0, a))) * at(n + 1, 0)
                 if n - 1 >= a:
                     v = v + (scale * (-(n + 1.0) * self._e(float(n), a))) * at(n - 1, 0)
                 out[:, slot] = v
