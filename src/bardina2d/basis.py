@@ -275,7 +275,8 @@ class _SphereCore:
         )
         self.lat_w = wq.astype(np.complex128)
         wn = -wq[self.north] * inv_sin
-        self.ana_w = np.broadcast_to(np.stack((wn, 1j * wn), axis=-1)[..., None], (self.npair, nh, 2, 2))
+        wn = np.stack((wn, 1j * wn), axis=-1)[..., None]
+        self.ana_w = np.broadcast_to(wn, (self.npair, nh, 2, 2))
         self.ana_scale = sign * k[np.abs(order)]
         # scatter of a flow analysis: each slot's (parity, block, row, order
         # in block, member) and the weights of its theta sum (times m, the
@@ -421,7 +422,9 @@ class _SphereWork:
         # after the synthesis; an analysis reads g only in its first FFT
         rows, sums = (3, 2, size + 2 * row), (2, 3, npair, nh, row)
         grids, g = (b, 3, nlat, nlon), (b, 2, nlat, nlon)
-        grid_buf, g_buf = (np.empty(max(math.prod(a), math.prod(c))) for a, c in ((grids, sums), (g, rows)))
+        grid_buf, g_buf = (
+            np.empty(max(math.prod(a), math.prod(c))) for a, c in ((grids, sums), (g, rows))
+        )
         self.grids, self.g = _head(grid_buf, grids), _head(g_buf, g)
         self.rows = _head(g_buf, rows)
         self.psi = self.rows[2].reshape(-1)[: self.gather.size]
