@@ -661,16 +661,17 @@ class _TorusCore:
     def _pack(self, ws, coeffs):
         """Coefficient rows -> M, (B, 2K + 1, 2K + 1) in ws.m."""
         np.copyto(ws.pad[:, :-1], coeffs)
-        v = np.take(ws.pad, self.entry_slot, axis=-1, out=ws.pairs_flat)
-        np.multiply(v, self.entry_w, out=v)
-        np.add(v[:, 0], v[:, 1], out=ws.m_flat)
+        v = np.take(ws.pad, ws.pack_at, out=ws.links, mode="clip")
+        np.multiply(v, ws.entry_w, out=v)
+        np.add(v[0], v[1], out=ws.m_flat)
         return ws.m
 
-    def _unpack(self, ws, a, weight):
-        """Flat entries a (B, (2K + 1)^2) -> slot rows times weight, a new array."""
-        v = np.take(a, self.slot_entry, axis=-1, out=ws.parts)
+    def _unpack(self, ws, weight):
+        """The entries of ws.m -> slot rows times weight (ws.ana_w or
+        ws.flow_w), a new array."""
+        v = np.take(ws.m, ws.unpack_at, out=ws.parts, mode="clip")
         np.multiply(v, weight, out=v)
-        return np.add(v[:, 0], v[:, 1])
+        return np.add(v[0], v[1])
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
@@ -681,14 +682,14 @@ class _TorusCore:
     def analyze(self, f):
         ws = self.workspace(len(f))
         e = self.tables[0]
-        np.matmul(e.T, np.matmul(f, e, out=ws.p[:, 0]), out=ws.pairs[:, 0])
-        return self._unpack(ws, ws.pairs_flat[:, 0], self.ana_w)
+        np.matmul(e.T, np.matmul(f, e, out=ws.p[:, 0]), out=ws.m)
+        return self._unpack(ws, ws.ana_w)
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
         n = self.shape[0]
         m = self._pack(ws, psi)
-        lam_m = np.multiply(m, self.neg_lam, out=ws.pairs[:, 0])
+        lam_m = np.multiply(m, self.neg_lam, out=ws.pairs[0])
         # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
         np.matmul(lam_m, self.tables_t[:, :n], out=ws.t[..., :n])
         np.matmul(m, self.tables_t, out=ws.t[..., n:])
@@ -698,33 +699,50 @@ class _TorusCore:
         ws = self.workspace(len(g))
         # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
         p = np.matmul(g, self.tables[1:], out=ws.p)
-        q = np.matmul(self.tables[:2].transpose(0, 2, 1), p, out=ws.pairs)
-        np.subtract(q[:, 1], q[:, 0], out=ws.m)
+        np.matmul(self.tables[:2].transpose(0, 2, 1), p, out=ws.pairs_b)
+        np.subtract(ws.pairs[1], ws.pairs[0], out=ws.m)
         mean = g.sum(axis=(-2, -1)) / math.prod(self.shape)
-        return self._unpack(ws, ws.m_flat, self.flow_w), mean
+        return self._unpack(ws, ws.flow_w), mean
 
 
 class _TorusWork:
     """Reused buffers of one torus plan for B stacked fields.
 
-    A pack takes its links into pairs and sums them into m; a flow
-    synthesis scales m by -lam into pairs[:, 0] and writes its first
+    pairs (2, B, 2K + 1, 2K + 1) holds two matrices per field, the first
+    of every field, then the second, and pairs_b views it field-major.  A
+    pack takes the two links of every entry into pairs, flat (links), by
+    the flat take-index pack_at into pad, and sums them into m; a flow
+    synthesis then scales m by -lam into pairs[0] and writes its first
     products [-lam o M E^T | M E^T | M dE^T] into t, which t_split views
     as (B, 3, 2K + 1, N).  An analysis writes its first products into p
-    and its second into pairs; its unpack takes into the head of p.
+    and its second into m (a flow analysis into pairs_b, their difference
+    into m); its unpack takes the two entries of each slot from m by
+    unpack_at into parts (link, B, slot), the head of p.  The weights
+    entry_w, ana_w and flow_w are the core's, repeated over the B rows in
+    that layout: numpy 2 copies an operand it broadcasts over an outer axis,
+    or one that is not contiguous, into a temporary, and a take into out
+    buffers it unless it clips (the indices are all in range).
     """
 
     def __init__(self, core, b):
         n, nb = core.tables.shape[1:]
+        rows = np.arange(b)[:, None]
         self.pad = np.zeros((b, core.n_modes + 1))
-        self.pairs = np.empty((b, 2, nb, nb))
-        self.pairs_flat = self.pairs.reshape(b, 2, nb * nb)
+        self.pack_at = core.entry_slot[:, None] + rows * (core.n_modes + 1)
+        self.unpack_at = core.slot_entry[:, None] + rows * (nb * nb)
+        self.entry_w, self.ana_w, self.flow_w = (
+            np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
+            for w in (core.entry_w, core.ana_w, core.flow_w)
+        )
+        self.pairs = np.empty((2, b, nb, nb))
+        self.pairs_b = self.pairs.transpose(1, 0, 2, 3)
+        self.links = self.pairs.reshape(2, b, nb * nb)
         self.m = np.empty((b, nb, nb))
         self.m_flat = self.m.reshape(b, nb * nb)
         self.t = np.empty((b, nb, 3 * n))
         self.t_split = self.t.reshape(b, nb, 3, n).transpose(0, 2, 1, 3)
         self.p = np.empty((b, 2, n, nb))
-        self.parts = _head(self.p, (b, 2, core.n_modes))
+        self.parts = _head(self.p, (2, b, core.n_modes))
         # grids of (vorticity, d/dx, d/dy), and the product g
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))

@@ -58,7 +58,7 @@ def _ensure_forced(plan, params):
 
 def transform_roundtrip(plan, seed):
     """Synthesize-analyze round trip and Parseval sum of one random field."""
-    coeffs = verification.probe_state(plan, np.random.default_rng(seed)).psi
+    coeffs = verification.probe_state(plan, ops.NormalStream(seed)).psi
     f = basis.synthesize(plan, coeffs)
     back = basis.analyze(plan, f)
     rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
@@ -77,7 +77,7 @@ def library_checks(plan, params, seed, prefix=""):
         # aliases onto the edge modes of the first but not of the second.
         # The residual is relative to the whole product on the larger plan,
         # whose retained part can vanish (degree-1 fields at sphere L=1)
-        rng = np.random.default_rng(seed + 2000)
+        rng = ops.NormalStream(seed + 2000)
         pair = np.stack([verification.probe_state(plan, rng).psi for _ in range(2)])
         fa, fb = basis.synthesize(plan, pair)
         got = basis.analyze(plan, fa * fb)
@@ -103,7 +103,7 @@ def library_checks(plan, params, seed, prefix=""):
         eps = 1e-6
         worst = 0.0
         for i in range(5):
-            rng = np.random.default_rng(seed + 1000 + i)
+            rng = ops.NormalStream(seed + 1000 + i)
             u = verification.probe_state(plan, rng)
             w = verification.probe_state(plan, rng)
             plus = ops.VelocityState(u.psi + eps * w.psi, u.harmonic + eps * w.harmonic)
@@ -120,7 +120,7 @@ def library_checks(plan, params, seed, prefix=""):
 
     def envelopes():
         run_params = _ensure_forced(plan, params)
-        state = verification.probe_state(plan, np.random.default_rng(seed))
+        state = verification.probe_state(plan, ops.NormalStream(seed))
         scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
         traj = integrate.run(plan, state, run_params, scheme)
         recs = verification.trajectory_diagnostics(plan, traj, run_params)

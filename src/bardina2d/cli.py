@@ -88,6 +88,17 @@ def _out_dir(args, spec):
 # argument parsing
 
 
+def _seed_arg(text):
+    """The --seed value: a non-negative integer, as config seeds are."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bardina2d",
@@ -109,7 +120,7 @@ def _build_parser():
     configured.add_argument("--out", default=None, help="output directory")
     configured.add_argument(
         "--seed",
-        type=int,
+        type=_seed_arg,
         default=None,
         help="override every seed in the config",
     )

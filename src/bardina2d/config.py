@@ -109,6 +109,14 @@ def _get_int(obj, key, path, default=None, minimum=None):
     return value
 
 
+def _seed(value, path):
+    """The seed; fails naming `path` where `operators.check_seed` refuses it."""
+    try:
+        return ops.check_seed(value)
+    except ConfigurationError as exc:
+        _fail(path, str(exc))
+
+
 def _check_param(kind, key, value, path):
     why = dynamics.param_error(kind, key, value)
     if why:
@@ -171,8 +179,7 @@ def _parse_initial(obj, geometry, truncation, top_seed):
         seed = obj.get("seed", top_seed)
         if seed is None:
             _fail("initial.seed", "random initial data needs a seed (here or top-level)")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail("initial.seed", f"expected an integer, got {seed!r}")
+        seed = _seed(seed, "initial.seed")
         slope = _get_number(obj, "slope", "initial.", default=2.0)
         energy = _get_number(obj, "energy", "initial.", default=1.0, minimum=0.0, strict_min=True)
         return InitialSpec("random", seed=seed, slope=slope, energy=energy)
@@ -198,9 +205,7 @@ def _parse_lyapunov(obj, top_seed):
         return None
     allowed = {"n_ensemble", "t_transient", "t_average", "renorm_interval", "seed"}
     _reject_unknown(obj, allowed, "lyapunov")
-    seed = obj.get("seed", top_seed if top_seed is not None else 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("lyapunov.seed", f"expected an integer, got {seed!r}")
+    seed = _seed(obj.get("seed", top_seed if top_seed is not None else 0), "lyapunov.seed")
     try:
         return lyapunov.LyapunovConfig(
             n_ensemble=_get_int(obj, "n_ensemble", "lyapunov.", minimum=1),
@@ -272,8 +277,8 @@ def parse_config(text):
     alpha = _check_param(kind, "alpha", _get_number(raw, "alpha", ""), "alpha")
     sigma = _check_param(kind, "sigma", _get_number(raw, "sigma", "", default=0.0), "sigma")
     seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        _fail("seed", f"expected an integer, got {seed!r}")
+    if seed is not None:
+        _seed(seed, "seed")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         _fail("out", f"expected a string, got {out!r}")

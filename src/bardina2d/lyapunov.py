@@ -172,7 +172,7 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
         raise ConfigurationError("t_average must cover at least one renormalization")
     n_tr = integrate._count_steps(config.t_transient, config.renorm_interval, "t_transient")
     n = config.n_ensemble
-    rng = np.random.default_rng(config.seed)
+    rng = ops.NormalStream(config.seed)
     tps, ths = _initial_ensemble(plan, n, params.alpha, rng)
     fstate = dyn.forcing_state(plan, params.forcing)
 

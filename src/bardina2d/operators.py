@@ -22,18 +22,22 @@ whose integrand vanishes pointwise when w = v or when antisymmetrized in
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis
 from .basis import rot90
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
 
 __all__ = [
     "VelocityState",
     "zero_state",
     "state_from_mode",
+    "check_seed",
+    "NormalStream",
     "random_state",
     "rot90",
     "velocity_grid",
@@ -85,15 +89,55 @@ def state_from_mode(plan, index, amplitude=1.0):
     return st
 
 
+def check_seed(seed):
+    """`seed` if it is a non-negative integer, else ConfigurationError:
+    `random.Random` seeds from abs(seed), so -s would silently give the
+    stream of s."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"expected a non-negative integer, got {seed!r}")
+    return seed
+
+
+class NormalStream:
+    """Seeded standard normals from the standard library's generator.
+
+    Uniforms come only from `random.Random(seed).random()`, whose sequence
+    Python keeps across releases for an integer seed (`check_seed`).  One
+    numpy pass turns each pair (u, v) of them into the two normals
+    sqrt(-2 log(1 - u)) (cos 2 pi v, sin 2 pi v) (Box and Muller 1958),
+    kept in that order.  Each call draws whole pairs, so an odd count
+    leaves its last sine unused.  The package's one source of random data:
+    numpy's own generators cost ~5.5 MB of resident memory to import.
+    """
+
+    def __init__(self, seed):
+        self._uniform = random.Random(check_seed(seed)).random
+
+    def uniforms(self, count):
+        """The next `count` uniforms on [0, 1), as Python draws them."""
+        draw = self._uniform
+        return np.array([draw() for _ in range(count)], dtype=float)
+
+    def standard_normal(self, size):
+        """An array of shape `size` (an int or a tuple) of standard normals."""
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        count = math.prod(shape)
+        u, v = self.uniforms(2 * ((count + 1) // 2)).reshape(-1, 2).T
+        radius = np.sqrt(-2.0 * np.log(1.0 - u))
+        angle = 2.0 * np.pi * v
+        pairs = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+        return pairs.reshape(-1)[:count].reshape(shape)
+
+
 def random_state(plan, seed, slope=2.0, e1=1.0, alpha=1.0):
     """Seeded random state normalized to energy E1, zero harmonic part.
 
-    Streamfunction coefficients are drawn i.i.d. normal and shaped by
-    lam^(-slope/2), then scaled so |u|^2 + alpha^2 ||u||^2 == e1.  This is
-    also the random initial condition of a run spec.
+    Streamfunction coefficients are `NormalStream(seed)`'s first n_modes
+    normals, shaped by lam^(-slope/2), then scaled so |u|^2 + alpha^2
+    ||u||^2 == e1.  This is also the random initial condition of a run
+    spec.
     """
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(plan.n_modes) * plan.lam ** (-slope / 2.0)
+    psi = NormalStream(seed).standard_normal(plan.n_modes) * plan.lam ** (-slope / 2.0)
     st = VelocityState(psi, np.zeros(plan.n_harmonic))
     raw = energy_e1(plan, st, alpha)
     if raw > 0.0:

@@ -193,7 +193,8 @@ def check_trajectory(plan, records, params, slack=ENVELOPE_SLACK, dt=0.0):
 def probe_state(plan, rng, amplitude=1.0):
     """A random state filling every retained mode, for identity and
     linearization probes: psi_s ~ N(0, 1) / sqrt(1 + lam_s) and a N(0, 1)
-    harmonic pair, both times `amplitude`, drawn in that order from `rng`."""
+    harmonic pair, both times `amplitude`, drawn in that order from `rng`,
+    an `operators.NormalStream` (or anything with its `standard_normal`)."""
     psi = amplitude * rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
     h = amplitude * rng.standard_normal(plan.n_harmonic)
     return ops.VelocityState(psi, h)
@@ -213,7 +214,7 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
     every retained mode up to the truncation edge.
     """
     del params
-    rng = np.random.default_rng(seed)
+    rng = ops.NormalStream(seed)
     names = ["b_uvv", "b_swap", "b_energy"]
     names.append("b_enstrophy" if plan.geometry.kind == basis.SPHERE else "harmonic_pair")
     names.append("b_form")

@@ -1,6 +1,7 @@
 """Tests for the spectral basis plans (sphere and torus transforms)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,6 +481,28 @@ class TestWorkspaces:
             assert len(plan.core._work) == basis.WORKSPACES_PER_PLAN
             # the two most recent batch sizes are kept
             assert sorted(plan.core._work) == [6, 7]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_torus_pack_and_unpack_allocate_no_temporary(self, rows):
+        # numpy 2 copies a weight it broadcasts over the rows, or an operand
+        # that is not contiguous, and buffers a take into out that does not clip
+        plan = basis.build_plan(basis.torus(2 * np.pi), 16)
+        core, ws = plan.core, plan.core.workspace(rows)
+        coeffs = np.random.default_rng(rows).standard_normal((rows, plan.n_modes))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: core._pack(ws, coeffs)) < 1000
+        # the unpack returns its slot rows, and makes nothing else
+        out_bytes = rows * plan.n_modes * 8
+        assert peak(lambda: core._unpack(ws, ws.flow_w)) < out_bytes + 1000
 
     @pytest.mark.parametrize("kmax", [7, 8])
     def test_torus_interleaved_calls_match_fresh_plans(self, kmax):

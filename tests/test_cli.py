@@ -704,7 +704,7 @@ from bardina2d import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in sys.modules,
-                  "fft": "numpy.fft" in sys.modules}))
+                  "fft": "numpy.fft" in sys.modules, "random": "numpy.random" in sys.modules}))
 """
 
     def _fresh_run(self, runs):
@@ -722,19 +722,29 @@ print(json.dumps({"codes": codes, "scipy": mods, "checks": "bardina2d.checks" in
         assert report["codes"] == [0] * len(runs)
         return report
 
-    def test_no_command_imports_scipy(self, tmp_path):
+    def _all_runs(self, tmp_path):
+        # every command on both geometries, each drawing random data: a
+        # random initial state, a tangent ensemble, the check battery's probes
         lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
-        sphere = write_config(tmp_path, decay_doc(), "sphere.json")
-        torus = write_config(tmp_path, forced_doc(lyapunov=lyap), "torus.json")
-        runs = [
-            ["simulate", "--config", sphere, "--out", str(tmp_path / "s")],
-            ["simulate", "--config", torus, "--out", str(tmp_path / "t")],
-            ["lyapunov", "--config", torus, "--out", str(tmp_path / "l")],
-            ["bounds", "--config", sphere, "--out", str(tmp_path / "b")],
-            ["verify", "--config", torus, "--out", str(tmp_path / "t")],
-            ["selftest"],
-        ]
-        assert self._fresh_run(runs)["scipy"] == []
+        random = {"kind": "random", "seed": 4}
+        runs = []
+        for name, doc in (
+            ("sphere", decay_doc(initial=random, lyapunov=lyap)),
+            ("torus", forced_doc(lyapunov=lyap)),
+        ):
+            config = write_config(tmp_path, doc, name + ".json")
+            for command in ("simulate", "lyapunov", "bounds", "verify"):
+                # verify rechecks the simulate run directory
+                out = tmp_path / f"{name}-{'simulate' if command == 'verify' else command}"
+                runs.append([command, "--config", config, "--out", str(out)])
+        return self._fresh_run(runs + [["selftest"]])
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        assert self._all_runs(tmp_path)["scipy"] == []
+
+    def test_no_command_imports_numpy_random(self, tmp_path):
+        # every seeded draw goes through operators.NormalStream
+        assert self._all_runs(tmp_path)["random"] is False
 
     def _torus_runs(self, tmp_path):
         lyap = {"n_ensemble": 2, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
@@ -831,6 +841,33 @@ class TestErrorPaths:
         path.write_text("{nope")
         assert cli.main(["bounds", "--config", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("simulate", "seed"), ("simulate", "initial.seed"), ("lyapunov", "lyapunov.seed")],
+    )
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, command, key):
+        # the generator seeds from abs(seed), so -4 would silently run seed 4
+        lyap = {"n_ensemble": 2, "t_average": 0.5, "renorm_interval": 0.25}
+        if key == "seed":
+            doc = forced_doc(seed=-4)
+        elif key == "initial.seed":
+            doc = forced_doc(initial={"kind": "random", "seed": -4})
+        else:
+            doc = forced_doc(lyapunov=dict(lyap, seed=-4))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: expected a non-negative integer, got -4\n"
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x"), "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_torus_sigma_zero(self, tmp_path, capsys):
         doc = forced_doc(sigma=0.0)

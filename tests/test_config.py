@@ -264,7 +264,7 @@ class TestRealization:
             spec = parse(doc)
             plan = cfg.build_plan(spec)
             state = cfg.initial_state(plan, spec)
-            rng = np.random.default_rng(5)
+            rng = ops.NormalStream(5)
             psi = rng.standard_normal(plan.n_modes) * plan.lam ** (-0.5 * 1.5)
             e1 = ops.energy_e1(plan, ops.VelocityState(psi, np.zeros(plan.n_harmonic)), 0.8)
             psi *= np.sqrt(0.3 / e1)

@@ -1,10 +1,16 @@
 """Tests for states, projections, norms, and the trilinear form."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from bardina2d import basis
 from bardina2d import operators as ops
+from bardina2d.errors import ConfigurationError
 
 
 def both_plans():
@@ -59,6 +65,64 @@ class TestStates:
         b.harmonic[0] += 1.0
         assert a.psi[0] != b.psi[0]
         assert a.harmonic[0] != b.harmonic[0]
+
+
+class TestNormalStream:
+    # random.Random(2024).random(): Python keeps this sequence across releases
+    UNIFORMS = [0.47009071843107064, 0.7282642914232076, 0.3037513583913575, 0.8872982690000151]
+    NORMALS = [-0.15343399086764806, -1.1164931340236508, 0.6463579572151618, -0.5534602683586138]
+
+    def test_golden_prefix(self):
+        assert ops.NormalStream(2024).uniforms(4).tolist() == self.UNIFORMS
+        # Box-Muller of the two pairs; log, cos and sin may differ in the
+        # last bit between numpy builds
+        got = ops.NormalStream(2024).standard_normal(4)
+        assert np.allclose(got, self.NORMALS, rtol=1e-14, atol=0.0)
+        (u, v), (w, x) = np.reshape(self.UNIFORMS, (2, 2))
+        for k, (a, b) in enumerate(((u, v), (w, x))):
+            r = np.sqrt(-2.0 * np.log(1.0 - a))
+            assert got[2 * k] == pytest.approx(r * np.cos(2 * np.pi * b), rel=1e-14)
+            assert got[2 * k + 1] == pytest.approx(r * np.sin(2 * np.pi * b), rel=1e-14)
+
+    def test_same_seed_same_draws_in_a_fresh_interpreter(self):
+        script = (
+            "import json, sys\n"
+            "from bardina2d import operators as ops\n"
+            "g = ops.NormalStream(int(sys.argv[1]))\n"
+            "print(json.dumps([g.standard_normal(7).tolist(), g.standard_normal((2, 3)).tolist()]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "31"], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        g = ops.NormalStream(31)
+        here = [g.standard_normal(7).tolist(), g.standard_normal((2, 3)).tolist()]
+        assert json.loads(proc.stdout) == here
+
+    def test_moments_within_five_standard_errors(self):
+        n = 100_000
+        z = ops.NormalStream(9).standard_normal(n)
+        # standard errors of the mean (1/sqrt n) and variance (sqrt(2/n))
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+    def test_shapes_and_stream_order(self):
+        a = ops.NormalStream(4)
+        b = ops.NormalStream(4)
+        block = a.standard_normal((3, 4))
+        assert block.shape == (3, 4)
+        assert np.array_equal(block.ravel(), b.standard_normal(12))
+        assert a.standard_normal((5, 0)).shape == (5, 0)
+        assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # random.Random would seed -1 as 1
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            ops.NormalStream(seed)
 
 
 class TestKinematics:

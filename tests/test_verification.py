@@ -208,6 +208,17 @@ class TestCheckTrajectory:
         assert verification.check_trajectory(plan, [marginal], p, dt=0.1) == []
 
 
+class TestProbeState:
+    def test_draws_psi_before_the_harmonic_pair(self):
+        for plan in (sphere_plan(), torus_plan()):
+            st = verification.probe_state(plan, ops.NormalStream(12), amplitude=0.5)
+            rng = ops.NormalStream(12)
+            psi = 0.5 * rng.standard_normal(plan.n_modes) / np.sqrt(1.0 + plan.lam)
+            h = 0.5 * rng.standard_normal(plan.n_harmonic)
+            assert np.array_equal(st.psi, psi)
+            assert np.array_equal(st.harmonic, h)
+
+
 class TestIdentitySuite:
     def test_residuals_tiny_on_dealiased_states(self):
         for plan in (sphere_plan(), torus_plan()):
