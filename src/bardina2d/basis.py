@@ -922,16 +922,6 @@ def flow_analysis(plan, g):
     return _unrows(p, lead, 1), _unrows(q, lead, 1)
 
 
-def dealias(plan, coeffs):
-    """A copy of `coeffs`: the grids alone keep every retained mode alias-free.
-
-    Kept only because the acceptance tests call it.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_coeffs(plan, coeffs)
-    return coeffs.copy()
-
-
 def integrate(plan, f):
     """Surface integral over the last two (grid) axes, leading axes kept.
 
@@ -941,15 +931,3 @@ def integrate(plan, f):
     _check_field(plan, f)
     out = np.einsum("...jk,j->...", f, plan.core.qw)
     return float(out) if out.ndim == 0 else out
-
-
-def grid_points(plan):
-    """Coordinate arrays of the plan grid.
-
-    Sphere: (theta, phi) colatitude/longitude 1-d arrays.  Torus: (x, y).
-    """
-    if plan.geometry.kind == SPHERE:
-        return np.arccos(plan.core.mu), plan.core.phi.copy()
-    n = plan.grid_shape[0]
-    x = plan.geometry.length * np.arange(n) / n
-    return x, x.copy()

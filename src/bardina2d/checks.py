@@ -119,13 +119,30 @@ def library_checks(plan, params, seed, prefix=""):
         return worst <= 1e-6, f"max residual {worst:.3e}"
 
     def envelopes():
+        # streamed as `simulate` streams a run: each record is built from the
+        # tendency the stepper already made, against envelopes anchored at
+        # the start state
         run_params = _ensure_forced(plan, params)
         state = verification.probe_state(plan, ops.NormalStream(seed))
         scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
-        traj = integrate.run(plan, state, run_params, scheme)
-        recs = verification.trajectory_diagnostics(plan, traj, run_params)
-        bad = verification.check_trajectory(plan, recs, run_params, dt=scheme.dt)
-        return not bad, f"{len(bad)} violation(s) in {len(recs)} samples"
+        anchor = verification.envelopes(
+            plan,
+            run_params,
+            ops.energy_e1(plan, state, run_params.alpha),
+            ops.energy_e2(plan, state, run_params.alpha),
+        )
+        bad = 0
+
+        def observe(t, st, tend):
+            nonlocal bad
+            r = verification.energy_record(plan, st, run_params, t, anchor, tend)
+            over1, over2 = verification.envelope_flags(
+                r.e1, r.envelope1, r.e2, r.envelope2, scheme.dt
+            )
+            bad += int(over1) + int(over2)
+
+        n = sum(1 for _ in integrate.samples(plan, state, run_params, scheme, (observe,)))
+        return bad == 0, f"{bad} violation(s) in {n} samples"
 
     return [
         _run_check(prefix + "transform-roundtrip", lambda: transform_roundtrip(plan, seed)),
@@ -136,14 +153,18 @@ def library_checks(plan, params, seed, prefix=""):
     ]
 
 
-def recheck_run_dir(out, plan, params, dt, meta_cause):
+def recheck_run_dir(out, plan, params, dt, meta):
     """Re-test a completed run directory from its diagnostics.csv: the
     recorded energies against the recorded envelopes (E1/E2 vs env1/env2),
     the worst recorded energy-law residual, and the time average of ||u||^2
     against its closed-form bound for the configured parameters.  `dt` is
-    the run's step; `meta_cause`, when not None, says why the run's meta.json
-    does not echo the configured parameters and fails the last row.
+    the configured step.  `meta` is the run's meta.json as a pair (dict or
+    None, cause): a dt there other than `dt` fails the first row, and a
+    cause that is not None says why meta.json does not echo the configured
+    parameters and fails the last row.
     """
+    meta, meta_cause = meta
+    run_dt = (meta or {}).get("dt", dt)
     with open(os.path.join(out, "diagnostics.csv"), "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh]
@@ -157,6 +178,8 @@ def recheck_run_dir(out, plan, params, dt, meta_cause):
             raise ConfigurationError(f"diagnostics.csv column {name}: {exc!r}") from exc
 
     def envelopes():
+        if run_dt != dt:
+            return False, f"meta.json dt is {run_dt!r}, the config has dt {dt!r}"
         over1, over2 = verification.envelope_flags(
             column("E1"), column("env1"), column("E2"), column("env2"), dt
         )
@@ -222,9 +245,10 @@ def selftest(inject_sign_fault=False):
             state = ops.state_from_mode(plan, (3, 1), amplitude=0.7)
             lam = basis.eigenvalue(plan, (3, 1))
             scheme = integrate.SchemeConfig(dt=1e-3, t_end=0.5, method=integrate.IF_RK4)
-            traj = integrate.run(plan, state, params, scheme)
+            for _, final in integrate.samples(plan, state, params, scheme):
+                pass
             expected = ops.norm_l2(plan, state) * np.exp(-params.nu * lam * scheme.t_end)
-            rel = abs(ops.norm_l2(plan, traj.final_state) - expected) / expected
+            rel = abs(ops.norm_l2(plan, final) - expected) / expected
             return rel <= 1e-8, f"relative error {rel:.3e}"
 
         def snapshot_roundtrip():

@@ -489,12 +489,8 @@ def cmd_verify(args, spec):
     rows = checks.library_checks(plan, params, seed)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
-        meta, meta_cause = _load_meta(os.path.join(run_dir, "meta.json"), spec)
-        try:
-            dt = float((meta or {}).get("dt", 0.0))
-        except (TypeError, ValueError):
-            dt = 0.0
-        rows.extend(checks.recheck_run_dir(run_dir, plan, params, dt, meta_cause))
+        meta = _load_meta(os.path.join(run_dir, "meta.json"), spec)
+        rows.extend(checks.recheck_run_dir(run_dir, plan, params, spec.scheme.dt, meta))
     return checks.print_table(rows)
 
 

@@ -18,9 +18,10 @@ is caught.  It steps stacked rows (row 0 the state, rows 1.. any tangents)
 and yields the live rows at each sample; a caller may change them in place
 before the next step, which is how lyapunov.benettin_run renormalizes its
 tangents.  `samples` yields a one-row run's samples one at a time, so a
-caller that keeps only the latest (the CLI's `simulate`) runs in memory
-that does not grow with the run length; `run` and `run_prepared` collect
-them into a `Trajectory`.
+caller that keeps only the latest (the CLI's `simulate`, and the envelope
+and decay checks of `verify` and `selftest`) runs in memory that does not
+grow with the run length; `run_prepared` yields the prepared equation's
+samples the same way.
 
 Observers are called as obs(t, state, tend) at every sample, before it is
 yielded, where `tend` is the full tendency of `state` (what dynamics.rhs_u
@@ -32,7 +33,7 @@ only when there are observers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,21 +61,6 @@ class SchemeConfig:
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
         if self.stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
-
-
-@dataclass
-class Trajectory:
-    """Every sample (t, state) of a run, the final state last."""
-
-    samples: list = field(default_factory=list)
-
-    @property
-    def final_time(self):
-        return self.samples[-1][0]
-
-    @property
-    def final_state(self):
-        return self.samples[-1][1]
 
 
 def step_pair(psi, h, dt, e_full, e_half, rem, method, first=None):
@@ -192,13 +178,17 @@ def _one_row(plan, params, state, rem, scheme, steps, observers):
 
 
 def samples(plan, state, params, scheme, observers=(), t_start=0.0):
-    """Generator of the samples `run` records, one at a time.
+    """Integrate the momentum equation from `state` at t_start to scheme.t_end.
 
     Yields (t, state) at multiples of the stride and at the final step,
     each after its observers were called, and raises DivergenceError at
-    the first non-finite state.  Parameters and the step count are checked
-    here, before the first sample.  A caller that keeps only the latest
-    sample runs in memory independent of the run length.
+    the first non-finite state.  Each observer is called as
+    obs(t, state, tend), with `tend` equal bit for bit to
+    dynamics.rhs_u(plan, state, params).  Parameters and the step count are
+    checked here, before the first sample.  A caller that keeps only the
+    latest sample runs in memory independent of the run length.
+    Restarting from a sampled state with the same dt reproduces the
+    continuation of the original run bitwise.
     """
     dyn.validate_params(plan, params)
     steps = _step_range(scheme, t_start)
@@ -210,23 +200,11 @@ def samples(plan, state, params, scheme, observers=(), t_start=0.0):
     return _one_row(plan, params, state, rem, scheme, steps, observers)
 
 
-def run(plan, state, params, scheme, observers=(), t_start=0.0):
-    """Integrate the momentum equation from `state` at t_start to scheme.t_end.
-
-    Samples are recorded at multiples of the stride and at the final step.
-    Each observer is called as obs(t, state, tend) at every sample, with
-    `tend` equal bit for bit to dynamics.rhs_u(plan, state, params).
-    Restarting from a recorded state with the same dt reproduces the
-    continuation of the original run bitwise.  The trajectory holds every
-    sample; `samples` yields the same ones without holding them.
-    """
-    return Trajectory(list(samples(plan, state, params, scheme, observers, t_start)))
-
-
 def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     """Integrate the prepared v-equation on the sphere (see dynamics.prepared_rhs).
 
-    Observers are called as in `run`, with `tend` equal bit for bit to
+    Yields its samples as `samples` does, and checks its arguments at the
+    call in the same way.  Observers receive `tend` equal bit for bit to
     dynamics.prepared_rhs(plan, state, params, rho).
     """
     # delegate validation of geometry / rho / sigma
@@ -238,5 +216,5 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
         return dyn._remainder_prepared(plan, vpsi, params, rho, fstate), np.zeros_like(h)
 
     state = ops.VelocityState(vstate.psi, np.zeros(0))
-    return Trajectory(list(_one_row(plan, params, state, rem, scheme, steps, observers)))
+    return _one_row(plan, params, state, rem, scheme, steps, observers)
 

@@ -40,12 +40,8 @@ __all__ = [
     "NormalStream",
     "random_state",
     "rot90",
-    "velocity_grid",
-    "scalar_vorticity",
     "stokes_apply",
     "helmholtz_filter",
-    "helmholtz_unfilter",
-    "leray_project",
     "harmonic_project",
     "inner_l2",
     "inner_v",
@@ -157,17 +153,6 @@ def _flow_grids(plan, states):
     return zeta, u
 
 
-def velocity_grid(plan, state):
-    """Evaluate u = n x grad(psi) + u2 on the plan grid."""
-    return _flow_grids(plan, [state])[1][0]
-
-
-def scalar_vorticity(plan, state):
-    """Coefficients of Curl_n u = Laplacian(psi); the harmonic part drops out."""
-    _check(plan, state)
-    return -plan.lam * state.psi
-
-
 def stokes_apply(plan, state):
     """A u = Curl Curl_n u: multiplies streamfunction coefficients by lam."""
     _check(plan, state)
@@ -178,22 +163,6 @@ def helmholtz_filter(plan, state, alpha):
     """v = (I + alpha^2 A) u; the harmonic part passes through unchanged."""
     _check(plan, state)
     return VelocityState((1.0 + alpha**2 * plan.lam) * state.psi, state.harmonic.copy())
-
-
-def helmholtz_unfilter(plan, state, alpha):
-    """Inverse of `helmholtz_filter`."""
-    _check(plan, state)
-    return VelocityState(state.psi / (1.0 + alpha**2 * plan.lam), state.harmonic.copy())
-
-
-def leray_project(plan, vec):
-    """Streamfunction coefficients of the divergence-free projection of a grid field.
-
-    Broadcasts over leading axes.  The mean-free rotational part of g has
-    streamfunction -Curl_n(g) / lam mode by mode; gradient components and the
-    grid mean are annihilated.
-    """
-    return basis.flow_analysis(plan, vec)[0]
 
 
 def harmonic_project(plan, vec):

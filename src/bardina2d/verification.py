@@ -51,18 +51,18 @@ class DiagnosticsRecord:
     energy_residual: float
 
 
-def energy_record(plan, state, params, t, anchor=None, tend=None):
+def energy_record(plan, state, params, t, anchor, tend):
     """All norms of one state, computed modewise, plus the envelope values.
 
     `anchor` is the `Envelopes` of the run (see `envelopes`, built once and
-    shared by every record); when omitted the record is its own anchor, so
+    shared by every record); when None the record is its own anchor, so
     the envelopes equal the energies.  The energy residual compares
     [u, du/dt] against <f, u> - nu E2 - sigma |u|^2, relative to the size
     of those terms; it is 0 only when that size is exactly 0 (the zero
     state) and NaN when the size is not finite (an overflowing state), so a
     blown-up state never records a clean residual.  `tend` is du/dt as
-    dynamics.rhs_u returns it (an integrate.run observer receives it); when
-    omitted it is evaluated here.
+    dynamics.rhs_u returns it, which is what an integrate.samples observer
+    receives.
     """
     e1 = ops.energy_e1(plan, state, params.alpha)
     e2 = ops.energy_e2(plan, state, params.alpha)
@@ -73,8 +73,6 @@ def energy_record(plan, state, params, t, anchor=None, tend=None):
         env1, env2 = e1, e2
     else:
         env1, env2 = anchor.at(t)
-    if tend is None:
-        tend = dyn.rhs_u(plan, state, params)
     fstate = dyn.forcing_state(plan, params.forcing)
     lhs = ops.inner_weighted(plan, state, tend, params.alpha)
     work = ops.inner_l2(plan, fstate, state)
@@ -96,21 +94,6 @@ def energy_record(plan, state, params, t, anchor=None, tend=None):
         envelope2=float(env2),
         energy_residual=float(residual),
     )
-
-
-def trajectory_diagnostics(plan, trajectory, params):
-    """Records for every sample of a run, envelopes anchored at the first."""
-    if not trajectory.samples:
-        return []
-    t0, s0 = trajectory.samples[0]
-    anchor = envelopes(
-        plan,
-        params,
-        ops.energy_e1(plan, s0, params.alpha),
-        ops.energy_e2(plan, s0, params.alpha),
-        t0,
-    )
-    return [energy_record(plan, s, params, t, anchor) for t, s in trajectory.samples]
 
 
 @dataclass(frozen=True)
@@ -159,31 +142,16 @@ def envelopes(plan, params, e1_0, e2_0, t0=0.0):
     return Envelopes(e1_0, e2_0, t0, rate1, rate2, level1, level2)
 
 
-def envelope_flags(e1, env1, e2, env2, dt, slack=ENVELOPE_SLACK):
-    """Whether E1 and E2 exceed their envelopes, as a pair; broadcasts.
+def envelope_flags(e1, env1, e2, env2, dt):
+    """Whether E1 and E2 fail to lie below their envelopes, as a pair; broadcasts.
 
-    The tolerance factor is 1 + slack + DT_ALLOWANCE_COEFF dt^2; the dt^2
-    term absorbs time-discretization overshoot of the sampled energies.
+    The tolerance factor is 1 + ENVELOPE_SLACK + DT_ALLOWANCE_COEFF dt^2;
+    the dt^2 term absorbs time-discretization overshoot of the sampled
+    energies.  A comparison that is not true is a violation, so a NaN
+    energy, envelope or dt is flagged rather than passed.
     """
-    factor = 1.0 + slack + DT_ALLOWANCE_COEFF * dt * dt
-    return e1 > env1 * factor, e2 > env2 * factor
-
-
-def check_trajectory(plan, records, params, slack=ENVELOPE_SLACK, dt=0.0):
-    """Flag samples whose energies exceed their recorded envelopes.
-
-    Uses `envelope_flags`; returns a list of violation dicts (empty when
-    every sample is below).
-    """
-    dyn.validate_params(plan, params)
-    out = []
-    for r in records:
-        over1, over2 = envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt, slack)
-        if over1:
-            out.append({"t": r.t, "kind": "e1", "value": r.e1, "envelope": r.envelope1})
-        if over2:
-            out.append({"t": r.t, "kind": "e2", "value": r.e2, "envelope": r.envelope2})
-    return out
+    factor = 1.0 + ENVELOPE_SLACK + DT_ALLOWANCE_COEFF * dt * dt
+    return np.logical_not(e1 <= env1 * factor), np.logical_not(e2 <= env2 * factor)
 
 
 # ---------------------------------------------------------------------------

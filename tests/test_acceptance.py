@@ -49,7 +49,7 @@ def forced_params(plan, entries, nu=1.0, alpha=1.0, sigma=0.0, f2=()):
 
 def random_state(plan, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    psi = basis.dealias(plan, scale * rng.standard_normal(plan.n_modes) / (1.0 + plan.lam))
+    psi = scale * rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
     return ops.VelocityState(psi, 0.1 * scale * rng.standard_normal(plan.n_harmonic))
 
 
@@ -97,8 +97,7 @@ class TestEigenmodeDecay:
         lam = basis.eigenvalue(plan, (3, 1))
         u0 = ops.norm_l2(plan, state)
         scheme = integrate.SchemeConfig(dt=1e-3, t_end=1.0, stride=100)
-        traj = integrate.run(plan, state, params, scheme)
-        for t, st in traj.samples:
+        for t, st in integrate.samples(plan, state, params, scheme):
             expected = u0 * math.exp(-params.nu * lam * t)
             assert abs(ops.norm_l2(plan, st) - expected) <= 1e-8 * expected
         assert time.monotonic() - start < 10.0
@@ -134,11 +133,24 @@ class TestEnergyEnvelopes:
                     sigma=sigma,
                 )
                 state = random_state(plan, seed)
-                traj = integrate.run(plan, state, params, scheme)
-                records = verification.trajectory_diagnostics(plan, traj, params)
-                bad = verification.check_trajectory(
-                    plan, records, params, slack=1e-6, dt=scheme.dt
+                anchor = verification.envelopes(
+                    plan,
+                    params,
+                    ops.energy_e1(plan, state, params.alpha),
+                    ops.energy_e2(plan, state, params.alpha),
                 )
+                bad = []
+
+                def observe(t, st, tend):
+                    r = verification.energy_record(plan, st, params, t, anchor, tend)
+                    over1, over2 = verification.envelope_flags(
+                        r.e1, r.envelope1, r.e2, r.envelope2, scheme.dt
+                    )
+                    if over1 or over2:
+                        bad.append(r)
+
+                for _ in integrate.samples(plan, state, params, scheme, (observe,)):
+                    pass
                 assert bad == [], (plan.geometry.kind, seed, bad[:2])
 
 
@@ -302,12 +314,12 @@ class TestPreparedContraction:
         amp = math.sqrt(6.0)  # |f| = 1
         params = forced_params(plan, [((2, 1), amp)], nu=1.0, alpha=1.0, sigma=0.0)
         rng = np.random.default_rng(5)
-        psi = basis.dealias(plan, rng.standard_normal(plan.n_modes) / (1.0 + plan.lam))
+        psi = rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
         v = ops.VelocityState(psi, np.zeros(0))
         v = ops.VelocityState(psi * (scale / ops.norm_l2(plan, v)), np.zeros(0))
         scheme = integrate.SchemeConfig(dt=0.01, t_end=3.0, stride=10)
-        traj = integrate.run_prepared(plan, v, params, rho, scheme)
-        return plan, [(t, ops.norm_l2(plan, st)) for t, st in traj.samples]
+        samples = integrate.run_prepared(plan, v, params, rho, scheme)
+        return plan, [(t, ops.norm_l2(plan, st)) for t, st in samples]
 
     def test_ball_is_invariant(self):
         rho = 1.0

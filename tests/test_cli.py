@@ -685,6 +685,61 @@ class TestVerifySelftest:
         status, detail = rows["run-average-enstrophy"]
         assert status == "PASS" and detail.startswith("skipped")
 
+    @pytest.mark.parametrize("probe", ["meta-dt-nan", "meta-dt-huge", "nan-E1", "nan-env1"])
+    def test_run_envelopes_fails_what_it_cannot_read(self, tmp_path, capsys, probe):
+        # E1 at 10 times its envelope in one row must fail the row whatever
+        # step meta.json claims, and a NaN energy or envelope must not pass
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        csv_path = out / "diagnostics.csv"
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        e1, env1 = header.index("E1"), header.index("env1")
+        if probe == "nan-E1":
+            row[e1] = "nan"
+        elif probe == "nan-env1":
+            row[env1] = "nan"
+        else:
+            row[e1] = format(10.0 * float(row[env1]), ".17g")
+            meta = json.loads((out / "meta.json").read_text())
+            meta["dt"] = math.nan if probe == "meta-dt-nan" else 1e6
+            (out / "meta.json").write_text(json.dumps(meta))
+        csv_path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        status, detail = rows["run-envelopes"]
+        assert status == "FAIL"
+        assert rows["run-energy-law"][0] == "PASS"
+        if probe.startswith("meta-dt"):
+            run_dt = "nan" if probe == "meta-dt-nan" else "1000000.0"
+            assert detail == f"meta.json dt is {run_dt}, the config has dt 0.01"
+
+    @pytest.mark.parametrize("kind", ["sphere", "torus"])
+    def test_library_checks_make_no_extra_right_hand_side(self, monkeypatch, kind):
+        # only the tangent row evaluates rhs_u (5 probes, one central
+        # difference each); the envelope row records the tendencies the
+        # stepper already made, as simulate does
+        from bardina2d import dynamics
+
+        calls = []
+        inner = dynamics.rhs_u
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rhs_u", counted)
+        if kind == "sphere":
+            plan, sigma = basis.build_plan(basis.sphere(), 8), 0.0
+        else:
+            plan, sigma = basis.build_plan(basis.torus(TWO_PI), 6), 0.5
+        params = dynamics.ModelParams(1.0, 1.0, sigma, dynamics.zero_forcing(plan))
+        rows = checks.library_checks(plan, params, seed=0)
+        assert [ok for _, ok, _ in rows] == [True] * 5
+        assert len(calls) == 10
+
     def test_selftest_sign_fault_hook(self, tmp_path, capsys):
         assert cli.main(["selftest", "--inject-sign-fault"]) == 1
         text = capsys.readouterr().out

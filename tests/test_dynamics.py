@@ -246,7 +246,7 @@ def _wrong_width_calls():
         "rhs_tangent-delta": lambda plan, p, bad: dyn.rhs_tangent(plan, bad, good(plan), p),
         "rhs_tangent-base": lambda plan, p, bad: dyn.rhs_tangent(plan, good(plan), bad, p),
         "nonlinear_term": lambda plan, p, bad: dyn.nonlinear_term(plan, bad),
-        "integrate.run": lambda plan, p, bad: integrate.run(plan, bad, p, scheme),
+        "integrate.samples": lambda plan, p, bad: list(integrate.samples(plan, bad, p, scheme)),
         "benettin_run": lambda plan, p, bad: lyapunov.benettin_run(plan, bad, p, scheme, ensemble),
         "prepared_rhs": lambda plan, p, bad: dyn.prepared_rhs(plan, bad, p, 1.0),
     }

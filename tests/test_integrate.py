@@ -24,6 +24,13 @@ def flat(state):
     return np.concatenate([state.psi, state.harmonic])
 
 
+def final_state(run):
+    """The last state a sample generator yields."""
+    for _, state in run:
+        pass
+    return state
+
+
 class TestSchemeConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -41,7 +48,7 @@ class TestSchemeConfig:
         plan, params = forced_torus()
         st = ops.zero_state(plan)
         with pytest.raises(ConfigurationError):
-            ti.run(plan, st, params, ti.SchemeConfig(dt=0.3, t_end=1.0))
+            ti.samples(plan, st, params, ti.SchemeConfig(dt=0.3, t_end=1.0))
 
 
 class TestExactDecay:
@@ -54,9 +61,9 @@ class TestExactDecay:
         exact = 2.0 * np.exp(-0.7 * 12.0 * 1.0)
         for method in (ti.IF_EULER, ti.IF_RK4):
             sch = ti.SchemeConfig(dt=0.01, t_end=1.0, method=method, stride=10**9)
-            traj = ti.run(plan, st, params, sch)
-            assert traj.final_state.psi[slot] == pytest.approx(exact, rel=1e-12)
-            others = np.delete(traj.final_state.psi, slot)
+            final = final_state(ti.samples(plan, st, params, sch))
+            assert final.psi[slot] == pytest.approx(exact, rel=1e-12)
+            others = np.delete(final.psi, slot)
             assert np.max(np.abs(others)) < 1e-13
 
 
@@ -67,7 +74,7 @@ class TestConvergenceOrder:
         finals = []
         for dt in dts:
             sch = ti.SchemeConfig(dt=dt, t_end=0.5, method=method, stride=10**9)
-            finals.append(flat(ti.run(plan, st0, params, sch).final_state))
+            finals.append(flat(final_state(ti.samples(plan, st0, params, sch))))
         # consecutive-halving differences scale like dt^order
         errs = [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
         return np.polyfit(np.log2(dts[: len(errs)]), np.log2(errs), 1)[0]
@@ -86,58 +93,40 @@ class TestBookkeeping:
         plan, params = forced_torus()
         st = ops.random_state(plan, seed=2)
         sch = ti.SchemeConfig(dt=0.1, t_end=1.0, stride=3)
-        traj = ti.run(plan, st, params, sch)
-        times = [t for t, _ in traj.samples]
+        times = [t for t, _ in ti.samples(plan, st, params, sch)]
         # k = 0, 3, 6, 9 plus the final step
         assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
-        assert traj.final_time == pytest.approx(1.0)
 
     def test_observers_called_at_samples(self):
         plan, params = forced_torus()
         st = ops.random_state(plan, seed=3)
         seen = []
         sch = ti.SchemeConfig(dt=0.1, t_end=0.4, stride=2)
-        ti.run(plan, st, params, sch, observers=(lambda t, s, tend: seen.append(t),))
+        for _ in ti.samples(plan, st, params, sch, observers=(lambda t, s, tend: seen.append(t),)):
+            pass
         assert seen == pytest.approx([0.0, 0.2, 0.4])
 
     def test_resume_is_bitwise(self):
         plan, params = forced_torus()
         st0 = ops.random_state(plan, seed=11, e1=0.5, alpha=0.8)
         sch = ti.SchemeConfig(dt=0.5 / 64, t_end=0.5, stride=16)
-        full = ti.run(plan, st0, params, sch)
-        t_mid, st_mid = full.samples[2]
-        tail = ti.run(plan, st_mid, params, sch, t_start=t_mid)
-        assert np.array_equal(tail.final_state.psi, full.final_state.psi)
-        assert np.array_equal(tail.final_state.harmonic, full.final_state.harmonic)
+        full = list(ti.samples(plan, st0, params, sch))
+        t_mid, st_mid = full[2]
+        tail = final_state(ti.samples(plan, st_mid, params, sch, t_start=t_mid))
+        assert np.array_equal(tail.psi, full[-1][1].psi)
+        assert np.array_equal(tail.harmonic, full[-1][1].harmonic)
 
     def test_samples_are_snapshots_not_views(self):
         plan, params = forced_torus()
         st = ops.random_state(plan, seed=4)
-        traj = ti.run(plan, st, params, ti.SchemeConfig(dt=0.1, t_end=0.3, stride=1))
-        a = traj.samples[0][1].psi.copy()
-        traj.samples[1][1].psi[:] = 0.0
-        assert np.array_equal(traj.samples[0][1].psi, a)
+        held = list(ti.samples(plan, st, params, ti.SchemeConfig(dt=0.1, t_end=0.3, stride=1)))
+        a = held[0][1].psi.copy()
+        held[1][1].psi[:] = 0.0
+        assert np.array_equal(held[0][1].psi, a)
 
 
 class TestSamplesGenerator:
-    """`samples` yields what `run` records, one sample at a time."""
-
-    def test_matches_run_bitwise(self):
-        for plan, params in (forced_sphere(), forced_torus()):
-            st = ops.random_state(plan, seed=12)
-            sch = ti.SchemeConfig(dt=0.05, t_end=0.5, stride=3)
-            seen_gen, seen_run = [], []
-            streamed = list(
-                ti.samples(plan, st, params, sch, (lambda t, s, tend: seen_gen.append(tend),))
-            )
-            held = ti.run(plan, st, params, sch, (lambda t, s, tend: seen_run.append(tend),)).samples
-            assert [t for t, _ in streamed] == [t for t, _ in held]
-            assert len(streamed) == 5  # k = 0, 3, 6, 9 and the final step
-            for (_, a), (_, b) in zip(streamed, held):
-                assert np.array_equal(a.psi, b.psi)
-                assert np.array_equal(a.harmonic, b.harmonic)
-            for a, b in zip(seen_gen, seen_run):
-                assert np.array_equal(a.psi, b.psi)
+    """`samples` yields a run's samples one at a time."""
 
     def test_observers_run_before_each_yield(self):
         plan, params = forced_torus()
@@ -194,7 +183,8 @@ class TestSharedTendency:
 
         monkeypatch.setattr(dyn, "_remainder_u", counted)
         sch = ti.SchemeConfig(dt=0.1, t_end=1.0, method=method, stride=stride)
-        ti.run(plan, ops.random_state(plan, seed=8), params, sch, observers)
+        for _ in ti.samples(plan, ops.random_state(plan, seed=8), params, sch, observers):
+            pass
         return len(calls)
 
     def test_one_extra_call_for_the_final_sample(self, monkeypatch):
@@ -211,8 +201,9 @@ class TestSharedTendency:
         for plan, params in (forced_sphere(), forced_torus()):
             seen = []
             sch = ti.SchemeConfig(dt=0.05, t_end=0.25, stride=2)
-            ti.run(plan, ops.random_state(plan, seed=9), params, sch,
-                   (lambda t, s, tend: seen.append((s, tend)),))
+            for _ in ti.samples(plan, ops.random_state(plan, seed=9), params, sch,
+                                (lambda t, s, tend: seen.append((s, tend)),)):
+                pass
             assert len(seen) == 4
             for st, tend in seen:
                 want = dyn.rhs_u(plan, st, params)
@@ -226,7 +217,9 @@ class TestSharedTendency:
         rho = ops.norm_l2(plan, v0)
         seen = []
         sch = ti.SchemeConfig(dt=0.05, t_end=0.2, stride=1)
-        ti.run_prepared(plan, v0, params, rho, sch, (lambda t, s, tend: seen.append((s, tend)),))
+        for _ in ti.run_prepared(plan, v0, params, rho, sch,
+                                 (lambda t, s, tend: seen.append((s, tend)),)):
+            pass
         assert len(seen) == 5
         for st, tend in seen:
             want = dyn.prepared_rhs(plan, st, params, rho)
@@ -289,7 +282,7 @@ class TestDivergenceGuard:
     def test_blowup_raises_with_time(self):
         plan, big, params, sch = blowup(basis.torus(2 * np.pi))
         with pytest.raises(DivergenceError) as err:
-            ti.run(plan, big, params, sch)
+            final_state(ti.samples(plan, big, params, sch))
         assert err.value.t > 0.0
         assert err.value.t <= 1000.0
 
@@ -297,7 +290,7 @@ class TestDivergenceGuard:
     def test_ensemble_diverges_with_its_base_state(self, geometry):
         plan, big, params, sch = blowup(geometry)
         with pytest.raises(DivergenceError) as run_err:
-            ti.run(plan, big, params, sch)
+            final_state(ti.samples(plan, big, params, sch))
         config = lyapunov.LyapunovConfig(2, 0.0, sch.t_end, sch.dt)
         with pytest.raises(DivergenceError) as ens_err:
             lyapunov.benettin_run(plan, big, params, sch, config)
@@ -314,9 +307,25 @@ class TestPreparedRun:
         v0 = ops.random_state(plan, seed=5, e1=100.0)
         rho = 0.05 * ops.norm_l2(plan, v0)
         sch = ti.SchemeConfig(dt=0.005, t_end=0.2, stride=4)
-        traj = ti.run_prepared(plan, v0, params, rho, sch)
-        norms = [ops.norm_l2(plan, s) for _, s in traj.samples]
+        norms = [ops.norm_l2(plan, s) for _, s in ti.run_prepared(plan, v0, params, rho, sch)]
         assert all(b < a for a, b in zip(norms, norms[1:]))
+
+    def test_arguments_checked_at_call(self):
+        # run_prepared returns a generator: each error must come from the
+        # call itself, before anything iterates it
+        from bardina2d.errors import ShapeError, UnsupportedGeometryError
+
+        sch = ti.SchemeConfig(dt=0.1, t_end=0.2)
+        plan, params = forced_torus()
+        with pytest.raises(UnsupportedGeometryError):
+            ti.run_prepared(plan, ops.random_state(plan, seed=6), params, 1.0, sch)
+        plan, params = forced_sphere()
+        params = dyn.ModelParams(params.nu, params.alpha, 0.0, params.forcing)
+        v = ops.random_state(plan, seed=6)
+        with pytest.raises(ConfigurationError):
+            ti.run_prepared(plan, v, params, 1.0, ti.SchemeConfig(dt=0.1, t_end=0.25))
+        with pytest.raises(ShapeError):
+            ti.run_prepared(plan, ops.VelocityState(v.psi[:-1], v.harmonic), params, 1.0, sch)
 
     def test_geometry_guard(self):
         plan, params = forced_torus()

@@ -29,13 +29,34 @@ def forcing_at(plan, index, amp):
     return dynamics.Forcing(c, np.zeros(plan.n_harmonic))
 
 
+def record(plan, st, p, t, anchor=None):
+    """`energy_record` of a state with its tendency evaluated by rhs_u."""
+    return verification.energy_record(plan, st, p, t, anchor, dynamics.rhs_u(plan, st, p))
+
+
+def streamed_records(plan, st, p, scheme):
+    """Records of a run built as `simulate` builds them: from each sample's
+    observed tendency, against envelopes anchored at the start state."""
+    anchor = verification.envelopes(
+        plan, p, ops.energy_e1(plan, st, p.alpha), ops.energy_e2(plan, st, p.alpha)
+    )
+    recs = []
+
+    def observe(t, s, tend):
+        recs.append(verification.energy_record(plan, s, p, t, anchor, tend))
+
+    for _ in integrate.samples(plan, st, p, scheme, (observe,)):
+        pass
+    return recs
+
+
 class TestEnergyRecord:
     def test_single_mode_energies(self):
         # |u| = 1 at lam = 2, alpha = 1: E1 = 3, E2 = 6, |v| = 3|u|
         plan = sphere_plan()
         st = mode_state(plan, (1, 0), 1.0 / np.sqrt(2.0))
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
-        r = verification.energy_record(plan, st, p, 0.0)
+        r = record(plan, st, p, 0.0)
         assert abs(r.u_l2 - 1.0) < 1e-14
         assert abs(r.e1 - 3.0) < 1e-14
         assert abs(r.e2 - 6.0) < 1e-13
@@ -50,7 +71,7 @@ class TestEnergyRecord:
         plan = torus_plan()
         st = ops.VelocityState(np.zeros(plan.n_modes), np.zeros(2))
         p = dynamics.ModelParams(1.0, 1.0, 0.5, dynamics.zero_forcing(plan))
-        r = verification.energy_record(plan, st, p, 2.0)
+        r = record(plan, st, p, 2.0)
         assert r.u_l2 == r.u_v == r.au_l2 == r.h_l2 == r.v_l2 == 0.0
         assert r.e1 == r.e2 == 0.0
         assert r.energy_residual == 0.0
@@ -61,7 +82,7 @@ class TestEnergyRecord:
         plan = torus_plan()
         st = ops.VelocityState(np.zeros(plan.n_modes), np.array([1.0, 0.0]))
         p = dynamics.ModelParams(1.0, 1.0, 0.5, dynamics.zero_forcing(plan))
-        r = verification.energy_record(plan, st, p, 0.0)
+        r = record(plan, st, p, 0.0)
         assert abs(r.u_l2 - 2.0 * np.pi) < 1e-13
         assert abs(r.h_l2 - 2.0 * np.pi) < 1e-13
         assert r.u_v == 0.0
@@ -76,7 +97,7 @@ class TestEnergyRecord:
             p = dynamics.ModelParams(0.7, 1.2, sigma, f)
             psi = rng.standard_normal(plan.n_modes) / (1.0 + plan.lam)
             st = ops.VelocityState(psi, rng.standard_normal(plan.n_harmonic))
-            r = verification.energy_record(plan, st, p, 1.0)
+            r = record(plan, st, p, 1.0)
             assert r.energy_residual <= 1e-10
             assert np.isfinite([r.e1, r.e2, r.u_l2, r.u_v, r.au_l2, r.v_l2]).all()
             assert r.e1 >= 0.0 and r.e2 >= 0.0
@@ -89,7 +110,7 @@ class TestEnergyRecord:
             psi = np.full(plan.n_modes, 1e200)
             st = ops.VelocityState(psi, np.full(plan.n_harmonic, 1e200))
             with np.errstate(all="ignore"):
-                r = verification.energy_record(plan, st, p, 3.5)
+                r = record(plan, st, p, 3.5)
             assert np.isinf(r.e1) and np.isinf(r.e2)
             assert np.isnan(r.energy_residual)
 
@@ -98,31 +119,41 @@ class TestEnergyRecord:
         for plan, sigma in ((sphere_plan(), 0.0), (torus_plan(), 0.5)):
             p = dynamics.ModelParams(1.0, 1.0, sigma, forcing_at(plan, (1, 1), 1.0))
             st = ops.zero_state(plan)
-            assert verification.energy_record(plan, st, p, 0.0).energy_residual == 0.0
+            assert record(plan, st, p, 0.0).energy_residual == 0.0
 
     def test_anchored_envelopes_use_elapsed_time(self):
         plan = sphere_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
         st = mode_state(plan, (1, 0), 1.0)
         anchor = verification.envelopes(plan, p, 5.0, 8.0, 1.0)
-        r = verification.energy_record(plan, st, p, 3.0, anchor)
+        r = record(plan, st, p, 3.0, anchor)
         # unforced sphere: both envelopes decay at nu lambda_1 = 2 over t - t0 = 2
         assert r.envelope1 == 5.0 * np.exp(-4.0)
         assert r.envelope2 == 8.0 * np.exp(-4.0)
 
 
     def test_given_tendency_matches_evaluated_one(self):
+        # the tendency a sample observer receives gives the record rhs_u gives
         rng = np.random.default_rng(6)
         for plan, sigma in ((sphere_plan(), 0.0), (torus_plan(), 0.3)):
             c = rng.standard_normal(plan.n_modes)
             f = dynamics.Forcing(c, 0.1 * rng.standard_normal(plan.n_harmonic))
             p = dynamics.ModelParams(0.7, 1.2, sigma, f)
             st = verification.probe_state(plan, rng)
-            tend = dynamics.rhs_u(plan, st, p)
             anchor = verification.envelopes(plan, p, 2.0, 3.0, 0.5)
-            given = verification.energy_record(plan, st, p, 1.0, anchor, tend=tend)
-            evaluated = verification.energy_record(plan, st, p, 1.0, anchor)
-            assert dataclasses.asdict(given) == dataclasses.asdict(evaluated)
+            given, evaluated = [], []
+
+            def observe(t, s, tend):
+                given.append(verification.energy_record(plan, s, p, t, anchor, tend))
+                evaluated.append(record(plan, s, p, t, anchor))
+
+            scheme = integrate.SchemeConfig(dt=0.01, t_end=0.03)
+            for _ in integrate.samples(plan, st, p, scheme, (observe,)):
+                pass
+            assert len(given) == 4
+            assert [dataclasses.asdict(r) for r in given] == [
+                dataclasses.asdict(r) for r in evaluated
+            ]
 
 
 class TestGronwallEnvelopes:
@@ -172,40 +203,54 @@ class TestGronwallEnvelopes:
 
 
 class TestCheckTrajectory:
+    """`envelope_flags` on the records of a run streamed as `simulate` streams it."""
+
     def decay_records(self):
         plan = sphere_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
         st = mode_state(plan, (1, 0), 1.0)
         scheme = integrate.SchemeConfig(dt=0.05, t_end=2.0, stride=4)
-        traj = integrate.run(plan, st, p, scheme)
-        return plan, p, verification.trajectory_diagnostics(plan, traj, p)
+        return plan, p, streamed_records(plan, st, p, scheme)
+
+    @staticmethod
+    def flags(recs, dt):
+        """The (E1, E2) flags of each record, one row per record."""
+        cols = np.array([[r.e1, r.envelope1, r.e2, r.envelope2] for r in recs]).reshape(-1, 4)
+        return np.stack(verification.envelope_flags(*cols.T, dt), axis=-1)
 
     def test_unforced_decay_within_envelopes(self):
-        plan, p, recs = self.decay_records()
+        _, _, recs = self.decay_records()
         assert len(recs) > 5
-        assert verification.check_trajectory(plan, recs, p, dt=0.05) == []
+        assert not self.flags(recs, 0.05).any()
 
     def test_inflated_energies_flagged_everywhere(self):
-        plan, p, recs = self.decay_records()
+        _, _, recs = self.decay_records()
         bad = [
             dataclasses.replace(r, e1=2.0 * r.envelope1, e2=2.0 * r.envelope2)
             for r in recs
         ]
-        report = verification.check_trajectory(plan, bad, p)
-        assert len(report) == 2 * len(recs)
-        kinds = {v["kind"] for v in report}
-        assert kinds == {"e1", "e2"}
+        flags = self.flags(bad, 0.0)
+        assert flags.shape == (len(recs), 2) and flags.all()
 
     def test_empty_records_empty_report(self):
-        plan, p, _ = self.decay_records()
-        assert verification.check_trajectory(plan, [], p) == []
+        assert self.flags([], 0.05).shape == (0, 2)
 
     def test_step_allowance_scales_with_dt_squared(self):
-        plan, p, recs = self.decay_records()
+        _, _, recs = self.decay_records()
         r = recs[0]
         marginal = dataclasses.replace(r, e1=r.e1 * (1.0 + 0.005))
-        assert verification.check_trajectory(plan, [marginal], p, dt=0.0) != []
-        assert verification.check_trajectory(plan, [marginal], p, dt=0.1) == []
+        assert self.flags([marginal], 0.0).any()
+        assert not self.flags([marginal], 0.1).any()
+
+    def test_a_nan_is_a_violation(self):
+        # a comparison that is not true fails: NaN energies, envelopes or dt
+        assert verification.envelope_flags(np.nan, 1.0, 1.0, 1.0, 0.0) == (True, False)
+        assert verification.envelope_flags(1.0, 1.0, 1.0, np.nan, 0.0) == (False, True)
+        assert verification.envelope_flags(0.5, 1.0, 0.5, 1.0, np.nan) == (True, True)
+        # finite values are flagged exactly as a strict excess
+        e = np.array([0.5, 1.0, 1.0 + 2e-6, np.inf])
+        over1, over2 = verification.envelope_flags(e, 1.0, e, 1.0, 0.0)
+        assert over1.tolist() == over2.tolist() == [False, False, True, True]
 
 
 class TestProbeState:
@@ -261,8 +306,7 @@ class TestAverageEnstrophy:
         p = dynamics.ModelParams(1.0, 1.0, 0.0, f)
         st = mode_state(plan, (1, 1), 0.2)
         scheme = integrate.SchemeConfig(dt=0.02, t_end=5.0, stride=10)
-        traj = integrate.run(plan, st, p, scheme)
-        recs = verification.trajectory_diagnostics(plan, traj, p)
+        recs = streamed_records(plan, st, p, scheme)
         rep = verification.average_enstrophy_check(plan, recs, p)
         assert rep["ok"]
         assert rep["average"] <= rep["bound"]
@@ -274,7 +318,7 @@ class TestAverageEnstrophy:
         plan = sphere_plan()
         p = dynamics.ModelParams(1.0, 1.0, 0.0, dynamics.zero_forcing(plan))
         st = mode_state(plan, (1, 0), 1.0)
-        r = verification.energy_record(plan, st, p, 0.0)
+        r = record(plan, st, p, 0.0)
         with pytest.raises(ConfigurationError):
             verification.average_enstrophy_check(plan, [r], p)
         with pytest.raises(ConfigurationError):
