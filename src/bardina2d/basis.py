@@ -42,7 +42,8 @@ Torus
     real DFTs by partial summation: the coefficients pack into a
     (2K + 1, 2K + 1) matrix M over products of per-axis cos and sin
     columns, and a grid field is E M E^T, E the (N, 2K + 1) table of those
-    columns; each transform is a few small matrix products, and no FFT.
+    columns; each transform is a few small matrix products, and no FFT
+    (`fourier._TorusCore`, in a module of its own).
     Each nonzero lattice vector q labels one real basis function: cos for q
     in the right half-plane (q1 > 0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L)
     with k = -q otherwise.  Slot order is (|q|^2, q1, q2) lexicographic.
@@ -70,8 +71,11 @@ Workspaces
     right-hand side in `dynamics`, the vorticity/gradient grid stack and the
     product field g.  The FFTs and matmuls write into them with out=, so
     stepping a batch allocates no large temporaries; freed ones would be
-    trimmed off the heap top and faulted back in by the next call.  The
-    rules:
+    trimmed off the heap top and faulted back in by the next call.  Each
+    workspace, sphere and torus (`fourier._TorusWork`) alike, also makes
+    once every view of those buffers that its transforms and the
+    right-hand side pass to numpy: at L=21 or K=16 making them per call
+    cost as much as the arithmetic.  The rules:
 
     - one workspace per plan and batch row count; a plan keeps those of
       its WORKSPACES_PER_PLAN most recently used row counts, and two plans
@@ -81,9 +85,9 @@ Workspaces
     - returned arrays are never views of a workspace buffer; the
       right-hand side, which calls the core transforms directly, borrows
       the core workspace's `grids` and `g` and returns none of them;
-    - size: 4.5 MB for one row at sphere L=85 and 3.1 MB at torus K=64
-      (0.30 MB at L=21, 0.20 MB at K=16), about linear in the row count
-      (44 MB for 9 rows at L=85, 22 MB for 7 rows at K=64); a sphere
+    - size: 3.7 MB for one row at sphere L=85 and 4.4 MB at torus K=64
+      (0.25 MB at L=21, 0.29 MB at K=16), about linear in the row count
+      (34 MB for 9 rows at L=85, 31 MB for 7 rows at K=64); a sphere
       unfold and fold borrow the spectrum buffer of the other direction,
       and a torus unpack the first products of its analysis, instead of a
       buffer of their own.
@@ -137,6 +141,50 @@ def torus(length):
 def rot90(vec):
     """Pointwise n x (.) rotation of a tangent grid field: (a, b) -> (-b, a)."""
     return np.stack((-vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
+
+
+# ---------------------------------------------------------------------------
+# workspaces of both cores
+
+
+class _Workspace:
+    """Base of the workspaces of both cores: views of grids (vorticity and
+    gradient of B fields) and g (their product) that dynamics._product_parts
+    passes to numpy, as slices along the rows, so they hold for B = 0 too."""
+
+    def _bind_rhs(self):
+        grids, g = self.grids, self.g
+        self.zeta, self.grad_x, self.grad_y = grids[:, :1], grids[:, 1], grids[:, 2]
+        self.zeta0, self.grad0 = grids[:1, :1], grids[:1, 1:]
+        self.grad_rest, self.g_rest = grids[1:, 1:], g[1:]
+
+
+class _WorkspaceCache(dict):
+    """The workspaces of one core by batch row count, built on first use.
+
+    It keeps those of the WORKSPACES_PER_PLAN most recently used row
+    counts, least recent first, so alternating base and stacked calls reuse
+    both; a call for the last used count returns its workspace at once.
+    `work` is the workspace class, called as work(core, b); the cache holds
+    no reference to the core, which owns it.
+    """
+
+    def __init__(self, work):
+        super().__init__()
+        self.work = work
+        self.rows = self.last = None
+
+    def __call__(self, core, b):
+        if b == self.rows:
+            return self.last
+        ws = self.pop(b, None)
+        if ws is None:
+            ws = self.work(core, b)
+            while len(self) >= WORKSPACES_PER_PLAN:
+                del self[next(iter(self))]
+        self[b] = self.last = ws
+        self.rows = b
+        return ws
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +337,10 @@ class _SphereCore:
         self.flow_w = (-self.ana_scale / self.lam * np.stack((np.abs(order),) + w))[:, None]
         self.table_tk = self.table_t[:, :, None]
         self.qw = self.wlat * self.dphi
-        self._work = {}
+        self._work = _WorkspaceCache(_SphereWork)
 
     def workspace(self, b):
-        return _cached_workspace(self._work, b, lambda: _SphereWork(self, b))
+        return self._work(self, b)
 
     # -- paired, parity-folded Legendre stage ----------------------------
 
@@ -369,7 +417,7 @@ class _SphereCore:
         return np.add.reduce(v), np.zeros((len(g), 0))
 
 
-class _SphereWork:
+class _SphereWork(_Workspace):
     """Reused buffers of one sphere plan for B stacked fields, and views of them.
 
     pad holds the scaled coefficient rows, then one zero, and gather the
@@ -474,6 +522,7 @@ class _SphereWork:
         self.unfold_p = self._unfold_plan(core, self.sums_p, self.spec[: core.lmax + 1, :1])
         self.fold_a = self._fold_plan(core, cols_a, rows_a)
         self.fold_p = self._fold_plan(core, self.cols_p, self.sums_p)
+        self._bind_rhs()
 
     def _unfold_plan(self, core, sums, spec):
         """Views of an unfold, block sums (2, K, npair, nh, 4B) -> columns
@@ -559,211 +608,6 @@ def _fast_even(n):
 
 
 # ---------------------------------------------------------------------------
-# torus transform core
-
-
-class _TorusCore:
-    """Separable real-DFT tables for one torus truncation.
-
-    Partial summation (Boyd 2001, Chebyshev and Fourier Spectral Methods,
-    2nd ed., ch. 10): tables = [E, dE, E] (3, N, 2K + 1), E holding
-    cos(w a x_j), a = 0..K, then sin(w a x_j), a = 1..K (w = 2 pi / L,
-    x_j = L j / N), read off one table of the unit circle at a j mod N, and
-    dE its x-derivative; tables_t = [E^T | dE^T].  A field is E M E^T, the
-    rows of M indexing the x factor.  A slot's cos or sin of w k.x (k = q
-    for cos slots, -q for sin slots, so k1 >= 0) is cos cos -/+ sin sin or
-    sin cos +/- cos sin: it lands in at most two entries of M, and an entry
-    takes at most two slots, one with k2 >= 0 (link 0) and one with k2 < 0
-    (link 1).  A pack takes both links of every entry from the
-    coefficients, a zero slot appended, weights them by +-sqrt(2) / L and
-    adds; an unpack is the transposed map, weighted by the quadrature
-    weight (over lam for the flow analysis).
-
-    Synthesis is E (M E^T); the flow synthesis multiplies [E, dE, E] by
-    [-lam o M, M, M] [E^T, E^T, dE^T], the grids of vorticity, d/dx and
-    d/dy.  Analysis is E^T (f E); the flow analysis forms [E^T, dE^T]
-    ([g_x, g_y] [dE, E]), whose difference dE^T g_y E - E^T g_x dE is
-    <g, n x grad> of each entry, and the grid mean.  Each product is one
-    matmul over the stacked fields, the same BLAS call for every field.
-    """
-
-    def __init__(self, kmax, length):
-        self.kmax = kmax
-        self.length = length
-        n = self.ngrid
-        self.shape = (n, n)
-        nb = 2 * kmax + 1
-
-        # slot order (|q|^2, q1, q2); q = 0 sorts first and is dropped
-        r = range(-kmax, kmax + 1)
-        qs = sorted((q1 * q1 + q2 * q2, q1, q2) for q1 in r for q2 in r)[1:]
-        self.qvec = np.array([q[1:] for q in qs], dtype=np.int64)
-        self.n_modes, _ = mode_count(TORUS, kmax)
-        q1, q2 = self.qvec.T
-        w = 2.0 * np.pi / length
-        self.lam = w**2 * (q1 * q1 + q2 * q2)
-        self.slot_of = {q[1:]: s for s, q in enumerate(qs)}
-
-        # tables = [E, dE, E]: cos columns a = 0..K, then sin columns a = 1..K,
-        # read off cos and sin of 2 pi i / N at i = a j mod N
-        cos = np.array([math.cos(2.0 * math.pi * i / n) for i in range(n)])
-        sin = np.array([math.sin(2.0 * math.pi * i / n) for i in range(n)])
-        a = np.arange(kmax + 1)
-        at = np.outer(np.arange(n), a) % n
-        wa = w * a
-        self.tables = np.empty((3, n, nb))
-        e, de = self.tables[0], self.tables[1]
-        e[:, : kmax + 1], e[:, kmax + 1 :] = cos[at], sin[at[:, 1:]]
-        de[:, : kmax + 1], de[:, kmax + 1 :] = -wa * sin[at], wa[1:] * cos[at[:, 1:]]
-        self.tables[2] = e
-        # [E^T | dE^T], so that no product takes a transposed right operand
-        self.tables_t = np.ascontiguousarray(self.tables[:2].reshape(2 * n, nb).T)
-        # -lam of every entry of M
-        a2 = np.concatenate((a, a[1:])) ** 2
-        self.neg_lam = -(w**2) * (a2[:, None] + a2[None, :])
-
-        # the two entries of each slot, flat in M, and their signs
-        is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
-        k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
-        b = np.abs(k2)
-        # cos: (cos k1, cos b) and (sin k1, sin b) times -sgn k2; sin: (sin k1,
-        # cos b) and (cos k1, sin b) times sgn k2; a factor sin(0 x) drops out
-        entry = np.stack((
-            np.where(is_cos, k1, kmax + k1) * nb + b,
-            np.where(is_cos, kmax + k1, k1) * nb + kmax + b,
-        ))
-        sgn = np.where(k2 < 0, -1.0, 1.0) * (b > 0)
-        sign = np.stack((is_cos | (k1 > 0), np.where(is_cos, -sgn * (k1 > 0), sgn)))
-        amp = math.sqrt(2.0) / length
-        # per entry and link: the slot (n_modes, the appended zero, for none)
-        # and its weight; per slot: its two entries (0 where a sign is 0)
-        link = (k2 < 0).astype(np.int64)
-        self.entry_slot = np.full((2, nb * nb), self.n_modes)
-        self.entry_w = np.zeros((2, nb * nb))
-        for ent, sg in zip(entry, sign):
-            on = sg != 0.0
-            self.entry_slot[link[on], ent[on]] = np.flatnonzero(on)
-            self.entry_w[link[on], ent[on]] = amp * sg[on]
-        self.slot_entry = np.where(sign != 0.0, entry, 0)
-        self.qw = np.full(n, (length / n) ** 2)
-        self.ana_w = amp * self.qw[0] * sign
-        self.flow_w = self.ana_w / self.lam
-
-        self._work = {}
-
-    @property
-    def ngrid(self):
-        return _fast_even(3 * self.kmax + 1)
-
-    def workspace(self, b):
-        return _cached_workspace(self._work, b, lambda: _TorusWork(self, b))
-
-    def _pack(self, ws, coeffs):
-        """Coefficient rows -> M, (B, 2K + 1, 2K + 1) in ws.m."""
-        np.copyto(ws.pad[:, :-1], coeffs)
-        v = np.take(ws.pad, ws.pack_at, out=ws.links, mode="clip")
-        np.multiply(v, ws.entry_w, out=v)
-        np.add(v[0], v[1], out=ws.m_flat)
-        return ws.m
-
-    def _unpack(self, ws, weight):
-        """The entries of ws.m -> slot rows times weight (ws.ana_w or
-        ws.flow_w), a new array."""
-        v = np.take(ws.m, ws.unpack_at, out=ws.parts, mode="clip")
-        np.multiply(v, weight, out=v)
-        return np.add(v[0], v[1])
-
-    def synthesize(self, coeffs):
-        ws = self.workspace(len(coeffs))
-        n = self.shape[0]
-        t = np.matmul(self._pack(ws, coeffs), self.tables_t[:, :n], out=ws.t[..., :n])
-        return np.matmul(self.tables[0], t)
-
-    def analyze(self, f):
-        ws = self.workspace(len(f))
-        e = self.tables[0]
-        np.matmul(e.T, np.matmul(f, e, out=ws.p[:, 0]), out=ws.m)
-        return self._unpack(ws, ws.ana_w)
-
-    def flow_synthesis(self, psi, out=None):
-        ws = self.workspace(len(psi))
-        n = self.shape[0]
-        m = self._pack(ws, psi)
-        lam_m = np.multiply(m, self.neg_lam, out=ws.pairs[0])
-        # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
-        np.matmul(lam_m, self.tables_t[:, :n], out=ws.t[..., :n])
-        np.matmul(m, self.tables_t, out=ws.t[..., n:])
-        return np.matmul(self.tables, ws.t_split, out=out)
-
-    def flow_analysis(self, g):
-        ws = self.workspace(len(g))
-        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
-        p = np.matmul(g, self.tables[1:], out=ws.p)
-        np.matmul(self.tables[:2].transpose(0, 2, 1), p, out=ws.pairs_b)
-        np.subtract(ws.pairs[1], ws.pairs[0], out=ws.m)
-        mean = g.sum(axis=(-2, -1)) / math.prod(self.shape)
-        return self._unpack(ws, ws.flow_w), mean
-
-
-class _TorusWork:
-    """Reused buffers of one torus plan for B stacked fields.
-
-    pairs (2, B, 2K + 1, 2K + 1) holds two matrices per field, the first
-    of every field, then the second, and pairs_b views it field-major.  A
-    pack takes the two links of every entry into pairs, flat (links), by
-    the flat take-index pack_at into pad, and sums them into m; a flow
-    synthesis then scales m by -lam into pairs[0] and writes its first
-    products [-lam o M E^T | M E^T | M dE^T] into t, which t_split views
-    as (B, 3, 2K + 1, N).  An analysis writes its first products into p
-    and its second into m (a flow analysis into pairs_b, their difference
-    into m); its unpack takes the two entries of each slot from m by
-    unpack_at into parts (link, B, slot), the head of p.  The weights
-    entry_w, ana_w and flow_w are the core's, repeated over the B rows in
-    that layout: numpy 2 copies an operand it broadcasts over an outer axis,
-    or one that is not contiguous, into a temporary, and a take into out
-    buffers it unless it clips (the indices are all in range).
-    """
-
-    def __init__(self, core, b):
-        n, nb = core.tables.shape[1:]
-        rows = np.arange(b)[:, None]
-        self.pad = np.zeros((b, core.n_modes + 1))
-        self.pack_at = core.entry_slot[:, None] + rows * (core.n_modes + 1)
-        self.unpack_at = core.slot_entry[:, None] + rows * (nb * nb)
-        self.entry_w, self.ana_w, self.flow_w = (
-            np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
-            for w in (core.entry_w, core.ana_w, core.flow_w)
-        )
-        self.pairs = np.empty((2, b, nb, nb))
-        self.pairs_b = self.pairs.transpose(1, 0, 2, 3)
-        self.links = self.pairs.reshape(2, b, nb * nb)
-        self.m = np.empty((b, nb, nb))
-        self.m_flat = self.m.reshape(b, nb * nb)
-        self.t = np.empty((b, nb, 3 * n))
-        self.t_split = self.t.reshape(b, nb, 3, n).transpose(0, 2, 1, 3)
-        self.p = np.empty((b, 2, n, nb))
-        self.parts = _head(self.p, (2, b, core.n_modes))
-        # grids of (vorticity, d/dx, d/dy), and the product g
-        self.grids = np.empty((b, 3, n, n))
-        self.g = np.empty((b, 2, n, n))
-
-
-def _cached_workspace(cache, b, build):
-    """The workspace of a core for b fields, built on first use.
-
-    A core keeps the workspaces of its WORKSPACES_PER_PLAN most recently
-    used batch sizes, so alternating base and stacked calls reuse both.
-    """
-    ws = cache.pop(b, None)
-    if ws is None:
-        ws = build()
-        while len(cache) >= WORKSPACES_PER_PLAN:
-            del cache[next(iter(cache))]
-    cache[b] = ws
-    return ws
-
-
-# ---------------------------------------------------------------------------
 # public plan
 
 
@@ -795,6 +639,8 @@ def build_plan(geometry, truncation):
     if geometry.kind == SPHERE:
         core = _SphereCore(truncation)
     else:
+        from .fourier import _TorusCore  # here: fourier imports from this module
+
         core = _TorusCore(truncation, geometry.length)
     return BasisPlan(
         geometry=geometry,

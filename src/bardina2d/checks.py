@@ -23,6 +23,11 @@ from . import dynamics as dyn
 from . import operators as ops
 from .errors import ConfigurationError, CorruptSnapshotError, ModelError
 
+# relative tolerance of a recorded envelope against the one rebuilt from the
+# run's anchor: both come from verification.Envelopes.at, and the csv holds
+# 17 significant digits, so they differ at most by the rounding of exp
+ENVELOPE_REBUILD_TOL = 1e-12
+
 # relative tolerance of the transform rows: sound transforms round to at
 # most 1.8e-14 at sphere L <= 256 (round trip 7.1e-15 at L=85, 1.3e-14 at
 # L=256) and 1.9e-15 at torus K <= 32, while an aliased grid is off by the
@@ -155,16 +160,23 @@ def library_checks(plan, params, seed, prefix=""):
 
 def recheck_run_dir(out, plan, params, dt, meta):
     """Re-test a completed run directory from its diagnostics.csv: the
-    recorded energies against the recorded envelopes (E1/E2 vs env1/env2),
-    the worst recorded energy-law residual, and the time average of ||u||^2
-    against its closed-form bound for the configured parameters.  `dt` is
-    the configured step.  `meta` is the run's meta.json as a pair (dict or
-    None, cause): a dt there other than `dt` fails the first row, and a
-    cause that is not None says why meta.json does not echo the configured
-    parameters and fails the last row.
+    recorded envelopes env1/env2 against those rebuilt from meta.json's
+    anchor and the configured parameters, the recorded energies E1/E2
+    against them, the worst recorded energy-law residual, and the time
+    average of ||u||^2 against its closed-form bound for the configured
+    parameters.  `dt` is the configured step.  `meta` is the run's
+    meta.json as a pair (dict or None, cause): a dt there other than `dt`,
+    or no valid anchor, fails the first row, and a cause that is not None
+    says why meta.json does not echo the configured parameters and fails
+    the last row.
     """
     meta, meta_cause = meta
     run_dt = (meta or {}).get("dt", dt)
+    if meta is None:
+        anchor, anchor_cause = None, meta_cause
+    else:
+        anchor, why = verification.meta_anchor(meta)
+        anchor_cause = why and f"meta.json: {why}"
     with open(os.path.join(out, "diagnostics.csv"), "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh]
@@ -180,9 +192,21 @@ def recheck_run_dir(out, plan, params, dt, meta):
     def envelopes():
         if run_dt != dt:
             return False, f"meta.json dt is {run_dt!r}, the config has dt {dt!r}"
-        over1, over2 = verification.envelope_flags(
-            column("E1"), column("env1"), column("E2"), column("env2"), dt
-        )
+        if anchor is None:
+            return False, f"cannot rebuild the envelopes: {anchor_cause}"
+        t, env1, env2 = column("t"), column("env1"), column("env2")
+        rebuilt = verification.envelopes(plan, params, *anchor).at(t)
+        for name, got, want in zip(("env1", "env2"), (env1, env2), rebuilt):
+            off = np.flatnonzero(~(np.abs(got - want) <= ENVELOPE_REBUILD_TOL * np.abs(want)))
+            if off.size:
+                k = off[0]
+                why = f"; {meta_cause}" if meta_cause else ""
+                return False, (
+                    f"{off.size} row(s) with {name} off the envelope rebuilt from "
+                    f"meta.json's anchor, first t={float(t[k])!r}: {float(got[k])!r}, "
+                    f"rebuilt {float(want[k])!r}{why}"
+                )
+        over1, over2 = verification.envelope_flags(column("E1"), env1, column("E2"), env2, dt)
         bad = int(np.sum(over1) + np.sum(over2))
         return bad == 0, f"{bad} violation(s) in {len(rows)} rows"
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -252,19 +251,14 @@ def _resume_anchor(resume_path, spec):
     unreadable, made with other parameters, or lacks the anchor or holds a
     non-finite one (json reads NaN and Infinity).
     """
+    from . import verification
+
     meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
     meta, cause = _load_meta(meta_path, spec)
     if cause is not None:
         return None, cause
-    keys = ("anchor_e1", "anchor_e2", "anchor_t")
-    try:
-        anchor = tuple(float(meta[key]) for key in keys)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None, f"{meta_path} holds no valid anchor_e1/anchor_e2/anchor_t"
-    for key, value in zip(keys, anchor):
-        if not math.isfinite(value):
-            return None, f"{meta_path}: {key} is {value}, not a finite number"
-    return anchor, None
+    anchor, cause = verification.meta_anchor(meta)
+    return anchor, None if cause is None else f"{meta_path}: {cause}"
 
 
 def cmd_simulate(args, spec):

@@ -26,6 +26,14 @@ acts on row 0 only.  All rows share one flow synthesis and one flow
 analysis.  A trajectory steps a one-row stack; the Lyapunov ensemble steps
 the base state with its tangents.
 
+What the kernel needs of a run's plan and parameters besides the rows is
+built once per run by `run_constants`, and `remainder` wraps the kernel for
+a run with them: the Helmholtz divisor 1 + alpha^2 lam, the row-0 forcing
+and the drag, each signed so that the kernel finishes the Leray rows in
+place and makes no negation pass.  The signs follow the Leray part as the
+analysis leaves it: the sphere's product takes grad psi for
+n x u = -grad psi, so its Leray part comes out negated.
+
 The prepared variant evolves v directly on the sphere with the nonlinear and
 forcing terms multiplied by a smooth cutoff of |v| / rho, which makes every
 large ball positively invariant while leaving the dynamics untouched inside
@@ -105,13 +113,22 @@ def validate_params(plan, params):
 # nonlinearity
 
 
-def _nonlinearity(plan, psis, hs):
-    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1..
+def _leray_sign(plan):
+    """The sign s that `_product_parts` leaves on the Leray part: -1 on the
+    sphere, where the product takes grad psi for n x u = -grad psi."""
+    return 1.0 if plan.n_harmonic else -1.0
+
+
+def _product_parts(plan, psis, hs):
+    """s P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..,
+    s = `_leray_sign(plan)`.
 
     The rows run through the plan core's transforms directly, checked here
     once.  With u = n x grad psi + h, n x u = -grad psi + n x h is formed in
     place of the gradient grids, which the core workspace's `grids` holds,
-    and the product in its `g`.
+    and the product in its `g`, through the views the workspace binds.  On
+    the sphere the product takes grad psi, and the sign stays with the
+    analyzed rows, far fewer than grid points.
     """
     if psis.shape[1:] != (plan.n_modes,) or hs.shape != (len(psis), plan.n_harmonic):
         raise ShapeError(
@@ -120,20 +137,21 @@ def _nonlinearity(plan, psis, hs):
         )
     core = plan.core
     ws = core.workspace(len(psis))
-    grids = core.flow_synthesis(psis, ws.grids)
-    zeta, r = grids[:, 0], grids[:, 1:]
+    core.flow_synthesis(psis, ws.grids)
     if plan.n_harmonic:
-        # (-(grad_x + h_y), h_x - grad_y)
-        np.add(r[:, 0], hs[:, 1, None, None], out=r[:, 0])
-        np.negative(r[:, 0], out=r[:, 0])
-        np.subtract(hs[:, 0, None, None], r[:, 1], out=r[:, 1])
-    g = np.multiply(zeta[:, None], r[0], out=ws.g)
+        # (-h_y - grad_x, h_x - grad_y); the first is -(grad_x + h_y) exactly
+        np.subtract(-hs[:, 1, None, None], ws.grad_x, out=ws.grad_x)
+        np.subtract(hs[:, 0, None, None], ws.grad_y, out=ws.grad_y)
+    g = np.multiply(ws.zeta, ws.grad0, out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
-        g[1:] += np.multiply(zeta[0], r[1:], out=r[1:])
-    p, q = core.flow_analysis(g)
-    if not plan.n_harmonic:
-        # n x u = -grad psi on the sphere: the product takes grad psi, and
-        # the sign goes to the analyzed rows, far fewer than grid points
+        ws.g_rest += np.multiply(ws.zeta0, ws.grad_rest, out=ws.grad_rest)
+    return core.flow_analysis(g)
+
+
+def _nonlinearity(plan, psis, hs):
+    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1.."""
+    p, q = _product_parts(plan, psis, hs)
+    if _leray_sign(plan) < 0.0:
         np.negative(p, out=p)
     return p, q
 
@@ -148,25 +166,63 @@ def nonlinear_term(plan, state):
 # tendencies
 
 
-def _remainder_u(plan, psis, hs, params, fstate):
+@dataclass(frozen=True)
+class RunConstants:
+    """What `_remainder_u` needs of one run's plan and parameters, signed for
+    the s P that `_product_parts` returns: the row-0 forcing s psi_f, the
+    drag s sigma and the Helmholtz divisor -s (1 + alpha^2 lam)."""
+
+    forcing: np.ndarray
+    drag: float
+    divisor: np.ndarray
+
+
+def run_constants(plan, params):
+    """The `RunConstants` of (plan, params), built once per run."""
+    s = _leray_sign(plan)
+    fstate = forcing_state(plan, params.forcing)
+    return RunConstants(s * fstate.psi, s * params.sigma, -s * (1.0 + params.alpha**2 * plan.lam))
+
+
+def remainder(plan, params):
+    """rem(psis, hs) -> `_remainder_u` of stacked rows, for one run.
+
+    The run constants are built here once; each call goes through the
+    module attribute `_remainder_u`.
+    """
+    run = run_constants(plan, params)
+
+    def rem(psis, hs):
+        return _remainder_u(plan, psis, hs, params, run)
+
+    return rem
+
+
+def _remainder_u(plan, psis, hs, params, run):
     """Non-stiff tendency of stacked rows; the integrator exponentiates -nu lam.
 
     Row 0 is the base state with the forcing; rows 1.. are its tangents.
+    `run` is `run_constants(plan, params)`.  Each row is formed in place as
+    ((s P - s psi_f) + s sigma psi) / (-s (1 + alpha^2 lam)): negation and a
+    negated divisor are exact, so it rounds as (psi_f - P - sigma psi) /
+    (1 + alpha^2 lam), the single-state order, up to the sign of an entry
+    that cancels to exactly zero.  The harmonic rows are
+    (f2 - sigma h) - Q on row 0 and -sigma h - Q on the others.
     """
-    filt = 1.0 + params.alpha**2 * plan.lam
-    p, q = _nonlinearity(plan, psis, hs)
-    drag_h = params.sigma * hs
-    # forcing on row 0 only, subtracted in place: -(p - f) rounds exactly as
-    # f - p, so row 0 keeps the single-state order f - p - sigma psi
-    p[0] -= fstate.psi
-    drag_h[0] -= fstate.harmonic
-    return (-p - params.sigma * psis) / filt, -drag_h - q
+    p, q = _product_parts(plan, psis, hs)
+    p[0] -= run.forcing
+    p += np.multiply(run.drag, psis)
+    p /= run.divisor
+    if plan.n_harmonic:
+        dh = np.multiply(hs, -params.sigma)
+        dh[0] += params.forcing.f2
+        q = np.subtract(dh, q, out=dh)
+    return p, q
 
 
 def rhs_u(plan, state, params):
     """Full tendency of the evolved state, stiff linear part included."""
-    fstate = forcing_state(plan, params.forcing)
-    dpsi, dh = _remainder_u(plan, state.psi[None], state.harmonic[None], params, fstate)
+    dpsi, dh = remainder(plan, params)(state.psi[None], state.harmonic[None])
     return ops.VelocityState(dpsi[0] - params.nu * plan.lam * state.psi, dh[0])
 
 
@@ -174,10 +230,10 @@ def rhs_tangent(plan, delta, state, params):
     """Full tangent tendency at base state `state` (forcing drops out)."""
     ops._check(plan, state)
     ops._check(plan, delta)
-    fstate = forcing_state(plan, params.forcing)
+    rem = remainder(plan, params)
     psis = np.stack((state.psi, delta.psi))
     hs = np.stack((state.harmonic, delta.harmonic))
-    dpsis, dhs = _remainder_u(plan, psis, hs, params, fstate)
+    dpsis, dhs = rem(psis, hs)
     return ops.VelocityState(dpsis[1] - params.nu * plan.lam * delta.psi, dhs[1])
 
 

@@ -1,0 +1,214 @@
+"""The torus transform core: separable real DFTs by partial summation.
+
+`basis.build_plan` builds a `_TorusCore` for a torus geometry; the basis
+and its slot order are described in the `basis` module docstring, and the
+plan interface there is the way in.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .basis import TORUS, _fast_even, _head, _Workspace, _WorkspaceCache, mode_count
+
+
+class _TorusCore:
+    """Separable real-DFT tables for one torus truncation.
+
+    Partial summation (Boyd 2001, Chebyshev and Fourier Spectral Methods,
+    2nd ed., ch. 10): tables = [E, dE, E] (3, N, 2K + 1), E holding
+    cos(w a x_j), a = 0..K, then sin(w a x_j), a = 1..K (w = 2 pi / L,
+    x_j = L j / N), read off one table of the unit circle at a j mod N, and
+    dE its x-derivative; tables_t = [E^T | dE^T].  A field is E M E^T, the
+    rows of M indexing the x factor.  A slot's cos or sin of w k.x (k = q
+    for cos slots, -q for sin slots, so k1 >= 0) is cos cos -/+ sin sin or
+    sin cos +/- cos sin: it lands in at most two entries of M, and an entry
+    takes at most two slots, one with k2 >= 0 (link 0) and one with k2 < 0
+    (link 1).  A pack takes both links of every entry from the
+    coefficients, a zero slot appended, weights them by +-sqrt(2) / L and
+    adds; an unpack is the transposed map, weighted by the quadrature
+    weight (over lam for the flow analysis).
+
+    Synthesis is E (M E^T); the flow synthesis multiplies [E, dE, E] by
+    [-lam o M, M, M] [E^T, E^T, dE^T], the grids of vorticity, d/dx and
+    d/dy.  Analysis is E^T (f E); the flow analysis forms [E^T, dE^T]
+    ([g_x, g_y] [dE, E]), whose difference dE^T g_y E - E^T g_x dE is
+    <g, n x grad> of each entry, and the grid mean.  Each product is one
+    matmul over the stacked fields, the same BLAS call for every field.
+    The views of the tables that the products take (e, e_t, e_tr, de_e,
+    e_de_tr) are made here once, and the grid point count npoints too.
+    """
+
+    def __init__(self, kmax, length):
+        self.kmax = kmax
+        self.length = length
+        n = self.ngrid
+        self.shape = (n, n)
+        self.npoints = n * n
+        nb = 2 * kmax + 1
+
+        # slot order (|q|^2, q1, q2); q = 0 sorts first and is dropped
+        r = range(-kmax, kmax + 1)
+        qs = sorted((q1 * q1 + q2 * q2, q1, q2) for q1 in r for q2 in r)[1:]
+        self.qvec = np.array([q[1:] for q in qs], dtype=np.int64)
+        self.n_modes, _ = mode_count(TORUS, kmax)
+        q1, q2 = self.qvec.T
+        w = 2.0 * np.pi / length
+        self.lam = w**2 * (q1 * q1 + q2 * q2)
+        self.slot_of = {q[1:]: s for s, q in enumerate(qs)}
+
+        # tables = [E, dE, E]: cos columns a = 0..K, then sin columns a = 1..K,
+        # read off cos and sin of 2 pi i / N at i = a j mod N
+        cos = np.array([math.cos(2.0 * math.pi * i / n) for i in range(n)])
+        sin = np.array([math.sin(2.0 * math.pi * i / n) for i in range(n)])
+        a = np.arange(kmax + 1)
+        at = np.outer(np.arange(n), a) % n
+        wa = w * a
+        self.tables = np.empty((3, n, nb))
+        e, de = self.tables[0], self.tables[1]
+        e[:, : kmax + 1], e[:, kmax + 1 :] = cos[at], sin[at[:, 1:]]
+        de[:, : kmax + 1], de[:, kmax + 1 :] = -wa * sin[at], wa[1:] * cos[at[:, 1:]]
+        self.tables[2] = e
+        # [E^T | dE^T], so that no product takes a transposed right operand
+        self.tables_t = np.ascontiguousarray(self.tables[:2].reshape(2 * n, nb).T)
+        self.e, self.e_tr, self.e_t = e, e.T, self.tables_t[:, :n]
+        self.de_e, self.e_de_tr = self.tables[1:], self.tables[:2].transpose(0, 2, 1)
+        # -lam of every entry of M
+        a2 = np.concatenate((a, a[1:])) ** 2
+        self.neg_lam = -(w**2) * (a2[:, None] + a2[None, :])
+
+        # the two entries of each slot, flat in M, and their signs
+        is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
+        k1, k2 = np.where(is_cos, q1, -q1), np.where(is_cos, q2, -q2)
+        b = np.abs(k2)
+        # cos: (cos k1, cos b) and (sin k1, sin b) times -sgn k2; sin: (sin k1,
+        # cos b) and (cos k1, sin b) times sgn k2; a factor sin(0 x) drops out
+        entry = np.stack((
+            np.where(is_cos, k1, kmax + k1) * nb + b,
+            np.where(is_cos, kmax + k1, k1) * nb + kmax + b,
+        ))
+        sgn = np.where(k2 < 0, -1.0, 1.0) * (b > 0)
+        sign = np.stack((is_cos | (k1 > 0), np.where(is_cos, -sgn * (k1 > 0), sgn)))
+        amp = math.sqrt(2.0) / length
+        # per entry and link: the slot (n_modes, the appended zero, for none)
+        # and its weight; per slot: its two entries (0 where a sign is 0)
+        link = (k2 < 0).astype(np.int64)
+        self.entry_slot = np.full((2, nb * nb), self.n_modes)
+        self.entry_w = np.zeros((2, nb * nb))
+        for ent, sg in zip(entry, sign):
+            on = sg != 0.0
+            self.entry_slot[link[on], ent[on]] = np.flatnonzero(on)
+            self.entry_w[link[on], ent[on]] = amp * sg[on]
+        self.slot_entry = np.where(sign != 0.0, entry, 0)
+        self.qw = np.full(n, (length / n) ** 2)
+        self.ana_w = amp * self.qw[0] * sign
+        self.flow_w = self.ana_w / self.lam
+
+        self._work = _WorkspaceCache(_TorusWork)
+
+    @property
+    def ngrid(self):
+        return _fast_even(3 * self.kmax + 1)
+
+    def workspace(self, b):
+        return self._work(self, b)
+
+    def _pack(self, ws, coeffs):
+        """Coefficient rows -> M, (B, 2K + 1, 2K + 1) in ws.m."""
+        np.copyto(ws.pad_in, coeffs)
+        v = ws.pad.take(ws.pack_at, out=ws.links, mode="clip")
+        np.multiply(v, ws.entry_w, out=v)
+        np.add(*ws.link_halves, out=ws.m_flat)
+        return ws.m
+
+    def _unpack(self, ws, weight):
+        """The entries of ws.m -> slot rows times weight (ws.ana_w or
+        ws.flow_w), a new array."""
+        v = ws.m.take(ws.unpack_at, out=ws.parts, mode="clip")
+        np.multiply(v, weight, out=v)
+        return np.add(*ws.part_halves)
+
+    def synthesize(self, coeffs):
+        ws = self.workspace(len(coeffs))
+        t = np.matmul(self._pack(ws, coeffs), self.e_t, out=ws.t_lam)
+        return np.matmul(self.e, t)
+
+    def analyze(self, f):
+        ws = self.workspace(len(f))
+        np.matmul(self.e_tr, np.matmul(f, self.e, out=ws.p_first), out=ws.m)
+        return self._unpack(ws, ws.ana_w)
+
+    def flow_synthesis(self, psi, out=None):
+        ws = self.workspace(len(psi))
+        m = self._pack(ws, psi)
+        lam_m = np.multiply(m, self.neg_lam, out=ws.pair0)
+        # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
+        np.matmul(lam_m, self.e_t, out=ws.t_lam)
+        np.matmul(m, self.tables_t, out=ws.t_grad)
+        return np.matmul(self.tables, ws.t_split, out=out)
+
+    def flow_analysis(self, g):
+        ws = self.workspace(len(g))
+        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
+        p = np.matmul(g, self.de_e, out=ws.p)
+        np.matmul(self.e_de_tr, p, out=ws.pairs_b)
+        np.subtract(ws.pair1, ws.pair0, out=ws.m)
+        mean = np.add.reduce(g, axis=(-2, -1)) / self.npoints
+        return self._unpack(ws, ws.flow_w), mean
+
+
+class _TorusWork(_Workspace):
+    """Reused buffers of one torus plan for B stacked fields, and views of them.
+
+    pairs (2, B, 2K + 1, 2K + 1) holds two matrices per field, the first
+    of every field (pair0), then the second (pair1), and pairs_b views it
+    field-major.  A pack copies the coefficients into pad_in, takes the two
+    links of every entry into pairs, flat (links, its halves link_halves),
+    by the flat take-index pack_at into pad, and sums them into m; a flow
+    synthesis then scales m by -lam into pair0 and writes its first products
+    [-lam o M E^T | M E^T | M dE^T] into t, the first third (t_lam) and the
+    other two (t_grad), which t_split views as (B, 3, 2K + 1, N).  An
+    analysis writes its first products into p (a scalar one into p_first)
+    and its second into m (a flow analysis into pairs_b, their difference
+    into m); its unpack takes the two entries of each slot from m by
+    unpack_at into parts (link, B, slot), the head of p, halves part_halves.
+    The weights entry_w, ana_w and flow_w are the core's, repeated over the
+    B rows in that layout: numpy 2 copies an operand it broadcasts over an
+    outer axis, or one that is not contiguous, into a temporary, and a take
+    into out buffers it unless it clips (the indices are all in range).
+    Every view a transform passes to numpy is made here once, as in the
+    sphere's workspace: at K=16 making them costs as much as the
+    arithmetic.  Row-axis views are slices, so they hold for B = 0 too.
+    """
+
+    def __init__(self, core, b):
+        n, nb = core.tables.shape[1:]
+        rows = np.arange(b)[:, None]
+        self.pad = np.zeros((b, core.n_modes + 1))
+        self.pad_in = self.pad[:, :-1]
+        self.pack_at = core.entry_slot[:, None] + rows * (core.n_modes + 1)
+        self.unpack_at = core.slot_entry[:, None] + rows * (nb * nb)
+        self.entry_w, self.ana_w, self.flow_w = (
+            np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
+            for w in (core.entry_w, core.ana_w, core.flow_w)
+        )
+        self.pairs = np.empty((2, b, nb, nb))
+        self.pairs_b = self.pairs.transpose(1, 0, 2, 3)
+        self.pair0, self.pair1 = self.pairs
+        self.links = self.pairs.reshape(2, b, nb * nb)
+        self.link_halves = tuple(self.links)
+        self.m = np.empty((b, nb, nb))
+        self.m_flat = self.m.reshape(b, nb * nb)
+        self.t = np.empty((b, nb, 3 * n))
+        self.t_lam, self.t_grad = self.t[..., :n], self.t[..., n:]
+        self.t_split = self.t.reshape(b, nb, 3, n).transpose(0, 2, 1, 3)
+        self.p = np.empty((b, 2, n, nb))
+        self.p_first = self.p[:, 0]
+        self.parts = _head(self.p, (2, b, core.n_modes))
+        self.part_halves = tuple(self.parts)
+        # grids of (vorticity, d/dx, d/dy), and the product g
+        self.grids = np.empty((b, 3, n, n))
+        self.g = np.empty((b, 2, n, n))
+        self._bind_rhs()

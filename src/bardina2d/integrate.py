@@ -69,21 +69,17 @@ def step_pair(psi, h, dt, e_full, e_half, rem, method, first=None):
     `rem(psi, h) -> (Gp, Gh)` is the non-stiff tendency; e_full/e_half are
     exp(-r dt) and exp(-r dt/2).  `first`, when given, is rem(psi, h)
     already evaluated and is used as the first stage.  Broadcasts over
-    leading axes of psi/h.
+    leading axes of psi/h.  Each stage state is passed to `rem` and
+    dropped, so at most one is alive at a time.
     """
     g1, gh1 = rem(psi, h) if first is None else first
     if method == IF_EULER:
         return e_full * (psi + dt * g1), h + dt * gh1
-    u1 = e_half * (psi + 0.5 * dt * g1)
-    v1 = h + 0.5 * dt * gh1
-    g2, gh2 = rem(u1, v1)
-    u2 = e_half * psi + 0.5 * dt * g2
-    v2 = h + 0.5 * dt * gh2
-    g3, gh3 = rem(u2, v2)
-    u3 = e_full * psi + dt * (e_half * g3)
-    v3 = h + dt * gh3
-    g4, gh4 = rem(u3, v3)
-    psi_new = e_full * psi + (dt / 6.0) * (
+    g2, gh2 = rem(e_half * (psi + 0.5 * dt * g1), h + 0.5 * dt * gh1)
+    g3, gh3 = rem(e_half * psi + 0.5 * dt * g2, h + 0.5 * dt * gh2)
+    decayed = e_full * psi
+    g4, gh4 = rem(decayed + dt * (e_half * g3), h + dt * gh3)
+    psi_new = decayed + (dt / 6.0) * (
         e_full * g1 + 2.0 * (e_half * (g2 + g3)) + g4
     )
     h_new = h + (dt / 6.0) * (gh1 + 2.0 * (gh2 + gh3) + gh4)
@@ -192,11 +188,7 @@ def samples(plan, state, params, scheme, observers=(), t_start=0.0):
     """
     dyn.validate_params(plan, params)
     steps = _step_range(scheme, t_start)
-    fstate = dyn.forcing_state(plan, params.forcing)
-
-    def rem(psi, h):
-        return dyn._remainder_u(plan, psi, h, params, fstate)
-
+    rem = dyn.remainder(plan, params)
     return _one_row(plan, params, state, rem, scheme, steps, observers)
 
 

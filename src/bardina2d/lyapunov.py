@@ -132,8 +132,7 @@ def trace_qn(plan, state, tangents, params):
     """sum_k [F'(u) w_k, w_k] for a weighted-orthonormal tangent set."""
     psis = np.stack([state.psi] + [t.psi for t in tangents])
     hs = np.stack([state.harmonic] + [t.harmonic for t in tangents])
-    fstate = dyn.forcing_state(plan, params.forcing)
-    dpsis, dhs = dyn._remainder_u(plan, psis, hs, params, fstate)
+    dpsis, dhs = dyn.remainder(plan, params)(psis, hs)
     full = dpsis[1:] - params.nu * plan.lam * psis[1:]
     wv = _weight_vector(plan, params.alpha)
     return float(np.sum(wv * psis[1:] * full) + plan.area * np.sum(hs[1:] * dhs[1:]))
@@ -174,15 +173,10 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     n = config.n_ensemble
     rng = ops.NormalStream(config.seed)
     tps, ths = _initial_ensemble(plan, n, params.alpha, rng)
-    fstate = dyn.forcing_state(plan, params.forcing)
-
-    def rem(p, h):
-        return dyn._remainder_u(plan, p, h, params, fstate)
-
     loop = integrate._run_loop(
         np.concatenate([state.psi[None], tps]),
         np.concatenate([state.harmonic[None], ths]),
-        rem,
+        dyn.remainder(plan, params),
         integrate.decay_factors(plan, params.nu, scheme.dt),
         replace(scheme, stride=m),
         (0, (n_tr + n_av) * m),

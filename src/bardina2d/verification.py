@@ -14,6 +14,7 @@ single-branch forms with rate nu lambda_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,21 @@ def envelopes(plan, params, e1_0, e2_0, t0=0.0):
         rate1, rate2 = c.delta, c.delta_prime
         level1, level2 = c.l1, 2.0 * c.l2
     return Envelopes(e1_0, e2_0, t0, rate1, rate2, level1, level2)
+
+
+def meta_anchor(meta):
+    """The envelope anchor (e1_0, e2_0, t0) a run recorded in its meta.json
+    dict, and None; or None and why it holds none: a key is missing or not a
+    number, or a value is not finite (json reads NaN and Infinity)."""
+    keys = ("anchor_e1", "anchor_e2", "anchor_t")
+    try:
+        anchor = tuple(float(meta[key]) for key in keys)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None, "no valid anchor_e1/anchor_e2/anchor_t"
+    for key, value in zip(keys, anchor):
+        if not math.isfinite(value):
+            return None, f"{key} is {value}, not a finite number"
+    return anchor, None
 
 
 def envelope_flags(e1, env1, e2, env2, dt):

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bardina2d import basis, bounds, checks, cli, snapshot, verification
+from bardina2d import basis, bounds, checks, cli, fourier, snapshot, verification
 from bardina2d.errors import DegenerateEnsembleError, ModelError
 
 TWO_PI = 2.0 * np.pi
@@ -572,7 +572,7 @@ class TestVerifySelftest:
 
     def test_verify_flags_undersized_torus_grid(self, tmp_path, capsys, monkeypatch):
         # a 3K grid aliases |k_i| = 2K onto K; only the product comparison sees it
-        monkeypatch.setattr(basis._TorusCore, "ngrid", property(lambda core: 3 * core.kmax))
+        monkeypatch.setattr(fourier._TorusCore, "ngrid", property(lambda core: 3 * core.kmax))
         assert basis.build_plan(basis.torus(TWO_PI), 8).grid_shape == (24, 24)
         config = write_config(tmp_path, forced_doc(truncation=8))
         assert cli.main(["verify", "--config", config]) == 1
@@ -715,6 +715,67 @@ class TestVerifySelftest:
         if probe.startswith("meta-dt"):
             run_dt = "nan" if probe == "meta-dt-nan" else "1000000.0"
             assert detail == f"meta.json dt is {run_dt}, the config has dt 0.01"
+
+    def test_run_envelopes_rebuilds_the_envelopes(self, tmp_path, capsys):
+        # an E1 at 10 times its envelope hidden by an env1 raised to 100
+        # times: the recorded columns agree, the rebuilt envelope does not
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        csv_path = out / "diagnostics.csv"
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        e1, env1 = header.index("E1"), header.index("env1")
+        row[e1] = format(10.0 * float(row[env1]), ".17g")
+        row[env1] = format(100.0 * float(row[env1]), ".17g")
+        csv_path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        status, detail = rows["run-envelopes"]
+        assert status == "FAIL"
+        assert "env1 off the envelope rebuilt" in detail and f"t={float(row[0])!r}" in detail
+        assert rows["run-energy-law"][0] == "PASS"
+
+    @pytest.mark.parametrize("edit", ["no-meta", "no-anchor", "nan-anchor"])
+    def test_run_envelopes_fails_without_an_anchor(self, tmp_path, capsys, edit):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        meta_path = out / "meta.json"
+        if edit == "no-meta":
+            meta_path.unlink()
+        else:
+            meta = json.loads(meta_path.read_text())
+            if edit == "no-anchor":
+                del meta["anchor_e2"]
+            else:
+                meta["anchor_t"] = math.nan
+            meta_path.write_text(json.dumps(meta))
+        code, rows = self._run_rows(capsys, config, out)
+        assert code == 1
+        status, detail = rows["run-envelopes"]
+        assert status == "FAIL" and detail.startswith("cannot rebuild the envelopes:")
+        cause = {"no-meta": "no meta.json at", "no-anchor": "no valid anchor",
+                 "nan-anchor": "anchor_t is nan"}[edit]
+        assert cause in detail
+
+    def test_run_envelopes_pass_on_a_reanchored_resume(self, tmp_path, capsys):
+        half_doc = forced_doc()
+        half_doc["scheme"]["t_end"] = 0.5
+        half = write_config(tmp_path, half_doc, "half.json")
+        full = write_config(tmp_path, forced_doc(), "full.json")
+        assert cli.main(["simulate", "--config", half, "--out", str(tmp_path / "half")]) == 0
+        (tmp_path / "half" / "meta.json").unlink()
+        tail = tmp_path / "tail"
+        argv = ["simulate", "--config", full, "--out", str(tail)]
+        assert cli.main(argv + ["--resume", str(tmp_path / "half" / "final.bdna")]) == 0
+        meta = json.loads((tail / "meta.json").read_text())
+        assert meta["anchor"] == "reanchored" and meta["anchor_t"] == 0.5
+        capsys.readouterr()
+        code, rows = self._run_rows(capsys, full, tail)
+        assert code == 0
+        assert rows["run-envelopes"][0] == "PASS"
 
     @pytest.mark.parametrize("kind", ["sphere", "torus"])
     def test_library_checks_make_no_extra_right_hand_side(self, monkeypatch, kind):

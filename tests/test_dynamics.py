@@ -356,9 +356,9 @@ class TestCoupledRemainder:
             states = [ops.random_state(plan, seed=80 + k) for k in range(5)]
             psis = np.stack([s.psi for s in states])
             hs = np.random.default_rng(81).standard_normal((5, plan.n_harmonic))
-            dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, fstate)
+            dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
             # row 0 does not depend on the rows stacked after it
-            dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, fstate)
+            dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, dyn.run_constants(plan, p))
             assert np.array_equal(dpsis[0], dpsi0[0])
             assert np.array_equal(dhs[0], dh0[0])
             want_psi, want_h = _separate_remainders(plan, psis, hs, p, fstate)
@@ -378,8 +378,8 @@ class TestCoupledRemainder:
         # an even truncation (order 0 alone in its table block), an odd one,
         # and more stacked fields, so more columns in each Legendre matmul
         plan, p, fstate, psis, hs = _kernel_case("sphere", trunc, rows)
-        dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, fstate)
-        dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, fstate)
+        dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
+        dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, dyn.run_constants(plan, p))
         want_psi, want_h = _separate_remainders(plan, psis[:1], hs[:1], p, fstate)
         assert dpsis[0].tobytes() == dpsi0[0].tobytes() == want_psi[0].tobytes()
         assert dhs[0].tobytes() == dh0[0].tobytes() == want_h[0].tobytes()
@@ -409,14 +409,14 @@ forcing = dyn.Forcing(
     rng.standard_normal(plan.n_modes) / plan.lam, rng.standard_normal(plan.n_harmonic)
 )
 params = dyn.ModelParams(nu=0.3, alpha=0.8, sigma=0.3, forcing=forcing)
-fstate = dyn.forcing_state(plan, forcing)
+run = dyn.run_constants(plan, params)
 psis = rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam)
 hs = rng.standard_normal((rows, plan.n_harmonic))
 for _ in range(3):
-    dyn._remainder_u(plan, psis, hs, params, fstate)
+    dyn._remainder_u(plan, psis, hs, params, run)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
-    dyn._remainder_u(plan, psis, hs, params, fstate)
+    dyn._remainder_u(plan, psis, hs, params, run)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -654,7 +654,7 @@ class TestWorkspaceKernel:
         plan, p, fstate, psis, hs = _kernel_case(kind, trunc, rows)
         want = _AllocatingRemainder(plan).remainder_u(psis, hs, p, fstate)
         for _ in range(2):  # a fresh and a reused workspace
-            got = dyn._remainder_u(plan, psis, hs, p, fstate)
+            got = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
@@ -686,7 +686,7 @@ class TestWorkspaceKernel:
             plan, p, fstate, psis, hs = _kernel_case(kind, 9, 4)
             states = [ops.VelocityState(psi, h) for psi, h in zip(psis, hs)]
             calls = (
-                lambda k: dyn._remainder_u(plan, psis[2 * k : 2 * k + 2], hs[2 * k : 2 * k + 2], p, fstate),
+                lambda k: dyn._remainder_u(plan, psis[2 * k : 2 * k + 2], hs[2 * k : 2 * k + 2], p, dyn.run_constants(plan, p)),
                 lambda k: dyn.rhs_u(plan, states[k], p),
                 lambda k: dyn.nonlinear_term(plan, states[k]),
             )
@@ -725,14 +725,14 @@ class TestTransformPasses:
     def test_torus_remainders_make_no_fft_call(self, monkeypatch):
         plan = torus_plan(16)
         params = params_for(plan, seed=6)
-        fstate = dyn.forcing_state(plan, params.forcing)
+        run = dyn.run_constants(plan, params)
         rng = np.random.default_rng(7)
         psis = rng.standard_normal((7, plan.n_modes)) / (1.0 + plan.lam)
         hs = rng.standard_normal((7, 2))
         state = ops.VelocityState(psis[0], hs[0])
         calls = self._count_ffts(monkeypatch)
-        dyn._remainder_u(plan, psis[:1], hs[:1], params, fstate)
-        dyn._remainder_u(plan, psis, hs, params, fstate)
+        dyn._remainder_u(plan, psis[:1], hs[:1], params, run)
+        dyn._remainder_u(plan, psis, hs, params, run)
         dyn.rhs_u(plan, state, params)
         assert calls == []
         # the counter sees the sphere's FFTs
