@@ -165,13 +165,13 @@ def recheck_run_dir(out, plan, params, dt, meta):
     against them, the worst recorded energy-law residual, and the time
     average of ||u||^2 against its closed-form bound for the configured
     parameters.  `dt` is the configured step.  `meta` is the run's
-    meta.json as a pair (dict or None, cause): a dt there other than `dt`,
-    or no valid anchor, fails the first row, and a cause that is not None
-    says why meta.json does not echo the configured parameters and fails
-    the last row.
+    meta.json as a pair (dict or None, cause): a dt there that is missing
+    or other than `dt`, or no valid anchor, fails the first row, and a
+    cause that is not None says why meta.json does not echo the configured
+    parameters and fails the last row.
     """
     meta, meta_cause = meta
-    run_dt = (meta or {}).get("dt", dt)
+    run_dt = dt if meta is None else meta.get("dt")
     if meta is None:
         anchor, anchor_cause = None, meta_cause
     else:
@@ -190,6 +190,8 @@ def recheck_run_dir(out, plan, params, dt, meta):
             raise ConfigurationError(f"diagnostics.csv column {name}: {exc!r}") from exc
 
     def envelopes():
+        if run_dt is None:
+            return False, "meta.json has no dt"
         if run_dt != dt:
             return False, f"meta.json dt is {run_dt!r}, the config has dt {dt!r}"
         if anchor is None:

@@ -210,6 +210,8 @@ def _diag_row(r, dt):
 
 
 def _param_echo(spec):
+    """The config's model parameters as meta.json and lyapunov.json echo
+    them, in JSON-native lists, so that one read back compares equal."""
     return {
         "geometry": spec.geometry.kind,
         "length": spec.geometry.length,
@@ -217,6 +219,10 @@ def _param_echo(spec):
         "nu": spec.nu,
         "alpha": spec.alpha,
         "sigma": spec.sigma,
+        "forcing": {
+            "modes": [[*index, amplitude] for index, amplitude in spec.forcing_modes],
+            "harmonic": list(spec.forcing_harmonic),
+        },
     }
 
 

@@ -26,13 +26,12 @@ acts on row 0 only.  All rows share one flow synthesis and one flow
 analysis.  A trajectory steps a one-row stack; the Lyapunov ensemble steps
 the base state with its tangents.
 
-What the kernel needs of a run's plan and parameters besides the rows is
-built once per run by `run_constants`, and `remainder` wraps the kernel for
-a run with them: the Helmholtz divisor 1 + alpha^2 lam, the row-0 forcing
-and the drag, each signed so that the kernel finishes the Leray rows in
-place and makes no negation pass.  The signs follow the Leray part as the
-analysis leaves it: the sphere's product takes grad psi for
-n x u = -grad psi, so its Leray part comes out negated.
+What the kernel needs of a run's plan and parameters besides the rows, the
+forcing psi_f and the Helmholtz divisor 1 + alpha^2 lam, is built once per
+run by `run_constants`, and `remainder` wraps the kernel for a run with
+them.  On both geometries the product is formed on
+grad psi - n x h = -(n x u), so the analysis returns -P and -Q, and the
+kernel finishes each row in place with no negation pass.
 
 The prepared variant evolves v directly on the sphere with the nonlinear and
 forcing terms multiplied by a smooth cutoff of |v| / rho, which makes every
@@ -113,21 +112,14 @@ def validate_params(plan, params):
 # nonlinearity
 
 
-def _leray_sign(plan):
-    """The sign s that `_product_parts` leaves on the Leray part: -1 on the
-    sphere, where the product takes grad psi for n x u = -grad psi."""
-    return 1.0 if plan.n_harmonic else -1.0
-
-
 def _product_parts(plan, psis, hs):
-    """s P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..,
-    s = `_leray_sign(plan)`.
+    """-P and -Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..
 
     The rows run through the plan core's transforms directly, checked here
-    once.  With u = n x grad psi + h, n x u = -grad psi + n x h is formed in
-    place of the gradient grids, which the core workspace's `grids` holds,
-    and the product in its `g`, through the views the workspace binds.  On
-    the sphere the product takes grad psi, and the sign stays with the
+    once.  With u = n x grad psi + h, the product takes
+    grad psi - n x h = -(n x u), formed in place of the gradient grids,
+    which the core workspace's `grids` holds, and the product in its `g`,
+    through the views the workspace binds.  The sign stays with the
     analyzed rows, far fewer than grid points.
     """
     if psis.shape[1:] != (plan.n_modes,) or hs.shape != (len(psis), plan.n_harmonic):
@@ -139,27 +131,19 @@ def _product_parts(plan, psis, hs):
     ws = core.workspace(len(psis))
     core.flow_synthesis(psis, ws.grids)
     if plan.n_harmonic:
-        # (-h_y - grad_x, h_x - grad_y); the first is -(grad_x + h_y) exactly
-        np.subtract(-hs[:, 1, None, None], ws.grad_x, out=ws.grad_x)
-        np.subtract(hs[:, 0, None, None], ws.grad_y, out=ws.grad_y)
+        # n x h = (-h_y, h_x)
+        np.add(ws.grad_x, hs[:, 1, None, None], out=ws.grad_x)
+        np.subtract(ws.grad_y, hs[:, 0, None, None], out=ws.grad_y)
     g = np.multiply(ws.zeta, ws.grad0, out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
         ws.g_rest += np.multiply(ws.zeta0, ws.grad_rest, out=ws.grad_rest)
     return core.flow_analysis(g)
 
 
-def _nonlinearity(plan, psis, hs):
-    """Leray and harmonic parts of zeta (n x u) on row 0, Ntilde(u, U) on rows 1.."""
-    p, q = _product_parts(plan, psis, hs)
-    if _leray_sign(plan) < 0.0:
-        np.negative(p, out=p)
-    return p, q
-
-
 def nonlinear_term(plan, state):
     """B(u, u) = (P + Q)(zeta * (n x u)) with zeta * (n x u) formed pointwise."""
-    p, q = _nonlinearity(plan, state.psi[None], state.harmonic[None])
-    return NonlinearSplit(p[0], q[0])
+    p, q = _product_parts(plan, state.psi[None], state.harmonic[None])
+    return NonlinearSplit(-p[0], -q[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +152,18 @@ def nonlinear_term(plan, state):
 
 @dataclass(frozen=True)
 class RunConstants:
-    """What `_remainder_u` needs of one run's plan and parameters, signed for
-    the s P that `_product_parts` returns: the row-0 forcing s psi_f, the
-    drag s sigma and the Helmholtz divisor -s (1 + alpha^2 lam)."""
+    """What `_remainder_u` needs of one run's plan and parameters: the row-0
+    forcing psi_f and the Helmholtz divisor 1 + alpha^2 lam."""
 
     forcing: np.ndarray
-    drag: float
     divisor: np.ndarray
 
 
 def run_constants(plan, params):
     """The `RunConstants` of (plan, params), built once per run."""
-    s = _leray_sign(plan)
-    fstate = forcing_state(plan, params.forcing)
-    return RunConstants(s * fstate.psi, s * params.sigma, -s * (1.0 + params.alpha**2 * plan.lam))
+    return RunConstants(
+        forcing_state(plan, params.forcing).psi, 1.0 + params.alpha**2 * plan.lam
+    )
 
 
 def remainder(plan, params):
@@ -202,21 +184,19 @@ def _remainder_u(plan, psis, hs, params, run):
     """Non-stiff tendency of stacked rows; the integrator exponentiates -nu lam.
 
     Row 0 is the base state with the forcing; rows 1.. are its tangents.
-    `run` is `run_constants(plan, params)`.  Each row is formed in place as
-    ((s P - s psi_f) + s sigma psi) / (-s (1 + alpha^2 lam)): negation and a
-    negated divisor are exact, so it rounds as (psi_f - P - sigma psi) /
-    (1 + alpha^2 lam), the single-state order, up to the sign of an entry
-    that cancels to exactly zero.  The harmonic rows are
-    (f2 - sigma h) - Q on row 0 and -sigma h - Q on the others.
+    `run` is `run_constants(plan, params)`.  Each row is formed in place on
+    the -P of `_product_parts` as ((psi_f - P) - sigma psi) / (1 + alpha^2 lam),
+    without psi_f on rows 1..; the harmonic rows are (f2 - sigma h) - Q on
+    row 0 and -sigma h - Q on the others.
     """
     p, q = _product_parts(plan, psis, hs)
-    p[0] -= run.forcing
-    p += np.multiply(run.drag, psis)
+    p[0] += run.forcing
+    p -= np.multiply(params.sigma, psis)
     p /= run.divisor
     if plan.n_harmonic:
         dh = np.multiply(hs, -params.sigma)
         dh[0] += params.forcing.f2
-        q = np.subtract(dh, q, out=dh)
+        q = np.add(dh, q, out=dh)
     return p, q
 
 
@@ -249,13 +229,13 @@ def cutoff_theta(x):
     return out if out.ndim else float(out)
 
 
-def _remainder_prepared(plan, vpsis, params, rho, fstate):
-    """Non-stiff tendency of the prepared equation on a one-row stack."""
-    upsis = vpsis / (1.0 + params.alpha**2 * plan.lam)
-    p, _ = _nonlinearity(plan, upsis, np.zeros((1, 0)))
+def _remainder_prepared(plan, vpsis, rho, run):
+    """Non-stiff tendency theta (psi_f - P) of the prepared equation on a
+    one-row stack, P that of u = v / (1 + alpha^2 lam); `run` is
+    `run_constants(plan, params)`."""
+    p, _ = _product_parts(plan, vpsis / run.divisor, np.zeros((1, 0)))
     nv = float(np.sqrt(np.dot(plan.lam * vpsis[0], vpsis[0])))
-    th = cutoff_theta(nv / rho)
-    return -th * (p - fstate.psi)
+    return cutoff_theta(nv / rho) * (p + run.forcing)
 
 
 def prepared_rhs(plan, vstate, params, rho):
@@ -270,6 +250,6 @@ def prepared_rhs(plan, vstate, params, rho):
         raise ConfigurationError(f"rho must be positive, got {rho}")
     if params.sigma != 0.0:
         raise ConfigurationError("the prepared equation carries no drag; set sigma = 0")
-    fstate = forcing_state(plan, params.forcing)
-    dpsi = _remainder_prepared(plan, vstate.psi[None], params, rho, fstate)[0]
+    run = run_constants(plan, params)
+    dpsi = _remainder_prepared(plan, vstate.psi[None], rho, run)[0]
     return ops.VelocityState(dpsi - params.nu * plan.lam * vstate.psi, np.zeros(0))

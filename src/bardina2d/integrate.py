@@ -202,10 +202,10 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     # delegate validation of geometry / rho / sigma
     dyn.prepared_rhs(plan, vstate, params, rho)
     steps = _step_range(scheme, t_start)
-    fstate = dyn.forcing_state(plan, params.forcing)
+    run = dyn.run_constants(plan, params)
 
     def rem(vpsi, h):
-        return dyn._remainder_prepared(plan, vpsi, params, rho, fstate), np.zeros_like(h)
+        return dyn._remainder_prepared(plan, vpsi, rho, run), np.zeros_like(h)
 
     state = ops.VelocityState(vstate.psi, np.zeros(0))
     return _one_row(plan, params, state, rem, scheme, steps, observers)

@@ -122,13 +122,13 @@ class TestSimulate:
         tail_snap = (tmp_path / "tail" / "final.bdna").read_bytes()
         assert full_snap == tail_snap
 
-    def _half_and_tail(self, tmp_path, edit_meta, capsys):
-        """Resume a half run whose meta.json `edit_meta` altered; the tail's
-        meta and stderr."""
+    def _half_and_tail(self, tmp_path, edit_meta, capsys, full_doc=None):
+        """Resume a half run whose meta.json `edit_meta` altered, under
+        `full_doc` (forced_doc() when None); the tail's meta and stderr."""
         half_doc = forced_doc()
         half_doc["scheme"]["t_end"] = 0.5
         half = write_config(tmp_path, half_doc, "half.json")
-        full = write_config(tmp_path, forced_doc(), "full.json")
+        full = write_config(tmp_path, full_doc or forced_doc(), "full.json")
         assert cli.main(["simulate", "--config", half, "--out", str(tmp_path / "half")]) == 0
         edit_meta(tmp_path / "half" / "meta.json")
         capsys.readouterr()
@@ -164,6 +164,17 @@ class TestSimulate:
         lines = err.splitlines()
         assert len(lines) == 1
         assert "re-anchored" in lines[0] and "nu is 0.25" in lines[0]
+
+    def test_resume_with_other_forcing_records_reanchoring(self, tmp_path, capsys):
+        # meta.json echoes the forcing, so a resume under another amplitude
+        # re-anchors with meta.json left as the first leg wrote it
+        other = forced_doc(forcing={"modes": [[1, 2, 15.0]], "harmonic": [0.2, 0.0]})
+        meta, err = self._half_and_tail(tmp_path, lambda path: None, capsys, other)
+        assert meta["anchor"] == "reanchored"
+        assert meta["anchor_t"] == 0.5
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "re-anchored" in lines[0] and "forcing is" in lines[0]
 
     @pytest.mark.parametrize(
         "bad,key",
@@ -663,6 +674,16 @@ class TestVerifySelftest:
         status, detail = rows["run-average-enstrophy"]
         assert status == "FAIL" and "alpha is 0.5" in detail
 
+    def test_average_enstrophy_row_names_other_forcing(self, tmp_path, capsys):
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        other = forced_doc(forcing={"modes": [[1, 2, 15.0]], "harmonic": [0.2, 0.0]})
+        code, rows = self._run_rows(capsys, write_config(tmp_path, other, "other.json"), out)
+        assert code == 1
+        status, detail = rows["run-average-enstrophy"]
+        assert status == "FAIL" and "forcing is" in detail
+
     def test_non_numeric_diagnostics_field_fails_the_row(self, tmp_path, capsys):
         config = write_config(tmp_path, forced_doc())
         out = tmp_path / "run"
@@ -685,7 +706,9 @@ class TestVerifySelftest:
         status, detail = rows["run-average-enstrophy"]
         assert status == "PASS" and detail.startswith("skipped")
 
-    @pytest.mark.parametrize("probe", ["meta-dt-nan", "meta-dt-huge", "nan-E1", "nan-env1"])
+    @pytest.mark.parametrize(
+        "probe", ["meta-dt-nan", "meta-dt-huge", "meta-dt-missing", "nan-E1", "nan-env1"]
+    )
     def test_run_envelopes_fails_what_it_cannot_read(self, tmp_path, capsys, probe):
         # E1 at 10 times its envelope in one row must fail the row whatever
         # step meta.json claims, and a NaN energy or envelope must not pass
@@ -704,7 +727,10 @@ class TestVerifySelftest:
         else:
             row[e1] = format(10.0 * float(row[env1]), ".17g")
             meta = json.loads((out / "meta.json").read_text())
-            meta["dt"] = math.nan if probe == "meta-dt-nan" else 1e6
+            if probe == "meta-dt-missing":
+                del meta["dt"]
+            else:
+                meta["dt"] = math.nan if probe == "meta-dt-nan" else 1e6
             (out / "meta.json").write_text(json.dumps(meta))
         csv_path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
         code, rows = self._run_rows(capsys, config, out)
@@ -712,7 +738,9 @@ class TestVerifySelftest:
         status, detail = rows["run-envelopes"]
         assert status == "FAIL"
         assert rows["run-energy-law"][0] == "PASS"
-        if probe.startswith("meta-dt"):
+        if probe == "meta-dt-missing":
+            assert detail == "meta.json has no dt"
+        elif probe.startswith("meta-dt"):
             run_dt = "nan" if probe == "meta-dt-nan" else "1000000.0"
             assert detail == f"meta.json dt is {run_dt}, the config has dt 0.01"
 

@@ -254,7 +254,7 @@ def _wrong_width_calls():
 
 class TestWrongWidthRows:
     """A state of the wrong width raises ShapeError from every entry point:
-    `_nonlinearity`'s row check is the only guard before the plan core's
+    `_product_parts`'s row check is the only guard before the plan core's
     transforms, and entry points that stack states check them first."""
 
     @pytest.mark.parametrize(
@@ -618,7 +618,8 @@ class _AllocatingRemainder:
                 p[:, slot] += a[:, row, col] * (amp * quad * sign / self.plan.lam[slot])
         return p, g.mean(axis=(-2, -1))
 
-    def remainder_u(self, psis, hs, params, fstate):
+    def product(self, psis, hs):
+        """P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1.."""
         plan = self.plan
         if plan.geometry.kind == basis.SPHERE:
             synthesis, analysis = self._sphere_synthesis, self._sphere_analysis
@@ -632,12 +633,35 @@ class _AllocatingRemainder:
         g = zeta[:, None] * _rot90(u[0])
         if len(g) > 1:
             g[1:] += zeta[0] * _rot90(u[1:])
-        p, q = analysis(g)
+        return analysis(g)
+
+    def remainder_u(self, psis, hs, params, fstate):
+        plan = self.plan
+        p, q = self.product(psis, hs)
         filt = 1.0 + params.alpha**2 * plan.lam
         drag_h = params.sigma * hs
         p[0] -= fstate.psi
         drag_h[0] -= fstate.harmonic
         return (-p - params.sigma * psis) / filt, -drag_h - q
+
+
+class TestProductSign:
+    """The kernel forms its product on grad psi - n x h = -(n x u) on both
+    geometries; nonlinear_term negates what it returns."""
+
+    @pytest.mark.parametrize(
+        "kind,trunc,rows",
+        [("sphere", 21, 1), ("sphere", 21, 9), ("torus", 16, 1), ("torus", 16, 7)],
+    )
+    def test_product_parts_are_the_negated_analysis(self, kind, trunc, rows):
+        plan, _, _, psis, hs = _kernel_case(kind, trunc, rows)
+        want_p, want_q = _AllocatingRemainder(plan).product(psis, hs)
+        got_p, got_q = dyn._product_parts(plan, psis, hs)
+        assert np.array_equal(got_p, -want_p)
+        assert np.array_equal(got_q, -want_q)
+        split = dyn.nonlinear_term(plan, ops.VelocityState(psis[0], hs[0]))
+        assert np.array_equal(split.p_part, want_p[0])
+        assert np.array_equal(split.q_part, want_q[0])
 
 
 class TestWorkspaceKernel:
