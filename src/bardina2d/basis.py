@@ -686,6 +686,16 @@ def mode_slot(plan, index):
     return plan.core.slot_of[(a, b)]
 
 
+def mode_index(plan, slot):
+    """Spectral index of a flat slot as a pair of ints: the inverse of `mode_slot`."""
+    slot = int(slot)
+    if plan.geometry.kind == SPHERE:
+        n = math.isqrt(slot + 1)  # slot + 1 = n^2 + n + m with |m| <= n
+        return n, slot + 1 - n * n - n
+    a, b = plan.core.qvec[slot]
+    return int(a), int(b)
+
+
 def slot_map(plan, larger):
     """Slot in `larger` (same geometry, higher truncation) of each slot of `plan`."""
     if plan.geometry.kind == SPHERE:

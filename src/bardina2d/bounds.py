@@ -21,7 +21,7 @@ spectral norms of the forcing.  The conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -249,10 +249,15 @@ def inertial_report(plan, params, rho, n_max=32, c=1.0):
 
 
 def bounds_report(plan, params, n_max=32, c=1.0):
-    """Self-describing dict of every constant, radius, and bound (JSON-ready)."""
+    """Self-describing dict of every constant, radius, and bound (JSON-ready).
+
+    The `DissipativityConstants` and `AbsorbingRadii` enter under their
+    field names, `k2_direct` alone renamed to `k2_from_direct_inequality`;
+    the inputs carry each `ForcingNorms` field f as `f_norm`.  On the sphere
+    `inertial` is the `InertialReport`, its gaps as a list.
+    """
     norms = forcing_norms(plan, params.forcing)
     con = constants(plan, params, norms)
-    radii = absorbing_radii(plan, params, norms)
     out = {
         "inputs": {
             "geometry": plan.geometry.kind,
@@ -261,43 +266,22 @@ def bounds_report(plan, params, n_max=32, c=1.0):
             "nu": params.nu,
             "alpha": params.alpha,
             "sigma": params.sigma,
-            "f1_norm": norms.f1,
-            "f1_half_inv_norm": norms.f1_half_inv,
-            "f1_inv_norm": norms.f1_inv,
-            "f2_norm": norms.f2,
+            **{f"{key}_norm": value for key, value in asdict(norms).items()},
             "f_total_norm": norms.total,
             "lipschitz_c": c,
         },
-        "lambda_1": con.lambda_1,
-        "delta": con.delta,
-        "delta_prime": con.delta_prime,
-        "l1": con.l1,
-        "l2": con.l2,
-        "k1": con.k1,
-        "k2": con.k2,
-        "k2_from_direct_inequality": con.k2_direct,
-        "rho0": radii.rho0,
-        "rho1": radii.rho1,
-        "rho1_tilde": radii.rho1_tilde,
-        "rho2": radii.rho2,
-        "rho_v_sum": radii.rho_v_sum,
-        "rho_v_half": radii.rho_v_half,
+        **asdict(con),
+        **asdict(absorbing_radii(plan, params, norms)),
         "grashof": grashof(params.nu, norms.total),
         "nstar": attractor_bound(plan, params, norms),
         "average_enstrophy_bound": 2.0 * con.l2 / con.delta_prime,
         "exponent_note": EXPONENT_NOTE,
     }
+    out["k2_from_direct_inequality"] = out.pop("k2_direct")
     if plan.geometry.kind == basis.SPHERE:
         tight, loose = sphere_enstrophy_levels(params.nu, params.alpha, norms)
         out["l2_over_deltap_tight"] = tight
         out["l2_over_deltap_loose"] = loose
-        rep = inertial_report(plan, params, radii.rho_v_sum, n_max=n_max, c=c)
-        out["inertial"] = {
-            "gaps": rep.gaps.tolist(),
-            "ell": rep.ell,
-            "rho": rep.rho,
-            "c": rep.c,
-            "crossing": rep.crossing,
-            "squeezing_note": rep.squeezing_note,
-        }
+        rep = inertial_report(plan, params, out["rho_v_sum"], n_max=n_max, c=c)
+        out["inertial"] = {**asdict(rep), "gaps": rep.gaps.tolist()}
     return out

@@ -15,6 +15,7 @@ failed verification suite), 2 invalid configuration or input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -48,32 +49,17 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _write_lines(path, lines):
-    from .atomic import replacing
+# the writers write the path an `atomic.committing` block staged for them
 
-    with replacing(path) as fh:
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(value):
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _write_json(path, obj):
-    from .atomic import replacing
-
-    with replacing(path) as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -186,53 +172,46 @@ def _load_spec(args):
 
 
 def _diag_row(r, dt):
-    """One diagnostics.csv line for one record, without its newline."""
+    """One diagnostics.csv line for a `DiagnosticsRecord`, without its newline:
+    the fields in declaration order (the order of `_DIAG_HEADER` and of
+    vars(), which astuple would copy), then the count of envelope flags."""
     from . import verification
 
     over1, over2 = verification.envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt)
-    flags = int(over1) + int(over2)
-    return ",".join(
-        [
-            _fmt(r.t),
-            _fmt(r.u_l2),
-            _fmt(r.u_v),
-            _fmt(r.au_l2),
-            _fmt(r.h_l2),
-            _fmt(r.v_l2),
-            _fmt(r.e1),
-            _fmt(r.e2),
-            _fmt(r.envelope1),
-            _fmt(r.envelope2),
-            _fmt(r.energy_residual),
-            str(flags),
-        ]
-    )
+    return ",".join([*map(_fmt, vars(r).values()), str(int(over1) + int(over2))])
 
 
-def _param_echo(spec):
-    """The config's model parameters as meta.json and lyapunov.json echo
-    them, in JSON-native lists, so that one read back compares equal."""
+def _param_echo(plan, params):
+    """The run's model as meta.json and lyapunov.json echo it, in JSON-native
+    lists, so that one read back compares equal.  The forcing is the realized
+    one: its nonzero modes as [index, index, amplitude] in slot order, and
+    the harmonic pair, [] when zero; other config rows for it echo alike."""
+    from . import basis
+
+    f1, f2 = params.forcing.f1_curl, params.forcing.f2
     return {
-        "geometry": spec.geometry.kind,
-        "length": spec.geometry.length,
-        "truncation": spec.truncation,
-        "nu": spec.nu,
-        "alpha": spec.alpha,
-        "sigma": spec.sigma,
+        "geometry": plan.geometry.kind,
+        "length": plan.geometry.length,
+        "truncation": plan.truncation,
+        "nu": params.nu,
+        "alpha": params.alpha,
+        "sigma": params.sigma,
         "forcing": {
-            "modes": [[*index, amplitude] for index, amplitude in spec.forcing_modes],
-            "harmonic": list(spec.forcing_harmonic),
+            "modes": [
+                [*basis.mode_index(plan, slot), f1[slot].item()] for slot in f1.nonzero()[0]
+            ],
+            "harmonic": f2.tolist() if f2.any() else [],
         },
     }
 
 
-def _load_meta(meta_path, spec):
+def _load_meta(meta_path, plan, params):
     """(meta, cause) for the meta.json at meta_path.
 
     meta is its dict, or None when the file is missing, unreadable or not a
-    JSON object.  cause is None when meta echoes the config's parameters;
-    otherwise it says why not: the read error, or the first key echoed
-    differently, with both values.
+    JSON object.  cause is None when meta echoes the run's model
+    (`_param_echo`); otherwise it says why not: the read error, or the first
+    key echoed differently, with both values.
     """
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -243,13 +222,13 @@ def _load_meta(meta_path, spec):
         return None, f"{meta_path} is unreadable ({exc})"
     if not isinstance(meta, dict):
         return None, f"{meta_path} is not a JSON object"
-    for key, value in _param_echo(spec).items():
+    for key, value in _param_echo(plan, params).items():
         if meta.get(key) != value:
             return meta, f"{meta_path}: {key} is {meta.get(key)!r}, the config has {value!r}"
     return meta, None
 
 
-def _resume_anchor(resume_path, spec):
+def _resume_anchor(resume_path, plan, params):
     """Envelope anchor of the original run, read from meta.json next to the
     snapshot; resumed diagnostics then continue the original envelopes bitwise.
 
@@ -260,7 +239,7 @@ def _resume_anchor(resume_path, spec):
     from . import verification
 
     meta_path = os.path.join(os.path.dirname(os.path.abspath(resume_path)), "meta.json")
-    meta, cause = _load_meta(meta_path, spec)
+    meta, cause = _load_meta(meta_path, plan, params)
     if cause is not None:
         return None, cause
     anchor, cause = verification.meta_anchor(meta)
@@ -285,7 +264,7 @@ def cmd_simulate(args, spec):
         snapshot.check_snapshot(snap, plan, params)
         state = snapshot.as_state(snap)
         t_start = snap.t
-        anchor, reanchor_cause = _resume_anchor(args.resume, spec)
+        anchor, reanchor_cause = _resume_anchor(args.resume, plan, params)
     else:
         state = cfg.initial_state(plan, spec)
         t_start = 0.0
@@ -302,21 +281,14 @@ def cmd_simulate(args, spec):
         )
 
     out = _out_dir(args, spec)
-    meta = _param_echo(spec)
-    meta.update(
-        {
-            "anchor_e1": float(anchor[0]),
-            "anchor_e2": float(anchor[1]),
-            "anchor_t": float(anchor[2]),
-            "dt": scheme.dt,
-            "t_end": scheme.t_end,
-            "stride": scheme.stride,
-            "method": scheme.method,
-            "t_start": t_start,
-            "seed": spec.seed,
-            "diagnostics": "diagnostics.csv",
-        }
-    )
+    meta = {
+        **_param_echo(plan, params),
+        **dataclasses.asdict(scheme),
+        **dict(zip(verification.ANCHOR_KEYS, map(float, anchor))),
+        "t_start": t_start,
+        "seed": spec.seed,
+        "diagnostics": "diagnostics.csv",
+    }
     if reanchor_cause is not None:
         # the envelopes restart from the snapshot state, not the original run
         meta["anchor"] = "reanchored"
@@ -363,11 +335,9 @@ def cmd_simulate(args, spec):
     # the snapshot name meta does not give is an earlier run's, unless this
     # run resumed from it
     stale = os.path.join(out, stale)
-    try:
+    with contextlib.suppress(FileNotFoundError):
         if not (args.resume and os.path.samefile(stale, args.resume)):
             os.remove(stale)
-    except FileNotFoundError:
-        pass
     if diverged is not None:
         print(f"error: {diverged}; partial diagnostics flushed, last recorded "
               f"state in {kept}", file=sys.stderr)
@@ -384,6 +354,7 @@ def cmd_lyapunov(args, spec):
 
     from . import config as cfg
     from . import lyapunov
+    from .atomic import committing
     from .errors import ConfigurationError
 
     if spec.lyapunov is None:
@@ -396,38 +367,26 @@ def cmd_lyapunov(args, spec):
     verdict = lyapunov.compare_bound(plan, report, params)
 
     out = _out_dir(args, spec)
-    n = spec.lyapunov.n_ensemble
-    header = ",".join(
-        ["t"] + [f"mu_{k}" for k in range(1, n + 1)] + [f"q_{k}" for k in range(1, n + 1)]
-    )
-    lines = [header]
-    for row in range(report.t_series.size):
-        mu = np.sort(report.mu_series[row])[::-1]
-        q = np.cumsum(mu)
-        lines.append(",".join([_fmt(report.t_series[row])] + [_fmt(x) for x in mu] + [_fmt(x) for x in q]))
-    _write_lines(os.path.join(out, "exponents.csv"), lines)
+    ks = range(1, spec.lyapunov.n_ensemble + 1)
+    header = ",".join(["t", *(f"mu_{k}" for k in ks), *(f"q_{k}" for k in ks)])
+    mu = np.sort(report.mu_series, axis=1)[:, ::-1]
+    table = np.column_stack((report.t_series, mu, np.cumsum(mu, axis=1)))
+    lines = [header, *(",".join(map(_fmt, row)) for row in table)]
 
-    payload = _param_echo(spec)
-    payload.update(
-        {
-            "exponents": report.exponents,
-            "q_partial": report.q_partial,
-            "dim_ky": report.dim_ky,
-            "ky_saturated": report.ky_saturated,
-            "nstar": report.nstar,
-            "measured_crossing": verdict["measured_crossing"],
-            "consistent": verdict["consistent"],
-            "verdict": verdict["verdict"],
-            "advice": verdict["advice"],
-            "gs_min_scale": report.gs_min_scale,
-            "n_ensemble": spec.lyapunov.n_ensemble,
-            "t_transient": spec.lyapunov.t_transient,
-            "t_average": spec.lyapunov.t_average,
-            "renorm_interval": spec.lyapunov.renorm_interval,
-            "seed": spec.lyapunov.seed,
-        }
-    )
-    _write_json(os.path.join(out, "lyapunov.json"), payload)
+    # the verdict's nstar is the report's: one attractor_bound call shape
+    payload = {
+        **_param_echo(plan, params),
+        **dataclasses.asdict(spec.lyapunov),
+        **verdict,
+        "exponents": report.exponents.tolist(),
+        "q_partial": report.q_partial.tolist(),
+        "dim_ky": report.dim_ky,
+        "ky_saturated": report.ky_saturated,
+        "gs_min_scale": report.gs_min_scale,
+    }
+    with committing() as stage:
+        _write_lines(stage(os.path.join(out, "exponents.csv")), lines)
+        _write_json(stage(os.path.join(out, "lyapunov.json")), payload)
     return 0
 
 
@@ -435,41 +394,35 @@ def cmd_lyapunov(args, spec):
 # bounds
 
 
+# the bounds.json fields of a bounds_sweep.csv row, after the parameter and its value
 _SWEEP_FIELDS = (
-    "lambda_1",
-    "delta",
-    "delta_prime",
-    "l1",
-    "l2",
-    "grashof",
-    "nstar",
-    "rho0",
-    "rho1",
-    "rho1_tilde",
-    "rho2",
-    "rho_v_sum",
-    "average_enstrophy_bound",
+    "lambda_1", "delta", "delta_prime", "l1", "l2", "grashof", "nstar",
+    "rho0", "rho1", "rho1_tilde", "rho2", "rho_v_sum", "average_enstrophy_bound",
 )
 
 
 def cmd_bounds(args, spec):
     from . import bounds
     from . import config as cfg
+    from .atomic import committing
 
     plan = cfg.build_plan(spec)
     params = cfg.model_params(plan, spec)
     out = _out_dir(args, spec)
-    _write_json(os.path.join(out, "bounds.json"), bounds.bounds_report(plan, params))
+    sweep_path = os.path.join(out, "bounds_sweep.csv")
+    with committing() as stage:
+        _write_json(stage(os.path.join(out, "bounds.json")), bounds.bounds_report(plan, params))
+        if spec.sweep is not None:
+            key, values = spec.sweep
+            lines = ["parameter,value," + ",".join(_SWEEP_FIELDS)]
+            for value in values:
+                point = bounds.bounds_report(plan, cfg.model_params(plan, spec, **{key: value}))
+                lines.append(",".join([key, _fmt(value), *(_fmt(point[f]) for f in _SWEEP_FIELDS)]))
+            _write_lines(stage(sweep_path), lines)
 
-    if spec.sweep is not None:
-        key, values = spec.sweep
-        lines = ["parameter,value," + ",".join(_SWEEP_FIELDS)]
-        for value in values:
-            point = bounds.bounds_report(plan, cfg.model_params(plan, spec, **{key: value}))
-            lines.append(
-                ",".join([key, _fmt(value)] + [_fmt(point[f]) for f in _SWEEP_FIELDS])
-            )
-        _write_lines(os.path.join(out, "bounds_sweep.csv"), lines)
+    if spec.sweep is None:  # then a sweep CSV is an earlier run's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sweep_path)
     return 0
 
 
@@ -489,7 +442,7 @@ def cmd_verify(args, spec):
     rows = checks.library_checks(plan, params, seed)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
-        meta = _load_meta(os.path.join(run_dir, "meta.json"), spec)
+        meta = _load_meta(os.path.join(run_dir, "meta.json"), plan, params)
         rows.extend(checks.recheck_run_dir(run_dir, plan, params, spec.scheme.dt, meta))
     return checks.print_table(rows)
 

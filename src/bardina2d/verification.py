@@ -30,6 +30,9 @@ DT_ALLOWANCE_COEFF = 1.0
 # relative tolerance of a sampled energy above its envelope
 ENVELOPE_SLACK = 1e-6
 
+# the meta.json keys of a run's envelope anchor (e1_0, e2_0, t0)
+ANCHOR_KEYS = ("anchor_e1", "anchor_e2", "anchor_t")
+
 # worst energy-law residual a run may record: sound runs record about 1e-16,
 # a nonlinearity that breaks <B(u, u), u> = 0 (an output band mask did) 1e-8
 ENERGY_RESIDUAL_TOL = 1e-10
@@ -123,36 +126,28 @@ class Envelopes:
 def envelopes(plan, params, e1_0, e2_0, t0=0.0):
     """The `Envelopes` anchored at (e1_0, e2_0, t0).
 
-    With drag: env1 = e^(-delta t) E1_0 + (L1/delta)(1 - e^(-delta t)) and
-    env2 likewise with rate delta' and level 2 L2.  Without drag (sphere)
-    both rates collapse to nu lambda_1 and the levels are the single-branch
-    |A^-1 f|^2/(nu alpha^2) and |A^-1/2 f|^2/(nu alpha^2), undoubled.  The
-    rates and levels depend only on the plan and parameters, so a run builds
-    this once and every record reuses it.
+    env1 = e^(-delta t) E1_0 + (L1/delta)(1 - e^(-delta t)) and env2
+    likewise with rate delta' and level 2 L2, all from `bounds.constants`,
+    except that without drag (sphere) level2 is the single-branch
+    |A^-1/2 f|^2/(nu alpha^2), undoubled.  They depend only on the plan and
+    parameters, so a run builds this once and every record reuses it.
     """
     dyn.validate_params(plan, params)
     norms = bounds.forcing_norms(plan, params.forcing)
-    if params.sigma == 0.0:
-        rate1 = rate2 = params.nu * plan.lambda_1
-        level1 = norms.f1_inv**2 / (params.nu * params.alpha**2)
-        level2 = norms.f1_half_inv**2 / (params.nu * params.alpha**2)
-    else:
-        c = bounds.constants(plan, params, norms)
-        rate1, rate2 = c.delta, c.delta_prime
-        level1, level2 = c.l1, 2.0 * c.l2
-    return Envelopes(e1_0, e2_0, t0, rate1, rate2, level1, level2)
+    c = bounds.constants(plan, params, norms)
+    level2 = 2.0 * c.l2 if params.sigma else norms.f1_half_inv**2 / (params.nu * params.alpha**2)
+    return Envelopes(e1_0, e2_0, t0, c.delta, c.delta_prime, c.l1, level2)
 
 
 def meta_anchor(meta):
     """The envelope anchor (e1_0, e2_0, t0) a run recorded in its meta.json
     dict, and None; or None and why it holds none: a key is missing or not a
     number, or a value is not finite (json reads NaN and Infinity)."""
-    keys = ("anchor_e1", "anchor_e2", "anchor_t")
     try:
-        anchor = tuple(float(meta[key]) for key in keys)
+        anchor = tuple(float(meta[key]) for key in ANCHOR_KEYS)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None, "no valid anchor_e1/anchor_e2/anchor_t"
-    for key, value in zip(keys, anchor):
+    for key, value in zip(ANCHOR_KEYS, anchor):
         if not math.isfinite(value):
             return None, f"{key} is {value}, not a finite number"
     return anchor, None

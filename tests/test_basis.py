@@ -86,6 +86,13 @@ class TestPlanStructure:
             slot = basis.mode_slot(plan, (2, 1))
             assert basis.mode_slot(plan, (np.int64(2), np.int32(1))) == slot
 
+    def test_mode_index_inverts_mode_slot(self):
+        for plan in (basis.build_plan(basis.sphere(), 7), basis.build_plan(basis.torus(1.0), 4)):
+            for slot in range(plan.n_modes):
+                index = basis.mode_index(plan, np.int64(slot))
+                assert all(type(part) is int for part in index)
+                assert basis.mode_slot(plan, index) == slot
+
     def test_grid_sizes_support_triple_products(self):
         plan = basis.build_plan(basis.sphere(), 21)
         nlat, nlon = plan.grid_shape

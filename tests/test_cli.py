@@ -177,6 +177,75 @@ class TestSimulate:
         assert "re-anchored" in lines[0] and "forcing is" in lines[0]
 
     @pytest.mark.parametrize(
+        "half_forcing,full_forcing",
+        [({"modes": [[1, 2, 1.5], [3, 0, 0.5]], "harmonic": [0.2, 0.0]},
+          {"modes": [[3, 0, 0.5], [1, 2, 1.5]], "harmonic": [0.2, 0.0]}),
+         ({"modes": [[1, 2, 1.5]], "harmonic": [0.2, 0.0]},
+          {"modes": [[1, 2, 1.0], [1, 2, 0.5]], "harmonic": [0.2, 0.0]}),
+         ({"modes": [[1, 2, 1.5]], "harmonic": [0.0, 0.0]}, {"modes": [[1, 2, 1.5]]})],
+        ids=["reordered", "split", "zero-harmonic"],
+    )
+    def test_resume_with_same_forcing_in_other_rows_keeps_its_anchor(
+        self, tmp_path, capsys, half_forcing, full_forcing
+    ):
+        # meta.json echoes the realized forcing, not the config's rows
+        half_doc = forced_doc(forcing=half_forcing)
+        half_doc["scheme"]["t_end"] = 0.5
+        half = write_config(tmp_path, half_doc, "half.json")
+        full = write_config(tmp_path, forced_doc(forcing=full_forcing), "full.json")
+        assert cli.main(["simulate", "--config", half, "--out", str(tmp_path / "half")]) == 0
+        tail = tmp_path / "tail"
+        argv = ["simulate", "--config", full, "--out", str(tail)]
+        assert cli.main(argv + ["--resume", str(tmp_path / "half" / "final.bdna")]) == 0
+        meta = json.loads((tail / "meta.json").read_text())
+        assert "anchor" not in meta and meta["anchor_t"] == 0.0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["verify", "--config", full, "--out", str(tail)]) == 0
+        assert "run-average-enstrophy PASS" in " ".join(capsys.readouterr().out.split())
+
+    def test_diagnostics_columns_hold_their_quantities(self, tmp_path):
+        # the last row against the record of the final snapshot, rebuilt from
+        # meta.json's anchor with rhs_u as the tendency, column by column
+        from bardina2d import config as cfg
+        from bardina2d import dynamics
+
+        fields = {
+            "t": "t",
+            "norm_u_l2": "u_l2",
+            "norm_u_v": "u_v",
+            "norm_Au": "au_l2",
+            "norm_u2": "h_l2",
+            "norm_v": "v_l2",
+            "E1": "e1",
+            "E2": "e2",
+            "env1": "envelope1",
+            "env2": "envelope2",
+            "energy_residual": "energy_residual",
+        }
+        config = write_config(tmp_path, forced_doc())
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        header, rows = read_csv(out / "diagnostics.csv")
+        assert header == [*fields, "violations"]
+        spec = cfg.parse_config((tmp_path / "run.json").read_text())
+        plan = cfg.build_plan(spec)
+        params = cfg.model_params(plan, spec)
+        meta = json.loads((out / "meta.json").read_text())
+        anchor, cause = verification.meta_anchor(meta)
+        assert cause is None
+        snap = snapshot.load_snapshot(str(out / meta["snapshot"]))
+        state = snapshot.as_state(snap)
+        record = verification.energy_record(
+            plan, state, params, snap.t, verification.envelopes(plan, params, *anchor),
+            dynamics.rhs_u(plan, state, params),
+        )
+        last = dict(zip(header, rows[-1]))
+        for column, field in fields.items():
+            assert float(last[column]) == getattr(record, field), column
+        assert last["violations"] == "0"
+        assert record.envelope1 != record.e1 and record.envelope2 != record.e2
+
+    @pytest.mark.parametrize(
         "bad,key",
         [({"anchor_e1": math.nan, "anchor_e2": math.inf}, "anchor_e1"),
          ({"anchor_e2": -math.inf}, "anchor_e2"),
@@ -487,6 +556,40 @@ class TestLyapunov:
         config = write_config(tmp_path, forced_doc())
         assert cli.main(["lyapunov", "--config", config, "--out", str(tmp_path / "x")]) == 2
 
+    LYAP = {"n_ensemble": 3, "t_transient": 0.0, "t_average": 0.5, "renorm_interval": 0.25}
+
+    def test_report_keys(self, tmp_path):
+        config = write_config(tmp_path, forced_doc(lyapunov=self.LYAP))
+        out = tmp_path / "lyap"
+        assert cli.main(["lyapunov", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "lyapunov.json").read_text())
+        assert set(report) == {
+            "geometry", "length", "truncation", "nu", "alpha", "sigma", "forcing",
+            "n_ensemble", "t_transient", "t_average", "renorm_interval", "seed",
+            "measured_crossing", "nstar", "consistent", "verdict", "advice",
+            "exponents", "q_partial", "dim_ky", "ky_saturated", "gs_min_scale",
+        }
+        assert report["forcing"] == {"modes": [[1, 2, 1.5]], "harmonic": [0.2, 0.0]}
+
+    def test_interrupt_leaves_both_earlier_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "lyap"
+        config = write_config(tmp_path, forced_doc(lyapunov=self.LYAP))
+        assert cli.main(["lyapunov", "--config", config, "--out", str(out)]) == 0
+        names = ["exponents.csv", "lyapunov.json"]
+        before = {name: (out / name).read_bytes() for name in names}
+        other_config = write_config(tmp_path, forced_doc(nu=0.25, lyapunov=self.LYAP), "other.json")
+        inner = cli._write_json
+
+        def interrupted(*args):
+            inner(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_write_json", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["lyapunov", "--config", other_config, "--out", str(out)])
+        assert sorted(os.listdir(out)) == names  # no partial file is left
+        assert {name: (out / name).read_bytes() for name in names} == before
+
 
 class TestBounds:
     def test_torus_closed_form(self, tmp_path):
@@ -528,6 +631,45 @@ class TestBounds:
         nstar = header.index("nstar")
         values = [float(row[nstar]) for row in rows]
         assert values[0] > values[1] > values[2]  # more viscosity, smaller bound
+
+    def test_run_without_sweep_removes_an_earlier_sweep_csv(self, tmp_path):
+        out = tmp_path / "bounds"
+        swept = write_config(tmp_path, forced_doc(sweep={"key": "nu", "values": [0.5, 1.0]}))
+        assert cli.main(["bounds", "--config", swept, "--out", str(out)]) == 0
+        assert (out / "bounds_sweep.csv").is_file()
+        plain = write_config(tmp_path, forced_doc(nu=2.0), "plain.json")
+        assert cli.main(["bounds", "--config", plain, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["bounds.json"]
+        assert json.loads((out / "bounds.json").read_text())["inputs"]["nu"] == 2.0
+
+    COMMON_KEYS = {
+        "inputs", "lambda_1", "delta", "delta_prime", "l1", "l2", "k1", "k2",
+        "k2_from_direct_inequality", "rho0", "rho1", "rho1_tilde", "rho2",
+        "rho_v_sum", "rho_v_half", "grashof", "nstar", "average_enstrophy_bound",
+        "exponent_note",
+    }
+    INPUT_KEYS = {
+        "geometry", "length", "truncation", "nu", "alpha", "sigma", "f1_norm",
+        "f1_half_inv_norm", "f1_inv_norm", "f2_norm", "f_total_norm", "lipschitz_c",
+    }
+
+    @pytest.mark.parametrize("kind", ["sphere", "torus"])
+    def test_report_keys(self, tmp_path, kind):
+        doc = decay_doc() if kind == "sphere" else forced_doc()
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "bounds"
+        assert cli.main(["bounds", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "bounds.json").read_text())
+        assert set(report["inputs"]) == self.INPUT_KEYS
+        if kind == "torus":
+            assert set(report) == self.COMMON_KEYS
+            assert report["k2_from_direct_inequality"] is True
+            return
+        sphere_keys = {"l2_over_deltap_tight", "l2_over_deltap_loose", "inertial"}
+        assert set(report) == self.COMMON_KEYS | sphere_keys
+        assert report["k2_from_direct_inequality"] is False
+        assert set(report["inertial"]) == {"gaps", "ell", "rho", "c", "crossing", "squeezing_note"}
+        assert report["inertial"]["gaps"][:2] == [4.0, 6.0]
 
     @pytest.mark.parametrize(
         "doc",
