@@ -62,6 +62,14 @@ All transforms broadcast over leading axes: coefficients have shape
 (..., 2, nlat, nlon) with component 0 pointing along theta-hat (sphere,
 towards increasing colatitude) or x (torus).
 
+Core rows
+    The stepping path carries each stacked state as one row of the core's
+    own coefficients followed by the harmonic pair: on the sphere the slot
+    row, on the torus the matrix M flat.  Each core converts with
+    to_rows(psis, hs) and from_rows(rows), gives lam and a scale per
+    column (row_lam, row_scale), and transforms rows by row_synthesis and
+    row_analysis, the flow pair on core rows.
+
 Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the Legendre rows of psi,
@@ -85,9 +93,9 @@ Workspaces
     - returned arrays are never views of a workspace buffer; the
       right-hand side, which calls the core transforms directly, borrows
       the core workspace's `grids` and `g` and returns none of them;
-    - size: 3.7 MB for one row at sphere L=85 and 4.4 MB at torus K=64
-      (0.25 MB at L=21, 0.29 MB at K=16), about linear in the row count
-      (34 MB for 9 rows at L=85, 31 MB for 7 rows at K=64); a sphere
+    - size: 3.7 MB for one row at sphere L=85 and 4.7 MB at torus K=64
+      (0.25 MB at L=21, 0.31 MB at K=16), about linear in the row count
+      (34 MB for 9 rows at L=85, 33 MB for 7 rows at K=64); a sphere
       unfold and fold borrow the spectrum buffer of the other direction,
       and a torus unpack the first products of its analysis, instead of a
       buffer of their own.
@@ -278,10 +286,12 @@ class _SphereCore:
         self.lone = 2 * self.npair - nm
 
         # flat slot layout: slot(n, m) = n^2 + n + m - 1
-        self.n_modes, _ = mode_count(SPHERE, lmax)
+        self.n_modes, self.n_harmonic = mode_count(SPHERE, lmax)
         deg = np.repeat(np.arange(1, lmax + 1), 2 * np.arange(1, lmax + 1) + 1)
         order = np.arange(self.n_modes) + 1 - deg * deg - deg
         self.lam = (deg * (deg + 1)).astype(np.float64)
+        # core rows are the slot rows
+        self.ncols, self.row_lam, self.row_scale = self.n_modes, self.lam, np.ones(self.n_modes)
         n, m = (a[..., None, None] for a in degrees)
         second = m > np.arange(self.npair)[:, None, None, None]
         cos = np.arange(2) == 0
@@ -342,6 +352,15 @@ class _SphereCore:
     def workspace(self, b):
         return self._work(self, b)
 
+    def to_rows(self, psis, hs):
+        """Stacked slot states -> core rows: a copy of psis."""
+        _check_states(self, psis, hs)
+        return np.array(psis, dtype=np.float64)
+
+    def from_rows(self, rows):
+        """Core rows -> (psis, hs), new arrays."""
+        return rows.copy(), np.zeros((len(rows), 0))
+
     # -- paired, parity-folded Legendre stage ----------------------------
 
     def _gather(self, ws, coeffs):
@@ -401,7 +420,7 @@ class _SphereCore:
         _unfold(*ws.unfold)
         return np.fft.irfft(ws.spec_t, n=self.nlon, axis=-1, out=out)
 
-    def flow_analysis(self, g):
+    def row_analysis(self, g):
         ws = self.workspace(len(g))
         np.fft.rfft(g, axis=-1, out=ws.spec_at)
         _fold(*ws.fold_a)
@@ -414,7 +433,12 @@ class _SphereCore:
         # products with the partner order's rows too, which it drops
         v = np.take(ws.sums_a, ws.scatter, out=ws.parts, mode="clip")
         np.multiply(v, self.flow_w, out=v)
-        return np.add.reduce(v), np.zeros((len(g), 0))
+        return np.add.reduce(v)
+
+    def flow_analysis(self, g):
+        return self.row_analysis(g), np.zeros((len(g), 0))
+
+    row_synthesis = flow_synthesis
 
 
 class _SphereWork(_Workspace):
@@ -587,6 +611,16 @@ def _fold(lone, copies, h0, h1, even, odd):
         np.copyto(dst, src)
     np.add(h0, h1, out=even)
     np.subtract(h0, h1, out=odd)
+
+
+def _check_states(core, psis, hs):
+    """ShapeError unless psis and hs stack the slot rows and harmonic pairs
+    of states of the core's plan, one each per row."""
+    if psis.shape[1:] != (core.n_modes,) or hs.shape != (len(psis), core.n_harmonic):
+        raise ShapeError(
+            f"row shapes {psis.shape}/{hs.shape} do not match plan "
+            f"({core.n_modes} modes, {core.n_harmonic} harmonic)"
+        )
 
 
 def _head(buf, shape):

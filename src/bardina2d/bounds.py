@@ -146,8 +146,11 @@ class AbsorbingRadii:
 
 
 def absorbing_radii(plan, params, norms=None):
-    c = constants(plan, params, norms)
-    al = params.alpha
+    return radii_from_constants(constants(plan, params, norms), params.alpha)
+
+
+def radii_from_constants(c, al):
+    """The `AbsorbingRadii` of `DissipativityConstants` c at filter width al."""
     shell = 1.0 + al**2 * c.lambda_1
     rho0 = 2.0 * np.sqrt(c.l1 / (shell * c.delta))
     rho1 = 2.0 * np.sqrt(c.l1 / (al**2 * c.delta))
@@ -271,7 +274,7 @@ def bounds_report(plan, params, n_max=32, c=1.0):
             "lipschitz_c": c,
         },
         **asdict(con),
-        **asdict(absorbing_radii(plan, params, norms)),
+        **asdict(radii_from_constants(con, params.alpha)),
         "grashof": grashof(params.nu, norms.total),
         "nstar": attractor_bound(plan, params, norms),
         "average_enstrophy_bound": 2.0 * con.l2 / con.delta_prime,

@@ -26,12 +26,18 @@ acts on row 0 only.  All rows share one flow synthesis and one flow
 analysis.  A trajectory steps a one-row stack; the Lyapunov ensemble steps
 the base state with its tangents.
 
-What the kernel needs of a run's plan and parameters besides the rows, the
-forcing psi_f and the Helmholtz divisor 1 + alpha^2 lam, is built once per
-run by `run_constants`, and `remainder` wraps the kernel for a run with
-them.  On both geometries the product is formed on
-grad psi - n x h = -(n x u), so the analysis returns -P and -Q, and the
-kernel finishes each row in place with no negation pass.
+The kernel's rows are core rows (see `basis`): the plan core's own
+coefficients, then the harmonic pair, the slot rows on the sphere and the
+torus matrix M flat.  Every operator above is diagonal in them, with lam
+0 on the pair, so the kernel finishes each row in one pass over all its
+columns.  What it needs of a run's plan and parameters besides the rows,
+the forcing (psi_f, f2) as a core row and the Helmholtz divisor
+1 + alpha^2 lam per column, is built once per run by `run_constants`, and
+`remainder` wraps the kernel for a run with them.  On both geometries the
+product is formed on grad psi - n x h = -(n x u), so the analysis returns
+-P and -Q, and the kernel finishes each row in place with no negation
+pass.  `rhs_u`, `rhs_tangent`, `nonlinear_term` and `prepared_rhs` take
+and return states in slot order and convert at their edges.
 
 The prepared variant evolves v directly on the sphere with the nonlinear and
 forcing terms multiplied by a smooth cutoff of |v| / rho, which makes every
@@ -112,37 +118,39 @@ def validate_params(plan, params):
 # nonlinearity
 
 
-def _product_parts(plan, psis, hs):
-    """-P and -Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..
+def _product_parts(plan, rows):
+    """-P and -Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..,
+    as core rows.
 
-    The rows run through the plan core's transforms directly, checked here
-    once.  With u = n x grad psi + h, the product takes
+    The rows run through the plan core's row transforms directly, their
+    width checked here once.  With u = n x grad psi + h, the product takes
     grad psi - n x h = -(n x u), formed in place of the gradient grids,
     which the core workspace's `grids` holds, and the product in its `g`,
     through the views the workspace binds.  The sign stays with the
     analyzed rows, far fewer than grid points.
     """
-    if psis.shape[1:] != (plan.n_modes,) or hs.shape != (len(psis), plan.n_harmonic):
-        raise ShapeError(
-            f"row shapes {psis.shape}/{hs.shape} do not match plan "
-            f"({plan.n_modes} modes, {plan.n_harmonic} harmonic)"
-        )
     core = plan.core
-    ws = core.workspace(len(psis))
-    core.flow_synthesis(psis, ws.grids)
+    if rows.shape[1:] != (core.ncols,):
+        raise ShapeError(
+            f"row shape {rows.shape} does not match the plan core's {core.ncols} columns"
+        )
+    ws = core.workspace(len(rows))
+    core.row_synthesis(rows, ws.grids)
     if plan.n_harmonic:
-        # n x h = (-h_y, h_x)
-        np.add(ws.grad_x, hs[:, 1, None, None], out=ws.grad_x)
-        np.subtract(ws.grad_y, hs[:, 0, None, None], out=ws.grad_y)
+        # n x h = (-h_y, h_x), h the last two columns
+        np.add(ws.grad_x, rows[:, -1, None, None], out=ws.grad_x)
+        np.subtract(ws.grad_y, rows[:, -2, None, None], out=ws.grad_y)
     g = np.multiply(ws.zeta, ws.grad0, out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
         ws.g_rest += np.multiply(ws.zeta0, ws.grad_rest, out=ws.grad_rest)
-    return core.flow_analysis(g)
+    return core.row_analysis(g)
 
 
 def nonlinear_term(plan, state):
     """B(u, u) = (P + Q)(zeta * (n x u)) with zeta * (n x u) formed pointwise."""
-    p, q = _product_parts(plan, state.psi[None], state.harmonic[None])
+    core = plan.core
+    rows = core.to_rows(state.psi[None], state.harmonic[None])
+    p, q = core.from_rows(_product_parts(plan, rows))
     return NonlinearSplit(-p[0], -q[0])
 
 
@@ -152,8 +160,9 @@ def nonlinear_term(plan, state):
 
 @dataclass(frozen=True)
 class RunConstants:
-    """What `_remainder_u` needs of one run's plan and parameters: the row-0
-    forcing psi_f and the Helmholtz divisor 1 + alpha^2 lam."""
+    """What `_remainder_u` needs of one run's plan and parameters, per
+    column of the core rows: the row-0 forcing psi_f and h_f = f2, and the
+    Helmholtz divisor 1 + alpha^2 lam, exactly 1 on the harmonic columns."""
 
     forcing: np.ndarray
     divisor: np.ndarray
@@ -161,48 +170,53 @@ class RunConstants:
 
 def run_constants(plan, params):
     """The `RunConstants` of (plan, params), built once per run."""
+    f = forcing_state(plan, params.forcing)
+    core = plan.core
     return RunConstants(
-        forcing_state(plan, params.forcing).psi, 1.0 + params.alpha**2 * plan.lam
+        core.to_rows(f.psi[None], f.harmonic[None])[0], 1.0 + params.alpha**2 * core.row_lam
     )
 
 
 def remainder(plan, params):
-    """rem(psis, hs) -> `_remainder_u` of stacked rows, for one run.
+    """rem(rows) -> `_remainder_u` of stacked core rows, for one run.
 
     The run constants are built here once; each call goes through the
     module attribute `_remainder_u`.
     """
     run = run_constants(plan, params)
 
-    def rem(psis, hs):
-        return _remainder_u(plan, psis, hs, params, run)
+    def rem(rows):
+        return _remainder_u(plan, rows, params, run)
 
     return rem
 
 
-def _remainder_u(plan, psis, hs, params, run):
-    """Non-stiff tendency of stacked rows; the integrator exponentiates -nu lam.
+def _remainder_u(plan, rows, params, run):
+    """Non-stiff tendency of stacked core rows; the integrator exponentiates -nu lam.
 
     Row 0 is the base state with the forcing; rows 1.. are its tangents.
     `run` is `run_constants(plan, params)`.  Each row is formed in place on
-    the -P of `_product_parts` as ((psi_f - P) - sigma psi) / (1 + alpha^2 lam),
-    without psi_f on rows 1..; the harmonic rows are (f2 - sigma h) - Q on
-    row 0 and -sigma h - Q on the others.
+    the -P, -Q of `_product_parts`, in one pass over all its columns, as
+    ((f - P) - sigma x) / (1 + alpha^2 lam), f the forcing row on row 0
+    and 0 on the others: on the harmonic columns lam is 0, so they read
+    (f2 - Q) - sigma h.
     """
-    p, q = _product_parts(plan, psis, hs)
+    p = _product_parts(plan, rows)
     p[0] += run.forcing
-    p -= np.multiply(params.sigma, psis)
+    p -= np.multiply(params.sigma, rows)
     p /= run.divisor
-    if plan.n_harmonic:
-        dh = np.multiply(hs, -params.sigma)
-        dh[0] += params.forcing.f2
-        q = np.add(dh, q, out=dh)
-    return p, q
+    return p
+
+
+def _slot_tendencies(plan, params, psis, hs):
+    """from_rows of the remainder of the stacked states (psis, hs)."""
+    core = plan.core
+    return core.from_rows(remainder(plan, params)(core.to_rows(psis, hs)))
 
 
 def rhs_u(plan, state, params):
     """Full tendency of the evolved state, stiff linear part included."""
-    dpsi, dh = remainder(plan, params)(state.psi[None], state.harmonic[None])
+    dpsi, dh = _slot_tendencies(plan, params, state.psi[None], state.harmonic[None])
     return ops.VelocityState(dpsi[0] - params.nu * plan.lam * state.psi, dh[0])
 
 
@@ -210,10 +224,9 @@ def rhs_tangent(plan, delta, state, params):
     """Full tangent tendency at base state `state` (forcing drops out)."""
     ops._check(plan, state)
     ops._check(plan, delta)
-    rem = remainder(plan, params)
     psis = np.stack((state.psi, delta.psi))
     hs = np.stack((state.harmonic, delta.harmonic))
-    dpsis, dhs = rem(psis, hs)
+    dpsis, dhs = _slot_tendencies(plan, params, psis, hs)
     return ops.VelocityState(dpsis[1] - params.nu * plan.lam * delta.psi, dhs[1])
 
 
@@ -229,12 +242,13 @@ def cutoff_theta(x):
     return out if out.ndim else float(out)
 
 
-def _remainder_prepared(plan, vpsis, rho, run):
+def _remainder_prepared(plan, vrows, rho, run):
     """Non-stiff tendency theta (psi_f - P) of the prepared equation on a
-    one-row stack, P that of u = v / (1 + alpha^2 lam); `run` is
+    one-row stack of core rows, which on the sphere are the slot rows, P
+    that of u = v / (1 + alpha^2 lam); `run` is
     `run_constants(plan, params)`."""
-    p, _ = _product_parts(plan, vpsis / run.divisor, np.zeros((1, 0)))
-    nv = float(np.sqrt(np.dot(plan.lam * vpsis[0], vpsis[0])))
+    p = _product_parts(plan, vrows / run.divisor)
+    nv = float(np.sqrt(np.dot(plan.lam * vrows[0], vrows[0])))
     return cutoff_theta(nv / rho) * (p + run.forcing)
 
 
@@ -250,6 +264,7 @@ def prepared_rhs(plan, vstate, params, rho):
         raise ConfigurationError(f"rho must be positive, got {rho}")
     if params.sigma != 0.0:
         raise ConfigurationError("the prepared equation carries no drag; set sigma = 0")
-    run = run_constants(plan, params)
-    dpsi = _remainder_prepared(plan, vstate.psi[None], rho, run)[0]
-    return ops.VelocityState(dpsi - params.nu * plan.lam * vstate.psi, np.zeros(0))
+    core = plan.core
+    vrows = core.to_rows(vstate.psi[None], np.zeros((1, 0)))
+    dpsi, _ = core.from_rows(_remainder_prepared(plan, vrows, rho, run_constants(plan, params)))
+    return ops.VelocityState(dpsi[0] - params.nu * plan.lam * vstate.psi, np.zeros(0))

@@ -11,7 +11,15 @@ import math
 
 import numpy as np
 
-from .basis import TORUS, _fast_even, _head, _Workspace, _WorkspaceCache, mode_count
+from .basis import (
+    TORUS,
+    _check_states,
+    _fast_even,
+    _head,
+    _Workspace,
+    _WorkspaceCache,
+    mode_count,
+)
 
 
 class _TorusCore:
@@ -39,6 +47,22 @@ class _TorusCore:
     matmul over the stacked fields, the same BLAS call for every field.
     The views of the tables that the products take (e, e_t, e_tr, de_e,
     e_de_tr) are made here once, and the grid point count npoints too.
+
+    Core rows (ncols = (2K + 1)^2 + 2 columns) are M flat, then the
+    harmonic pair; the stepping path carries them, so its transforms make
+    no pack or unpack.  The functions cos/sin(a x) cos/sin(b y) of the
+    entries are orthogonal, and the two slots an entry pair shares have
+    one |k|^2, so the entries diagonalize what the slots do: lam per entry
+    (row_lam, 0 on the constant entry, which no slot reaches and which
+    holds exactly 0, and on the pair), and a flow analysis followed by a
+    pack is the weight qw sum_link entry_w^2 / lam per entry (row_flow_w,
+    0 on the constant entry).  row_scale is 1 / sum_link entry_w^2 (1 on
+    the pair, 0 on the constant entry), so a row's squares times it sum
+    to its slots' squares.  to_rows is a pack, from_rows the unpack takes
+    weighted by the pack weights times the scale.  row_synthesis reads M
+    from the rows' heads; row_analysis weighs the entries of the
+    difference above by row_flow_w and writes the mean into the pair's
+    columns.
     """
 
     def __init__(self, kmax, length):
@@ -53,7 +77,7 @@ class _TorusCore:
         r = range(-kmax, kmax + 1)
         qs = sorted((q1 * q1 + q2 * q2, q1, q2) for q1 in r for q2 in r)[1:]
         self.qvec = np.array([q[1:] for q in qs], dtype=np.int64)
-        self.n_modes, _ = mode_count(TORUS, kmax)
+        self.n_modes, self.n_harmonic = mode_count(TORUS, kmax)
         q1, q2 = self.qvec.T
         w = 2.0 * np.pi / length
         self.lam = w**2 * (q1 * q1 + q2 * q2)
@@ -106,6 +130,19 @@ class _TorusCore:
         self.ana_w = amp * self.qw[0] * sign
         self.flow_w = self.ana_w / self.lam
 
+        # the per-column weights of core rows, as the class docstring says
+        self.ncols = nb * nb + self.n_harmonic
+        links_w2 = np.add(*self.entry_w**2)
+        lam_m = -self.neg_lam.ravel()
+        linked = links_w2 > 0.0
+        pair = np.zeros(self.n_harmonic)
+        self.row_lam = np.concatenate((lam_m, pair))
+        self.row_scale = np.concatenate((_ratio(1.0, links_w2, linked), pair + 1.0))
+        # the row transforms' weights, 0 on the pair; neg_lam views the head
+        self.row_neg_lam = np.concatenate((self.neg_lam.ravel(), pair))
+        self.neg_lam = self.row_neg_lam[: nb * nb].reshape(nb, nb)
+        self.row_flow_w = np.concatenate((_ratio(self.qw[0] * links_w2, lam_m, linked), pair))
+
         self._work = _WorkspaceCache(_TorusWork)
 
     @property
@@ -130,6 +167,26 @@ class _TorusCore:
         np.multiply(v, weight, out=v)
         return np.add(*ws.part_halves)
 
+    def to_rows(self, psis, hs):
+        """Stacked slot states (psis, hs) -> core rows, a new array: the
+        pack of each psi, as `_pack` forms it, then its pair."""
+        _check_states(self, psis, hs)
+        pad = np.zeros((len(psis), self.n_modes + 1))
+        pad[:, :-1] = psis
+        v = pad[:, self.entry_slot]
+        v *= self.entry_w
+        rows = np.empty((len(psis), self.ncols))
+        np.add(v[:, 0], v[:, 1], out=rows[:, : -self.n_harmonic])
+        rows[:, -self.n_harmonic :] = hs
+        return rows
+
+    def from_rows(self, rows):
+        """Core rows -> (psis, hs), new arrays: the inverse of `to_rows`
+        through the unpack takes."""
+        v = rows[:, self.slot_entry]
+        v *= self.ana_w * (self.row_scale[self.slot_entry] / self.qw[0])
+        return v[:, 0] + v[:, 1], rows[:, -self.n_harmonic :].copy()
+
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
         t = np.matmul(self._pack(ws, coeffs), self.e_t, out=ws.t_lam)
@@ -143,7 +200,16 @@ class _TorusCore:
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
         m = self._pack(ws, psi)
-        lam_m = np.multiply(m, self.neg_lam, out=ws.pair0)
+        return self._flow_grids(ws, np.multiply(m, self.neg_lam, out=ws.pair0), m, out)
+
+    def row_synthesis(self, rows, out=None):
+        """`flow_synthesis` of core rows: M is their head, and no pack."""
+        ws = self.workspace(len(rows))
+        np.multiply(rows, ws.row_neg_lam, out=ws.row_pair0)
+        m = rows[:, : -self.n_harmonic].reshape(ws.m.shape)
+        return self._flow_grids(ws, ws.row_lam_m, m, out)
+
+    def _flow_grids(self, ws, lam_m, m, out):
         # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
         np.matmul(lam_m, self.e_t, out=ws.t_lam)
         np.matmul(m, self.tables_t, out=ws.t_grad)
@@ -151,12 +217,28 @@ class _TorusCore:
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
-        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
-        p = np.matmul(g, self.de_e, out=ws.p)
-        np.matmul(self.e_de_tr, p, out=ws.pairs_b)
+        self._entry_pairs(ws, g, ws.pairs_b)
         np.subtract(ws.pair1, ws.pair0, out=ws.m)
         mean = np.add.reduce(g, axis=(-2, -1)) / self.npoints
         return self._unpack(ws, ws.flow_w), mean
+
+    def row_analysis(self, g):
+        """`flow_analysis` of g as core rows, a new array: each entry of M
+        times its row_flow_w, no unpack, then the pair."""
+        ws = self.workspace(len(g))
+        self._entry_pairs(ws, g, ws.row_pairs_b)
+        rows = np.subtract(ws.row_pair1, ws.row_pair0)
+        np.multiply(rows, ws.row_w, out=rows)
+        mean = np.add.reduce(g, axis=(-2, -1), out=rows[:, -self.n_harmonic :])
+        np.divide(mean, self.npoints, out=mean)
+        return rows
+
+    def _entry_pairs(self, ws, g, out):
+        """[E^T g_x dE, dE^T g_y E] into out, whose difference is
+        <g, n x grad> of every entry of M."""
+        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
+        p = np.matmul(g, self.de_e, out=ws.p)
+        np.matmul(self.e_de_tr, p, out=out)
 
 
 class _TorusWork(_Workspace):
@@ -178,6 +260,15 @@ class _TorusWork(_Workspace):
     B rows in that layout: numpy 2 copies an operand it broadcasts over an
     outer axis, or one that is not contiguous, into a temporary, and a take
     into out buffers it unless it clips (the indices are all in range).
+    The row transforms work over whole core rows, pair columns included,
+    so that every elementwise operand is contiguous: row_pairs (2, B,
+    ncols) holds -lam o M of every row (row_pair0, its heads row_lam_m)
+    in a row synthesis, and the two products of a row analysis in its
+    heads (row_pairs_b); the weights row_neg_lam and row_w are the
+    core's, 0 on the pair's columns, which the analysis then overwrites
+    with the means, so that what other transforms leave there does not
+    matter: pairs is the head of row_pairs.  At B = 1 the repeated
+    weights are views of the core's.
     Every view a transform passes to numpy is made here once, as in the
     sphere's workspace: at K=16 making them costs as much as the
     arithmetic.  Row-axis views are slices, so they hold for B = 0 too.
@@ -194,7 +285,15 @@ class _TorusWork(_Workspace):
             np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
             for w in (core.entry_w, core.ana_w, core.flow_w)
         )
-        self.pairs = np.empty((2, b, nb, nb))
+        self.row_pairs = np.zeros((2, b, core.ncols))
+        self.row_pair0, self.row_pair1 = self.row_pairs
+        heads = self.row_pairs[..., : nb * nb].reshape(2, b, nb, nb)
+        self.row_lam_m, self.row_pairs_b = heads[0], heads.transpose(1, 0, 2, 3)
+        self.row_neg_lam, self.row_w = (
+            np.ascontiguousarray(np.broadcast_to(w, (b, core.ncols)))
+            for w in (core.row_neg_lam, core.row_flow_w)
+        )
+        self.pairs = _head(self.row_pairs, (2, b, nb, nb))
         self.pairs_b = self.pairs.transpose(1, 0, 2, 3)
         self.pair0, self.pair1 = self.pairs
         self.links = self.pairs.reshape(2, b, nb * nb)
@@ -212,3 +311,8 @@ class _TorusWork(_Workspace):
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))
         self._bind_rhs()
+
+
+def _ratio(num, den, where):
+    """num / den where `where` holds, 0 elsewhere."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=where)

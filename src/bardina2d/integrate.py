@@ -14,14 +14,19 @@ rule using its full tendency.  Step size is fixed; a run either completes
 or raises DivergenceError at the first non-finite state.
 
 One loop, `_run_loop`, makes every step and is the one place a divergence
-is caught.  It steps stacked rows (row 0 the state, rows 1.. any tangents)
-and yields the live rows at each sample; a caller may change them in place
-before the next step, which is how lyapunov.benettin_run renormalizes its
-tangents.  `samples` yields a one-row run's samples one at a time, so a
-caller that keeps only the latest (the CLI's `simulate`, and the envelope
-and decay checks of `verify` and `selftest`) runs in memory that does not
-grow with the run length; `run_prepared` yields the prepared equation's
-samples the same way.
+is caught.  It steps stacked core rows (row 0 the state, rows 1.. any
+tangents; see `basis`), one array whose decay factors are exactly 1 on the
+harmonic columns, so one formula steps both parts, and yields the live
+rows at each sample; a caller may change them in place before the next
+step, which is how lyapunov.benettin_run renormalizes its tangents.  A
+one-row run converts at its samples only: each sample is the slot state
+from_rows(rows), and the run continues from to_rows of it, which is where
+a run resumed from that sample starts, so the resume reproduces the
+continuation bit for bit.  `samples` yields a one-row run's samples one at
+a time, so a caller that keeps only the latest (the CLI's `simulate`, and
+the envelope and decay checks of `verify` and `selftest`) runs in memory
+that does not grow with the run length; `run_prepared` yields the
+prepared equation's samples the same way.
 
 Observers are called as obs(t, state, tend) at every sample, before it is
 yielded, where `tend` is the full tendency of `state` (what dynamics.rhs_u
@@ -63,31 +68,28 @@ class SchemeConfig:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
 
 
-def step_pair(psi, h, dt, e_full, e_half, rem, method, first=None):
-    """One integrating-factor step of dpsi/dt = -r psi + Gp, dh/dt = Gh.
+def step_pair(rows, dt, e_full, e_half, rem, method, first=None):
+    """One integrating-factor step of dx/dt = -r x + G(x) on stacked core rows.
 
-    `rem(psi, h) -> (Gp, Gh)` is the non-stiff tendency; e_full/e_half are
-    exp(-r dt) and exp(-r dt/2).  `first`, when given, is rem(psi, h)
-    already evaluated and is used as the first stage.  Broadcasts over
-    leading axes of psi/h.  Each stage state is passed to `rem` and
-    dropped, so at most one is alive at a time.
+    `rem(rows) -> G` is the non-stiff tendency; e_full/e_half are
+    exp(-r dt) and exp(-r dt/2) per column, exactly 1 on the harmonic
+    columns, which so step by the plain rule.  `first`, when given, is
+    rem(rows) already evaluated and is used as the first stage.  Each stage
+    state is passed to `rem` and dropped, so at most one is alive at a time.
     """
-    g1, gh1 = rem(psi, h) if first is None else first
+    g1 = rem(rows) if first is None else first
     if method == IF_EULER:
-        return e_full * (psi + dt * g1), h + dt * gh1
-    g2, gh2 = rem(e_half * (psi + 0.5 * dt * g1), h + 0.5 * dt * gh1)
-    g3, gh3 = rem(e_half * psi + 0.5 * dt * g2, h + 0.5 * dt * gh2)
-    decayed = e_full * psi
-    g4, gh4 = rem(decayed + dt * (e_half * g3), h + dt * gh3)
-    psi_new = decayed + (dt / 6.0) * (
-        e_full * g1 + 2.0 * (e_half * (g2 + g3)) + g4
-    )
-    h_new = h + (dt / 6.0) * (gh1 + 2.0 * (gh2 + gh3) + gh4)
-    return psi_new, h_new
+        return e_full * (rows + dt * g1)
+    g2 = rem(e_half * (rows + 0.5 * dt * g1))
+    g3 = rem(e_half * rows + 0.5 * dt * g2)
+    decayed = e_full * rows
+    g4 = rem(decayed + dt * (e_half * g3))
+    return decayed + (dt / 6.0) * (e_full * g1 + 2.0 * (e_half * (g2 + g3)) + g4)
 
 
 def decay_factors(plan, nu, dt):
-    r = nu * plan.lam
+    """(exp(-nu lam dt), exp(-nu lam dt / 2)) per column of the core rows."""
+    r = nu * plan.core.row_lam
     return np.exp(-dt * r), np.exp(-0.5 * dt * r)
 
 
@@ -111,13 +113,13 @@ def _step_range(scheme, t_start):
 _STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
-def _run_loop(psis, hs, rem, decay, scheme, steps):
-    """Yield (t, psis, hs, first) at every sample of the stacked rows psis/hs.
+def _run_loop(rows, rem, decay, scheme, steps):
+    """Yield (t, rows, first) at every sample of the stacked core rows.
 
     Samples are made at multiples of scheme.stride and at the final step;
-    `steps` is `_step_range`'s (base, n_steps).  psis/hs are the live rows.
-    `first()` evaluates rem(psis, hs) once, and the next step reuses it as
-    its first stage.  A caller may change the rows in place before it calls
+    `steps` is `_step_range`'s (base, n_steps).  rows are the live rows.
+    `first()` evaluates rem(rows) once, and the next step reuses it as its
+    first stage.  A caller may change the rows in place before it calls
     first(), or without calling it: the next step starts from the changed
     rows.  Raises DivergenceError at the first non-finite state.
     """
@@ -129,44 +131,50 @@ def _run_loop(psis, hs, rem, decay, scheme, steps):
         nonlocal g1
         if g1 is None:
             with np.errstate(**_STEP_ERRSTATE):
-                g1 = rem(psis, hs)
+                g1 = rem(rows)
         return g1
 
     for k in range(n_steps + 1):
         if k:
             with np.errstate(**_STEP_ERRSTATE):
-                psis, hs = step_pair(
-                    psis, hs, scheme.dt, e_full, e_half, rem, scheme.method, g1
-                )
-            if not (np.all(np.isfinite(psis)) and np.all(np.isfinite(hs))):
+                rows = step_pair(rows, scheme.dt, e_full, e_half, rem, scheme.method, g1)
+            if not np.all(np.isfinite(rows)):
                 raise DivergenceError((base + k) * scheme.dt)
             g1 = None
         if k % scheme.stride == 0 or k == n_steps:
-            yield (base + k) * scheme.dt, psis, hs, first
+            yield (base + k) * scheme.dt, rows, first
 
 
 def _one_row(plan, params, state, rem, scheme, steps, observers):
-    """Yield (t, state) for a one-row run, each sample a copy of the row.
+    """Yield (t, state) for a one-row run, each sample a state of its own.
 
-    Each sample's observers are called before it is yielded, with the full
-    tendency: the sample's first() plus the stiff term, added as
+    The first sample is the start state.  At every later one the core row
+    goes back to slot order, and the run continues from that sampled
+    state's row, as a run resumed from it starts: so a resume from any
+    sample reproduces the continuation bit for bit.  Each sample's
+    observers are called before it is yielded, with the full tendency: the
+    sample's first() in slot order plus the stiff term, added as
     dynamics.rhs_u adds it.
     """
+    core = plan.core
+    psis, hs = state.psi[None].copy(), state.harmonic[None].copy()
     loop = _run_loop(
-        state.psi[None].copy(),
-        state.harmonic[None].copy(),
+        core.to_rows(psis, hs),
         rem,
         decay_factors(plan, params.nu, scheme.dt),
         scheme,
         steps,
     )
     stiff = params.nu * plan.lam
-    for t, psis, hs, first in loop:
-        st = ops.VelocityState(psis[0].copy(), hs[0].copy())
+    for k, (t, rows, first) in enumerate(loop):
+        if k:
+            psis, hs = core.from_rows(rows)
+            rows[...] = core.to_rows(psis, hs)
+        st = ops.VelocityState(psis[0], hs[0])
         if observers:
             # near overflow the observers' norms overflow as the step does
             with np.errstate(**_STEP_ERRSTATE):
-                dpsi, dh = first()
+                dpsi, dh = core.from_rows(first())
                 tend = ops.VelocityState(dpsi[0] - stiff * psis[0], dh[0])
                 for obs in observers:
                     obs(t, st, tend)
@@ -204,8 +212,8 @@ def run_prepared(plan, vstate, params, rho, scheme, observers=(), t_start=0.0):
     steps = _step_range(scheme, t_start)
     run = dyn.run_constants(plan, params)
 
-    def rem(vpsi, h):
-        return dyn._remainder_prepared(plan, vpsi, rho, run), np.zeros_like(h)
+    def rem(vrows):
+        return dyn._remainder_prepared(plan, vrows, rho, run)
 
     state = ops.VelocityState(vstate.psi, np.zeros(0))
     return _one_row(plan, params, state, rem, scheme, steps, observers)

@@ -9,9 +9,13 @@ benettin_run co-integrates the base state with N tangent vectors as one
 stacked run of integrate's stepping loop (row 0 the base state, rows 1..
 the tangents; all share the -nu lam stiff part), so a trajectory and the
 ensemble are stepped, and their divergence caught, by the same code.  The
-loop yields the live rows every renormalization interval, and the ensemble
-is renormalized there in place by modified Gram-Schmidt; the next step
-starts from the renormalized rows.  Exponents are the time averages of the
+loop yields the live core rows (see `basis`) every renormalization
+interval, and the ensemble is renormalized there in place by modified
+Gram-Schmidt with the weights laid out per column, lam (1 + alpha^2 lam)
+times the core's row scale and the area on the pair, which reproduce the
+weighted product of the slots; the next step starts from the renormalized
+rows.  The initial ensemble is drawn in slot order and converted, and the
+monitor and `trace_qn` convert at their edges.  Exponents are the time averages of the
 log scale factors after a transient discard; their partial sums estimate
 the trace of F' compressed to the leading N directions, the quantity the
 dimension bound N* controls.
@@ -72,26 +76,30 @@ class ExponentReport:
 
 
 def _weight_vector(plan, alpha):
-    return plan.lam * (1.0 + alpha**2 * plan.lam)
+    """The weighted product per column of the core rows: lam (1 + alpha^2
+    lam) times the core's row scale, and the area on the harmonic pair."""
+    lam = plan.core.row_lam
+    w = plan.core.row_scale * lam * (1.0 + alpha**2 * lam)
+    w[len(w) - plan.n_harmonic :] = plan.area
+    return w
 
 
-def _orthonormalize_arrays(plan, psis, hs, alpha):
-    """In-place modified Gram-Schmidt on stacked tangents; returns scale factors."""
+def _orthonormalize_arrays(plan, rows, alpha):
+    """In-place modified Gram-Schmidt on stacked tangent core rows; returns
+    scale factors."""
     wv = _weight_vector(plan, alpha)
-    n = psis.shape[0]
+    n = rows.shape[0]
     r = np.zeros(n)
     for k in range(n):
-        r[k] = np.sqrt(np.dot(wv * psis[k], psis[k]) + plan.area * np.dot(hs[k], hs[k]))
+        r[k] = np.sqrt(np.dot(wv * rows[k], rows[k]))
         if r[k] < DEGENERACY_FLOOR:
             raise DegenerateEnsembleError(
                 f"tangent {k} lost independence (scale factor {r[k]:.3e})"
             )
-        psis[k] /= r[k]
-        hs[k] /= r[k]
+        rows[k] /= r[k]
         if k + 1 < n:
-            proj = wv * psis[k] @ psis[k + 1 :].T + plan.area * hs[k] @ hs[k + 1 :].T
-            psis[k + 1 :] -= proj[:, None] * psis[k]
-            hs[k + 1 :] -= proj[:, None] * hs[k]
+            proj = wv * rows[k] @ rows[k + 1 :].T
+            rows[k + 1 :] -= proj[:, None] * rows[k]
     return r
 
 
@@ -109,7 +117,8 @@ def eigenvalue_ladder(plan, n):
 
 
 def _initial_ensemble(plan, n, alpha, rng):
-    """Seed-perturbed leading eigendirections, harmonic directions first."""
+    """Seed-perturbed leading eigendirections, harmonic directions first,
+    weighted-orthonormal core rows."""
     psis = np.zeros((n, plan.n_modes))
     hs = np.zeros((n, plan.n_harmonic))
     order = np.argsort(plan.lam, kind="stable")
@@ -120,8 +129,9 @@ def _initial_ensemble(plan, n, alpha, rng):
             psis[k, order[k - plan.n_harmonic]] = 1.0
     psis += 1e-3 * rng.standard_normal(psis.shape) / (1.0 + plan.lam)
     hs += 1e-3 * rng.standard_normal(hs.shape)
-    _orthonormalize_arrays(plan, psis, hs, alpha)
-    return psis, hs
+    rows = plan.core.to_rows(psis, hs)
+    _orthonormalize_arrays(plan, rows, alpha)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +140,12 @@ def _initial_ensemble(plan, n, alpha, rng):
 
 def trace_qn(plan, state, tangents, params):
     """sum_k [F'(u) w_k, w_k] for a weighted-orthonormal tangent set."""
-    psis = np.stack([state.psi] + [t.psi for t in tangents])
-    hs = np.stack([state.harmonic] + [t.harmonic for t in tangents])
-    dpsis, dhs = dyn.remainder(plan, params)(psis, hs)
-    full = dpsis[1:] - params.nu * plan.lam * psis[1:]
-    wv = _weight_vector(plan, params.alpha)
-    return float(np.sum(wv * psis[1:] * full) + plan.area * np.sum(hs[1:] * dhs[1:]))
+    rows = plan.core.to_rows(
+        np.stack([state.psi] + [t.psi for t in tangents]),
+        np.stack([state.harmonic] + [t.harmonic for t in tangents]),
+    )
+    full = dyn.remainder(plan, params)(rows)[1:] - params.nu * plan.core.row_lam * rows[1:]
+    return float(np.sum(_weight_vector(plan, params.alpha) * rows[1:] * full))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +182,12 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     n_tr = integrate._count_steps(config.t_transient, config.renorm_interval, "t_transient")
     n = config.n_ensemble
     rng = ops.NormalStream(config.seed)
-    tps, ths = _initial_ensemble(plan, n, params.alpha, rng)
+    core = plan.core
     loop = integrate._run_loop(
-        np.concatenate([state.psi[None], tps]),
-        np.concatenate([state.harmonic[None], ths]),
+        np.concatenate([
+            core.to_rows(state.psi[None], state.harmonic[None]),
+            _initial_ensemble(plan, n, params.alpha, rng),
+        ]),
         dyn.remainder(plan, params),
         integrate.decay_factors(plan, params.nu, scheme.dt),
         replace(scheme, stride=m),
@@ -187,9 +199,9 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
     q_series = np.zeros(n_av)
     mu_series = np.zeros((n_av, n))
     gs_min_scale = np.inf
-    for interval, (_, psis, hs, _) in enumerate(loop):
+    for interval, (_, rows, _) in enumerate(loop):
         # in place, so the next step starts from the renormalized tangents
-        r = _orthonormalize_arrays(plan, psis[1:], hs[1:], params.alpha)
+        r = _orthonormalize_arrays(plan, rows[1:], params.alpha)
         gs_min_scale = min(gs_min_scale, float(r.min()))
         if interval >= n_tr:
             logsum += np.log(r)
@@ -199,11 +211,8 @@ def benettin_run(plan, state, params, scheme, config, monitor=None):
             q_series[row] = logsum.sum() / elapsed
             mu_series[row] = logsum / elapsed
         if monitor is not None:
-            base = ops.VelocityState(psis[0].copy(), hs[0].copy())
-            ensemble = [
-                ops.VelocityState(psis[1 + k].copy(), hs[1 + k].copy()) for k in range(n)
-            ]
-            monitor((interval + 1) * config.renorm_interval, base, ensemble)
+            states = [ops.VelocityState(p, h) for p, h in zip(*core.from_rows(rows))]
+            monitor((interval + 1) * config.renorm_interval, states[0], states[1:])
     exponents = np.sort(logsum / config.t_average)[::-1]
     q_partial = np.cumsum(exponents)
     dim, saturated = kaplan_yorke(exponents)

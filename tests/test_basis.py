@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bardina2d import basis, legendre
+from bardina2d import basis, legendre, lyapunov
 from bardina2d.errors import IndexRangeError, ShapeError, UnsupportedGeometryError
 
 
@@ -535,6 +535,143 @@ class TestWorkspaces:
             got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), (rows, name)
+
+
+_CORE_ROW_CASES = [("sphere", 9, b) for b in (1, 7)] + [
+    ("torus", k, b) for k in (1, 4, 16, 33) for b in (1, 7)
+]
+
+
+def _core_row_case(kind, trunc, rows, seed=5):
+    """A plan of `kind`, and random stacked slot states (psis, hs)."""
+    geometry = basis.sphere() if kind == "sphere" else basis.torus(3.7)
+    plan = basis.build_plan(geometry, trunc)
+    rng = np.random.default_rng(seed + trunc + rows)
+    return (
+        plan,
+        rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam),
+        rng.standard_normal((rows, plan.n_harmonic)),
+    )
+
+
+class TestCoreRows:
+    """Core rows: the transform core's own coefficients, then the harmonic
+    pair; the identity on slot rows on the sphere, M flat on the torus."""
+
+    @pytest.mark.parametrize("kind,trunc,rows", _CORE_ROW_CASES)
+    def test_from_rows_inverts_to_rows(self, kind, trunc, rows):
+        plan, psis, hs = _core_row_case(kind, trunc, rows)
+        core = plan.core
+        x = core.to_rows(psis, hs)
+        assert x.shape == (rows, core.ncols)
+        got_psis, got_hs = core.from_rows(x)
+        assert got_hs.tobytes() == hs.tobytes()
+        if kind == "sphere":
+            assert x.tobytes() == psis.tobytes()
+            assert got_psis.tobytes() == psis.tobytes()
+        else:
+            # the constant entry of M, which no slot reaches, holds exactly 0
+            assert np.all(x[:, 0] == 0.0)
+            for got, want in zip(got_psis, psis):
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind,trunc,rows", _CORE_ROW_CASES)
+    def test_row_scale_weighs_rows_as_slots(self, kind, trunc, rows):
+        # per column: lam of the slots the column holds, and the scale that
+        # turns products of rows into those of slots; the Gram-Schmidt
+        # weights reproduce the weighted slot inner product
+        plan, psis, hs = _core_row_case(kind, trunc, rows)
+        core, alpha = plan.core, 0.7
+        x = core.to_rows(psis, hs)
+        wv = plan.lam * (1.0 + alpha**2 * plan.lam)
+        want = (wv * psis) @ psis.T + plan.area * hs @ hs.T
+        got = (lyapunov._weight_vector(plan, alpha) * x) @ x.T
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        n = core.ncols - plan.n_harmonic
+        want_l2 = psis @ psis.T
+        got_l2 = (core.row_scale[:n] * x[:, :n]) @ x[:, :n].T
+        assert np.max(np.abs(got_l2 - want_l2)) <= 1e-14 * np.max(np.abs(want_l2))
+        if kind == "sphere":
+            assert core.row_lam is plan.lam
+            assert np.all(core.row_scale == 1.0)
+        else:
+            # lam and the scale vanish on the constant entry, and the pair
+            # has lam 0 and scale 1; every slot's entries carry its lam
+            assert core.row_lam[0] == core.row_scale[0] == 0.0
+            assert np.all(core.row_lam[-2:] == 0.0) and np.all(core.row_scale[-2:] == 1.0)
+            on = core.ana_w != 0.0
+            assert np.array_equal(
+                core.row_lam[core.slot_entry][on], np.broadcast_to(plan.lam, on.shape)[on]
+            )
+
+    @pytest.mark.parametrize("trunc,rows", [(k, b) for k in (1, 4, 16, 33) for b in (1, 7)])
+    def test_torus_analysis_weight_is_pack_of_unpack(self, trunc, rows):
+        plan, _, _ = _core_row_case("torus", trunc, rows)
+        core = plan.core
+        ws = core.workspace(rows)
+        m = np.random.default_rng(trunc).standard_normal(ws.m.shape)
+        ws.m[...] = m
+        want = core._pack(ws, core._unpack(ws, ws.flow_w)).reshape(rows, -1)
+        got = m.reshape(rows, -1) * core.row_flow_w[:-2]
+        assert core.row_flow_w[0] == 0.0 and np.all(core.row_flow_w[-2:] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind,trunc", [("sphere", 9), ("torus", 4), ("torus", 16)])
+    def test_row_transforms_match_the_slot_transforms(self, kind, trunc):
+        plan, psis, hs = _core_row_case(kind, trunc, 3)
+        core = plan.core
+        x = core.to_rows(psis, hs)
+        zeta, grad = basis.flow_synthesis(plan, psis)
+        grids = core.row_synthesis(x)
+        scale = np.max(np.abs(grids))
+        assert np.max(np.abs(grids[:, 0] - zeta)) <= 1e-14 * scale
+        assert np.max(np.abs(grids[:, 1:] - grad)) <= 1e-14 * scale
+        p, q = basis.flow_analysis(plan, grad)
+        got_p, got_q = core.from_rows(core.row_analysis(grad))
+        assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
+        assert np.array_equal(got_q, q)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_torus_row_transforms_allocate_no_temporary(self, rows):
+        plan, psis, hs = _core_row_case("torus", 16, rows)
+        core, ws = plan.core, plan.core.workspace(rows)
+        x = core.to_rows(psis, hs)
+
+        def peak(fn):
+            fn()  # BLAS sets itself up at its first call
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: core.row_synthesis(x, ws.grids)) < 1000
+        # the analysis returns its rows, and makes nothing else
+        g = np.random.default_rng(rows).standard_normal(ws.g.shape)
+        assert peak(lambda: core.row_analysis(g)) < x.nbytes + 2000
+
+    def test_constant_entry_stays_zero_through_a_run(self):
+        from bardina2d import dynamics as dyn, integrate
+
+        plan, psis, hs = _core_row_case("torus", 8, 3)
+        rng = np.random.default_rng(2)
+        forcing = dyn.Forcing(rng.standard_normal(plan.n_modes) / plan.lam, np.array([0.2, -0.1]))
+        params = dyn.ModelParams(nu=0.05, alpha=0.5, sigma=0.3, forcing=forcing)
+        scheme = integrate.SchemeConfig(dt=0.01, t_end=0.5, stride=5)
+        loop = integrate._run_loop(
+            plan.core.to_rows(psis, hs),
+            dyn.remainder(plan, params),
+            integrate.decay_factors(plan, params.nu, scheme.dt),
+            scheme,
+            (0, 50),
+        )
+        seen = 0
+        for _, x, first in loop:
+            assert np.all(x[:, 0] == 0.0) and np.all(first()[:, 0] == 0.0)
+            seen += 1
+        assert seen == 11
 
 
 def _reference(plan):

@@ -671,6 +671,26 @@ class TestBounds:
         assert set(report["inertial"]) == {"gaps", "ell", "rho", "c", "crossing", "squeezing_note"}
         assert report["inertial"]["gaps"][:2] == [4.0, 6.0]
 
+    def test_constants_once_per_report(self, tmp_path, monkeypatch):
+        # one report and one per sweep value, each building its constants
+        # once and deriving the absorbing radii from them
+        calls = []
+        inner = bounds.constants
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "constants", counted)
+        doc = decay_doc(
+            forcing={"modes": [[2, 1, 3.0]]}, sweep={"key": "nu", "values": [0.5, 1.0, 2.0]}
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "bounds"
+        assert cli.main(["bounds", "--config", config, "--out", str(out)]) == 0
+        assert len(read_csv(out / "bounds_sweep.csv")[1]) == 3
+        assert len(calls) == 4
+
     @pytest.mark.parametrize(
         "doc",
         [

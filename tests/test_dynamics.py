@@ -254,8 +254,8 @@ def _wrong_width_calls():
 
 class TestWrongWidthRows:
     """A state of the wrong width raises ShapeError from every entry point:
-    `_product_parts`'s row check is the only guard before the plan core's
-    transforms, and entry points that stack states check them first."""
+    the plan core's `to_rows` checks the states it converts, and entry
+    points that stack states check them first."""
 
     @pytest.mark.parametrize(
         "kind,short,name",
@@ -322,67 +322,66 @@ class TestTangent:
         assert np.allclose(t.psi, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
-def _separate_remainders(plan, psis, hs, params, fstate):
-    """Reference for the stacked kernel: the base grids synthesized once, each
-    tangent's grids separately, Ntilde(u, U) = zeta_U (n x u) + zeta_u (n x U)
-    formed per tangent, then one flow analysis each."""
-    filt = 1.0 + params.alpha**2 * plan.lam
+def _separate_remainders(plan, rows, params, run):
+    """Reference for the stacked kernel on core rows: the base grids
+    synthesized once, each tangent's grids separately, Ntilde(u, U) =
+    zeta_U (n x u) + zeta_u (n x U) formed per tangent, then one flow
+    analysis each, through the core's row transforms one row at a time (on
+    the sphere the core rows are the slot rows, and those transforms are
+    basis.flow_synthesis and the Leray part of basis.flow_analysis)."""
+    core = plan.core
 
-    def grids(psi, h):
-        zeta, grad = basis.flow_synthesis(plan, psi)
-        u = basis.rot90(grad)
+    def grids(row):
+        grids = core.row_synthesis(row[None])[0]
+        u = basis.rot90(grids[1:])
         if plan.n_harmonic:
-            u[0] += h[0]
-            u[1] += h[1]
-        return zeta, u
+            u[0] += row[-2]
+            u[1] += row[-1]
+        return grids[0], u
 
-    zeta0, u0 = grids(psis[0], hs[0])
-    p, q = basis.flow_analysis(plan, zeta0 * basis.rot90(u0))
-    out_psi = [(fstate.psi - p - params.sigma * psis[0]) / filt]
-    out_h = [fstate.harmonic - params.sigma * hs[0] - q]
-    for psi, h in zip(psis[1:], hs[1:]):
-        zeta, u = grids(psi, h)
-        p, q = basis.flow_analysis(plan, zeta * basis.rot90(u0) + zeta0 * basis.rot90(u))
-        out_psi.append((-p - params.sigma * psi) / filt)
-        out_h.append(-params.sigma * h - q)
-    return np.stack(out_psi), np.stack(out_h)
+    def analysis(g):
+        return core.row_analysis(g[None])[0]
+
+    zeta0, u0 = grids(rows[0])
+    p = analysis(zeta0 * basis.rot90(u0))
+    out = [(run.forcing - p - params.sigma * rows[0]) / run.divisor]
+    for row in rows[1:]:
+        zeta, u = grids(row)
+        p = analysis(zeta * basis.rot90(u0) + zeta0 * basis.rot90(u))
+        out.append((-p - params.sigma * row) / run.divisor)
+    return np.stack(out)
 
 
 class TestCoupledRemainder:
     def test_rows_match_base_and_tangent_remainders(self):
         for plan in (sphere_plan(), torus_plan()):
             p = params_for(plan, seed=10, sigma=0.2)
-            fstate = dyn.forcing_state(plan, p.forcing)
+            run = dyn.run_constants(plan, p)
             states = [ops.random_state(plan, seed=80 + k) for k in range(5)]
             psis = np.stack([s.psi for s in states])
             hs = np.random.default_rng(81).standard_normal((5, plan.n_harmonic))
-            dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
+            rows = plan.core.to_rows(psis, hs)
+            got = dyn._remainder_u(plan, rows, p, run)
             # row 0 does not depend on the rows stacked after it
-            dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, dyn.run_constants(plan, p))
-            assert np.array_equal(dpsis[0], dpsi0[0])
-            assert np.array_equal(dhs[0], dh0[0])
-            want_psi, want_h = _separate_remainders(plan, psis, hs, p, fstate)
-            # and keeps the one-state rounding, f - p - sigma psi
-            assert np.array_equal(dpsis[0], want_psi[0])
-            assert np.array_equal(dhs[0], want_h[0])
-            for got, want in ((dpsis, want_psi), (dhs, want_h)):
-                assert got.shape == want.shape
-                for k in range(1, 5):
-                    if want[k].size:
-                        assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(
-                            np.abs(want[k])
-                        ), k
+            got0 = dyn._remainder_u(plan, rows[:1], p, run)
+            assert np.array_equal(got[0], got0[0])
+            want = _separate_remainders(plan, rows, p, run)
+            # and keeps the one-state rounding, f - p - sigma x
+            assert np.array_equal(got[0], want[0])
+            assert got.shape == want.shape
+            for k in range(1, 5):
+                assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(np.abs(want[k])), k
 
     @pytest.mark.parametrize("trunc,rows", [(t, b) for t in (20, 85) for b in (2, 9)])
     def test_sphere_row0_keeps_one_state_rounding(self, trunc, rows):
         # an even truncation (order 0 alone in its table block), an odd one,
         # and more stacked fields, so more columns in each Legendre matmul
         plan, p, fstate, psis, hs = _kernel_case("sphere", trunc, rows)
-        dpsis, dhs = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
-        dpsi0, dh0 = dyn._remainder_u(plan, psis[:1], hs[:1], p, dyn.run_constants(plan, p))
-        want_psi, want_h = _separate_remainders(plan, psis[:1], hs[:1], p, fstate)
-        assert dpsis[0].tobytes() == dpsi0[0].tobytes() == want_psi[0].tobytes()
-        assert dhs[0].tobytes() == dh0[0].tobytes() == want_h[0].tobytes()
+        run = dyn.run_constants(plan, p)
+        got = dyn._remainder_u(plan, psis, p, run)
+        got0 = dyn._remainder_u(plan, psis[:1], p, run)
+        want = _separate_remainders(plan, psis[:1], p, run)
+        assert got[0].tobytes() == got0[0].tobytes() == want[0].tobytes()
 
 
 def _kernel_case(kind, trunc, rows, seed=3):
@@ -412,11 +411,12 @@ params = dyn.ModelParams(nu=0.3, alpha=0.8, sigma=0.3, forcing=forcing)
 run = dyn.run_constants(plan, params)
 psis = rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam)
 hs = rng.standard_normal((rows, plan.n_harmonic))
+core_rows = plan.core.to_rows(psis, hs)
 for _ in range(3):
-    dyn._remainder_u(plan, psis, hs, params, run)
+    dyn._remainder_u(plan, core_rows, params, run)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
-    dyn._remainder_u(plan, psis, hs, params, run)
+    dyn._remainder_u(plan, core_rows, params, run)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -426,9 +426,11 @@ def _rot90(vec):
 
 
 class _AllocatingRemainder:
-    """The stacked remainder with fresh temporaries at every stage, rotating
-    the gradient and the product by copies: the reference the workspace
-    kernel must match bit for bit."""
+    """The stacked remainder of core rows with fresh temporaries at every
+    stage, rotating the gradient and the product by copies: the reference
+    the workspace kernel must match bit for bit.  On the sphere the core
+    rows are the slot rows; on the torus they are the coefficient matrix M
+    of each field, flat, then its harmonic pair."""
 
     def __init__(self, plan):
         self.plan, self.core = plan, plan.core
@@ -589,60 +591,87 @@ class _AllocatingRemainder:
                 if ("sin", 0) not in (x, y)
             ]
 
-    def _torus_synthesis(self, psi):
+    def _torus_lam(self):
+        """lam of every entry of M, (2K + 1, 2K + 1)."""
         c = self.core
-        n, amp, w = c.shape[0], math.sqrt(2.0) / c.length, 2.0 * np.pi / c.length
-        m = np.zeros((len(psi), 2 * c.kmax + 1, 2 * c.kmax + 1))
+        w = 2.0 * np.pi / c.length
+        freq = np.concatenate((np.arange(c.kmax + 1), np.arange(1, c.kmax + 1)))
+        return (w**2) * (freq[:, None] ** 2 + freq[None, :] ** 2)
+
+    def rows(self, psis, hs):
+        """Core rows of stacked slot states."""
+        if self.plan.geometry.kind == basis.SPHERE:
+            return psis.copy()
+        c = self.core
+        amp, nb = math.sqrt(2.0) / c.length, 2 * c.kmax + 1
+        m = np.zeros((len(psis), nb, nb))
         for slot, links in self._torus_links():
             for (row, col), sign in links:
-                m[:, row, col] += (amp * sign) * psi[:, slot]
-        freq = np.concatenate((np.arange(c.kmax + 1), np.arange(1, c.kmax + 1)))
-        neg_lam = -(w**2) * (freq[:, None] ** 2 + freq[None, :] ** 2)
+                m[:, row, col] += (amp * sign) * psis[:, slot]
+        return np.concatenate((m.reshape(len(psis), -1), hs), axis=1)
+
+    def lam_cols(self):
+        """lam of every column of the core rows, 0 on the harmonic pair."""
+        if self.plan.geometry.kind == basis.SPHERE:
+            return self.plan.lam
+        return np.concatenate((self._torus_lam().ravel(), np.zeros(2)))
+
+    def _torus_synthesis(self, rows):
+        c = self.core
+        n, nb = c.shape[0], 2 * c.kmax + 1
+        m = rows[:, : nb * nb].reshape(len(rows), nb, nb)
         e, de = self._torus_axis_tables()
         e_de_t = np.ascontiguousarray(np.concatenate((e, de)).T)  # [E^T | dE^T]
         right = m @ e_de_t  # [M E^T | M dE^T]
-        zeta = e @ ((m * neg_lam) @ e_de_t[:, :n])
+        zeta = e @ ((m * -self._torus_lam()) @ e_de_t[:, :n])
         grad = np.stack((de @ right[..., :n], e @ right[..., n:]), axis=1)
         return zeta, grad
 
     def _torus_analysis(self, g):
+        """<g, n x grad> of every entry of M over its lam, weighted as a
+        projection onto the entry's function (qw times the squared norm of
+        its slots' links), then the means of g."""
         c = self.core
-        n, amp = c.shape[0], math.sqrt(2.0) / c.length
+        n, amp, nb = c.shape[0], math.sqrt(2.0) / c.length, 2 * c.kmax + 1
         e, de = self._torus_axis_tables()
         # <g, n x grad> of each entry: integral of g_y d/dx - g_x d/dy
         a = de.T @ (g[:, 1] @ e) - e.T @ (g[:, 0] @ de)
         quad = (c.length / n) ** 2
-        p = np.zeros((len(g), c.n_modes))
-        for slot, links in self._torus_links():
+        norm2 = np.zeros((nb, nb))
+        for _, links in self._torus_links():
             for (row, col), sign in links:
-                p[:, slot] += a[:, row, col] * (amp * quad * sign / self.plan.lam[slot])
-        return p, g.mean(axis=(-2, -1))
+                norm2[row, col] += (amp * sign) ** 2
+        lam = self._torus_lam()
+        weight = np.zeros((nb, nb))
+        weight[norm2 > 0.0] = quad * norm2[norm2 > 0.0] / lam[norm2 > 0.0]
+        return np.concatenate(((a * weight).reshape(len(g), -1), g.mean(axis=(-2, -1))), axis=1)
 
-    def product(self, psis, hs):
-        """P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1.."""
+    def product(self, rows, sign=1.0):
+        """P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..,
+        of `sign` times them analyzed when given (exactly the negated rows,
+        but for the sign of the zero of the torus constant entry)."""
         plan = self.plan
         if plan.geometry.kind == basis.SPHERE:
-            synthesis, analysis = self._sphere_synthesis, self._sphere_analysis
+            zeta, grad = self._sphere_synthesis(rows)
         else:
-            synthesis, analysis = self._torus_synthesis, self._torus_analysis
-        zeta, grad = synthesis(psis)
+            zeta, grad = self._torus_synthesis(rows)
         u = _rot90(grad)
         if plan.n_harmonic:
-            u[..., 0, :, :] += hs[..., 0, None, None]
-            u[..., 1, :, :] += hs[..., 1, None, None]
+            u[..., 0, :, :] += rows[..., -2, None, None]
+            u[..., 1, :, :] += rows[..., -1, None, None]
         g = zeta[:, None] * _rot90(u[0])
         if len(g) > 1:
             g[1:] += zeta[0] * _rot90(u[1:])
-        return analysis(g)
+        g *= sign
+        if plan.geometry.kind == basis.SPHERE:
+            return self._sphere_analysis(g)[0]
+        return self._torus_analysis(g)
 
-    def remainder_u(self, psis, hs, params, fstate):
-        plan = self.plan
-        p, q = self.product(psis, hs)
-        filt = 1.0 + params.alpha**2 * plan.lam
-        drag_h = params.sigma * hs
-        p[0] -= fstate.psi
-        drag_h[0] -= fstate.harmonic
-        return (-p - params.sigma * psis) / filt, -drag_h - q
+    def remainder_u(self, rows, params, fstate):
+        filt = 1.0 + params.alpha**2 * self.lam_cols()
+        p = self.product(rows, -1.0)
+        p[0] += self.rows(fstate.psi[None], fstate.harmonic[None])[0]
+        return (p - params.sigma * rows) / filt
 
 
 class TestProductSign:
@@ -655,11 +684,12 @@ class TestProductSign:
     )
     def test_product_parts_are_the_negated_analysis(self, kind, trunc, rows):
         plan, _, _, psis, hs = _kernel_case(kind, trunc, rows)
-        want_p, want_q = _AllocatingRemainder(plan).product(psis, hs)
-        got_p, got_q = dyn._product_parts(plan, psis, hs)
-        assert np.array_equal(got_p, -want_p)
-        assert np.array_equal(got_q, -want_q)
+        ref = _AllocatingRemainder(plan)
+        core_rows = ref.rows(psis, hs)
+        want = ref.product(core_rows)
+        assert np.array_equal(dyn._product_parts(plan, core_rows), -want)
         split = dyn.nonlinear_term(plan, ops.VelocityState(psis[0], hs[0]))
+        want_p, want_q = plan.core.from_rows(want[:1])
         assert np.array_equal(split.p_part, want_p[0])
         assert np.array_equal(split.q_part, want_q[0])
 
@@ -676,12 +706,15 @@ class TestWorkspaceKernel:
     )
     def test_matches_allocating_reference_bitwise(self, kind, trunc, rows):
         plan, p, fstate, psis, hs = _kernel_case(kind, trunc, rows)
-        want = _AllocatingRemainder(plan).remainder_u(psis, hs, p, fstate)
+        ref = _AllocatingRemainder(plan)
+        core_rows = ref.rows(psis, hs)
+        # the core's rows and constants are the reference's too
+        assert core_rows.tobytes() == plan.core.to_rows(psis, hs).tobytes()
+        want = ref.remainder_u(core_rows, p, fstate)
         for _ in range(2):  # a fresh and a reused workspace
-            got = dyn._remainder_u(plan, psis, hs, p, dyn.run_constants(plan, p))
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            got = dyn._remainder_u(plan, core_rows, p, dyn.run_constants(plan, p))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "kind,trunc,rows", [("sphere", 21, 9), ("sphere", 85, 1), ("torus", 16, 7)]
@@ -709,8 +742,9 @@ class TestWorkspaceKernel:
         for kind in ("sphere", "torus"):
             plan, p, fstate, psis, hs = _kernel_case(kind, 9, 4)
             states = [ops.VelocityState(psi, h) for psi, h in zip(psis, hs)]
+            core_rows, run = plan.core.to_rows(psis, hs), dyn.run_constants(plan, p)
             calls = (
-                lambda k: dyn._remainder_u(plan, psis[2 * k : 2 * k + 2], hs[2 * k : 2 * k + 2], p, dyn.run_constants(plan, p)),
+                lambda k: (dyn._remainder_u(plan, core_rows[2 * k : 2 * k + 2], p, run),),
                 lambda k: dyn.rhs_u(plan, states[k], p),
                 lambda k: dyn.nonlinear_term(plan, states[k]),
             )
@@ -754,9 +788,10 @@ class TestTransformPasses:
         psis = rng.standard_normal((7, plan.n_modes)) / (1.0 + plan.lam)
         hs = rng.standard_normal((7, 2))
         state = ops.VelocityState(psis[0], hs[0])
+        rows = plan.core.to_rows(psis, hs)
         calls = self._count_ffts(monkeypatch)
-        dyn._remainder_u(plan, psis[:1], hs[:1], params, run)
-        dyn._remainder_u(plan, psis, hs, params, run)
+        dyn._remainder_u(plan, rows[:1], params, run)
+        dyn._remainder_u(plan, rows, params, run)
         dyn.rhs_u(plan, state, params)
         assert calls == []
         # the counter sees the sphere's FFTs

@@ -116,6 +116,23 @@ class TestBookkeeping:
         assert np.array_equal(tail.psi, full[-1][1].psi)
         assert np.array_equal(tail.harmonic, full[-1][1].harmonic)
 
+    @pytest.mark.parametrize("stride", [1, 7, 16])
+    @pytest.mark.parametrize("kind", ["torus", "sphere"])
+    def test_resume_from_every_sample_is_bitwise(self, kind, stride):
+        # the run continues from each sampled state's core row, as a run
+        # resumed from that state starts
+        plan, params = forced_torus() if kind == "torus" else forced_sphere()
+        st0 = ops.random_state(plan, seed=11, e1=0.5, alpha=0.8)
+        sch = ti.SchemeConfig(dt=0.5 / 64, t_end=0.5, stride=stride)
+        full = list(ti.samples(plan, st0, params, sch))
+        for i, (t_mid, st_mid) in enumerate(full[:-1]):
+            tail = list(ti.samples(plan, st_mid, params, sch, t_start=t_mid))
+            assert len(tail) == len(full) - i
+            for (t_a, a), (t_b, b) in zip(tail, full[i:]):
+                assert t_a == pytest.approx(t_b)
+                assert a.psi.tobytes() == b.psi.tobytes()
+                assert a.harmonic.tobytes() == b.harmonic.tobytes()
+
     def test_samples_are_snapshots_not_views(self):
         plan, params = forced_torus()
         st = ops.random_state(plan, seed=4)
@@ -226,24 +243,19 @@ class TestSharedTendency:
             assert np.array_equal(tend.psi, want.psi)
 
 
-def _written_out_step(psi, h, dt, e_full, e_half, rem, method, first):
+def _written_out_step(rows, dt, e_full, e_half, rem, method, first):
     """One IF-Euler or IF-RK4 step with each stage written out, first stage
     `first`, as the reference for step_pair."""
-    g1, gh1 = first
+    g1 = first
     if method == ti.IF_EULER:
-        return e_full * (psi + dt * g1), h + dt * gh1
-    u1 = e_half * (psi + 0.5 * dt * g1)
-    v1 = h + 0.5 * dt * gh1
-    g2, gh2 = rem(u1, v1)
-    u2 = e_half * psi + 0.5 * dt * g2
-    v2 = h + 0.5 * dt * gh2
-    g3, gh3 = rem(u2, v2)
-    u3 = e_full * psi + dt * (e_half * g3)
-    v3 = h + dt * gh3
-    g4, gh4 = rem(u3, v3)
-    psi_new = e_full * psi + (dt / 6.0) * (e_full * g1 + 2.0 * (e_half * (g2 + g3)) + g4)
-    h_new = h + (dt / 6.0) * (gh1 + 2.0 * (gh2 + gh3) + gh4)
-    return psi_new, h_new
+        return e_full * (rows + dt * g1)
+    u1 = e_half * (rows + 0.5 * dt * g1)
+    g2 = rem(u1)
+    u2 = e_half * rows + 0.5 * dt * g2
+    g3 = rem(u2)
+    u3 = e_full * rows + dt * (e_half * g3)
+    g4 = rem(u3)
+    return e_full * rows + (dt / 6.0) * (e_full * g1 + 2.0 * (e_half * (g2 + g3)) + g4)
 
 
 class TestStepPair:
@@ -259,25 +271,27 @@ class TestStepPair:
         inner = dyn.remainder(plan, params)
         stages = []
 
-        def rem(psi, h):
+        def rem(x):
             # the stage states too: a change inside one rarely shows in the
             # step, whose last stage enters times dt / 6
-            stages.append(psi.tobytes() + h.tobytes())
-            return inner(psi, h)
+            stages.append(x.tobytes())
+            return inner(x)
 
         psis = rng.standard_normal((rows, plan.n_modes)) / (1.0 + plan.lam)
         hs = rng.standard_normal((rows, plan.n_harmonic))
+        x = plan.core.to_rows(psis, hs)
         dt = 0.01
         decay = ti.decay_factors(plan, params.nu, dt)
-        want = _written_out_step(psis, hs, dt, *decay, rem, method, inner(psis, hs))
+        # exactly 1 on the harmonic columns, which so step by the plain rule
+        assert np.all(decay[0][plan.core.ncols - plan.n_harmonic :] == 1.0)
+        want = _written_out_step(x, dt, *decay, rem, method, inner(x))
         want_stages = stages[:]
-        for first in (None, inner(psis, hs)):
+        for first in (None, inner(x)):
             stages.clear()
-            got = ti.step_pair(psis, hs, dt, *decay, rem, method, first)
+            got = ti.step_pair(x, dt, *decay, rem, method, first)
             assert stages[1 if first is None else 0 :] == want_stages
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRunLoop:
@@ -290,36 +304,35 @@ class TestRunLoop:
         plan, params = forced_torus()
         run = dyn.run_constants(plan, params)
 
-        def rem(p, h):
-            return dyn._remainder_u(plan, p, h, params, run)
+        def rem(x):
+            return dyn._remainder_u(plan, x, params, run)
 
         rng = np.random.default_rng(21)
         psis0 = rng.standard_normal((3, plan.n_modes)) / (1.0 + plan.lam)
         hs0 = rng.standard_normal((3, plan.n_harmonic))
+        rows0 = plan.core.to_rows(psis0, hs0)
 
-        def renormalize(psis, hs):
-            scale = np.sqrt(np.sum(psis[1:] ** 2, axis=1) + np.sum(hs[1:] ** 2, axis=1))
-            psis[1:] /= scale[:, None]
-            hs[1:] /= scale[:, None]
+        def renormalize(rows):
+            rows[1:] /= np.sqrt(np.sum(rows[1:] ** 2, axis=1))[:, None]
 
         sch = ti.SchemeConfig(dt=0.05, t_end=1.0, stride=3)
         decay = ti.decay_factors(plan, params.nu, sch.dt)
         got = []
-        loop = ti._run_loop(psis0.copy(), hs0.copy(), rem, decay, sch, (0, 20))
-        for i, (t, psis, hs, first) in enumerate(loop):
-            renormalize(psis, hs)
+        loop = ti._run_loop(rows0.copy(), rem, decay, sch, (0, 20))
+        for i, (t, rows, first) in enumerate(loop):
+            renormalize(rows)
             if i % 2:
                 first()
-            got.append((t, psis.tobytes(), hs.tobytes()))
+            got.append((t, rows.tobytes()))
 
         want = []
-        psis, hs = psis0.copy(), hs0.copy()
+        rows = rows0.copy()
         for k in range(21):
             if k:
-                psis, hs = ti.step_pair(psis, hs, sch.dt, *decay, rem, sch.method)
+                rows = ti.step_pair(rows, sch.dt, *decay, rem, sch.method)
             if k % 3 == 0 or k == 20:
-                renormalize(psis, hs)
-                want.append((k * sch.dt, psis.tobytes(), hs.tobytes()))
+                renormalize(rows)
+                want.append((k * sch.dt, rows.tobytes()))
         assert len(got) == 8  # k = 0, 3, ..., 18 and the final step
         assert got == want
 

@@ -32,11 +32,13 @@ def eigen_tangent(plan, index, alpha):
 
 
 def orthonormalize(plan, tangents, alpha):
-    """Weighted Gram-Schmidt on copies of a list of states: (states, scale factors)."""
-    psis = np.stack([t.psi for t in tangents])
-    hs = np.stack([t.harmonic for t in tangents])
-    r = lyapunov._orthonormalize_arrays(plan, psis, hs, alpha)
-    return [ops.VelocityState(p, h) for p, h in zip(psis, hs)], r
+    """Weighted Gram-Schmidt of a list of states through their core rows:
+    (states, scale factors)."""
+    rows = plan.core.to_rows(
+        np.stack([t.psi for t in tangents]), np.stack([t.harmonic for t in tangents])
+    )
+    r = lyapunov._orthonormalize_arrays(plan, rows, alpha)
+    return [ops.VelocityState(p, h) for p, h in zip(*plan.core.from_rows(rows))], r
 
 
 def gram_matrix(plan, tangents, alpha):
