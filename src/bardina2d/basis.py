@@ -67,15 +67,21 @@ Core rows
     own coefficients followed by the harmonic pair: on the sphere the slot
     row, on the torus the matrix M flat.  Each core converts with
     to_rows(psis, hs) and from_rows(rows), gives lam and a scale per
-    column (row_lam, row_scale), and transforms rows by row_synthesis and
-    row_analysis, the flow pair on core rows.
+    column (row_lam, row_scale), and transforms rows by
+    row_synthesis(rows, ws) and row_analysis(g, ws), the flow pair on core
+    rows, ws the workspace of their row count, which the caller looks up
+    once for both.  The row synthesis returns the grids of the vorticity
+    and of grad psi - n x h = -(n x u), the harmonic pair included (the
+    torus adds it inside its second products); the row analysis returns
+    the Leray part as core rows, and on the torus the area means of g in
+    the pair's columns.
 
 Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the Legendre rows of psi,
     -lam psi and D psi and their weights, the Legendre sums and the
     zero-padded half spectra (sphere), the packed
-    coefficient matrices and the products of one axis (torus), and, for the
+    core rows and the products of one axis (torus), and, for the
     right-hand side in `dynamics`, the vorticity/gradient grid stack and the
     product field g.  The FFTs and matmuls write into them with out=, so
     stepping a batch allocates no large temporaries; freed ones would be
@@ -137,6 +143,14 @@ class Geometry:
             return 4.0 * math.pi
         return self.length**2
 
+    @property
+    def lambda_1(self):
+        """The smallest eigenvalue of -Laplacian, as a plan's lambda_1 holds
+        it: 2 on the unit sphere, (2 pi / L)^2 on the torus."""
+        if self.kind == SPHERE:
+            return 2.0
+        return (2.0 * math.pi / self.length) ** 2
+
 
 def sphere():
     return Geometry(SPHERE)
@@ -162,7 +176,7 @@ class _Workspace:
 
     def _bind_rhs(self):
         grids, g = self.grids, self.g
-        self.zeta, self.grad_x, self.grad_y = grids[:, :1], grids[:, 1], grids[:, 2]
+        self.zeta = grids[:, :1]
         self.zeta0, self.grad0 = grids[:1, :1], grids[:1, 1:]
         self.grad_rest, self.g_rest = grids[1:, 1:], g[1:]
 
@@ -402,8 +416,11 @@ class _SphereCore:
     # -- flow ----------------------------------------------------------
 
     def flow_synthesis(self, psi, out=None):
-        ws = self.workspace(len(psi))
-        self._gather(ws, psi)
+        return self.row_synthesis(psi, self.workspace(len(psi)), out)
+
+    def row_synthesis(self, rows, ws, out=None):
+        """`flow_synthesis` of core rows, ws their row count's workspace."""
+        self._gather(ws, rows)
         # D psi: row i of parity p takes lo psi[1 - p, i - 1 + p] + hi
         # psi[1 - p, i + p], rows flat over block and row; ws.links line
         # those rows of parity 1 - p up with row i, and the lo products go
@@ -420,8 +437,8 @@ class _SphereCore:
         _unfold(*ws.unfold)
         return np.fft.irfft(ws.spec_t, n=self.nlon, axis=-1, out=out)
 
-    def row_analysis(self, g):
-        ws = self.workspace(len(g))
+    def row_analysis(self, g, ws):
+        """The Leray part of `flow_analysis`, ws the row count's workspace."""
         np.fft.rfft(g, axis=-1, out=ws.spec_at)
         _fold(*ws.fold_a)
         for rows in ws.rows_a:
@@ -436,9 +453,7 @@ class _SphereCore:
         return np.add.reduce(v)
 
     def flow_analysis(self, g):
-        return self.row_analysis(g), np.zeros((len(g), 0))
-
-    row_synthesis = flow_synthesis
+        return self.row_analysis(g, self.workspace(len(g))), np.zeros((len(g), 0))
 
 
 class _SphereWork(_Workspace):

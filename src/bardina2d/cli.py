@@ -172,13 +172,15 @@ def _load_spec(args):
 
 
 def _diag_row(r, dt):
-    """One diagnostics.csv line for a `DiagnosticsRecord`, without its newline:
+    """(line, flags): one diagnostics.csv line for a `DiagnosticsRecord`,
+    without its newline, and its count of envelope flags.  The line holds
     the fields in declaration order (the order of `_DIAG_HEADER` and of
-    vars(), which astuple would copy), then the count of envelope flags."""
+    vars(), which astuple would copy), then that count."""
     from . import verification
 
     over1, over2 = verification.envelope_flags(r.e1, r.envelope1, r.e2, r.envelope2, dt)
-    return ",".join([*map(_fmt, vars(r).values()), str(int(over1) + int(over2))])
+    flags = int(over1) + int(over2)
+    return ",".join([*map(_fmt, vars(r).values()), str(flags)]), flags
 
 
 def _param_echo(plan, params):
@@ -297,6 +299,8 @@ def cmd_simulate(args, spec):
 
     envelopes = verification.envelopes(plan, params, *anchor)
     last, diverged = (t_start, state), None
+    # rows with a nonzero violations column, and the first one's t
+    violating, first_violation = 0, None
     # all three files are staged and then renamed in staging order:
     # diagnostics.csv, the snapshot, and meta.json last, since it names both
     with committing() as stage:
@@ -305,8 +309,14 @@ def cmd_simulate(args, spec):
             csv.write(_DIAG_HEADER + "\n")
 
             def observe(t, st, tend):
+                nonlocal violating, first_violation
                 record = verification.energy_record(plan, st, params, t, envelopes, tend)
-                csv.write(_diag_row(record, scheme.dt) + "\n")
+                line, flags = _diag_row(record, scheme.dt)
+                csv.write(line + "\n")
+                if flags:
+                    violating += 1
+                    if first_violation is None:
+                        first_violation = t
 
             # a zero-length run writes the header only and snapshots its start
             if scheme.t_end > t_start:
@@ -338,6 +348,9 @@ def cmd_simulate(args, spec):
     with contextlib.suppress(FileNotFoundError):
         if not (args.resume and os.path.samefile(stale, args.resume)):
             os.remove(stale)
+    if violating:
+        print(f"warning: {violating} diagnostics row(s) exceed their energy envelopes "
+              f"(nonzero violations column), the first at t={first_violation}", file=sys.stderr)
     if diverged is not None:
         print(f"error: {diverged}; partial diagnostics flushed, last recorded "
               f"state in {kept}", file=sys.stderr)

@@ -124,6 +124,14 @@ def _check_param(kind, key, value, path):
     return value
 
 
+def _check_products(geometry, nu, alpha, path=None):
+    """Fails naming `path`, or else the parameter at fault, where
+    `dynamics.product_error` refuses (nu, alpha) on the geometry."""
+    found = dynamics.product_error(geometry.lambda_1, nu, alpha)
+    if found:
+        _fail(path or found[0], found[1])
+
+
 def _check_mode_index(geometry, truncation, index, path):
     """The index pair as a tuple; fails naming `path` where
     `basis.check_mode_index` refuses it (not integers, or outside the
@@ -219,7 +227,7 @@ def _parse_lyapunov(obj, top_seed):
         raise ConfigurationError(msg if msg.startswith("lyapunov") else f"lyapunov: {msg}") from exc
 
 
-def _parse_sweep(obj, kind):
+def _parse_sweep(obj, geometry, nu, alpha):
     if obj is None:
         return None
     _reject_unknown(obj, {"key", "values"}, "sweep")
@@ -232,7 +240,10 @@ def _parse_sweep(obj, kind):
     out = []
     for i, v in enumerate(values):
         path = f"sweep.values[{i}]"
-        out.append(_check_param(kind, key, _number(v, path), path))
+        value = _check_param(geometry.kind, key, _number(v, path), path)
+        point = {"nu": nu, "alpha": alpha, key: value}
+        _check_products(geometry, point["nu"], point["alpha"], path)
+        out.append(value)
     return (key, tuple(out))
 
 
@@ -276,6 +287,7 @@ def parse_config(text):
     nu = _check_param(kind, "nu", _get_number(raw, "nu", ""), "nu")
     alpha = _check_param(kind, "alpha", _get_number(raw, "alpha", ""), "alpha")
     sigma = _check_param(kind, "sigma", _get_number(raw, "sigma", "", default=0.0), "sigma")
+    _check_products(geometry, nu, alpha)
     seed = raw.get("seed")
     if seed is not None:
         _seed(seed, "seed")
@@ -296,7 +308,7 @@ def parse_config(text):
         lyapunov=_parse_lyapunov(raw.get("lyapunov"), seed),
         seed=seed,
         out=out,
-        sweep=_parse_sweep(raw.get("sweep"), kind),
+        sweep=_parse_sweep(raw.get("sweep"), geometry, nu, alpha),
     )
 
 

@@ -34,10 +34,13 @@ columns.  What it needs of a run's plan and parameters besides the rows,
 the forcing (psi_f, f2) as a core row and the Helmholtz divisor
 1 + alpha^2 lam per column, is built once per run by `run_constants`, and
 `remainder` wraps the kernel for a run with them.  On both geometries the
-product is formed on grad psi - n x h = -(n x u), so the analysis returns
--P and -Q, and the kernel finishes each row in place with no negation
-pass.  `rhs_u`, `rhs_tangent`, `nonlinear_term` and `prepared_rhs` take
-and return states in slot order and convert at their edges.
+core's row synthesis returns the gradient grids as grad psi - n x h =
+-(n x u), the harmonic pair already in them (on the torus the transform's
+own products add it), so the product is formed on those grids with no
+pass of its own, the analysis returns -P and -Q, and the kernel finishes
+each row in place with no negation pass.  `rhs_u`, `rhs_tangent`,
+`nonlinear_term` and `prepared_rhs` take and return states in slot order
+and convert at their edges.
 
 The prepared variant evolves v directly on the sphere with the nonlinear and
 forcing terms multiplied by a smooth cutoff of |v| / rho, which makes every
@@ -47,6 +50,7 @@ the ball of radius rho.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +109,36 @@ def param_error(kind, key, value):
     return None if value > 0.0 else f"must be positive, got {value}"
 
 
+def product_error(lambda_1, nu, alpha):
+    """(key, why) when lambda_1 or a product that the energy bounds divide
+    by (alpha^2, lambda_1 alpha^2, nu alpha^2, nu^2 alpha^2) is 0 or not
+    finite, else None; key is the parameter at fault."""
+    a2 = alpha * alpha
+    for key, name, value in (
+        ("length", "lambda_1", lambda_1),
+        ("alpha", "alpha^2", a2),
+        ("alpha", "lambda_1 alpha^2", lambda_1 * a2),
+        ("nu", "nu alpha^2", nu * a2),
+        ("nu", "nu^2 alpha^2", nu * nu * a2),
+    ):
+        if not 0.0 < value < math.inf:
+            return key, (
+                f"{name} is {value} at nu = {nu}, alpha = {alpha}, lambda_1 = {lambda_1}; "
+                "the energy bounds divide by it"
+            )
+    return None
+
+
 def validate_params(plan, params):
     """Parameter sanity shared by integrators, envelopes, and the CLI."""
     for key in MODEL_PARAMS:
         why = param_error(plan.geometry.kind, key, getattr(params, key))
         if why:
             raise ConfigurationError(f"{key} {why}")
+    found = product_error(plan.lambda_1, params.nu, params.alpha)
+    if found:
+        key, why = found
+        raise ConfigurationError(f"{key}: {why}")
     forcing_state(plan, params.forcing)
 
 
@@ -123,11 +151,12 @@ def _product_parts(plan, rows):
     as core rows.
 
     The rows run through the plan core's row transforms directly, their
-    width checked here once.  With u = n x grad psi + h, the product takes
-    grad psi - n x h = -(n x u), formed in place of the gradient grids,
-    which the core workspace's `grids` holds, and the product in its `g`,
-    through the views the workspace binds.  The sign stays with the
-    analyzed rows, far fewer than grid points.
+    width checked here once, with the core workspace of their row count,
+    looked up here once for both.  With u = n x grad psi + h, the row
+    synthesis writes the vorticity and grad psi - n x h = -(n x u) into
+    the workspace's `grids`, and the product goes into its `g`, through
+    the views the workspace binds.  The sign stays with the analyzed rows,
+    far fewer than grid points.
     """
     core = plan.core
     if rows.shape[1:] != (core.ncols,):
@@ -135,15 +164,11 @@ def _product_parts(plan, rows):
             f"row shape {rows.shape} does not match the plan core's {core.ncols} columns"
         )
     ws = core.workspace(len(rows))
-    core.row_synthesis(rows, ws.grids)
-    if plan.n_harmonic:
-        # n x h = (-h_y, h_x), h the last two columns
-        np.add(ws.grad_x, rows[:, -1, None, None], out=ws.grad_x)
-        np.subtract(ws.grad_y, rows[:, -2, None, None], out=ws.grad_y)
+    core.row_synthesis(rows, ws, ws.grids)
     g = np.multiply(ws.zeta, ws.grad0, out=ws.g)
     if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
         ws.g_rest += np.multiply(ws.zeta0, ws.grad_rest, out=ws.grad_rest)
-    return core.row_analysis(g)
+    return core.row_analysis(g, ws)
 
 
 def nonlinear_term(plan, state):

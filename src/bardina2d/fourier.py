@@ -39,14 +39,19 @@ class _TorusCore:
     adds; an unpack is the transposed map, weighted by the quadrature
     weight (over lam for the flow analysis).
 
-    Synthesis is E (M E^T); the flow synthesis multiplies [E, dE, E] by
-    [-lam o M, M, M] [E^T, E^T, dE^T], the grids of vorticity, d/dx and
-    d/dy.  Analysis is E^T (f E); the flow analysis forms [E^T, dE^T]
-    ([g_x, g_y] [dE, E]), whose difference dE^T g_y E - E^T g_x dE is
-    <g, n x grad> of each entry, and the grid mean.  Each product is one
-    matmul over the stacked fields, the same BLAS call for every field.
-    The views of the tables that the products take (e, e_t, e_tr, de_e,
-    e_de_tr) are made here once, and the grid point count npoints too.
+    Synthesis is E (M E^T).  The flow synthesis forms the first products
+    [-lam o M E^T | M E^T | M dE^T] and multiplies [E, dE, E] by its
+    thirds, the grids of vorticity, d/dx and d/dy.  Those second products
+    take tables_h = [[E | 0], [dE | 1], [E | -1]], one more column than
+    tables, against one more row of first products, (0, h1, h0): the
+    gradient grids come out with the harmonic pair n x h = (-h1, h0)
+    subtracted, as -(n x u), at no pass of their own.  Analysis is
+    E^T (f E); the flow analysis forms the first products [g_x dE; g_y E]
+    and multiplies curl_t = [-E^T | dE^T] by them, one product whose
+    result dE^T g_y E - E^T g_x dE is <g, n x grad> of each entry, and
+    takes the grid mean.  Each product is one matmul over the stacked
+    fields, the same BLAS call for every field.  The views of the tables
+    that the products take (e, e_t, e_tr, de_e) are made here once.
 
     Core rows (ncols = (2K + 1)^2 + 2 columns) are M flat, then the
     harmonic pair; the stepping path carries them, so its transforms make
@@ -56,13 +61,16 @@ class _TorusCore:
     (row_lam, 0 on the constant entry, which no slot reaches and which
     holds exactly 0, and on the pair), and a flow analysis followed by a
     pack is the weight qw sum_link entry_w^2 / lam per entry (row_flow_w,
-    0 on the constant entry).  row_scale is 1 / sum_link entry_w^2 (1 on
-    the pair, 0 on the constant entry), so a row's squares times it sum
-    to its slots' squares.  to_rows is a pack, from_rows the unpack takes
-    weighted by the pack weights times the scale.  row_synthesis reads M
-    from the rows' heads; row_analysis weighs the entries of the
-    difference above by row_flow_w and writes the mean into the pair's
-    columns.
+    0 on the constant entry, 1 / N^2 on the pair, whose sums it makes
+    means).  row_scale is 1 / sum_link entry_w^2 (1 on the pair, 0 on
+    the constant entry), so a row's squares times it sum to its slots'
+    squares.  to_rows is a pack, from_rows the unpack takes weighted by
+    the pack weights times the scale; a pack writes whole core rows, with
+    a zero pair, so the flow synthesis of slot rows is the row synthesis
+    of their pack.  row_synthesis reads M from the rows' heads and the
+    pair from their tails; row_analysis writes the entries of the product
+    above and the sums of g into the rows it returns, then weighs them by
+    row_flow_w in one pass.  Both take the workspace of their row count.
     """
 
     def __init__(self, kmax, length):
@@ -70,7 +78,6 @@ class _TorusCore:
         self.length = length
         n = self.ngrid
         self.shape = (n, n)
-        self.npoints = n * n
         nb = 2 * kmax + 1
 
         # slot order (|q|^2, q1, q2); q = 0 sorts first and is dropped
@@ -78,30 +85,36 @@ class _TorusCore:
         qs = sorted((q1 * q1 + q2 * q2, q1, q2) for q1 in r for q2 in r)[1:]
         self.qvec = np.array([q[1:] for q in qs], dtype=np.int64)
         self.n_modes, self.n_harmonic = mode_count(TORUS, kmax)
+        self.ncols = nb * nb + self.n_harmonic
         q1, q2 = self.qvec.T
         w = 2.0 * np.pi / length
         self.lam = w**2 * (q1 * q1 + q2 * q2)
         self.slot_of = {q[1:]: s for s, q in enumerate(qs)}
 
         # tables = [E, dE, E]: cos columns a = 0..K, then sin columns a = 1..K,
-        # read off cos and sin of 2 pi i / N at i = a j mod N
+        # read off cos and sin of 2 pi i / N at i = a j mod N; they view the
+        # head of tables_h, whose last column is (0, 1, -1)
         cos = np.array([math.cos(2.0 * math.pi * i / n) for i in range(n)])
         sin = np.array([math.sin(2.0 * math.pi * i / n) for i in range(n)])
         a = np.arange(kmax + 1)
         at = np.outer(np.arange(n), a) % n
         wa = w * a
-        self.tables = np.empty((3, n, nb))
+        self.tables_h = np.zeros((3, n, nb + 1))
+        self.tables_h[1:, :, nb] = ((1.0,), (-1.0,))
+        self.tables = self.tables_h[..., :nb]
         e, de = self.tables[0], self.tables[1]
         e[:, : kmax + 1], e[:, kmax + 1 :] = cos[at], sin[at[:, 1:]]
         de[:, : kmax + 1], de[:, kmax + 1 :] = -wa * sin[at], wa[1:] * cos[at[:, 1:]]
         self.tables[2] = e
-        # [E^T | dE^T], so that no product takes a transposed right operand
+        # [E^T | dE^T] and [-E^T | dE^T], so that no product takes a
+        # transposed right operand
         self.tables_t = np.ascontiguousarray(self.tables[:2].reshape(2 * n, nb).T)
+        self.curl_t = np.concatenate((-self.tables_t[:, :n], self.tables_t[:, n:]), axis=1)
         self.e, self.e_tr, self.e_t = e, e.T, self.tables_t[:, :n]
-        self.de_e, self.e_de_tr = self.tables[1:], self.tables[:2].transpose(0, 2, 1)
-        # -lam of every entry of M
+        self.de_e = self.tables[1:]
+        # lam of every entry of M, flat
         a2 = np.concatenate((a, a[1:])) ** 2
-        self.neg_lam = -(w**2) * (a2[:, None] + a2[None, :])
+        lam_m = (w**2 * (a2[:, None] + a2[None, :])).ravel()
 
         # the two entries of each slot, flat in M, and their signs
         is_cos = (q1 > 0) | ((q1 == 0) & (q2 > 0))
@@ -116,11 +129,12 @@ class _TorusCore:
         sgn = np.where(k2 < 0, -1.0, 1.0) * (b > 0)
         sign = np.stack((is_cos | (k1 > 0), np.where(is_cos, -sgn * (k1 > 0), sgn)))
         amp = math.sqrt(2.0) / length
-        # per entry and link: the slot (n_modes, the appended zero, for none)
-        # and its weight; per slot: its two entries (0 where a sign is 0)
+        # per column of the core rows and link: the slot (n_modes, the
+        # appended zero, for none, the pair's columns among them) and its
+        # weight; per slot: its two entries (0 where a sign is 0)
         link = (k2 < 0).astype(np.int64)
-        self.entry_slot = np.full((2, nb * nb), self.n_modes)
-        self.entry_w = np.zeros((2, nb * nb))
+        self.entry_slot = np.full((2, self.ncols), self.n_modes)
+        self.entry_w = np.zeros((2, self.ncols))
         for ent, sg in zip(entry, sign):
             on = sg != 0.0
             self.entry_slot[link[on], ent[on]] = np.flatnonzero(on)
@@ -131,17 +145,17 @@ class _TorusCore:
         self.flow_w = self.ana_w / self.lam
 
         # the per-column weights of core rows, as the class docstring says
-        self.ncols = nb * nb + self.n_harmonic
-        links_w2 = np.add(*self.entry_w**2)
-        lam_m = -self.neg_lam.ravel()
+        links_w2 = np.add(*self.entry_w[:, : nb * nb] ** 2)
         linked = links_w2 > 0.0
         pair = np.zeros(self.n_harmonic)
         self.row_lam = np.concatenate((lam_m, pair))
         self.row_scale = np.concatenate((_ratio(1.0, links_w2, linked), pair + 1.0))
-        # the row transforms' weights, 0 on the pair; neg_lam views the head
-        self.row_neg_lam = np.concatenate((self.neg_lam.ravel(), pair))
-        self.neg_lam = self.row_neg_lam[: nb * nb].reshape(nb, nb)
-        self.row_flow_w = np.concatenate((_ratio(self.qw[0] * links_w2, lam_m, linked), pair))
+        # the row transforms' weights: -lam, 0 on the pair, and the analysis's
+        self.row_neg_lam = np.concatenate((-lam_m, pair))
+        self.mean_w = 1.0 / (n * n)
+        self.row_flow_w = np.concatenate(
+            (_ratio(self.qw[0] * links_w2, lam_m, linked), pair + self.mean_w)
+        )
 
         self._work = _WorkspaceCache(_TorusWork)
 
@@ -153,17 +167,18 @@ class _TorusCore:
         return self._work(self, b)
 
     def _pack(self, ws, coeffs):
-        """Coefficient rows -> M, (B, 2K + 1, 2K + 1) in ws.m."""
+        """Coefficient rows -> core rows with a zero pair, in ws.rows;
+        returns ws.m, their M (B, 2K + 1, 2K + 1)."""
         np.copyto(ws.pad_in, coeffs)
         v = ws.pad.take(ws.pack_at, out=ws.links, mode="clip")
         np.multiply(v, ws.entry_w, out=v)
-        np.add(*ws.link_halves, out=ws.m_flat)
+        np.add(*ws.link_halves, out=ws.rows)
         return ws.m
 
     def _unpack(self, ws, weight):
         """The entries of ws.m -> slot rows times weight (ws.ana_w or
         ws.flow_w), a new array."""
-        v = ws.m.take(ws.unpack_at, out=ws.parts, mode="clip")
+        v = ws.rows.take(ws.unpack_at, out=ws.parts, mode="clip")
         np.multiply(v, weight, out=v)
         return np.add(*ws.part_halves)
 
@@ -176,7 +191,7 @@ class _TorusCore:
         v = pad[:, self.entry_slot]
         v *= self.entry_w
         rows = np.empty((len(psis), self.ncols))
-        np.add(v[:, 0], v[:, 1], out=rows[:, : -self.n_harmonic])
+        np.add(v[:, 0], v[:, 1], out=rows)
         rows[:, -self.n_harmonic :] = hs
         return rows
 
@@ -199,75 +214,64 @@ class _TorusCore:
 
     def flow_synthesis(self, psi, out=None):
         ws = self.workspace(len(psi))
-        m = self._pack(ws, psi)
-        return self._flow_grids(ws, np.multiply(m, self.neg_lam, out=ws.pair0), m, out)
+        self._pack(ws, psi)
+        return self.row_synthesis(ws.rows, ws, out)
 
-    def row_synthesis(self, rows, out=None):
-        """`flow_synthesis` of core rows: M is their head, and no pack."""
-        ws = self.workspace(len(rows))
-        np.multiply(rows, ws.row_neg_lam, out=ws.row_pair0)
-        m = rows[:, : -self.n_harmonic].reshape(ws.m.shape)
-        return self._flow_grids(ws, ws.row_lam_m, m, out)
-
-    def _flow_grids(self, ws, lam_m, m, out):
-        # [-lam o M E^T | M E^T | M dE^T], then [E, dE, E] times its thirds
-        np.matmul(lam_m, self.e_t, out=ws.t_lam)
-        np.matmul(m, self.tables_t, out=ws.t_grad)
-        return np.matmul(self.tables, ws.t_split, out=out)
+    def row_synthesis(self, rows, ws, out=None):
+        """Grids of the vorticity and of -(n x u) = grad psi - n x h of core
+        rows, ws their row count's workspace: M is their head, and no pack."""
+        np.multiply(rows, ws.row_neg_lam, out=ws.vort_rows)
+        # the last row of the first products' gradient thirds: (h1, h0)
+        np.copyto(ws.t_pair, rows[:, :-3:-1, None])
+        np.matmul(ws.vort_m, self.e_t, out=ws.t_lam)
+        np.matmul(rows[:, : -self.n_harmonic].reshape(ws.m.shape), self.tables_t, out=ws.t_grad)
+        return np.matmul(self.tables_h, ws.t_split, out=out)
 
     def flow_analysis(self, g):
         ws = self.workspace(len(g))
-        self._entry_pairs(ws, g, ws.pairs_b)
-        np.subtract(ws.pair1, ws.pair0, out=ws.m)
-        mean = np.add.reduce(g, axis=(-2, -1)) / self.npoints
-        return self._unpack(ws, ws.flow_w), mean
+        self._curl(ws, g, ws.m)
+        mean = np.add.reduce(g, axis=(-2, -1))
+        return self._unpack(ws, ws.flow_w), np.multiply(mean, self.mean_w, out=mean)
 
-    def row_analysis(self, g):
-        """`flow_analysis` of g as core rows, a new array: each entry of M
-        times its row_flow_w, no unpack, then the pair."""
-        ws = self.workspace(len(g))
-        self._entry_pairs(ws, g, ws.row_pairs_b)
-        rows = np.subtract(ws.row_pair1, ws.row_pair0)
-        np.multiply(rows, ws.row_w, out=rows)
-        mean = np.add.reduce(g, axis=(-2, -1), out=rows[:, -self.n_harmonic :])
-        np.divide(mean, self.npoints, out=mean)
-        return rows
+    def row_analysis(self, g, ws):
+        """`flow_analysis` of g as core rows, a new array, ws its row
+        count's workspace: each entry of M times its row_flow_w, no unpack,
+        then the pair."""
+        rows = np.empty((len(g), self.ncols))
+        self._curl(ws, g, rows[:, : -self.n_harmonic].reshape(ws.m.shape))
+        np.add.reduce(g, axis=(-2, -1), out=rows[:, -self.n_harmonic :])
+        return np.multiply(rows, ws.row_w, out=rows)
 
-    def _entry_pairs(self, ws, g, out):
-        """[E^T g_x dE, dE^T g_y E] into out, whose difference is
-        <g, n x grad> of every entry of M."""
-        # [g_x dE, g_y E], then [E^T g_x dE, dE^T g_y E]
-        p = np.matmul(g, self.de_e, out=ws.p)
-        np.matmul(self.e_de_tr, p, out=out)
+    def _curl(self, ws, g, out):
+        """<g, n x grad> of every entry of M into out: [-E^T | dE^T] times
+        the first products [g_x dE; g_y E]."""
+        np.matmul(g, self.de_e, out=ws.p)
+        np.matmul(self.curl_t, ws.p_stack, out=out)
 
 
 class _TorusWork(_Workspace):
     """Reused buffers of one torus plan for B stacked fields, and views of them.
 
-    pairs (2, B, 2K + 1, 2K + 1) holds two matrices per field, the first
-    of every field (pair0), then the second (pair1), and pairs_b views it
-    field-major.  A pack copies the coefficients into pad_in, takes the two
-    links of every entry into pairs, flat (links, its halves link_halves),
-    by the flat take-index pack_at into pad, and sums them into m; a flow
-    synthesis then scales m by -lam into pair0 and writes its first products
-    [-lam o M E^T | M E^T | M dE^T] into t, the first third (t_lam) and the
-    other two (t_grad), which t_split views as (B, 3, 2K + 1, N).  An
-    analysis writes its first products into p (a scalar one into p_first)
-    and its second into m (a flow analysis into pairs_b, their difference
-    into m); its unpack takes the two entries of each slot from m by
-    unpack_at into parts (link, B, slot), the head of p, halves part_halves.
-    The weights entry_w, ana_w and flow_w are the core's, repeated over the
-    B rows in that layout: numpy 2 copies an operand it broadcasts over an
-    outer axis, or one that is not contiguous, into a temporary, and a take
-    into out buffers it unless it clips (the indices are all in range).
-    The row transforms work over whole core rows, pair columns included,
-    so that every elementwise operand is contiguous: row_pairs (2, B,
-    ncols) holds -lam o M of every row (row_pair0, its heads row_lam_m)
-    in a row synthesis, and the two products of a row analysis in its
-    heads (row_pairs_b); the weights row_neg_lam and row_w are the
-    core's, 0 on the pair's columns, which the analysis then overwrites
-    with the means, so that what other transforms leave there does not
-    matter: pairs is the head of row_pairs.  At B = 1 the repeated
+    A pack copies the coefficients into pad_in, takes the two links of
+    every column of the core rows into links (its halves link_halves) by
+    the flat take-index pack_at into pad, and sums them into rows, whose
+    M m views.  A row synthesis scales its rows by -lam into vort_rows,
+    the first half of links (its M vort_m), copies their pair into
+    t_pair and writes its first products [-lam o M E^T | M E^T | M dE^T]
+    into the first 2K + 1 rows of t, the first third (t_lam) and the
+    other two (t_grad); the last row of t holds (0, h1, h0), its first
+    third zeroed once and never written, and t_split views t as
+    (B, 3, 2K + 2, N).  An analysis writes its first products into p (a
+    scalar one into p_first), which p_stack views as (B, 2N, 2K + 1), and
+    its second into m (a row analysis into the rows it returns); an
+    unpack takes the two entries of each slot from rows by unpack_at into
+    parts (link, B, slot), the head of p, halves part_halves.  The
+    weights entry_w, ana_w, flow_w, row_neg_lam and row_w (row_flow_w)
+    are the core's, repeated over the B rows, so that every elementwise
+    operand is contiguous and of the full shape: numpy 2 copies an
+    operand it broadcasts over an outer axis, or one that is not
+    contiguous, into a temporary, and a take into out buffers it unless
+    it clips (the indices are all in range).  At B = 1 the repeated
     weights are views of the core's.
     Every view a transform passes to numpy is made here once, as in the
     sphere's workspace: at K=16 making them costs as much as the
@@ -280,31 +284,28 @@ class _TorusWork(_Workspace):
         self.pad = np.zeros((b, core.n_modes + 1))
         self.pad_in = self.pad[:, :-1]
         self.pack_at = core.entry_slot[:, None] + rows * (core.n_modes + 1)
-        self.unpack_at = core.slot_entry[:, None] + rows * (nb * nb)
+        self.unpack_at = core.slot_entry[:, None] + rows * core.ncols
         self.entry_w, self.ana_w, self.flow_w = (
             np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
             for w in (core.entry_w, core.ana_w, core.flow_w)
         )
-        self.row_pairs = np.zeros((2, b, core.ncols))
-        self.row_pair0, self.row_pair1 = self.row_pairs
-        heads = self.row_pairs[..., : nb * nb].reshape(2, b, nb, nb)
-        self.row_lam_m, self.row_pairs_b = heads[0], heads.transpose(1, 0, 2, 3)
         self.row_neg_lam, self.row_w = (
             np.ascontiguousarray(np.broadcast_to(w, (b, core.ncols)))
             for w in (core.row_neg_lam, core.row_flow_w)
         )
-        self.pairs = _head(self.row_pairs, (2, b, nb, nb))
-        self.pairs_b = self.pairs.transpose(1, 0, 2, 3)
-        self.pair0, self.pair1 = self.pairs
-        self.links = self.pairs.reshape(2, b, nb * nb)
+        self.links = np.empty((2, b, core.ncols))
         self.link_halves = tuple(self.links)
-        self.m = np.empty((b, nb, nb))
-        self.m_flat = self.m.reshape(b, nb * nb)
-        self.t = np.empty((b, nb, 3 * n))
-        self.t_lam, self.t_grad = self.t[..., :n], self.t[..., n:]
-        self.t_split = self.t.reshape(b, nb, 3, n).transpose(0, 2, 1, 3)
+        self.vort_rows = self.links[0]
+        self.vort_m = self.vort_rows[:, : nb * nb].reshape(b, nb, nb)
+        self.rows = np.empty((b, core.ncols))
+        self.m = self.rows[:, : nb * nb].reshape(b, nb, nb)
+        self.t = np.zeros((b, nb + 1, 3 * n))
+        self.t_lam, self.t_grad = self.t[:, :nb, :n], self.t[:, :nb, n:]
+        self.t_pair = self.t[:, nb, n:].reshape(b, 2, n)
+        self.t_split = self.t.reshape(b, nb + 1, 3, n).transpose(0, 2, 1, 3)
         self.p = np.empty((b, 2, n, nb))
         self.p_first = self.p[:, 0]
+        self.p_stack = self.p.reshape(b, 2 * n, nb)
         self.parts = _head(self.p, (2, b, core.n_modes))
         self.part_halves = tuple(self.parts)
         # grids of (vorticity, d/dx, d/dy), and the product g

@@ -613,7 +613,8 @@ class TestCoreRows:
         ws.m[...] = m
         want = core._pack(ws, core._unpack(ws, ws.flow_w)).reshape(rows, -1)
         got = m.reshape(rows, -1) * core.row_flow_w[:-2]
-        assert core.row_flow_w[0] == 0.0 and np.all(core.row_flow_w[-2:] == 0.0)
+        # the pair's weight turns the sums of g into its means
+        assert core.row_flow_w[0] == 0.0 and np.all(core.row_flow_w[-2:] == core.mean_w)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind,trunc", [("sphere", 9), ("torus", 4), ("torus", 16)])
@@ -621,13 +622,16 @@ class TestCoreRows:
         plan, psis, hs = _core_row_case(kind, trunc, 3)
         core = plan.core
         x = core.to_rows(psis, hs)
+        ws = core.workspace(len(x))
         zeta, grad = basis.flow_synthesis(plan, psis)
-        grids = core.row_synthesis(x)
+        grids = core.row_synthesis(x, ws)
         scale = np.max(np.abs(grids))
         assert np.max(np.abs(grids[:, 0] - zeta)) <= 1e-14 * scale
-        assert np.max(np.abs(grids[:, 1:] - grad)) <= 1e-14 * scale
+        # the row gradients carry the pair: grad psi - n x h, n x h = (-h1, h0)
+        pair = np.stack((hs[:, 1], -hs[:, 0]), axis=1) if plan.n_harmonic else np.zeros((3, 2))
+        assert np.max(np.abs(grids[:, 1:] - pair[..., None, None] - grad)) <= 1e-14 * scale
         p, q = basis.flow_analysis(plan, grad)
-        got_p, got_q = core.from_rows(core.row_analysis(grad))
+        got_p, got_q = core.from_rows(core.row_analysis(grad, ws))
         assert np.max(np.abs(got_p - p)) <= 1e-13 * np.max(np.abs(p))
         assert np.array_equal(got_q, q)
 
@@ -647,10 +651,25 @@ class TestCoreRows:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: core.row_synthesis(x, ws.grids)) < 1000
+        assert peak(lambda: core.row_synthesis(x, ws, ws.grids)) < 1000
+        # the slot flow synthesis, a pack and a row synthesis, with the
+        # per-row weights of the workspace
+        assert peak(lambda: core.flow_synthesis(psis, ws.grids)) < 1000
         # the analysis returns its rows, and makes nothing else
         g = np.random.default_rng(rows).standard_normal(ws.g.shape)
-        assert peak(lambda: core.row_analysis(g)) < x.nbytes + 2000
+        assert peak(lambda: core.row_analysis(g, ws)) < x.nbytes + 2000
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_torus_row_synthesis_of_a_pair_alone(self, rows):
+        # M = 0: the vorticity is 0 and the gradient grids are the constants
+        # -(n x h) = (h1, -h0), exactly
+        plan, _, hs = _core_row_case("torus", 5, rows)
+        core = plan.core
+        x = core.to_rows(np.zeros((rows, plan.n_modes)), hs)
+        grids = core.row_synthesis(x, core.workspace(rows))
+        assert np.all(grids[:, 0] == 0.0)
+        assert np.all(grids[:, 1] == hs[:, 1, None, None])
+        assert np.all(grids[:, 2] == -hs[:, 0, None, None])
 
     def test_constant_entry_stays_zero_through_a_run(self):
         from bardina2d import dynamics as dyn, integrate

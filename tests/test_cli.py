@@ -308,6 +308,25 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_envelope_violations_are_reported_on_stderr(self, tmp_path, capsys):
+        # a forced torus mode at h = nu lam dt = 572: IF-RK4 settles 9101
+        # times above the true steady state, over both envelopes from the
+        # first step on; the run completes, and says so on stderr only
+        doc = {
+            "geometry": "torus", "truncation": 6, "length": 0.1, "nu": 0.1, "alpha": 0.1,
+            "sigma": 0.01, "forcing": {"modes": [[5, 2, -3.0]]}, "initial": {"kind": "zero"},
+            "scheme": {"dt": 0.05, "t_end": 0.15, "method": "if-rk4"},
+        }
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "diagnostics.csv")
+        assert [row[header.index("violations")] for row in rows] == ["0", "2", "2", "2"]
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: 3 diagnostics row(s) exceed their energy envelopes "
+            "(nonzero violations column), the first at t=0.05\n"
+        )
+
     def test_divergence_flushes_partial_csv(self, tmp_path, capsys):
         doc = {
             "geometry": "sphere",
@@ -698,8 +717,12 @@ class TestBounds:
             forced_doc(sweep={"key": "nu", "values": [1.0, -0.5]}),
             forced_doc(sweep={"key": "alpha", "values": [1.0, -1.0]}),
             forced_doc(sweep={"key": "sigma", "values": [1.0, 0.0]}),
+            forced_doc(sweep={"key": "alpha", "values": [1.0, 1e-300]}),
         ],
-        ids=["sphere-nu-zero", "torus-nu-negative", "alpha-negative", "torus-sigma-zero"],
+        ids=[
+            "sphere-nu-zero", "torus-nu-negative", "alpha-negative", "torus-sigma-zero",
+            "alpha-underflow",
+        ],
     )
     def test_sweep_value_out_of_range(self, tmp_path, capsys, doc):
         config = write_config(tmp_path, doc)
@@ -1165,6 +1188,32 @@ class TestErrorPaths:
         assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {key}: expected a non-negative integer, got -4\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,changes",
+        [
+            ("alpha", {"alpha": 1e-300}),
+            ("nu", {"nu": 1e-300}),
+            ("length", {"geometry": "torus", "length": 1e200}),
+        ],
+        ids=["alpha", "nu", "length"],
+    )
+    def test_underflowing_parameter_names_its_key(self, tmp_path, capsys, key, changes):
+        # the parser takes each value, but alpha^2, nu^2 alpha^2 or lambda_1
+        # is 0, and the energy bounds divide by it
+        doc = {
+            "geometry": "sphere", "truncation": 4, "nu": 1.0, "alpha": 1.0, "sigma": 0.1,
+            "forcing": {"modes": [[2, -1, 100000.0]]}, "initial": {"kind": "zero"},
+            "scheme": {"dt": 0.001, "t_end": 0.01, "stride": 7, "method": "if-euler"},
+            **changes,
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in ("simulate", "bounds", "verify"):
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: ") and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):

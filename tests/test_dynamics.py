@@ -328,19 +328,18 @@ def _separate_remainders(plan, rows, params, run):
     zeta_U (n x u) + zeta_u (n x U) formed per tangent, then one flow
     analysis each, through the core's row transforms one row at a time (on
     the sphere the core rows are the slot rows, and those transforms are
-    basis.flow_synthesis and the Leray part of basis.flow_analysis)."""
+    basis.flow_synthesis and the Leray part of basis.flow_analysis).  The
+    row synthesis returns -(n x u), the harmonic pair included, so u is its
+    rotation."""
     core = plan.core
+    ws = core.workspace(1)
 
     def grids(row):
-        grids = core.row_synthesis(row[None])[0]
-        u = basis.rot90(grids[1:])
-        if plan.n_harmonic:
-            u[0] += row[-2]
-            u[1] += row[-1]
-        return grids[0], u
+        grids = core.row_synthesis(row[None], ws)[0]
+        return grids[0], basis.rot90(grids[1:])
 
     def analysis(g):
-        return core.row_analysis(g[None])[0]
+        return core.row_analysis(g[None], ws)[0]
 
     zeta0, u0 = grids(rows[0])
     p = analysis(zeta0 * basis.rot90(u0))
@@ -617,15 +616,25 @@ class _AllocatingRemainder:
         return np.concatenate((self._torus_lam().ravel(), np.zeros(2)))
 
     def _torus_synthesis(self, rows):
+        """The vorticity and -(n x u) = grad psi - n x h grids: each second
+        product takes one more table column, (0, 1, -1) for (vorticity,
+        d/dx, d/dy), against one more row of first products, (0, h1, h0)."""
         c = self.core
-        n, nb = c.shape[0], 2 * c.kmax + 1
-        m = rows[:, : nb * nb].reshape(len(rows), nb, nb)
+        n, nb, b = c.shape[0], 2 * c.kmax + 1, len(rows)
+        m = rows[:, : nb * nb].reshape(b, nb, nb)
         e, de = self._torus_axis_tables()
         e_de_t = np.ascontiguousarray(np.concatenate((e, de)).T)  # [E^T | dE^T]
         right = m @ e_de_t  # [M E^T | M dE^T]
-        zeta = e @ ((m * -self._torus_lam()) @ e_de_t[:, :n])
-        grad = np.stack((de @ right[..., :n], e @ right[..., n:]), axis=1)
-        return zeta, grad
+
+        def second(table, col, first, last):
+            table = np.concatenate((table, np.full((n, 1), col)), axis=1)
+            last = np.broadcast_to(np.asarray(last, dtype=float)[..., None, None], (b, 1, n))
+            return table @ np.concatenate((first, last), axis=1)
+
+        zeta = second(e, 0.0, (m * -self._torus_lam()) @ e_de_t[:, :n], 0.0)
+        grad_x = second(de, 1.0, right[..., :n], rows[:, -1])
+        grad_y = second(e, -1.0, right[..., n:], rows[:, -2])
+        return zeta, np.stack((grad_x, grad_y), axis=1)
 
     def _torus_analysis(self, g):
         """<g, n x grad> of every entry of M over its lam, weighted as a
@@ -634,8 +643,12 @@ class _AllocatingRemainder:
         c = self.core
         n, amp, nb = c.shape[0], math.sqrt(2.0) / c.length, 2 * c.kmax + 1
         e, de = self._torus_axis_tables()
-        # <g, n x grad> of each entry: integral of g_y d/dx - g_x d/dy
-        a = de.T @ (g[:, 1] @ e) - e.T @ (g[:, 0] @ de)
+        # <g, n x grad> of each entry: integral of g_y d/dx - g_x d/dy, as
+        # one product of [-E^T | dE^T] and the first products [g_x dE; g_y E];
+        # the table is C-contiguous like the core's, since BLAS may round a
+        # transposed left operand's last columns differently
+        first = np.concatenate((g[:, 0] @ de, g[:, 1] @ e), axis=1)
+        a = np.ascontiguousarray(np.concatenate((-e.T, de.T), axis=1)) @ first
         quad = (c.length / n) ** 2
         norm2 = np.zeros((nb, nb))
         for _, links in self._torus_links():
@@ -644,7 +657,8 @@ class _AllocatingRemainder:
         lam = self._torus_lam()
         weight = np.zeros((nb, nb))
         weight[norm2 > 0.0] = quad * norm2[norm2 > 0.0] / lam[norm2 > 0.0]
-        return np.concatenate(((a * weight).reshape(len(g), -1), g.mean(axis=(-2, -1))), axis=1)
+        mean = g.sum(axis=(-2, -1)) * (1.0 / (n * n))
+        return np.concatenate(((a * weight).reshape(len(g), -1), mean), axis=1)
 
     def product(self, rows, sign=1.0):
         """P and Q of zeta (n x u) on row 0 and of Ntilde(u, U) on rows 1..,
@@ -655,10 +669,7 @@ class _AllocatingRemainder:
             zeta, grad = self._sphere_synthesis(rows)
         else:
             zeta, grad = self._torus_synthesis(rows)
-        u = _rot90(grad)
-        if plan.n_harmonic:
-            u[..., 0, :, :] += rows[..., -2, None, None]
-            u[..., 1, :, :] += rows[..., -1, None, None]
+        u = _rot90(grad)  # the torus gradients carry the harmonic pair
         g = zeta[:, None] * _rot90(u[0])
         if len(g) > 1:
             g[1:] += zeta[0] * _rot90(u[1:])
