@@ -99,12 +99,10 @@ Workspaces
     - returned arrays are never views of a workspace buffer; the
       right-hand side, which calls the core transforms directly, borrows
       the core workspace's `grids` and `g` and returns none of them;
-    - size: 3.7 MB for one row at sphere L=85 and 4.7 MB at torus K=64
-      (0.25 MB at L=21, 0.31 MB at K=16), about linear in the row count
-      (34 MB for 9 rows at L=85, 33 MB for 7 rows at K=64); a sphere
-      unfold and fold borrow the spectrum buffer of the other direction,
-      and a torus unpack the first products of its analysis, instead of a
-      buffer of their own.
+    - size: about linear in the row count (README, "Transform
+      workspaces", gives it); a sphere unfold and fold borrow the
+      spectrum buffer of the other direction, and a torus unpack the first
+      products of its analysis, instead of a buffer of their own.
 """
 
 from __future__ import annotations
@@ -172,12 +170,19 @@ def rot90(vec):
 class _Workspace:
     """Base of the workspaces of both cores: views of grids (vorticity and
     gradient of B fields) and g (their product) that dynamics._product_parts
-    passes to numpy, as slices along the rows, so they hold for B = 0 too."""
+    passes to numpy: row slices of the flat (B, K, P) grids, one per
+    component (1-D at one row), which numpy multiplies with no buffer."""
 
     def _bind_rhs(self):
-        grids, g = self.grids, self.g
-        self.zeta = grids[:, :1]
-        self.zeta0, self.grad0 = grids[:1, :1], grids[:1, 1:]
+        b, n = len(self.grids), math.prod(self.grids.shape[2:])
+        grids, g = self.grids.reshape(b, 3, n), self.g.reshape(b, 2, n)
+
+        def parts(x):  # the components of a (rows, K, n) stack
+            return tuple(x[0] if b == 1 else x.swapaxes(0, 1))
+
+        (self.zeta,) = parts(grids[:, :1])
+        self.products = tuple(zip(parts(g), parts(grids[:1, 1:])))
+        self.tangents, self.zeta0 = tuple(grids[1:, 1:].swapaxes(0, 1)), grids[:1, 0]
         self.grad_rest, self.g_rest = grids[1:, 1:], g[1:]
 
 
@@ -249,8 +254,9 @@ class _SphereCore:
 
     Each field's (cos, sin) pair is innermost in the Legendre rows and
     sums, so it reads as one complex number, and the half spectra are laid
-    out (m, K, nlat, B) for K stacked components and B fields: the FFTs take
-    them through transposed views.  Synthesis gathers the rows of psi,
+    out (m, K, nlat, B) for K stacked components and B fields, irfft taking
+    them through a transposed view; rfft writes (B, K, nlat, m) ones.
+    Synthesis gathers the rows of psi,
     whose columns are (order in block, field, cos|sin), so the column of
     one order takes zeros on the other's rows; a flow synthesis forms
     -lam psi and D psi beside them and makes one matmul of table_t, the
@@ -345,7 +351,7 @@ class _SphereCore:
         self.synth_w = np.stack(
             np.broadcast_arrays(inv_sin[:, None], 1j * m_pair[:, None] * inv_sin[:, None])
         )
-        self.lat_w = wq.astype(np.complex128)
+        self.lat_w = wq.astype(np.complex128)[:, None]
         wn = -wq[self.north] * inv_sin
         wn = np.stack((wn, 1j * wn), axis=-1)[..., None]
         self.ana_w = np.broadcast_to(wn, (self.npair, nh, 2, 2))
@@ -406,7 +412,7 @@ class _SphereCore:
         ws = self.workspace(len(f))
         cols = ws.cols_p
         np.fft.rfft(f, axis=-1, out=ws.spec_ap)
-        np.multiply(cols, ws.lat_w, out=cols)
+        np.multiply(cols, self.lat_w, out=cols)
         _fold(*ws.fold_p)
         # the sums go where a flow analysis has its theta sums
         np.matmul(ws.rows_p, self.table_t, out=ws.sums_theta)
@@ -439,7 +445,7 @@ class _SphereCore:
 
     def row_analysis(self, g, ws):
         """The Leray part of `flow_analysis`, ws the row count's workspace."""
-        np.fft.rfft(g, axis=-1, out=ws.spec_at)
+        np.fft.rfft(g, axis=-1, out=ws.spec_a)
         _fold(*ws.fold_a)
         for rows in ws.rows_a:
             np.multiply(rows, ws.ana_w, out=rows)
@@ -479,10 +485,12 @@ class _SphereWork(_Workspace):
     synthesis writes grids in its last FFT, after its matmul and unfold,
     the right-hand side writes g after the synthesis, and an analysis reads
     g in its first FFT only.  The half spectra spec (vorticity, d/dtheta,
-    d/dphi) and spec_a are laid out (m, K, nlat, B); spec is zeroed once,
-    its columns beyond lmax never written (numpy's irfft is slower on a
-    shorter input that it pads itself).  An unfold forms its hemispheres in
-    spec_a, and a fold in the retained columns of spec; the other kind of
+    d/dphi) are laid out (m, K, nlat, B), spec_a (B, K, nlat, m), which
+    rfft writes with no buffer; spec is zeroed once, its columns beyond
+    lmax never written (numpy's irfft is slower on a shorter input that it
+    pads itself).  An unfold forms its hemispheres in the head of spec_a
+    (of a transposed view it would be a copy), and a fold in the retained
+    columns of spec; the other kind of
     transform writes those before it reads them.  The weights of rows and
     sums are repeated to the full shape of what they weight, and weight it
     in contiguous blocks: numpy 2 copies an operand it broadcasts over an
@@ -540,27 +548,26 @@ class _SphereWork(_Workspace):
         self.spec_t = self.spec.transpose(3, 1, 2, 0)
         self.spec_p = self.spec[:, 0].T
         # analysis: component spectra, folded rows, products of the scatter
-        self.spec_a = np.empty((nfreq, 2, nlat, b), dtype=np.complex128)
-        self.spec_at = self.spec_a.transpose(3, 1, 2, 0)
+        self.spec_a = np.empty((b, 2, nlat, nfreq), dtype=np.complex128)
         rows_a = _head(self.sums, (2, npair, nh, 8 * b))
         self.rows_at = rows_a.swapaxes(2, 3)
         self.rows_a = tuple(rows_a.view(np.complex128).reshape(2, npair, nh, 2, 2, b))
         self.parts = _head(self.sums, self.scatter.shape)
-        self.lat_w, self.synth_w, self.ana_w = (
+        self.synth_w, self.ana_w = (
             np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
-            for w in (core.lat_w, core.synth_w, core.ana_w)
+            for w in (core.synth_w, core.ana_w)
         )
         self.sums_p = _head(self.sums, (2, npair, nh, row))
         self.rows_p = self.sums_p.swapaxes(2, 3)
-        spec_ap = _head(self.spec_a, (nfreq, 1, nlat, b))
-        self.spec_ap = spec_ap[:, 0].T
-        self.cols_p = spec_ap[: core.lmax + 1]
+        self.spec_ap = _head(self.spec_a, (b, nlat, nfreq))
+        self.cols_p = self.spec_ap[..., : core.lmax + 1]
         # components (phi, theta)
-        cols_a = self.spec_a[: core.lmax + 1, ::-1]
+        cols_a = self.spec_a.transpose(3, 1, 2, 0)[: core.lmax + 1, ::-1]
         self.unfold = self._unfold_plan(core, self.sums, self.spec[: core.lmax + 1])
         self.unfold_p = self._unfold_plan(core, self.sums_p, self.spec[: core.lmax + 1, :1])
         self.fold_a = self._fold_plan(core, cols_a, rows_a)
-        self.fold_p = self._fold_plan(core, self.cols_p, self.sums_p)
+        cols_p = self.cols_p[:, None].transpose(3, 1, 2, 0)
+        self.fold_p = self._fold_plan(core, cols_p, self.sums_p)
         self._bind_rhs()
 
     def _unfold_plan(self, core, sums, spec):

@@ -21,6 +21,7 @@ spectral norms of the forcing.  The conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -239,9 +240,17 @@ def inertial_report(plan, params, rho, n_max=32, c=1.0):
         raise ConfigurationError(f"the Lipschitz input constant must be positive, got {c}")
     if rho < 0.0:
         raise ConfigurationError(f"rho must be nonnegative, got {rho}")
+    # alpha^2 passed the parser, but alpha^4 may underflow or overflow
+    try:
+        ell = c * (4.0 * float(rho)) / (plan.lambda_1 * params.alpha**4)
+    except (OverflowError, ZeroDivisionError):
+        ell = math.inf
+    if not 0.0 <= ell < math.inf:
+        raise ConfigurationError(
+            f"alpha: ell = c (4 rho) / (lambda_1 alpha^4) is not finite at alpha = {params.alpha}"
+        )
     ns = np.arange(1, n_max + 1)
     gaps = 2.0 * (ns + 1.0)
-    ell = c * (4.0 * rho) / (plan.lambda_1 * params.alpha**4)
     ok = np.nonzero(gaps > 2.0 * ell / params.nu)[0]
     crossing = int(ns[ok[0]]) if ok.size else -1
     return InertialReport(gaps, float(ell), float(rho), float(c), crossing)

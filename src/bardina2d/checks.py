@@ -105,7 +105,10 @@ def library_checks(plan, params, seed, prefix=""):
         return worst <= 1e-9, f"max residual {worst:.3e}"
 
     def tangent():
-        eps = 1e-6
+        # the tendency is quadratic plus affine in the state, so the central
+        # difference (f(u + eps w) - f(u - eps w)) / 2 eps is f'(u) w at any
+        # eps; eps = 1 keeps a dominant forcing from cancelling its digits
+        eps = 1.0
         worst = 0.0
         for i in range(5):
             rng = ops.NormalStream(seed + 1000 + i)

@@ -418,19 +418,25 @@ def cmd_bounds(args, spec):
     from . import bounds
     from . import config as cfg
     from .atomic import committing
+    from .errors import ConfigurationError
 
     plan = cfg.build_plan(spec)
     params = cfg.model_params(plan, spec)
+    report = bounds.bounds_report(plan, params)
+    if spec.sweep is not None:
+        key, values = spec.sweep
+        lines = ["parameter,value," + ",".join(_SWEEP_FIELDS)]
+        for i, value in enumerate(values):
+            try:
+                point = bounds.bounds_report(plan, cfg.model_params(plan, spec, **{key: value}))
+            except ConfigurationError as exc:  # before any output directory exists
+                raise ConfigurationError(f"sweep.values[{i}]: {exc}") from exc
+            lines.append(",".join([key, _fmt(value), *(_fmt(point[f]) for f in _SWEEP_FIELDS)]))
     out = _out_dir(args, spec)
     sweep_path = os.path.join(out, "bounds_sweep.csv")
     with committing() as stage:
-        _write_json(stage(os.path.join(out, "bounds.json")), bounds.bounds_report(plan, params))
+        _write_json(stage(os.path.join(out, "bounds.json")), report)
         if spec.sweep is not None:
-            key, values = spec.sweep
-            lines = ["parameter,value," + ",".join(_SWEEP_FIELDS)]
-            for value in values:
-                point = bounds.bounds_report(plan, cfg.model_params(plan, spec, **{key: value}))
-                lines.append(",".join([key, _fmt(value), *(_fmt(point[f]) for f in _SWEEP_FIELDS)]))
             _write_lines(stage(sweep_path), lines)
 
     if spec.sweep is None:  # then a sweep CSV is an earlier run's

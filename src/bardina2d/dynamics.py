@@ -155,8 +155,8 @@ def _product_parts(plan, rows):
     looked up here once for both.  With u = n x grad psi + h, the row
     synthesis writes the vorticity and grad psi - n x h = -(n x u) into
     the workspace's `grids`, and the product goes into its `g`, through
-    the views the workspace binds.  The sign stays with the analyzed rows,
-    far fewer than grid points.
+    the views the workspace binds, component by component.  The sign
+    stays with the analyzed rows, far fewer than grid points.
     """
     core = plan.core
     if rows.shape[1:] != (core.ncols,):
@@ -165,10 +165,13 @@ def _product_parts(plan, rows):
         )
     ws = core.workspace(len(rows))
     core.row_synthesis(rows, ws, ws.grids)
-    g = np.multiply(ws.zeta, ws.grad0, out=ws.g)
-    if len(g) > 1:  # trajectories step one-row stacks; skip the empty product
-        ws.g_rest += np.multiply(ws.zeta0, ws.grad_rest, out=ws.grad_rest)
-    return core.row_analysis(g, ws)
+    for g, grad0 in ws.products:
+        np.multiply(ws.zeta, grad0, out=g)
+    if len(rows) > 1:  # trajectories step one-row stacks; skip the empty product
+        for grad in ws.tangents:
+            np.multiply(grad, ws.zeta0, out=grad)
+        np.add(ws.g_rest, ws.grad_rest, out=ws.g_rest)
+    return core.row_analysis(ws.g, ws)
 
 
 def nonlinear_term(plan, state):
@@ -187,7 +190,8 @@ def nonlinear_term(plan, state):
 class RunConstants:
     """What `_remainder_u` needs of one run's plan and parameters, per
     column of the core rows: the row-0 forcing psi_f and h_f = f2, and the
-    Helmholtz divisor 1 + alpha^2 lam, exactly 1 on the harmonic columns."""
+    Helmholtz divisor 1 + alpha^2 lam, exactly 1 on the harmonic columns,
+    as one row, which a one-row stack divides by on numpy's fast path."""
 
     forcing: np.ndarray
     divisor: np.ndarray
@@ -198,7 +202,8 @@ def run_constants(plan, params):
     f = forcing_state(plan, params.forcing)
     core = plan.core
     return RunConstants(
-        core.to_rows(f.psi[None], f.harmonic[None])[0], 1.0 + params.alpha**2 * core.row_lam
+        core.to_rows(f.psi[None], f.harmonic[None])[0],
+        (1.0 + params.alpha**2 * core.row_lam)[None],
     )
 
 

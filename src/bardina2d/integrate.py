@@ -124,7 +124,7 @@ def _run_loop(rows, rem, decay, scheme, steps):
     rows.  Raises DivergenceError at the first non-finite state.
     """
     base, n_steps = steps
-    e_full, e_half = decay
+    e_full, e_half = (e.reshape(1, -1) for e in decay)  # one row, as the divisor
     g1 = None
 
     def first():
@@ -138,7 +138,7 @@ def _run_loop(rows, rem, decay, scheme, steps):
         if k:
             with np.errstate(**_STEP_ERRSTATE):
                 rows = step_pair(rows, scheme.dt, e_full, e_half, rem, scheme.method, g1)
-            if not np.all(np.isfinite(rows)):
+            if not np.isfinite(rows).all():
                 raise DivergenceError((base + k) * scheme.dt)
             g1 = None
         if k % scheme.stride == 0 or k == n_steps:

@@ -659,6 +659,34 @@ class TestCoreRows:
         g = np.random.default_rng(rows).standard_normal(ws.g.shape)
         assert peak(lambda: core.row_analysis(g, ws)) < x.nbytes + 2000
 
+    @pytest.mark.parametrize("trunc,rows", [(20, 1), (21, 9)])
+    def test_sphere_rfft_writes_contiguous_spectra(self, monkeypatch, trunc, rows):
+        # rfft writes each line of a C-contiguous (B, K, nlat, m) spectrum,
+        # where an (m, K, nlat, B) one would make numpy buffer its output;
+        # the fold reads the transposed view
+        plan, psis, _ = _core_row_case("sphere", trunc, rows)
+        core, ws = plan.core, plan.core.workspace(rows)
+        outs = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, out=None, **kwargs):
+            outs.append(out)
+            return rfft(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        rng = np.random.default_rng(trunc)
+        core.row_analysis(rng.standard_normal(ws.g.shape), ws)
+        core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
+        shape = ws.spec_a.shape
+        assert [out.shape for out in outs] == [shape, shape[:1] + shape[2:]]
+        for out in outs:
+            assert out.flags.c_contiguous and np.shares_memory(out, ws.spec_a)
+        # the unfolds form their hemispheres in the head of that same buffer:
+        # the head of a transposed view would be a silent copy
+        for plan_views in (ws.unfold, ws.unfold_p):
+            h = plan_views[2]
+            assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_torus_row_synthesis_of_a_pair_alone(self, rows):
         # M = 0: the vorticity is 0 and the gradient grids are the constants

@@ -733,6 +733,22 @@ class TestBounds:
 
 
 class TestVerifySelftest:
+    def test_tangent_row_survives_a_dominant_forcing(self, tmp_path, capsys):
+        # the forcing dominates the tendency, so f(u + eps w) and f(u - eps w)
+        # cancel; at eps 1e-6 the row read FAIL 6.986e-06 on this sound run
+        doc = {
+            "geometry": "torus", "length": 0.1, "truncation": 3, "nu": 0.001, "alpha": 1.0,
+            "sigma": 0.01, "seed": 0, "forcing": {"modes": [[-1, 1, -3.0]]},
+            "initial": {"kind": "random", "energy": 1e-6},
+            "scheme": {"dt": 0.001, "t_end": 0.01},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("tangent-linearization")
+        )
+        assert row.split()[1] == "PASS" and float(row.split()[-1]) <= 1e-9, row
+
     def test_verify_clean_config(self, tmp_path, capsys):
         config = write_config(tmp_path, forced_doc())
         assert cli.main(["verify", "--config", config]) == 0
@@ -1214,6 +1230,27 @@ class TestErrorPaths:
             assert cli.main([command, "--config", config, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alpha", [1e-100, 1e100, 1e-79], ids=["alpha4-underflow", "alpha4-overflow", "ell-overflow"]
+    )
+    def test_inertial_block_names_alpha(self, tmp_path, capsys, alpha):
+        # alpha^2 passes the parser, but the sphere's inertial block divides
+        # by lambda_1 alpha^4; it wrote "ell": Infinity, not JSON, or crashed
+        doc = {
+            "geometry": "sphere", "truncation": 4, "nu": 1.0, "alpha": alpha, "sigma": 0.1,
+            "forcing": {"modes": [[2, -1, 100000.0]]}, "initial": {"kind": "zero"},
+            "scheme": {"dt": 0.001, "t_end": 0.01, "stride": 7, "method": "if-euler"},
+        }
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha: ") and "lambda_1 alpha^4" in err
+        assert not out.exists()
+        doc["alpha"], doc["sweep"] = 1.0, {"key": "alpha", "values": [1.0, alpha]}
+        assert cli.main(["bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep.values[1]: ")
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,13 +342,14 @@ def _separate_remainders(plan, rows, params, run):
     def analysis(g):
         return core.row_analysis(g[None], ws)[0]
 
+    divisor = run.divisor[0]  # the run's (1, ncols) divisor, per column
     zeta0, u0 = grids(rows[0])
     p = analysis(zeta0 * basis.rot90(u0))
-    out = [(run.forcing - p - params.sigma * rows[0]) / run.divisor]
+    out = [(run.forcing - p - params.sigma * rows[0]) / divisor]
     for row in rows[1:]:
         zeta, u = grids(row)
         p = analysis(zeta * basis.rot90(u0) + zeta0 * basis.rot90(u))
-        out.append((-p - params.sigma * row) / run.divisor)
+        out.append((-p - params.sigma * row) / divisor)
     return np.stack(out)
 
 
@@ -770,6 +772,62 @@ class TestWorkspaceKernel:
                     for buf in vars(plan.core.workspace(rows)).values():
                         if isinstance(buf, np.ndarray):
                             assert not any(np.shares_memory(a, buf) for a in arrays)
+
+
+def _broadcast_product_remainder(plan, rows, params, run):
+    """`_remainder_u` with the grid product written out as it was first
+    formed, by broadcasts over the components and the rows: zeta times row
+    0's gradient grids, then zeta0 times each tangent's added in place."""
+    core = plan.core
+    ws = core.workspace(len(rows))
+    grids = core.row_synthesis(rows, ws)
+    g = grids[:, :1] * grids[:1, 1:]
+    g[1:] += grids[:1, :1] * grids[1:, 1:]
+    p = core.row_analysis(g, ws)
+    p[0] += run.forcing
+    p -= np.multiply(params.sigma, rows)
+    p /= run.divisor
+    return p
+
+
+class TestGridProduct:
+    """The kernel's grid product runs per component on flat row slices of
+    the workspace grids, which numpy steps without buffers."""
+
+    CASES = [("sphere", 21, 1), ("sphere", 21, 9), ("torus", 16, 1), ("torus", 16, 7)]
+
+    @pytest.mark.parametrize("kind,trunc,rows", CASES)
+    def test_matches_the_broadcast_product_bitwise(self, kind, trunc, rows):
+        plan, p, _, psis, hs = _kernel_case(kind, trunc, rows)
+        core_rows, run = plan.core.to_rows(psis, hs), dyn.run_constants(plan, p)
+        want = _broadcast_product_remainder(plan, core_rows, p, run)
+        got = dyn._remainder_u(plan, core_rows, p, run)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,trunc,rows", [("sphere", 21, 9), ("torus", 16, 7)])
+    def test_product_allocates_no_temporary(self, kind, trunc, rows):
+        # the broadcast product made numpy allocate 69 KB (sphere) and 81 KB
+        # (torus) at every call; the transforms allocate only the rows the
+        # analysis returns
+        plan, _, _, psis, hs = _kernel_case(kind, trunc, rows)
+        core_rows = plan.core.to_rows(psis, hs)
+        dyn._product_parts(plan, core_rows)  # the workspace, and BLAS's set-up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = dyn._product_parts(plan, core_rows)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4000, (peak, out.nbytes)
+
+    def test_run_factors_are_row_views(self):
+        # a one-row stack meets the divisor at its own shape, numpy's
+        # same-shape path; a view, so it is not repeated over more rows
+        plan, p, _, _, _ = _kernel_case("torus", 4, 1)
+        divisor = dyn.run_constants(plan, p).divisor
+        assert divisor.shape == (1, plan.core.ncols) and divisor.base is not None
 
 
 class TestTransformPasses:
