@@ -48,14 +48,17 @@ Torus
     in the right half-plane (q1 > 0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L)
     with k = -q otherwise.  Slot order is (|q|^2, q1, q2) lexicographic.
 
-Each geometry implements four transforms.  `synthesize` and `analyze` take
+Each geometry has four public transforms.  `synthesize` and `analyze` take
 scalar coefficients to grid values and back by quadrature.  The flow pair
 carries the nonlinearity: `flow_synthesis` takes a streamfunction psi to the
 grids of its vorticity -lam psi and its gradient, and `flow_analysis` takes
 a tangent grid field g to its Leray streamfunction, slot s being
 <g, n x grad Y_s> / lam_s (the component of g along the unit-energy velocity
 of mode s), and its harmonic pair; each makes one pass of its transform
-over the stacked fields.
+over the stacked fields.  Both cores implement synthesize, analyze,
+to_rows, from_rows, row_synthesis and row_analysis (below); the flow pair
+is the row pair between to_rows and from_rows, with a zero harmonic pair
+on the way in, so the gradient grids are grad psi alone.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields
@@ -80,8 +83,8 @@ Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the Legendre rows of psi,
     -lam psi and D psi and their weights, the Legendre sums and the
-    zero-padded half spectra (sphere), the packed
-    core rows and the products of one axis (torus), and, for the
+    zero-padded half spectra (sphere), the -lam rows and the products of
+    one axis (torus), and, for the
     right-hand side in `dynamics`, the vorticity/gradient grid stack and the
     product field g.  The FFTs and matmuls write into them with out=, so
     stepping a batch allocates no large temporaries; freed ones would be
@@ -101,8 +104,8 @@ Workspaces
       the core workspace's `grids` and `g` and returns none of them;
     - size: about linear in the row count (README, "Transform
       workspaces", gives it); a sphere unfold and fold borrow the
-      spectrum buffer of the other direction, and a torus unpack the first
-      products of its analysis, instead of a buffer of their own.
+      spectrum buffer of the other direction instead of a buffer of their
+      own.
 """
 
 from __future__ import annotations
@@ -388,7 +391,7 @@ class _SphereCore:
 
         Columns are (order in block, field, cos|sin).
         """
-        np.multiply(coeffs, self.pad_scale, out=ws.pad_in)
+        np.multiply(coeffs, self.pad_scale, out=ws.pad_rows)
         np.take(ws.pad, ws.gather, out=ws.psi, mode="clip")
 
     def _pairs(self, x):
@@ -421,11 +424,8 @@ class _SphereCore:
 
     # -- flow ----------------------------------------------------------
 
-    def flow_synthesis(self, psi, out=None):
-        return self.row_synthesis(psi, self.workspace(len(psi)), out)
-
     def row_synthesis(self, rows, ws, out=None):
-        """`flow_synthesis` of core rows, ws their row count's workspace."""
+        """The flow synthesis of core rows, ws their row count's workspace."""
         self._gather(ws, rows)
         # D psi: row i of parity p takes lo psi[1 - p, i - 1 + p] + hi
         # psi[1 - p, i + p], rows flat over block and row; ws.links line
@@ -444,7 +444,7 @@ class _SphereCore:
         return np.fft.irfft(ws.spec_t, n=self.nlon, axis=-1, out=out)
 
     def row_analysis(self, g, ws):
-        """The Leray part of `flow_analysis`, ws the row count's workspace."""
+        """The flow analysis of g as core rows, ws the row count's workspace."""
         np.fft.rfft(g, axis=-1, out=ws.spec_a)
         _fold(*ws.fold_a)
         for rows in ws.rows_a:
@@ -457,9 +457,6 @@ class _SphereCore:
         v = np.take(ws.sums_a, ws.scatter, out=ws.parts, mode="clip")
         np.multiply(v, self.flow_w, out=v)
         return np.add.reduce(v)
-
-    def flow_analysis(self, g):
-        return self.row_analysis(g, self.workspace(len(g))), np.zeros((len(g), 0))
 
 
 class _SphereWork(_Workspace):
@@ -507,7 +504,7 @@ class _SphereWork(_Workspace):
         nlat, nlon, n = core.nlat, core.nlon, core.n_modes
         nfreq = nlon // 2 + 1
         self.pad = np.zeros(b * n + 1)
-        self.pad_in = self.pad[:-1].reshape(b, n)
+        self.pad_rows = self.pad[:-1].reshape(b, n)
         slots = core.slots[..., None, :] + (np.arange(b) * n)[:, None]
         idx = np.where(core.slots[..., None, :] < n, slots, b * n).reshape(2, -1)
         size, row = idx.shape[1], 4 * b
@@ -815,7 +812,10 @@ def flow_synthesis(plan, psi):
     psi = np.asarray(psi, dtype=np.float64)
     _check_coeffs(plan, psi)
     rows, lead = _rows_of(psi, 1)
-    grids = _unrows(plan.core.flow_synthesis(rows), lead, 3)
+    core = plan.core
+    # a zero pair: the gradient grids are grad psi alone
+    x = core.to_rows(rows, np.zeros((len(rows), plan.n_harmonic)))
+    grids = _unrows(core.row_synthesis(x, core.workspace(len(x))), lead, 3)
     return grids[..., 0, :, :], grids[..., 1:, :, :]
 
 
@@ -830,7 +830,8 @@ def flow_analysis(plan, g):
     g = np.asarray(g, dtype=np.float64)
     _check_field(plan, g, vec=True)
     rows, lead = _rows_of(g, 3)
-    p, q = plan.core.flow_analysis(rows)
+    core = plan.core
+    p, q = core.from_rows(core.row_analysis(rows, core.workspace(len(rows))))
     return _unrows(p, lead, 1), _unrows(q, lead, 1)
 
 

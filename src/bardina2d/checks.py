@@ -34,6 +34,10 @@ ENVELOPE_REBUILD_TOL = 1e-12
 # edge coefficients, 1e-2 and more
 TRANSFORM_TOL = 1e-12
 
+# steps of the library envelope row, sampled every 10th: at a config's own
+# dt a probe state steps as stably as the config's run does
+ENVELOPE_STEPS = 400
+
 
 def _run_check(name, fn):
     try:
@@ -73,8 +77,9 @@ def transform_roundtrip(plan, seed):
     return worst <= TRANSFORM_TOL, f"max residual {worst:.3e}"
 
 
-def library_checks(plan, params, seed, prefix=""):
-    """The five library rows on one plan, each name prefixed by `prefix`."""
+def library_checks(plan, params, seed, dt, prefix=""):
+    """The five library rows on one plan, each name prefixed by `prefix`;
+    the envelope row makes ENVELOPE_STEPS IF-RK4 steps of `dt`."""
 
     def alias():
         # a product of two retained fields analyzed on the plan grid and on the
@@ -132,7 +137,9 @@ def library_checks(plan, params, seed, prefix=""):
         # the start state
         run_params = _ensure_forced(plan, params)
         state = verification.probe_state(plan, ops.NormalStream(seed))
-        scheme = integrate.SchemeConfig(dt=0.005, t_end=2.0, method=integrate.IF_RK4, stride=10)
+        scheme = integrate.SchemeConfig(
+            dt=dt, t_end=ENVELOPE_STEPS * dt, method=integrate.IF_RK4, stride=10
+        )
         anchor = verification.envelopes(
             plan,
             run_params,
@@ -266,7 +273,7 @@ def selftest(inject_sign_fault=False):
                 sigma, index, f2 = 0.5, (1, 1), np.array([0.1, 0.0])
             forcing = _unit_forcing(plan, index, f2)
             params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=sigma, forcing=forcing)
-            checks.extend(library_checks(plan, params, seed=0, prefix=kind + ":"))
+            checks.extend(library_checks(plan, params, seed=0, dt=0.005, prefix=kind + ":"))
 
         def decay():
             plan = basis.build_plan(basis.sphere(), 6)

@@ -458,7 +458,7 @@ def cmd_verify(args, spec):
     params = cfg.model_params(plan, spec)
     dyn.validate_params(plan, params)
     seed = spec.seed if spec.seed is not None else 0
-    rows = checks.library_checks(plan, params, seed)
+    rows = checks.library_checks(plan, params, seed, spec.scheme.dt)
     run_dir = args.out or spec.out
     if run_dir and os.path.isfile(os.path.join(run_dir, "diagnostics.csv")):
         meta = _load_meta(os.path.join(run_dir, "meta.json"), plan, params)

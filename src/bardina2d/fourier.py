@@ -15,7 +15,6 @@ from .basis import (
     TORUS,
     _check_states,
     _fast_even,
-    _head,
     _Workspace,
     _WorkspaceCache,
     mode_count,
@@ -34,43 +33,46 @@ class _TorusCore:
     for cos slots, -q for sin slots, so k1 >= 0) is cos cos -/+ sin sin or
     sin cos +/- cos sin: it lands in at most two entries of M, and an entry
     takes at most two slots, one with k2 >= 0 (link 0) and one with k2 < 0
-    (link 1).  A pack takes both links of every entry from the
-    coefficients, a zero slot appended, weights them by +-sqrt(2) / L and
-    adds; an unpack is the transposed map, weighted by the quadrature
-    weight (over lam for the flow analysis).
-
-    Synthesis is E (M E^T).  The flow synthesis forms the first products
-    [-lam o M E^T | M E^T | M dE^T] and multiplies [E, dE, E] by its
-    thirds, the grids of vorticity, d/dx and d/dy.  Those second products
-    take tables_h = [[E | 0], [dE | 1], [E | -1]], one more column than
-    tables, against one more row of first products, (0, h1, h0): the
-    gradient grids come out with the harmonic pair n x h = (-h1, h0)
-    subtracted, as -(n x u), at no pass of their own.  Analysis is
-    E^T (f E); the flow analysis forms the first products [g_x dE; g_y E]
-    and multiplies curl_t = [-E^T | dE^T] by them, one product whose
-    result dE^T g_y E - E^T g_x dE is <g, n x grad> of each entry, and
-    takes the grid mean.  Each product is one matmul over the stacked
-    fields, the same BLAS call for every field.  The views of the tables
-    that the products take (e, e_t, e_tr, de_e) are made here once.
+    (link 1).
 
     Core rows (ncols = (2K + 1)^2 + 2 columns) are M flat, then the
-    harmonic pair; the stepping path carries them, so its transforms make
-    no pack or unpack.  The functions cos/sin(a x) cos/sin(b y) of the
-    entries are orthogonal, and the two slots an entry pair shares have
-    one |k|^2, so the entries diagonalize what the slots do: lam per entry
-    (row_lam, 0 on the constant entry, which no slot reaches and which
-    holds exactly 0, and on the pair), and a flow analysis followed by a
-    pack is the weight qw sum_link entry_w^2 / lam per entry (row_flow_w,
-    0 on the constant entry, 1 / N^2 on the pair, whose sums it makes
-    means).  row_scale is 1 / sum_link entry_w^2 (1 on the pair, 0 on
+    harmonic pair, and every transform works on them.  to_rows takes both
+    links of every entry from the coefficients, a zero slot appended,
+    weights them by entry_w (+-sqrt(2) / L) and adds; from_rows is the
+    transposed map, each slot the sum of its two entries times unpack_w.
+    The functions cos/sin(a x) cos/sin(b y) of the entries are orthogonal,
+    and the two slots an entry pair shares have one |k|^2, so the entries
+    diagonalize what the slots do: lam per entry (row_lam, 0 on the
+    constant entry, which no slot reaches and which holds exactly 0, and
+    on the pair); row_scale is 1 / sum_link entry_w^2 (1 on the pair, 0 on
     the constant entry), so a row's squares times it sum to its slots'
-    squares.  to_rows is a pack, from_rows the unpack takes weighted by
-    the pack weights times the scale; a pack writes whole core rows, with
-    a zero pair, so the flow synthesis of slot rows is the row synthesis
-    of their pack.  row_synthesis reads M from the rows' heads and the
-    pair from their tails; row_analysis writes the entries of the product
-    above and the sums of g into the rows it returns, then weighs them by
-    row_flow_w in one pass.  Both take the workspace of their row count.
+    squares.  A slot's analysis is the sum of its two entries' quadrature
+    sums times ana_w = qw entry_w; to_rows of it is each entry's sum times
+    qw sum_link entry_w^2, so it is from_rows of the sums weighed by that
+    (row_ana_w, 0 on the constant entry and on the pair), and the flow
+    analysis is the same over lam (row_flow_w, whose 1 / N^2 on the pair
+    makes its sums means).  unpack_w, ana_w times the entries' row_scale
+    over qw, is computed once.
+
+    Synthesis is E (M E^T), M the head of to_rows of the coefficients.  The
+    row synthesis forms the first products [-lam o M E^T | M E^T | M dE^T]
+    and multiplies [E, dE, E] by its thirds, the grids of vorticity, d/dx
+    and d/dy.  Those second products take tables_h = [[E | 0], [dE | 1],
+    [E | -1]], one more column than tables, against one more row of first
+    products, (0, h1, h0) from the rows' tails: the gradient grids come out
+    with the harmonic pair n x h = (-h1, h0) subtracted, as -(n x u), at no
+    pass of their own.  Analysis writes E^T (f E) into the M of a fresh
+    row, weighs it by row_ana_w and returns the psi of its from_rows.  The
+    row analysis forms the first products [g_x dE; g_y E] and multiplies
+    curl_t = [-E^T | dE^T] by them, one product whose result
+    dE^T g_y E - E^T g_x dE is <g, n x grad> of each entry, writes it and
+    the sums of g into the rows it returns and weighs them by row_flow_w in
+    one pass.  The slot flow pair of `basis` is to_rows, with a zero pair,
+    then the row synthesis, and the row analysis then from_rows.  Each
+    product is one matmul over the stacked fields, the same BLAS call for
+    every field, and takes the workspace of its row count.  The views of
+    the tables that the products take (e, e_t, e_tr, de_e) are made here
+    once.
     """
 
     def __init__(self, kmax, length):
@@ -142,7 +144,6 @@ class _TorusCore:
         self.slot_entry = np.where(sign != 0.0, entry, 0)
         self.qw = np.full(n, (length / n) ** 2)
         self.ana_w = amp * self.qw[0] * sign
-        self.flow_w = self.ana_w / self.lam
 
         # the per-column weights of core rows, as the class docstring says
         links_w2 = np.add(*self.entry_w[:, : nb * nb] ** 2)
@@ -150,12 +151,14 @@ class _TorusCore:
         pair = np.zeros(self.n_harmonic)
         self.row_lam = np.concatenate((lam_m, pair))
         self.row_scale = np.concatenate((_ratio(1.0, links_w2, linked), pair + 1.0))
+        self.unpack_w = self.ana_w * (self.row_scale[self.slot_entry] / self.qw[0])
         # the row transforms' weights: -lam, 0 on the pair, and the analysis's
         self.row_neg_lam = np.concatenate((-lam_m, pair))
         self.mean_w = 1.0 / (n * n)
         self.row_flow_w = np.concatenate(
             (_ratio(self.qw[0] * links_w2, lam_m, linked), pair + self.mean_w)
         )
+        self.row_ana_w = np.concatenate((self.qw[0] * links_w2, pair))
 
         self._work = _WorkspaceCache(_TorusWork)
 
@@ -166,25 +169,10 @@ class _TorusCore:
     def workspace(self, b):
         return self._work(self, b)
 
-    def _pack(self, ws, coeffs):
-        """Coefficient rows -> core rows with a zero pair, in ws.rows;
-        returns ws.m, their M (B, 2K + 1, 2K + 1)."""
-        np.copyto(ws.pad_in, coeffs)
-        v = ws.pad.take(ws.pack_at, out=ws.links, mode="clip")
-        np.multiply(v, ws.entry_w, out=v)
-        np.add(*ws.link_halves, out=ws.rows)
-        return ws.m
-
-    def _unpack(self, ws, weight):
-        """The entries of ws.m -> slot rows times weight (ws.ana_w or
-        ws.flow_w), a new array."""
-        v = ws.rows.take(ws.unpack_at, out=ws.parts, mode="clip")
-        np.multiply(v, weight, out=v)
-        return np.add(*ws.part_halves)
-
     def to_rows(self, psis, hs):
-        """Stacked slot states (psis, hs) -> core rows, a new array: the
-        pack of each psi, as `_pack` forms it, then its pair."""
+        """Stacked slot states (psis, hs) -> core rows, a new array: both
+        links of every entry taken from psi, a zero slot appended, weighted
+        by entry_w and added, then the pair."""
         _check_states(self, psis, hs)
         pad = np.zeros((len(psis), self.n_modes + 1))
         pad[:, :-1] = psis
@@ -196,49 +184,45 @@ class _TorusCore:
         return rows
 
     def from_rows(self, rows):
-        """Core rows -> (psis, hs), new arrays: the inverse of `to_rows`
-        through the unpack takes."""
+        """Core rows -> (psis, hs), new arrays: the inverse of `to_rows`,
+        each slot the sum of its two entries times unpack_w."""
         v = rows[:, self.slot_entry]
-        v *= self.ana_w * (self.row_scale[self.slot_entry] / self.qw[0])
+        v *= self.unpack_w
         return v[:, 0] + v[:, 1], rows[:, -self.n_harmonic :].copy()
 
     def synthesize(self, coeffs):
         ws = self.workspace(len(coeffs))
-        t = np.matmul(self._pack(ws, coeffs), self.e_t, out=ws.t_lam)
+        rows = self.to_rows(coeffs, np.zeros((len(coeffs), self.n_harmonic)))
+        t = np.matmul(self._m(rows, ws), self.e_t, out=ws.t_lam)
         return np.matmul(self.e, t)
 
     def analyze(self, f):
         ws = self.workspace(len(f))
-        np.matmul(self.e_tr, np.matmul(f, self.e, out=ws.p_first), out=ws.m)
-        return self._unpack(ws, ws.ana_w)
+        rows = np.zeros((len(f), self.ncols))
+        np.matmul(self.e_tr, np.matmul(f, self.e, out=ws.p_first), out=self._m(rows, ws))
+        rows *= self.row_ana_w
+        return self.from_rows(rows)[0]
 
-    def flow_synthesis(self, psi, out=None):
-        ws = self.workspace(len(psi))
-        self._pack(ws, psi)
-        return self.row_synthesis(ws.rows, ws, out)
+    def _m(self, rows, ws):
+        """The M (B, 2K + 1, 2K + 1) of core rows, a view."""
+        return rows[:, : -self.n_harmonic].reshape(ws.m_shape)
 
     def row_synthesis(self, rows, ws, out=None):
         """Grids of the vorticity and of -(n x u) = grad psi - n x h of core
-        rows, ws their row count's workspace: M is their head, and no pack."""
+        rows, ws their row count's workspace: M is their head."""
         np.multiply(rows, ws.row_neg_lam, out=ws.vort_rows)
         # the last row of the first products' gradient thirds: (h1, h0)
         np.copyto(ws.t_pair, rows[:, :-3:-1, None])
         np.matmul(ws.vort_m, self.e_t, out=ws.t_lam)
-        np.matmul(rows[:, : -self.n_harmonic].reshape(ws.m.shape), self.tables_t, out=ws.t_grad)
+        np.matmul(self._m(rows, ws), self.tables_t, out=ws.t_grad)
         return np.matmul(self.tables_h, ws.t_split, out=out)
 
-    def flow_analysis(self, g):
-        ws = self.workspace(len(g))
-        self._curl(ws, g, ws.m)
-        mean = np.add.reduce(g, axis=(-2, -1))
-        return self._unpack(ws, ws.flow_w), np.multiply(mean, self.mean_w, out=mean)
-
     def row_analysis(self, g, ws):
-        """`flow_analysis` of g as core rows, a new array, ws its row
-        count's workspace: each entry of M times its row_flow_w, no unpack,
-        then the pair."""
+        """The flow analysis of g as core rows, a new array, ws its row
+        count's workspace: <g, n x grad> of each entry of M times its
+        row_flow_w, then the sums of g times mean_w."""
         rows = np.empty((len(g), self.ncols))
-        self._curl(ws, g, rows[:, : -self.n_harmonic].reshape(ws.m.shape))
+        self._curl(ws, g, self._m(rows, ws))
         np.add.reduce(g, axis=(-2, -1), out=rows[:, -self.n_harmonic :])
         return np.multiply(rows, ws.row_w, out=rows)
 
@@ -252,27 +236,20 @@ class _TorusCore:
 class _TorusWork(_Workspace):
     """Reused buffers of one torus plan for B stacked fields, and views of them.
 
-    A pack copies the coefficients into pad_in, takes the two links of
-    every column of the core rows into links (its halves link_halves) by
-    the flat take-index pack_at into pad, and sums them into rows, whose
-    M m views.  A row synthesis scales its rows by -lam into vort_rows,
-    the first half of links (its M vort_m), copies their pair into
-    t_pair and writes its first products [-lam o M E^T | M E^T | M dE^T]
-    into the first 2K + 1 rows of t, the first third (t_lam) and the
-    other two (t_grad); the last row of t holds (0, h1, h0), its first
-    third zeroed once and never written, and t_split views t as
-    (B, 3, 2K + 2, N).  An analysis writes its first products into p (a
-    scalar one into p_first), which p_stack views as (B, 2N, 2K + 1), and
-    its second into m (a row analysis into the rows it returns); an
-    unpack takes the two entries of each slot from rows by unpack_at into
-    parts (link, B, slot), the head of p, halves part_halves.  The
-    weights entry_w, ana_w, flow_w, row_neg_lam and row_w (row_flow_w)
-    are the core's, repeated over the B rows, so that every elementwise
-    operand is contiguous and of the full shape: numpy 2 copies an
-    operand it broadcasts over an outer axis, or one that is not
-    contiguous, into a temporary, and a take into out buffers it unless
-    it clips (the indices are all in range).  At B = 1 the repeated
-    weights are views of the core's.
+    A row synthesis scales its rows by -lam into vort_rows (their M
+    vort_m), copies their pair into t_pair and writes its first products
+    [-lam o M E^T | M E^T | M dE^T] into the first 2K + 1 rows of t, the
+    first third (t_lam) and the other two (t_grad); the last row of t
+    holds (0, h1, h0), its first third zeroed once and never written, and
+    t_split views t as (B, 3, 2K + 2, N).  A scalar synthesis writes its
+    first products into t_lam.  An analysis writes its first products
+    into p (a scalar one into p_first), which p_stack views as
+    (B, 2N, 2K + 1), and its second into the M (shape m_shape) of a row
+    array of its own.  The weights row_neg_lam and row_w (row_flow_w) are
+    the core's, repeated over the B rows, so that every elementwise
+    operand is contiguous and of the full shape: numpy 2 copies an operand
+    it broadcasts over an outer axis, or one that is not contiguous, into
+    a temporary.  At B = 1 the repeated weights are views of the core's.
     Every view a transform passes to numpy is made here once, as in the
     sphere's workspace: at K=16 making them costs as much as the
     arithmetic.  Row-axis views are slices, so they hold for B = 0 too.
@@ -280,25 +257,13 @@ class _TorusWork(_Workspace):
 
     def __init__(self, core, b):
         n, nb = core.tables.shape[1:]
-        rows = np.arange(b)[:, None]
-        self.pad = np.zeros((b, core.n_modes + 1))
-        self.pad_in = self.pad[:, :-1]
-        self.pack_at = core.entry_slot[:, None] + rows * (core.n_modes + 1)
-        self.unpack_at = core.slot_entry[:, None] + rows * core.ncols
-        self.entry_w, self.ana_w, self.flow_w = (
-            np.ascontiguousarray(np.broadcast_to(w[:, None], (2, b, w.shape[-1])))
-            for w in (core.entry_w, core.ana_w, core.flow_w)
-        )
+        self.m_shape = (b, nb, nb)
         self.row_neg_lam, self.row_w = (
             np.ascontiguousarray(np.broadcast_to(w, (b, core.ncols)))
             for w in (core.row_neg_lam, core.row_flow_w)
         )
-        self.links = np.empty((2, b, core.ncols))
-        self.link_halves = tuple(self.links)
-        self.vort_rows = self.links[0]
-        self.vort_m = self.vort_rows[:, : nb * nb].reshape(b, nb, nb)
-        self.rows = np.empty((b, core.ncols))
-        self.m = self.rows[:, : nb * nb].reshape(b, nb, nb)
+        self.vort_rows = np.empty((b, core.ncols))
+        self.vort_m = self.vort_rows[:, : nb * nb].reshape(self.m_shape)
         self.t = np.zeros((b, nb + 1, 3 * n))
         self.t_lam, self.t_grad = self.t[:, :nb, :n], self.t[:, :nb, n:]
         self.t_pair = self.t[:, nb, n:].reshape(b, 2, n)
@@ -306,8 +271,6 @@ class _TorusWork(_Workspace):
         self.p = np.empty((b, 2, n, nb))
         self.p_first = self.p[:, 0]
         self.p_stack = self.p.reshape(b, 2 * n, nb)
-        self.parts = _head(self.p, (2, b, core.n_modes))
-        self.part_halves = tuple(self.parts)
         # grids of (vorticity, d/dx, d/dy), and the product g
         self.grids = np.empty((b, 3, n, n))
         self.g = np.empty((b, 2, n, n))

@@ -94,7 +94,10 @@ def decay_factors(plan, nu, dt):
 
 
 def _count_steps(span, dt, what):
-    n = int(round(span / dt))
+    steps = span / dt
+    if not np.isfinite(steps):
+        raise ConfigurationError(f"{what}={span} is not a finite number of steps of dt={dt}")
+    n = int(round(steps))
     if abs(n * dt - span) > 1e-9 * max(dt, abs(span)):
         raise ConfigurationError(
             f"{what}={span} is not an integer number of steps of dt={dt}"

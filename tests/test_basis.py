@@ -489,28 +489,6 @@ class TestWorkspaces:
             # the two most recent batch sizes are kept
             assert sorted(plan.core._work) == [6, 7]
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_torus_pack_and_unpack_allocate_no_temporary(self, rows):
-        # numpy 2 copies a weight it broadcasts over the rows, or an operand
-        # that is not contiguous, and buffers a take into out that does not clip
-        plan = basis.build_plan(basis.torus(2 * np.pi), 16)
-        core, ws = plan.core, plan.core.workspace(rows)
-        coeffs = np.random.default_rng(rows).standard_normal((rows, plan.n_modes))
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                fn()
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: core._pack(ws, coeffs)) < 1000
-        # the unpack returns its slot rows, and makes nothing else
-        out_bytes = rows * plan.n_modes * 8
-        assert peak(lambda: core._unpack(ws, ws.flow_w)) < out_bytes + 1000
-
     @pytest.mark.parametrize("kmax", [7, 8])
     def test_torus_interleaved_calls_match_fresh_plans(self, kmax):
         # every kind of transform, at three batch sizes, reuses the buffers
@@ -606,16 +584,22 @@ class TestCoreRows:
 
     @pytest.mark.parametrize("trunc,rows", [(k, b) for k in (1, 4, 16, 33) for b in (1, 7)])
     def test_torus_analysis_weight_is_pack_of_unpack(self, trunc, rows):
+        # the slot analyses take the two entries of M of each slot, times
+        # ana_w (scalar) or ana_w / lam (flow), and add; to_rows of those
+        # slots is M times one weight per entry
         plan, _, _ = _core_row_case("torus", trunc, rows)
         core = plan.core
-        ws = core.workspace(rows)
-        m = np.random.default_rng(trunc).standard_normal(ws.m.shape)
-        ws.m[...] = m
-        want = core._pack(ws, core._unpack(ws, ws.flow_w)).reshape(rows, -1)
-        got = m.reshape(rows, -1) * core.row_flow_w[:-2]
-        # the pair's weight turns the sums of g into its means
+        m = np.random.default_rng(trunc).standard_normal((rows, core.ncols - 2))
+        pair = np.zeros((rows, 2))
+        cases = ((core.ana_w, core.row_ana_w), (core.ana_w / plan.lam, core.row_flow_w))
+        for weight, row_w in cases:
+            v = m[:, core.slot_entry] * weight
+            want = core.to_rows(v[:, 0] + v[:, 1], pair)[:, :-2]
+            got = m * row_w[:-2]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the pair's flow weight turns the sums of g into its means
         assert core.row_flow_w[0] == 0.0 and np.all(core.row_flow_w[-2:] == core.mean_w)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert core.row_ana_w[0] == 0.0 and np.all(core.row_ana_w[-2:] == 0.0)
 
     @pytest.mark.parametrize("kind,trunc", [("sphere", 9), ("torus", 4), ("torus", 16)])
     def test_row_transforms_match_the_slot_transforms(self, kind, trunc):
@@ -652,12 +636,41 @@ class TestCoreRows:
                 tracemalloc.stop()
 
         assert peak(lambda: core.row_synthesis(x, ws, ws.grids)) < 1000
-        # the slot flow synthesis, a pack and a row synthesis, with the
-        # per-row weights of the workspace
-        assert peak(lambda: core.flow_synthesis(psis, ws.grids)) < 1000
+        # the slot flow synthesis is to_rows, which allocates its pad
+        # (B, n_modes + 1), its link products (B, 2, ncols) and its rows
+        # (B, ncols), then a row synthesis into the grids it returns
+        to_rows_bytes = 8 * rows * (plan.n_modes + 1 + 3 * core.ncols)
+        grid_bytes = 8 * rows * 3 * math.prod(plan.grid_shape)
+        assert peak(lambda: basis.flow_synthesis(plan, psis)) < grid_bytes + to_rows_bytes + 1000
         # the analysis returns its rows, and makes nothing else
         g = np.random.default_rng(rows).standard_normal(ws.g.shape)
         assert peak(lambda: core.row_analysis(g, ws)) < x.nbytes + 2000
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_torus_slot_transforms_are_row_transforms_between_conversions(self, rows):
+        # each public slot transform is to_rows (a zero pair), a transform
+        # of core rows, then from_rows, bit for bit
+        plan, psis, _ = _core_row_case("torus", 16, rows)
+        core, ws = plan.core, plan.core.workspace(rows)
+        rng = np.random.default_rng(rows)
+        f = rng.standard_normal((rows,) + plan.grid_shape)
+        g = rng.standard_normal((rows, 2) + plan.grid_shape)
+        x = core.to_rows(psis, np.zeros((rows, 2)))
+        nb = core.e.shape[1]
+        m = x[:, :-2].reshape(rows, nb, nb)
+        want = np.matmul(core.e, np.matmul(m, core.e_t))
+        assert basis.synthesize(plan, psis).tobytes() == want.tobytes()
+        y = np.zeros_like(x)
+        y[:, :-2] = np.matmul(core.e_tr, np.matmul(f, core.e)).reshape(rows, -1)
+        want = core.from_rows(y * core.row_ana_w)[0]
+        assert basis.analyze(plan, f).tobytes() == want.tobytes()
+        grids = core.row_synthesis(x, ws)
+        zeta, grad = basis.flow_synthesis(plan, psis)
+        assert zeta.tobytes() == grids[:, 0].tobytes()
+        assert grad.tobytes() == grids[:, 1:].tobytes()
+        p, q = basis.flow_analysis(plan, g)
+        want_p, want_q = core.from_rows(core.row_analysis(g, ws))
+        assert p.tobytes() == want_p.tobytes() and q.tobytes() == want_q.tobytes()
 
     @pytest.mark.parametrize("trunc,rows", [(20, 1), (21, 9)])
     def test_sphere_rfft_writes_contiguous_spectra(self, monkeypatch, trunc, rows):

@@ -733,6 +733,36 @@ class TestBounds:
 
 
 class TestVerifySelftest:
+    def test_envelope_row_steps_with_the_config_dt(self, tmp_path, capsys):
+        # a torus of period 0.1 runs cleanly at its own dt of 1e-4; stepped
+        # at a fixed dt of 0.005 the row failed on "non-finite state
+        # encountered at t=0.015"
+        doc = {
+            "geometry": "torus", "length": 0.1, "truncation": 5, "nu": 0.001, "alpha": 0.01,
+            "sigma": 0.01,
+            "forcing": {"modes": [[-4, -1, -3.0], [0, 1, -3.0]], "harmonic": [10.0, 0.0]},
+            "initial": {"kind": "zero"},
+            "scheme": {"dt": 1e-4, "t_end": 3e-4, "stride": 7},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("gronwall-envelopes")
+        )
+        assert row.split()[1] == "PASS" and row.endswith("0 violation(s) in 41 samples"), row
+
+    @pytest.mark.parametrize("command", ["torus-verify", "selftest"])
+    def test_stdout_does_not_depend_on_threads(self, tmp_path, capsys, command):
+        if command == "selftest":
+            argv = ["selftest"]
+        else:
+            argv = ["verify", "--config", write_config(tmp_path, forced_doc(truncation=8))]
+        outputs = []
+        for threads in ("1", "6"):
+            assert cli.main(argv + ["--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_tangent_row_survives_a_dominant_forcing(self, tmp_path, capsys):
         # the forcing dominates the tendency, so f(u + eps w) and f(u - eps w)
         # cancel; at eps 1e-6 the row read FAIL 6.986e-06 on this sound run
@@ -1026,7 +1056,7 @@ class TestVerifySelftest:
         else:
             plan, sigma = basis.build_plan(basis.torus(TWO_PI), 6), 0.5
         params = dynamics.ModelParams(1.0, 1.0, sigma, dynamics.zero_forcing(plan))
-        rows = checks.library_checks(plan, params, seed=0)
+        rows = checks.library_checks(plan, params, seed=0, dt=0.005)
         assert [ok for _, ok, _ in rows] == [True] * 5
         assert len(calls) == 10
 
@@ -1163,6 +1193,24 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: mode indices must be integers")
         assert not out.exists()
+
+    def test_step_count_beyond_the_float_range_exits_cleanly(self, tmp_path, capsys):
+        # t_end / dt overflows to inf: simulate died on an OverflowError
+        # traceback, and so did verify's envelope row, 400 steps of dt 1e306
+        doc = forced_doc(scheme={"dt": 1e-300, "t_end": 1e10})
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end - t_start=") and "not a finite number" in err
+        assert not out.exists() or not any(out.iterdir())
+        doc = forced_doc(scheme={"dt": 1e306, "t_end": 1e306})
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("gronwall-envelopes")
+        )
+        assert row.split()[1] == "FAIL" and "not a finite number of steps" in row, row
 
     @pytest.mark.parametrize("base,code", [(ModelError, 2), (DegenerateEnsembleError, 1)])
     def test_exit_code_follows_the_base_class(self, monkeypatch, capsys, base, code):
