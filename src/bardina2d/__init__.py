@@ -3,7 +3,7 @@
 Subpackage layout:
 
     basis        orthonormal eigenbases, transforms, quadrature (sphere / torus)
-    legendre     the sphere's Gauss-Legendre rule and table of P_n^m
+    legendre     the sphere transform core: Gauss-Legendre rule, P_n^m, transforms
     fourier      the torus transform core, by partial summation
     operators    states, Stokes / Helmholtz / projection operators, norms
     dynamics     model tendencies, tangent linearization, prepared equation

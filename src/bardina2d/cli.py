@@ -281,6 +281,9 @@ def cmd_simulate(args, spec):
         raise ConfigurationError(
             f"scheme.t_end: {scheme.t_end} is before the start time {t_start}"
         )
+    if scheme.t_end > t_start:
+        # a step count out of range fails before the output directory exists
+        integrate._step_range(scheme, t_start)
 
     out = _out_dir(args, spec)
     meta = {

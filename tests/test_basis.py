@@ -10,6 +10,12 @@ from bardina2d import basis, legendre, lyapunov
 from bardina2d.errors import IndexRangeError, ShapeError, UnsupportedGeometryError
 
 
+# the largest sphere truncation whose longitude lines a matrix product transforms
+_LMAX_LON_MATMUL = max(
+    lmax for lmax in range(1, 100) if basis._fast_even(3 * lmax + 1) <= legendre.LON_MATMUL_MAX
+)
+
+
 def plans():
     return [
         basis.build_plan(basis.sphere(), 9),
@@ -299,6 +305,47 @@ class TestTransforms:
             ):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lmax", [1, 2, 20, 21, _LMAX_LON_MATMUL])
+    def test_sphere_lon_matmul_matches_numpy_fft(self, monkeypatch, lmax):
+        # up to the crossover the longitude stage is a product against a
+        # cos/sin table; irfft and rfft give the same lines and half
+        # spectra, the table's synthesis spectrum holding k where irfft
+        # takes (nlon / 2) k, and nlon k for the constant
+        plan = basis.build_plan(basis.sphere(), lmax)
+        core, nlon = plan.core, plan.grid_shape[1]
+        assert core.lon is not None
+        rng = np.random.default_rng(lmax)
+        c = rng.standard_normal((3, plan.n_modes))
+        f = rng.standard_normal((3,) + plan.grid_shape)
+        g = rng.standard_normal((3, 2) + plan.grid_shape)
+        ws = core.workspace(3)
+        scale = np.full(lmax + 1, 0.5 * nlon)
+        scale[0] = nlon
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+        # each stage against numpy on the spectrum the transform left behind
+        close(basis.synthesize(plan, c), np.fft.irfft(ws.spec_p * scale, n=nlon))
+        zeta, grad = basis.flow_synthesis(plan, c)
+        want = np.fft.irfft(ws.spec * scale, n=nlon)
+        close(zeta, want[:, 0])
+        close(grad, want[:, 1:])
+        basis.analyze(plan, f)
+        close(ws.spec_ap, np.fft.rfft(f)[..., : lmax + 1])
+        basis.flow_analysis(plan, g)
+        close(ws.spec_a, np.fft.rfft(g)[..., : lmax + 1])
+        # and whole transforms against a plan of the same truncation on np.fft
+        monkeypatch.setattr(legendre, "LON_MATMUL_MAX", 0)
+        fft = basis.build_plan(basis.sphere(), lmax)
+        assert fft.core.lon is None
+        close(basis.synthesize(plan, c), basis.synthesize(fft, c))
+        close(basis.analyze(plan, f), basis.analyze(fft, f))
+        for got, want in zip(basis.flow_synthesis(plan, c), basis.flow_synthesis(fft, c)):
+            close(got, want)
+        close(basis.flow_analysis(plan, g)[0], basis.flow_analysis(fft, g)[0])
 
     def test_sphere_legendre_tables_stay_small(self):
         # the paired table of P dominates a sphere plan's memory (2.0 MB at
@@ -672,13 +719,14 @@ class TestCoreRows:
         want_p, want_q = core.from_rows(core.row_analysis(g, ws))
         assert p.tobytes() == want_p.tobytes() and q.tobytes() == want_q.tobytes()
 
-    @pytest.mark.parametrize("trunc,rows", [(20, 1), (21, 9)])
+    @pytest.mark.parametrize("trunc,rows", [(42, 1), (43, 9)])
     def test_sphere_rfft_writes_contiguous_spectra(self, monkeypatch, trunc, rows):
-        # rfft writes each line of a C-contiguous (B, K, nlat, m) spectrum,
-        # where an (m, K, nlat, B) one would make numpy buffer its output;
-        # the fold reads the transposed view
+        # past the longitude crossover, rfft writes each line of a
+        # C-contiguous (B, K, nlat, m) spectrum, where an (m, K, nlat, B) one
+        # would make numpy buffer its output; the fold reads the transposed view
         plan, psis, _ = _core_row_case("sphere", trunc, rows)
         core, ws = plan.core, plan.core.workspace(rows)
+        assert core.lon is None
         outs = []
         rfft = np.fft.rfft
 
@@ -699,6 +747,62 @@ class TestCoreRows:
         for plan_views in (ws.unfold, ws.unfold_p):
             h = plan_views[2]
             assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
+
+    @pytest.mark.parametrize("trunc,rows", [(20, 1), (21, 9)])
+    def test_sphere_lon_matmuls_use_contiguous_spectra(self, monkeypatch, trunc, rows):
+        # up to the crossover each longitude stage is one matrix product over
+        # all lines: an analysis writes the C-contiguous (B, K, nlat, lmax + 1)
+        # spectrum, with no padding, and a synthesis reads the one its unfold
+        # wrote through the transposed view
+        plan, psis, _ = _core_row_case("sphere", trunc, rows)
+        core, ws = plan.core, plan.core.workspace(rows)
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, out=None, **kwargs):
+            if b is core.lon or b is core.lon_t:
+                calls.append((a, b, out))
+            return matmul(a, b, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rng = np.random.default_rng(trunc)
+        core.row_analysis(rng.standard_normal(ws.g.shape), ws)
+        core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
+        core.row_synthesis(psis, ws, ws.grids)
+        core.synthesize(psis)
+        nlat, nm = plan.grid_shape[0], trunc + 1
+        assert ws.spec_a.shape == (rows, 2, nlat, nm) and ws.spec.shape == (rows, 3, nlat, nm)
+        assert [b is core.lon_t for _, b, _ in calls] == [True, True, False, False]
+        for (_, _, out), spec in zip(calls[:2], (ws.spec_a, ws.spec_ap)):
+            assert out.flags.c_contiguous and out.size == 2 * spec.size
+            assert np.shares_memory(out, spec)
+        for (a, _, _), spec in zip(calls[2:], (ws.spec, ws.spec_p)):
+            assert a.flags.c_contiguous and a.size == 2 * spec.size
+            assert spec.flags.c_contiguous and np.shares_memory(a, spec)
+        assert np.shares_memory(calls[2][2], ws.grids)
+        # the unfolds form their hemispheres in the head of the analysis
+        # spectra's buffer, as on the FFT side
+        for plan_views in (ws.unfold, ws.unfold_p):
+            h = plan_views[2]
+            assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
+
+    @pytest.mark.parametrize("trunc,rows", [(21, 9), (85, 1)])
+    def test_sphere_scalar_analysis_allocates_only_its_result(self, trunc, rows):
+        # the Gauss weights apply as the fold copies the columns into its
+        # contiguous blocks, on both longitude paths: weighting the strided
+        # columns in place made numpy buffer them, 315 KB at L=21 x 9 rows
+        # and 393 KB at L=85 x 1
+        plan = basis.build_plan(basis.sphere(), trunc)
+        f = np.random.default_rng(trunc).standard_normal((rows,) + plan.grid_shape)
+        basis.analyze(plan, f)  # the workspace, and BLAS's first call
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            basis.analyze(plan, f)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows * plan.n_modes + 4000
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_torus_row_synthesis_of_a_pair_alone(self, rows):

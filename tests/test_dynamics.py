@@ -430,8 +430,10 @@ class _AllocatingRemainder:
     """The stacked remainder of core rows with fresh temporaries at every
     stage, rotating the gradient and the product by copies: the reference
     the workspace kernel must match bit for bit.  On the sphere the core
-    rows are the slot rows; on the torus they are the coefficient matrix M
-    of each field, flat, then its harmonic pair."""
+    rows are the slot rows, and the longitude stage is the plan's: np.fft,
+    or one product against its cos/sin table with the kernel's operand
+    layouts; on the torus they are the coefficient matrix M of each field,
+    flat, then its harmonic pair."""
 
     def __init__(self, plan):
         self.plan, self.core = plan, plan.core
@@ -503,12 +505,21 @@ class _AllocatingRemainder:
         ns = c.nlat - nh
         spec[:nm, :, ::-1][:, :, :nh] = north[:nm]
         spec[:nm, :, :ns] = south[:nm, :, :ns]
-        grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
+        if c.lon is None:
+            grids = np.fft.irfft(spec.transpose(3, 1, 2, 0), n=c.nlon, axis=-1)
+        else:
+            # a matmul plan: the retained columns, contiguous, against its table
+            lines = np.ascontiguousarray(spec[:nm].transpose(3, 1, 2, 0)).view(np.float64)
+            grids = (lines.reshape(-1, 2 * nm) @ c.lon).reshape(b, 3, c.nlat, c.nlon)
         return grids[:, 0], grids[:, 1:]
 
     def _sphere_analysis(self, g):
         c, b, nm, nh = self.core, len(g), self.core.lmax + 1, self.core.nh
-        z = np.fft.rfft(g, axis=-1).transpose(3, 1, 2, 0)[:nm, ::-1]
+        if c.lon is None:
+            z = np.fft.rfft(g, axis=-1)
+        else:
+            z = (g.reshape(-1, c.nlon) @ c.lon_t).view(np.complex128).reshape(b, 2, c.nlat, nm)
+        z = z.transpose(3, 1, 2, 0)[:nm, ::-1]
         north, south = z[:, :, ::-1][:, :, :nh], z[:, :, :nh]
         # every component has the parity of P
         rows = np.stack((north + south, north - south))
@@ -524,7 +535,7 @@ class _AllocatingRemainder:
         # both orders of a block; order lmax + 1 (even lmax) has no rows
         rows = np.concatenate((rows, np.zeros_like(rows[:, :1])), axis=1)
         first, second = self._orders()
-        rows = np.stack((rows[:, first], rows[:, second]), axis=-2)
+        rows = np.ascontiguousarray(np.stack((rows[:, first], rows[:, second]), axis=-2))
         rows = rows.view(np.float64).reshape(2, c.npair, nh, 8 * b)
         sums = rows.transpose(0, 1, 3, 2) @ c.table.transpose(0, 1, 3, 2)
         sums = sums.reshape(2, c.npair, 2, 2, b, 2, -1)
@@ -832,7 +843,8 @@ class TestGridProduct:
 
 class TestTransformPasses:
     """The torus transforms are separable matrix products: a torus
-    right-hand side, stacked or not, and the trilinear form make no FFT call."""
+    right-hand side, stacked or not, and the trilinear form make no FFT
+    call, nor does a sphere right-hand side up to the longitude crossover."""
 
     NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
@@ -863,8 +875,14 @@ class TestTransformPasses:
         dyn._remainder_u(plan, rows, params, run)
         dyn.rhs_u(plan, state, params)
         assert calls == []
-        # the counter sees the sphere's FFTs
+        # nor does a sphere plan whose longitude stage is a matrix product
         sphere = sphere_plan(5)
+        assert sphere.core.lon is not None
+        dyn.rhs_u(sphere, ops.random_state(sphere, seed=9), params_for(sphere, seed=6))
+        assert calls == []
+        # the counter sees the FFTs of a sphere plan past the crossover
+        sphere = sphere_plan(42)
+        assert sphere.core.lon is None
         dyn.rhs_u(sphere, ops.random_state(sphere, seed=9), params_for(sphere, seed=6))
         assert calls == ["irfft", "rfft"]
 
