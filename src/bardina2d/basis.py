@@ -55,14 +55,16 @@ Torus
     in the right half-plane (q1 > 0, or q1 == 0 and q2 > 0), sin(2 pi k.x/L)
     with k = -q otherwise.  Slot order is (|q|^2, q1, q2) lexicographic.
 
-Each geometry has four public transforms.  `synthesize` and `analyze` take
-scalar coefficients to grid values and back by quadrature.  The flow pair
-carries the nonlinearity: `flow_synthesis` takes a streamfunction psi to the
-grids of its vorticity -lam psi and its gradient, and `flow_analysis` takes
-a tangent grid field g to its Leray streamfunction, slot s being
-<g, n x grad Y_s> / lam_s (the component of g along the unit-energy velocity
-of mode s), and its harmonic pair; each makes one pass of its transform
-over the stacked fields.  Both cores implement synthesize, analyze,
+Each geometry has four public transforms over one synthesis.  The flow
+pair carries the nonlinearity: `flow_synthesis` takes a streamfunction psi
+to the grids of its vorticity -lam psi and its gradient, and
+`flow_analysis` takes a tangent grid field g to its Leray streamfunction,
+slot s being <g, n x grad Y_s> / lam_s (the component of g along the
+unit-energy velocity of mode s), and its harmonic pair; each makes one
+pass of its transform over the stacked fields.  `synthesize` takes scalar
+coefficients c to grid values, the vorticity grid of the flow synthesis of
+-c / lam, and `analyze` takes grid values f back to <f, Y_s> by
+quadrature, which no flow transform gives.  Both cores implement analyze,
 to_rows, from_rows, row_synthesis and row_analysis (below); the flow pair
 is the row pair between to_rows and from_rows, with a zero harmonic pair
 on the way in, so the gradient grids are grad psi alone.
@@ -90,12 +92,12 @@ Workspaces
     A transform flattens the leading axes into B stacked rows and works in
     buffers the plan builds once for that B: the Legendre rows of psi,
     -lam psi and D psi and their weights, the Legendre sums and the half
-    spectra (sphere; zero-padded for an FFT), the -lam rows and the
-    products of one axis (torus), and, for the
-    right-hand side in `dynamics`, the vorticity/gradient grid stack and the
-    product field g.  The FFTs and matmuls write into them with out=, so
-    stepping a batch allocates no large temporaries; freed ones would be
-    trimmed off the heap top and faulted back in by the next call.  Each
+    spectra (sphere), the -lam rows and the products of one axis (torus),
+    and, for the right-hand side in `dynamics`, the vorticity/gradient grid
+    stack and the product field g.  The FFTs and matmuls write into them
+    with out=, so stepping a batch allocates no large temporaries; freed
+    ones would be trimmed off the heap top and faulted back in by the next
+    call.  Each
     workspace, sphere (`legendre._SphereWork`) and torus
     (`fourier._TorusWork`) alike, also makes once every view of those
     buffers that its transforms and the
@@ -112,8 +114,8 @@ Workspaces
       the core workspace's `grids` and `g` and returns none of them;
     - size: about linear in the row count (README, "Transform
       workspaces", gives it); a sphere unfold borrows the analysis
-      spectrum buffer, and a fold the head of g, instead of a buffer of
-      their own.
+      spectrum buffer, and the synthesis spectra and a fold the head of g,
+      instead of a buffer of their own.
 """
 
 from __future__ import annotations
@@ -373,11 +375,12 @@ def _unrows(x, lead, tail):
 
 
 def synthesize(plan, coeffs):
-    """Evaluate a coefficient array on the plan grid."""
+    """Evaluate a coefficient array on the plan grid: the vorticity grid of
+    the flow synthesis of -coeffs / lam, a view of the new array that holds
+    the gradient grids too."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_coeffs(plan, coeffs)
-    rows, lead = _rows_of(coeffs, 1)
-    return _unrows(plan.core.synthesize(rows), lead, 2)
+    return flow_synthesis(plan, -coeffs / plan.lam)[0]
 
 
 def analyze(plan, f):
@@ -391,7 +394,7 @@ def analyze(plan, f):
 def flow_synthesis(plan, psi):
     """Vorticity and gradient grids of streamfunction coefficients.
 
-    The vorticity equals synthesize(plan, -lam * psi); the gradient has
+    The vorticity is the grid of -lam * psi; the gradient has
     components (theta, phi) on the sphere, (x, y) on the torus.  All three
     come from one inverse transform over the stacked fields, into a new
     array of which the pair are views.

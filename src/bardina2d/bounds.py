@@ -146,10 +146,6 @@ class AbsorbingRadii:
     rho_v_half: float
 
 
-def absorbing_radii(plan, params, norms=None):
-    return radii_from_constants(constants(plan, params, norms), params.alpha)
-
-
 def radii_from_constants(c, al):
     """The `AbsorbingRadii` of `DissipativityConstants` c at filter width al."""
     shell = 1.0 + al**2 * c.lambda_1

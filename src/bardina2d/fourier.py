@@ -54,7 +54,7 @@ class _TorusCore:
     makes its sums means).  unpack_w, ana_w times the entries' row_scale
     over qw, is computed once.
 
-    Synthesis is E (M E^T), M the head of to_rows of the coefficients.  The
+    There is one synthesis, and M is the head of the core rows.  The
     row synthesis forms the first products [-lam o M E^T | M E^T | M dE^T]
     and multiplies [E, dE, E] by its thirds, the grids of vorticity, d/dx
     and d/dy.  Those second products take tables_h = [[E | 0], [dE | 1],
@@ -68,7 +68,8 @@ class _TorusCore:
     dE^T g_y E - E^T g_x dE is <g, n x grad> of each entry, writes it and
     the sums of g into the rows it returns and weighs them by row_flow_w in
     one pass.  The slot flow pair of `basis` is to_rows, with a zero pair,
-    then the row synthesis, and the row analysis then from_rows.  Each
+    then the row synthesis, and the row analysis then from_rows; the
+    scalar synthesis is the vorticity grid of that flow synthesis.  Each
     product is one matmul over the stacked fields, the same BLAS call for
     every field, and takes the workspace of its row count.  The views of
     the tables that the products take (e, e_t, e_tr, de_e) are made here
@@ -190,12 +191,6 @@ class _TorusCore:
         v *= self.unpack_w
         return v[:, 0] + v[:, 1], rows[:, -self.n_harmonic :].copy()
 
-    def synthesize(self, coeffs):
-        ws = self.workspace(len(coeffs))
-        rows = self.to_rows(coeffs, np.zeros((len(coeffs), self.n_harmonic)))
-        t = np.matmul(self._m(rows, ws), self.e_t, out=ws.t_lam)
-        return np.matmul(self.e, t)
-
     def analyze(self, f):
         ws = self.workspace(len(f))
         rows = np.zeros((len(f), self.ncols))
@@ -241,9 +236,8 @@ class _TorusWork(_Workspace):
     [-lam o M E^T | M E^T | M dE^T] into the first 2K + 1 rows of t, the
     first third (t_lam) and the other two (t_grad); the last row of t
     holds (0, h1, h0), its first third zeroed once and never written, and
-    t_split views t as (B, 3, 2K + 2, N).  A scalar synthesis writes its
-    first products into t_lam.  An analysis writes its first products
-    into p (a scalar one into p_first), which p_stack views as
+    t_split views t as (B, 3, 2K + 2, N).  An analysis writes its first
+    products into p (a scalar one into p_first), which p_stack views as
     (B, 2N, 2K + 1), and its second into the M (shape m_shape) of a row
     array of its own.  The weights row_neg_lam and row_w (row_flow_w) are
     the core's, repeated over the B rows, so that every elementwise

@@ -154,13 +154,13 @@ class _SphereCore:
     view, into a spectrum of the same layout.  The synthesis weights
     pad_scale then hold each order's factor k alone, where irfft, which
     divides by nlon, takes (nlon / 2) k, and nlon k for the constant.
-    Past the crossover the synthesis spectra are zero-padded to
-    nlon // 2 + 1 columns laid out (m, K, nlat, B), irfft taking them
-    through a transposed view, and rfft writes (B, K, nlat, m) ones.
-    Either way an unfold writes, and a fold reads, the (m, K, nlat, B)
-    view.  Synthesis gathers the rows of psi,
+    Past the crossover irfft reads, and rfft writes, spectra of that
+    layout with nlon // 2 + 1 columns, the synthesis ones zeroed past lmax
+    by each synthesis.  Either way an unfold writes, and a fold reads, their
+    (m, K, nlat, B) view.  The one synthesis, the flow synthesis of core
+    rows, gathers the rows of psi,
     whose columns are (order in block, field, cos|sin), so the column of
-    one order takes zeros on the other's rows; a flow synthesis forms
+    one order takes zeros on the other's rows; it forms
     -lam psi and D psi beside them and makes one matmul of table_t, the
     transposed view of the table, batched over (parity, block, component);
     an unfold adds the even and odd sums on the northern latitudes and
@@ -305,11 +305,11 @@ class _SphereCore:
     # -- paired, parity-folded Legendre stage ----------------------------
 
     def _gather(self, ws, coeffs):
-        """(B, n_modes) -> scaled psi rows (2, npair, nrp, 4B), ws.psi_rows.
+        """(B, n_modes) -> scaled psi rows (2, npair, nrp, 4B), ws.comps[2].
 
         Columns are (order in block, field, cos|sin).
         """
-        np.multiply(coeffs, self.pad_scale, out=ws.pad_rows)
+        np.multiply(coeffs, ws.pad_scale, out=ws.pad_rows)
         np.take(ws.pad, ws.gather, out=ws.psi, mode="clip")
 
     def _pairs(self, x):
@@ -341,14 +341,7 @@ class _SphereCore:
             lines = spec.view(np.float64).reshape(-1, len(self.lon))
             np.matmul(f.reshape(-1, self.nlon), self.lon_t, out=lines)
 
-    # -- scalar --------------------------------------------------------
-
-    def synthesize(self, coeffs):
-        ws = self.workspace(len(coeffs))
-        self._gather(ws, coeffs)
-        np.matmul(self.table_t, ws.psi_rows, out=ws.sums_p)
-        _unfold(*ws.unfold_p)
-        return self._lon_synthesis(ws.spec_p)
+    # -- scalar analysis -----------------------------------------------
 
     def analyze(self, f):
         ws = self.workspace(len(f))
@@ -379,6 +372,7 @@ class _SphereCore:
         for grad in ws.grad_sums:
             np.multiply(grad, ws.synth_w, out=grad)
         _unfold(*ws.unfold)
+        ws.spec_pad.fill(0.0)
         return self._lon_synthesis(ws.spec, out)
 
     def row_analysis(self, g, ws):
@@ -400,12 +394,12 @@ class _SphereCore:
 class _SphereWork(_Workspace):
     """Reused buffers of one sphere plan for B stacked fields, and views of them.
 
-    pad holds the scaled coefficient rows, then one zero, and gather the
-    flat take-index of every psi row entry: the rows of parity 0, two zero
-    rows, then those of parity 1, into psi.  Read as (parity 0 and a zero
-    row, a zero row and parity 1), psi lines each parity's rows of degree
-    n - 1 and n + 1 up with the other's row of degree n, at rows i and
-    i + 1: links holds those two views.  rows holds the synthesis rows
+    pad holds the coefficient rows scaled by pad_scale, then one zero, and
+    gather the flat take-index of every psi row entry: the rows of parity 0,
+    two zero rows, then those of parity 1, into psi.  Read as (parity 0 and
+    a zero row, a zero row and parity 1), psi lines each parity's rows of
+    degree n - 1 and n + 1 up with the other's row of degree n, at rows i
+    and i + 1: links holds those two views.  rows holds the synthesis rows
     (-lam psi, D psi, psi), comps their (3, 2, npair, nrp, 4B) view, each
     row's 4B columns contiguous, and row_w their weights (-lam, lo, hi, as
     core.row_w) repeated over the columns, so that each pass runs flat over
@@ -416,29 +410,32 @@ class _SphereWork(_Workspace):
     the three positions in them that each slot reads, weighted by
     core.flow_w.  The folded analysis rows, weighted by ana_w, and the
     products of the scatter live in the synthesis sums, which no analysis
-    reads.  rows lives in the head of g and the sums in that of grids: a
-    synthesis writes grids in its longitude stage, after its matmul and
-    unfold, the right-hand side writes g after the synthesis, and an
-    analysis reads g in its longitude stage only.  The half spectra spec
-    (vorticity, d/dtheta, d/dphi) and spec_a (the components of g) are
-    (B, K, nlat, m) arrays.  spec_a is C-contiguous, written by rfft or the
-    longitude matmul with no buffer.  spec is C-contiguous too, holding the
-    retained columns only, when the longitude stage is a matmul; otherwise
-    it is the transposed view of an (m, K, nlat, B) buffer zeroed once, its
-    columns beyond lmax never written (numpy's irfft is slower on a
-    shorter input that it pads itself).  An unfold forms its hemispheres
-    in the head of spec_a's buffer, sized for them (of a transposed view
-    it would be a copy), which no synthesis reads, and a fold its blocks in
-    the head of g, which the analysis has read by then.  The weights of
-    rows and sums are repeated to the full shape of what they weight, and
-    weight it in contiguous blocks: numpy 2 copies an operand it
-    broadcasts, or an in-place operand that is not contiguous, into a
-    temporary (0.37 MB at L=21 for 9 rows), which, trimmed off the heap
-    and faulted back in, costs more than the weights.  A scalar analysis
-    instead weights each latitude by einsum, which makes no such
-    temporary, as its fold copies the columns, and scales its slots by
-    einsum into the array it returns.  The scalar transforms use the
-    leading parts (sums_p, spec_p, spec_ap) of the flow buffers.  Every view a
+    reads.  rows and then the synthesis half spectra spec (vorticity,
+    d/dtheta, d/dphi) live in the head of g, and the sums in that of
+    grids: a synthesis writes spec after its matmul and grids in its
+    longitude stage, after its unfold, the right-hand side writes g after
+    the synthesis, and an analysis reads g in its longitude stage only.
+    spec and the analysis half spectra spec_a (the components of g) are
+    C-contiguous (B, K, nlat, m) arrays, which the longitude stage reads
+    and writes with no buffer: m is lmax + 1 for a longitude matmul and
+    nlon // 2 + 1 for an FFT.  An unfold writes spec through its
+    (m, K, nlat, B) view, and each synthesis zeroes its columns beyond
+    lmax, spec_pad (empty for a longitude matmul): numpy's irfft is slower
+    on a shorter input that it pads itself, and in a buffer of its own,
+    where the (B, K, nlat, m) layout spreads those columns over every
+    page, they would add 0.27 MB at L=85 for one row.  An unfold forms its
+    hemispheres in the head of spec_a's buffer, sized for them, which no
+    synthesis reads, and a fold its blocks in the head of g, which the
+    analysis has read by then.  The weights of rows and sums, and
+    pad_scale, are repeated to the full shape of what they weight (at
+    B = 1 pad_scale is a view of the core's), and weight it in contiguous
+    blocks: numpy 2 copies an operand it broadcasts, or an in-place
+    operand that is not contiguous, into a temporary (0.37 MB at L=21 for
+    9 rows), which, trimmed off the heap and faulted back in, costs more
+    than the weights.  A scalar analysis instead weights each latitude by
+    einsum, which makes no such temporary, as its fold copies the columns,
+    and scales its slots by einsum into the array it returns; it uses the
+    leading parts (spec_ap, sums_p) of the flow buffers.  Every view a
     transform passes to numpy is made here once, but for the line views of
     a longitude matmul (about 1.5 us a right-hand side): at small sizes,
     making them costs as much as the arithmetic.
@@ -449,26 +446,33 @@ class _SphereWork(_Workspace):
         nlat, nlon, n, nm = core.nlat, core.nlon, core.n_modes, core.lmax + 1
         self.pad = np.zeros(b * n + 1)
         self.pad_rows = self.pad[:-1].reshape(b, n)
+        self.pad_scale = np.ascontiguousarray(np.broadcast_to(core.pad_scale, (b, n)))
         slots = core.slots[..., None, :] + (np.arange(b) * n)[:, None]
         idx = np.where(core.slots[..., None, :] < n, slots, b * n).reshape(2, -1)
         size, row = idx.shape[1], 4 * b
         self.gather = np.concatenate((idx[0], np.full(2 * row, b * n), idx[1]))
-        # the rows and a fold's blocks (of 2 components) live in the head of
-        # g, and the sums in that of grids: a synthesis writes grids after
+        # the rows, the synthesis spectra and a fold's blocks (of 2
+        # components) live in the head of g, and the sums in that of grids:
+        # a synthesis writes its spectra after its matmul and grids after
         # its unfold, and the right-hand side g after the synthesis; an
-        # analysis reads g only in its first transform
-        rows, sums = (3, 2, size + 2 * row), (2, 3, npair, nh, row)
+        # analysis reads g only in its first transform.  The spectra are
+        # (B, K, nlat, m), m up to lmax for a longitude matmul
+        ncol = nlon // 2 + 1 if core.lon is None else nm
+        rows, sums, spec = (3, 2, size + 2 * row), (2, 3, npair, nh, row), (b, 3, nlat, ncol)
         grids, g = (b, 3, nlat, nlon), (b, 2, nlat, nlon)
         grid_buf = np.empty(max(math.prod(grids), math.prod(sums)))
-        g_buf = np.empty(max(math.prod(g), math.prod(rows), 16 * npair * nh * b))
+        g_buf = np.empty(
+            max(math.prod(g), math.prod(rows), 16 * npair * nh * b, 2 * math.prod(spec))
+        )
         self.grids, self.g = _head(grid_buf, grids), _head(g_buf, g)
         self.rows = _head(g_buf, rows)
+        self.spec = _head(g_buf.view(np.complex128), spec)
+        self.spec_pad = self.spec[..., nm:]
         self.psi = self.rows[2].reshape(-1)[: self.gather.size]
         x = self.psi.reshape(2, -1)
         self.links = x[:, :size], x[:, row:]
         self.comps = self.rows[..., :size].reshape(3, 2, npair, nrp, row)
         self.comps_k = self.comps.transpose(1, 2, 0, 3, 4)
-        self.psi_rows = self.comps[2]
         self.flat = self.comps.reshape(3, 2, size)
         self.link_out = self.flat[0, ::-1], self.flat[1, ::-1]
         self.row_w = np.broadcast_to(core.row_w[..., None], self.comps.shape).reshape(3, 2, size)
@@ -485,15 +489,6 @@ class _SphereWork(_Workspace):
         self.sums = _head(grid_buf, sums)
         self.sums_k = self.sums.transpose(0, 2, 1, 3, 4)
         self.grad_sums = tuple(self.sums.view(np.complex128).reshape(2, 3, npair, nh, 2, b)[:, 1:])
-        # half spectra (B, K, nlat, m), m up to lmax for a longitude matmul
-        if core.lon is None:
-            ncol = nlon // 2 + 1
-            self.spec = np.zeros((ncol, 3, nlat, b), dtype=np.complex128).transpose(3, 1, 2, 0)
-            self.spec_p = self.spec[:, 0]
-        else:
-            ncol = nm
-            self.spec = np.empty((b, 3, nlat, ncol), dtype=np.complex128)
-            self.spec_p = _head(self.spec, (b, nlat, ncol))
         # analysis: component spectra, in a buffer an unfold's hemispheres
         # fit too, folded rows, products of the scatter
         spec_a = (b, 2, nlat, ncol)
@@ -513,9 +508,8 @@ class _SphereWork(_Workspace):
         # columns (m, K, nlat, B) of the spectra, analysis components (phi, theta)
         cols_a = self.spec_a.transpose(3, 1, 2, 0)[:nm, ::-1]
         cols_p = self.spec_ap[:, None].transpose(3, 1, 2, 0)[:nm]
-        spec, spec_p = (x.transpose(3, 1, 2, 0)[:nm] for x in (self.spec, self.spec_p[:, None]))
+        spec = self.spec.transpose(3, 1, 2, 0)[:nm]
         self.unfold = self._unfold_plan(core, self.sums, spec, a_buf)
-        self.unfold_p = self._unfold_plan(core, self.sums_p, spec_p, a_buf)
         fold = g_buf.view(np.complex128)
         self.fold_a = self._fold_plan(core, cols_a, rows_a, fold)
         self.fold_p = self._fold_plan(core, cols_p, self.sums_p, fold, core.lat_w)

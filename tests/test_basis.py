@@ -328,7 +328,6 @@ class TestTransforms:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
         # each stage against numpy on the spectrum the transform left behind
-        close(basis.synthesize(plan, c), np.fft.irfft(ws.spec_p * scale, n=nlon))
         zeta, grad = basis.flow_synthesis(plan, c)
         want = np.fft.irfft(ws.spec * scale, n=nlon)
         close(zeta, want[:, 0])
@@ -455,15 +454,15 @@ class TestTransforms:
 
     def test_flow_transforms_equal_separate_calls(self):
         # a stacked base + tangent batch with a nonzero harmonic part, as in
-        # dynamics._remainder_u: the vorticity against `synthesize`, the
-        # gradient and the Leray part against the reference transforms
+        # dynamics._remainder_u: the vorticity, the gradient and the Leray
+        # part against the reference transforms
         for plan in plans():
             rng = np.random.default_rng(21)
             psis = rng.standard_normal((4, plan.n_modes)) / (1.0 + plan.lam)
             hs = rng.standard_normal((4, plan.n_harmonic))
             zeta, grad = basis.flow_synthesis(plan, psis)
-            want_zeta = basis.synthesize(plan, -plan.lam * psis)
             ref = _reference(plan)
+            want_zeta = ref.synthesize(-plan.lam * psis)
             want_grad = ref.synth_grad(psis)
             u = basis.rot90(grad)
             if plan.n_harmonic:
@@ -696,17 +695,16 @@ class TestCoreRows:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_torus_slot_transforms_are_row_transforms_between_conversions(self, rows):
         # each public slot transform is to_rows (a zero pair), a transform
-        # of core rows, then from_rows, bit for bit
+        # of core rows, then from_rows, bit for bit; the scalar synthesis is
+        # the vorticity grid of the row synthesis of -c / lam
         plan, psis, _ = _core_row_case("torus", 16, rows)
         core, ws = plan.core, plan.core.workspace(rows)
         rng = np.random.default_rng(rows)
         f = rng.standard_normal((rows,) + plan.grid_shape)
         g = rng.standard_normal((rows, 2) + plan.grid_shape)
+        want = core.row_synthesis(core.to_rows(-psis / plan.lam, np.zeros((rows, 2))), ws)
+        assert basis.synthesize(plan, psis).tobytes() == want[:, 0].tobytes()
         x = core.to_rows(psis, np.zeros((rows, 2)))
-        nb = core.e.shape[1]
-        m = x[:, :-2].reshape(rows, nb, nb)
-        want = np.matmul(core.e, np.matmul(m, core.e_t))
-        assert basis.synthesize(plan, psis).tobytes() == want.tobytes()
         y = np.zeros_like(x)
         y[:, :-2] = np.matmul(core.e_tr, np.matmul(f, core.e)).reshape(rows, -1)
         want = core.from_rows(y * core.row_ana_w)[0]
@@ -723,37 +721,50 @@ class TestCoreRows:
     def test_sphere_rfft_writes_contiguous_spectra(self, monkeypatch, trunc, rows):
         # past the longitude crossover, rfft writes each line of a
         # C-contiguous (B, K, nlat, m) spectrum, where an (m, K, nlat, B) one
-        # would make numpy buffer its output; the fold reads the transposed view
+        # would make numpy buffer its output; the fold reads the transposed
+        # view.  irfft reads the synthesis spectrum of the same layout,
+        # zero-padded to nlon // 2 + 1 columns, and writes the grids; the
+        # spectrum shares the head of g, so the synthesis zeroes the padding
         plan, psis, _ = _core_row_case("sphere", trunc, rows)
         core, ws = plan.core, plan.core.workspace(rows)
         assert core.lon is None
-        outs = []
-        rfft = np.fft.rfft
+        calls = []
 
-        def spy(a, *args, out=None, **kwargs):
-            outs.append(out)
-            return rfft(a, *args, out=out, **kwargs)
+        def spy(fn):
+            def call(a, *args, out=None, **kwargs):
+                calls.append((fn, a, out, a[..., trunc + 1 :].copy()))
+                return fn(a, *args, out=out, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.fft, "rfft", spy)
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", spy(rfft))
+        monkeypatch.setattr(np.fft, "irfft", spy(irfft))
         rng = np.random.default_rng(trunc)
         core.row_analysis(rng.standard_normal(ws.g.shape), ws)
         core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
+        ws.g.fill(np.nan)
+        core.row_synthesis(psis, ws, ws.grids)
+        assert [call[0] for call in calls] == [rfft, rfft, irfft]
         shape = ws.spec_a.shape
-        assert [out.shape for out in outs] == [shape, shape[:1] + shape[2:]]
-        for out in outs:
+        assert [call[2].shape for call in calls[:2]] == [shape, shape[:1] + shape[2:]]
+        for _, _, out, _ in calls[:2]:
             assert out.flags.c_contiguous and np.shares_memory(out, ws.spec_a)
-        # the unfolds form their hemispheres in the head of that same buffer:
-        # the head of a transposed view would be a silent copy
-        for plan_views in (ws.unfold, ws.unfold_p):
-            h = plan_views[2]
-            assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
+        _, spec, out, pad = calls[2]
+        nlat, nlon = plan.grid_shape
+        assert spec is ws.spec and spec.shape == (rows, 3, nlat, nlon // 2 + 1)
+        assert spec.flags.c_contiguous and out is ws.grids
+        assert np.shares_memory(spec, ws.g) and np.all(pad == 0.0)
+        # the unfold forms its hemispheres in the head of the analysis
+        # spectra's buffer
+        h = ws.unfold[2]
+        assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
 
     @pytest.mark.parametrize("trunc,rows", [(20, 1), (21, 9)])
     def test_sphere_lon_matmuls_use_contiguous_spectra(self, monkeypatch, trunc, rows):
         # up to the crossover each longitude stage is one matrix product over
         # all lines: an analysis writes the C-contiguous (B, K, nlat, lmax + 1)
-        # spectrum, with no padding, and a synthesis reads the one its unfold
-        # wrote through the transposed view
+        # spectrum, with no padding, and the synthesis reads the one its
+        # unfold wrote through the transposed view
         plan, psis, _ = _core_row_case("sphere", trunc, rows)
         core, ws = plan.core, plan.core.workspace(rows)
         calls = []
@@ -769,22 +780,21 @@ class TestCoreRows:
         core.row_analysis(rng.standard_normal(ws.g.shape), ws)
         core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
         core.row_synthesis(psis, ws, ws.grids)
-        core.synthesize(psis)
         nlat, nm = plan.grid_shape[0], trunc + 1
         assert ws.spec_a.shape == (rows, 2, nlat, nm) and ws.spec.shape == (rows, 3, nlat, nm)
-        assert [b is core.lon_t for _, b, _ in calls] == [True, True, False, False]
+        assert [b is core.lon_t for _, b, _ in calls] == [True, True, False]
         for (_, _, out), spec in zip(calls[:2], (ws.spec_a, ws.spec_ap)):
             assert out.flags.c_contiguous and out.size == 2 * spec.size
             assert np.shares_memory(out, spec)
-        for (a, _, _), spec in zip(calls[2:], (ws.spec, ws.spec_p)):
-            assert a.flags.c_contiguous and a.size == 2 * spec.size
-            assert spec.flags.c_contiguous and np.shares_memory(a, spec)
+        a = calls[2][0]
+        assert a.flags.c_contiguous and a.size == 2 * ws.spec.size
+        assert ws.spec.flags.c_contiguous and np.shares_memory(a, ws.spec)
+        assert np.shares_memory(ws.spec, ws.g)
         assert np.shares_memory(calls[2][2], ws.grids)
-        # the unfolds form their hemispheres in the head of the analysis
+        # the unfold forms its hemispheres in the head of the analysis
         # spectra's buffer, as on the FFT side
-        for plan_views in (ws.unfold, ws.unfold_p):
-            h = plan_views[2]
-            assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
+        h = ws.unfold[2]
+        assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
 
     @pytest.mark.parametrize("trunc,rows", [(21, 9), (85, 1)])
     def test_sphere_scalar_analysis_allocates_only_its_result(self, trunc, rows):
@@ -803,6 +813,25 @@ class TestCoreRows:
         finally:
             tracemalloc.stop()
         assert peak < 8 * rows * plan.n_modes + 4000
+
+    @pytest.mark.parametrize("trunc,rows", [(21, 9), (85, 1)])
+    def test_sphere_gather_makes_no_temporary(self, trunc, rows):
+        # the gather scales the rows by the workspace's scale, repeated over
+        # them: the core's (n_modes,) scale broadcast over the rows made
+        # numpy buffer it, 35.9 KB at L=21 x 9 rows on every synthesis
+        plan, psis, _ = _core_row_case("sphere", trunc, rows)
+        core, ws = plan.core, plan.core.workspace(rows)
+        core._gather(ws, psis)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            core._gather(ws, psis)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000
+        # one row takes the core's scale itself, so its workspace holds no copy
+        assert (rows == 1) == np.shares_memory(ws.pad_scale, core.pad_scale)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_torus_row_synthesis_of_a_pair_alone(self, rows):

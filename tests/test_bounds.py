@@ -128,7 +128,8 @@ class TestAbsorbingRadii:
         # so rho0 = 2 sqrt(1/6)
         plan = sphere_plan()
         f = single_mode_forcing(plan, (1, 0), 2.0**1.5)
-        r = bounds.absorbing_radii(plan, params_with(plan, 1.0, 1.0, 0.0, f))
+        p = params_with(plan, 1.0, 1.0, 0.0, f)
+        r = bounds.radii_from_constants(bounds.constants(plan, p), p.alpha)
         assert abs(r.rho0 - 2.0 / np.sqrt(6.0)) < 1e-13
         assert abs(r.rho_v_sum - (r.rho0 + r.rho2)) < 1e-15
         assert r.rho_v_half == 0.5 * r.rho_v_sum
@@ -139,7 +140,7 @@ class TestAbsorbingRadii:
         f = single_mode_forcing(plan, (1, 0), 1.0)
         p = params_with(plan, 1.0, 1.2, 5.0, f)
         c = bounds.constants(plan, p)
-        r = bounds.absorbing_radii(plan, p)
+        r = bounds.radii_from_constants(c, p.alpha)
         assert c.delta != c.delta_prime
         assert abs(r.rho2 - 2.0 * np.sqrt(c.l2 / (1.2**2 * 3.0))) < 1e-15
         assert abs(r.rho1_tilde - 2.0 * np.sqrt(c.l2 / ((1.0 + 1.2**2 * 2.0) * 3.0))) < 1e-15
@@ -148,7 +149,8 @@ class TestAbsorbingRadii:
     def test_zero_forcing_zero_radii(self):
         plan = sphere_plan()
         f = dynamics.Forcing(np.zeros(plan.n_modes), np.zeros(0))
-        r = bounds.absorbing_radii(plan, params_with(plan, 1.0, 1.0, 0.0, f))
+        p = params_with(plan, 1.0, 1.0, 0.0, f)
+        r = bounds.radii_from_constants(bounds.constants(plan, p), p.alpha)
         assert r.rho0 == r.rho1 == r.rho1_tilde == r.rho2 == 0.0
         assert r.rho_v_sum == 0.0
 
@@ -158,8 +160,8 @@ class TestAbsorbingRadii:
         c = rng.standard_normal(plan.n_modes)
         p1 = params_with(plan, 0.8, 1.1, 0.0, dynamics.Forcing(c, np.zeros(0)))
         p2 = params_with(plan, 0.8, 1.1, 0.0, dynamics.Forcing(3.0 * c, np.zeros(0)))
-        r1 = bounds.absorbing_radii(plan, p1)
-        r2 = bounds.absorbing_radii(plan, p2)
+        r1 = bounds.radii_from_constants(bounds.constants(plan, p1), p1.alpha)
+        r2 = bounds.radii_from_constants(bounds.constants(plan, p2), p2.alpha)
         for a, b in zip(
             (r1.rho0, r1.rho1, r1.rho1_tilde, r1.rho2, r1.rho_v_sum),
             (r2.rho0, r2.rho1, r2.rho1_tilde, r2.rho2, r2.rho_v_sum),
