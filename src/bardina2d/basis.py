@@ -64,10 +64,10 @@ unit-energy velocity of mode s), and its harmonic pair; each makes one
 pass of its transform over the stacked fields.  `synthesize` takes scalar
 coefficients c to grid values, the vorticity grid of the flow synthesis of
 -c / lam, and `analyze` takes grid values f back to <f, Y_s> by
-quadrature, which no flow transform gives.  Both cores implement analyze,
-to_rows, from_rows, row_synthesis and row_analysis (below); the flow pair
-is the row pair between to_rows and from_rows, with a zero harmonic pair
-on the way in, so the gradient grids are grad psi alone.
+quadrature, off the stepping path (on the sphere a plain routine that
+touches no workspace).  The flow pair is the row pair (below) between the
+cores' to_rows and from_rows, with a zero harmonic pair on the way in, so
+the gradient grids are grad psi alone; `verify`'s transform rows check it.
 
 All transforms broadcast over leading axes: coefficients have shape
 (..., n_modes), grid fields (..., nlat, nlon), tangent vector fields

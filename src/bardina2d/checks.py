@@ -28,10 +28,10 @@ from .errors import ConfigurationError, CorruptSnapshotError, ModelError
 # 17 significant digits, so they differ at most by the rounding of exp
 ENVELOPE_REBUILD_TOL = 1e-12
 
-# relative tolerance of the transform rows: sound transforms round to at
-# most 1.8e-14 at sphere L <= 256 (round trip 7.1e-15 at L=85, 1.3e-14 at
-# L=256) and 1.9e-15 at torus K <= 32, while an aliased grid is off by the
-# edge coefficients, 1e-2 and more
+# relative tolerance of the transform rows: sound flow transforms round to
+# at most 2.9e-14 at sphere L <= 256 (round trip 4.2e-15 at L=85, 7.5e-15
+# at L=256) and 1.7e-15 at torus K <= 64, while an aliased grid is off by
+# the edge coefficients, 1e-2 and more
 TRANSFORM_TOL = 1e-12
 
 # steps of the library envelope row, sampled every 10th: at a config's own
@@ -66,14 +66,16 @@ def _ensure_forced(plan, params):
 
 
 def transform_roundtrip(plan, seed):
-    """Synthesize-analyze round trip and Parseval sum of one random field."""
-    coeffs = verification.probe_state(plan, ops.NormalStream(seed)).psi
-    f = basis.synthesize(plan, coeffs)
-    back = basis.analyze(plan, f)
-    rel = np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs)
-    ss = float(np.dot(coeffs, coeffs))
-    parseval = abs(basis.integrate(plan, f * f) - ss) / ss
-    worst = max(float(rel), float(parseval))
+    """Flow round trip of a random psi: n x grad psi analyzes back to psi,
+    grad psi to zero, and the integral of |grad psi|^2 is sum lam psi^2."""
+    psi = verification.probe_state(plan, ops.NormalStream(seed)).psi
+    _, grad = basis.flow_synthesis(plan, psi)
+    norm = np.linalg.norm(psi)
+    back = np.linalg.norm(basis.flow_analysis(plan, basis.rot90(grad))[0] - psi) / norm
+    leray = np.linalg.norm(basis.flow_analysis(plan, grad)[0]) / norm
+    ss = float(np.dot(plan.lam * psi, psi))
+    parseval = abs(basis.integrate(plan, np.sum(grad * grad, axis=0)) - ss) / ss
+    worst = max(float(back), float(leray), float(parseval))
     return worst <= TRANSFORM_TOL, f"max residual {worst:.3e}"
 
 
@@ -82,15 +84,19 @@ def library_checks(plan, params, seed, dt, prefix=""):
     the envelope row makes ENVELOPE_STEPS IF-RK4 steps of `dt`."""
 
     def alias():
-        # a product of two retained fields analyzed on the plan grid and on the
-        # next plan whose grid is larger both ways; an undersized grid rule
+        # the product the right-hand side forms, zeta_a n x grad psi_b of
+        # two retained fields, analyzed on the plan grid and on the next
+        # plan whose grid is larger both ways; an undersized grid rule
         # aliases onto the edge modes of the first but not of the second.
         # The residual is relative to the whole product on the larger plan,
         # whose retained part can vanish (degree-1 fields at sphere L=1)
+        def product(p, psis):
+            zeta, grad = basis.flow_synthesis(p, psis)
+            return basis.flow_analysis(p, zeta[0] * basis.rot90(grad[1]))[0]
+
         rng = ops.NormalStream(seed + 2000)
         pair = np.stack([verification.probe_state(plan, rng).psi for _ in range(2)])
-        fa, fb = basis.synthesize(plan, pair)
-        got = basis.analyze(plan, fa * fb)
+        got = product(plan, pair)
         truncation = plan.truncation + 1
         larger = basis.build_plan(plan.geometry, truncation)
         while not all(b > a for a, b in zip(plan.grid_shape, larger.grid_shape)):
@@ -99,8 +105,7 @@ def library_checks(plan, params, seed, dt, prefix=""):
         slots = basis.slot_map(plan, larger)
         lifted = np.zeros((2, larger.n_modes))
         lifted[:, slots] = pair
-        fa, fb = basis.synthesize(larger, lifted)
-        full = basis.analyze(larger, fa * fb)
+        full = product(larger, lifted)
         rel = float(np.linalg.norm(got - full[slots]) / np.linalg.norm(full))
         return rel <= TRANSFORM_TOL, f"residual {rel:.3e} against truncation {truncation}"
 
@@ -249,7 +254,8 @@ def recheck_run_dir(out, plan, params, dt, meta):
 def selftest(inject_sign_fault=False):
     """The library rows on sphere and torus plans at truncation 21, an
     eigenmode decay and a snapshot round trip.  With `inject_sign_fault`
-    the rotation drops its minus sign while the rows run.
+    the rotation drops its minus sign while the rows run, which fails the
+    transform-roundtrip and operator-identities rows.
     """
     restore = None
     if inject_sign_fault:

@@ -254,16 +254,15 @@ class _SphereCore:
             ks[0] *= 2.0
         sign = np.where(order < 0, -1.0, 1.0)
         self.pad_scale = sign * ks[np.abs(order)]
-        # weights: a scalar analysis weights its columns by wq, the
-        # quadrature weight, pole to equator as its fold copies them
-        # (lat_w); the flow transforms weight their sums, at the northern
+        # weights: the flow transforms weight their sums, at the northern
         # latitudes, by 1 / sin(theta) (D psi) and i m / sin(theta)
         # (d/dphi of psi), and their folded rows by -wq / sin(theta) (g_phi)
         # and -i wq / sin(theta) (g_theta, as n x g = (-g_phi, g_theta); the
-        # m goes to flow_w): all are even in latitude.  An equator row (odd
-        # nlat) is folded into both hemispheres at half weight.  The
-        # analysis rows are (Re, Im) of the weighted columns, so a sin slot
-        # sums -Im; ana_scale also holds each order's factor k
+        # m goes to flow_w), wq the quadrature weight, pole to equator
+        # (lat_w): all are even in latitude.  An equator row (odd nlat) is
+        # folded into both hemispheres at half weight.  The analysis rows
+        # are (Re, Im) of the weighted columns, so a sin slot sums -Im;
+        # ana_scale also holds each order's factor k
         wq = self.wlat * self.dphi
         if self.nlat % 2:
             wq[nh - 1] *= 0.5
@@ -272,8 +271,8 @@ class _SphereCore:
         self.synth_w = np.stack(
             np.broadcast_arrays(inv_sin[:, None], 1j * m_pair[:, None] * inv_sin[:, None])
         )
-        self.lat_w = wq[self.north].astype(np.complex128)
-        wn = -wq[self.north] * inv_sin
+        self.lat_w = wq[self.north]
+        wn = -self.lat_w * inv_sin
         wn = np.stack((wn, 1j * wn), axis=-1)[..., None]
         self.ana_w = np.broadcast_to(wn, (self.npair, nh, 2, 2))
         self.ana_scale = sign * k[np.abs(order)]
@@ -344,14 +343,17 @@ class _SphereCore:
     # -- scalar analysis -----------------------------------------------
 
     def analyze(self, f):
-        ws = self.workspace(len(f))
-        self._lon_analysis(f, ws.spec_ap)
-        _fold(*ws.fold_p)
-        # the sums go where a flow analysis has its theta sums
-        np.matmul(ws.rows_p, self.table_t, out=ws.sums_theta)
-        p = np.take(ws.sums_a, ws.scatter[0], out=ws.parts[0], mode="clip")
-        # a ufunc would buffer the scale it broadcasts over the rows
-        return np.einsum("bn,n->bn", p, self.ana_scale)
+        """<f, Y_s> of grid rows f (B, nlat, nlon), off the workspaces: each
+        slot sums its order's northern half spectra plus (parity 0) or minus
+        the southern ones against lat_w times its table row, Re for cos and
+        Im for sin."""
+        spec = np.fft.rfft(f)
+        north, south = spec[:, self.north], spec[:, : self.nh]
+        p, j, r, o, c = self.slot_at
+        m = np.where(o == 0, j, (self.lmax | 1) - j)
+        folded = np.stack((north + south, north - south))[p, :, :, m]
+        sums = np.einsum("nbl,l,nl->bn", folded, self.lat_w, self.table[p, j, r])
+        return np.where(c == 0, sums.real, sums.imag) * self.ana_scale
 
     # -- flow ----------------------------------------------------------
 
@@ -432,10 +434,7 @@ class _SphereWork(_Workspace):
     blocks: numpy 2 copies an operand it broadcasts, or an in-place
     operand that is not contiguous, into a temporary (0.37 MB at L=21 for
     9 rows), which, trimmed off the heap and faulted back in, costs more
-    than the weights.  A scalar analysis instead weights each latitude by
-    einsum, which makes no such temporary, as its fold copies the columns,
-    and scales its slots by einsum into the array it returns; it uses the
-    leading parts (spec_ap, sums_p) of the flow buffers.  Every view a
+    than the weights.  Every view a
     transform passes to numpy is made here once, but for the line views of
     a longitude matmul (about 1.5 us a right-hand side): at small sizes,
     making them costs as much as the arithmetic.
@@ -478,7 +477,6 @@ class _SphereWork(_Workspace):
         self.row_w = np.broadcast_to(core.row_w[..., None], self.comps.shape).reshape(3, 2, size)
         self.sums_a = _head(self.rows, (2, npair, 2, row, nrp))
         self.sums_flow = self.sums_a.reshape(2, npair, 2 * row, nrp)
-        self.sums_theta = self.sums_a[:, :, 1]
         # per slot: its theta sum, then the phi sums at degree n + 1 (row
         # r + p of the other parity) and n - 1 (row r - 1 + p)
         p, j, r, o, c = core.slot_at
@@ -502,20 +500,15 @@ class _SphereWork(_Workspace):
             np.ascontiguousarray(np.broadcast_to(w[..., None], w.shape + (b,)))
             for w in (core.synth_w, core.ana_w)
         )
-        self.sums_p = _head(self.sums, (2, npair, nh, row))
-        self.rows_p = self.sums_p.swapaxes(2, 3)
-        self.spec_ap = _head(self.spec_a, (b, nlat, ncol))
         # columns (m, K, nlat, B) of the spectra, analysis components (phi, theta)
         cols_a = self.spec_a.transpose(3, 1, 2, 0)[:nm, ::-1]
-        cols_p = self.spec_ap[:, None].transpose(3, 1, 2, 0)[:nm]
         spec = self.spec.transpose(3, 1, 2, 0)[:nm]
-        self.unfold = self._unfold_plan(core, self.sums, spec, a_buf)
+        self.unfold = self._unfold_views(core, self.sums, spec, a_buf)
         fold = g_buf.view(np.complex128)
-        self.fold_a = self._fold_plan(core, cols_a, rows_a, fold)
-        self.fold_p = self._fold_plan(core, cols_p, self.sums_p, fold, core.lat_w)
+        self.fold_a = self._fold_views(core, cols_a, rows_a, fold)
         self._bind_rhs()
 
-    def _unfold_plan(self, core, sums, spec, scratch):
+    def _unfold_views(self, core, sums, spec, scratch):
         """Views of an unfold, block sums (2, K, npair, nh, 4B) -> columns
         (lmax + 1, K, nlat, B) of half spectra, as `_unfold` takes them.
 
@@ -539,17 +532,17 @@ class _SphereWork(_Workspace):
         )
         return s[0], s[1], h, halves
 
-    def _fold_plan(self, core, cols, rows, scratch, lat_w=None):
+    def _fold_views(self, core, cols, rows, scratch):
         """Views of a fold, columns (lmax + 1, K, nlat, B) -> hemisphere sums
         and differences, as `_fold` takes them.
 
         Copies take each component of each order's two hemispheres, pole to
         equator, to its place in the block layout, in the head of g, which
-        an analysis reads in its first transform only, weighting each
-        latitude by lat_w when given; the sums then go to parity 0 and the
-        differences to parity 1 of the analysis rows (2, npair, nh, 4KB),
-        as every component has the parity of P.  A lone order's empty
-        partner is zeroed: only products the scatter drops read it.
+        an analysis reads in its first transform only; the sums then go to
+        parity 0 and the differences to parity 1 of the analysis rows
+        (2, npair, nh, 4KB), as every component has the parity of P.  A lone
+        order's empty partner is zeroed: only products the scatter drops
+        read it.
         """
         shape = (2, core.npair, core.nh, cols.shape[1], 2, cols.shape[3])
         h = _head(scratch, shape)
@@ -560,11 +553,11 @@ class _SphereWork(_Workspace):
             for j in range(shape[3])
         )
         even, odd = rows.view(np.complex128).reshape(shape)
-        return h[:, : core.lone, ..., 1, :], copies, lat_w, h[0], h[1], even, odd
+        return h[:, : core.lone, ..., 1, :], copies, h[0], h[1], even, odd
 
 
 def _unfold(even, odd, h, halves):
-    """Run an unfold `_SphereWork._unfold_plan` made: per half, even + odd
+    """Run an unfold `_SphereWork._unfold_views` made: per half, even + odd
     or even - odd into h, then its copies."""
     for add, copies in halves:
         add(even, odd, out=h)
@@ -572,14 +565,11 @@ def _unfold(even, odd, h, halves):
             np.copyto(dst, src)
 
 
-def _fold(lone, copies, lat_w, h0, h1, even, odd):
-    """Run a fold `_SphereWork._fold_plan` made."""
+def _fold(lone, copies, h0, h1, even, odd):
+    """Run a fold `_SphereWork._fold_views` made."""
     lone.fill(0.0)
     for dst, src in copies:
-        if lat_w is None:
-            np.copyto(dst, src)
-        else:  # a ufunc would buffer the broadcast weights
-            np.einsum("jlb,l->jlb", src, lat_w, out=dst)
+        np.copyto(dst, src)
     np.add(h0, h1, out=even)
     np.subtract(h0, h1, out=odd)
 

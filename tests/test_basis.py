@@ -317,7 +317,6 @@ class TestTransforms:
         assert core.lon is not None
         rng = np.random.default_rng(lmax)
         c = rng.standard_normal((3, plan.n_modes))
-        f = rng.standard_normal((3,) + plan.grid_shape)
         g = rng.standard_normal((3, 2) + plan.grid_shape)
         ws = core.workspace(3)
         scale = np.full(lmax + 1, 0.5 * nlon)
@@ -332,8 +331,6 @@ class TestTransforms:
         want = np.fft.irfft(ws.spec * scale, n=nlon)
         close(zeta, want[:, 0])
         close(grad, want[:, 1:])
-        basis.analyze(plan, f)
-        close(ws.spec_ap, np.fft.rfft(f)[..., : lmax + 1])
         basis.flow_analysis(plan, g)
         close(ws.spec_a, np.fft.rfft(g)[..., : lmax + 1])
         # and whole transforms against a plan of the same truncation on np.fft
@@ -341,7 +338,6 @@ class TestTransforms:
         fft = basis.build_plan(basis.sphere(), lmax)
         assert fft.core.lon is None
         close(basis.synthesize(plan, c), basis.synthesize(fft, c))
-        close(basis.analyze(plan, f), basis.analyze(fft, f))
         for got, want in zip(basis.flow_synthesis(plan, c), basis.flow_synthesis(fft, c)):
             close(got, want)
         close(basis.flow_analysis(plan, g)[0], basis.flow_analysis(fft, g)[0])
@@ -741,15 +737,13 @@ class TestCoreRows:
         monkeypatch.setattr(np.fft, "irfft", spy(irfft))
         rng = np.random.default_rng(trunc)
         core.row_analysis(rng.standard_normal(ws.g.shape), ws)
-        core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
         ws.g.fill(np.nan)
         core.row_synthesis(psis, ws, ws.grids)
-        assert [call[0] for call in calls] == [rfft, rfft, irfft]
-        shape = ws.spec_a.shape
-        assert [call[2].shape for call in calls[:2]] == [shape, shape[:1] + shape[2:]]
-        for _, _, out, _ in calls[:2]:
-            assert out.flags.c_contiguous and np.shares_memory(out, ws.spec_a)
-        _, spec, out, pad = calls[2]
+        assert [call[0] for call in calls] == [rfft, irfft]
+        out = calls[0][2]
+        assert out.shape == ws.spec_a.shape
+        assert out.flags.c_contiguous and np.shares_memory(out, ws.spec_a)
+        _, spec, out, pad = calls[1]
         nlat, nlon = plan.grid_shape
         assert spec is ws.spec and spec.shape == (rows, 3, nlat, nlon // 2 + 1)
         assert spec.flags.c_contiguous and out is ws.grids
@@ -778,41 +772,31 @@ class TestCoreRows:
         monkeypatch.setattr(np, "matmul", spy)
         rng = np.random.default_rng(trunc)
         core.row_analysis(rng.standard_normal(ws.g.shape), ws)
-        core.analyze(rng.standard_normal((rows,) + plan.grid_shape))
         core.row_synthesis(psis, ws, ws.grids)
         nlat, nm = plan.grid_shape[0], trunc + 1
         assert ws.spec_a.shape == (rows, 2, nlat, nm) and ws.spec.shape == (rows, 3, nlat, nm)
-        assert [b is core.lon_t for _, b, _ in calls] == [True, True, False]
-        for (_, _, out), spec in zip(calls[:2], (ws.spec_a, ws.spec_ap)):
-            assert out.flags.c_contiguous and out.size == 2 * spec.size
-            assert np.shares_memory(out, spec)
-        a = calls[2][0]
+        assert [b is core.lon_t for _, b, _ in calls] == [True, False]
+        out = calls[0][2]
+        assert out.flags.c_contiguous and out.size == 2 * ws.spec_a.size
+        assert np.shares_memory(out, ws.spec_a)
+        a = calls[1][0]
         assert a.flags.c_contiguous and a.size == 2 * ws.spec.size
         assert ws.spec.flags.c_contiguous and np.shares_memory(a, ws.spec)
         assert np.shares_memory(ws.spec, ws.g)
-        assert np.shares_memory(calls[2][2], ws.grids)
+        assert np.shares_memory(calls[1][2], ws.grids)
         # the unfold forms its hemispheres in the head of the analysis
         # spectra's buffer, as on the FFT side
         h = ws.unfold[2]
         assert h.flags.c_contiguous and np.shares_memory(h, ws.spec_a)
 
-    @pytest.mark.parametrize("trunc,rows", [(21, 9), (85, 1)])
-    def test_sphere_scalar_analysis_allocates_only_its_result(self, trunc, rows):
-        # the Gauss weights apply as the fold copies the columns into its
-        # contiguous blocks, on both longitude paths: weighting the strided
-        # columns in place made numpy buffer them, 315 KB at L=21 x 9 rows
-        # and 393 KB at L=85 x 1
+    @pytest.mark.parametrize("trunc", [21, 85])
+    def test_sphere_scalar_analysis_builds_no_workspace(self, trunc):
+        # the scalar analysis is off the stepping path and works in arrays
+        # of its own, so it neither builds nor reads a workspace
         plan = basis.build_plan(basis.sphere(), trunc)
-        f = np.random.default_rng(trunc).standard_normal((rows,) + plan.grid_shape)
-        basis.analyze(plan, f)  # the workspace, and BLAS's first call
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            basis.analyze(plan, f)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * rows * plan.n_modes + 4000
+        f = np.random.default_rng(trunc).standard_normal((3,) + plan.grid_shape)
+        basis.analyze(plan, f)
+        assert len(plan.core._work) == 0
 
     @pytest.mark.parametrize("trunc,rows", [(21, 9), (85, 1)])
     def test_sphere_gather_makes_no_temporary(self, trunc, rows):
