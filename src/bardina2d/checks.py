@@ -5,7 +5,8 @@ fails with the error as its detail.  `library_checks` tests the transforms,
 the nonlinearity identities, the tangent linearization and the Gronwall
 envelopes on one plan, `recheck_run_dir` a finished run's diagnostics.csv,
 and `selftest` fixed plans of both geometries.  `print_table` prints the
-rows and returns the exit code.
+rows and returns the exit code.  tests/test_faults.py plants named faults
+in the library and pins which of these rows each one fails.
 """
 
 from __future__ import annotations
@@ -251,78 +252,61 @@ def recheck_run_dir(out, plan, params, dt, meta):
     ]
 
 
-def selftest(inject_sign_fault=False):
+def selftest():
     """The library rows on sphere and torus plans at truncation 21, an
-    eigenmode decay and a snapshot round trip.  With `inject_sign_fault`
-    the rotation drops its minus sign while the rows run, which fails the
-    transform-roundtrip and operator-identities rows.
+    eigenmode decay and a snapshot round trip.
     """
-    restore = None
-    if inject_sign_fault:
-        # the rotation is defined in basis and re-exported by operators
-        restore = basis.rot90
+    checks = []
+    for kind in (basis.SPHERE, basis.TORUS):
+        if kind == basis.SPHERE:
+            plan = basis.build_plan(basis.sphere(), 21)
+            sigma, index, f2 = 0.0, (2, 1), None
+        else:
+            plan = basis.build_plan(basis.torus(2.0 * np.pi), 21)
+            sigma, index, f2 = 0.5, (1, 1), np.array([0.1, 0.0])
+        forcing = _unit_forcing(plan, index, f2)
+        params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=sigma, forcing=forcing)
+        checks.extend(library_checks(plan, params, seed=0, dt=0.005, prefix=kind + ":"))
 
-        def unsigned_rot90(vec):
-            # deliberately wrong: drops the minus sign of the rotation
-            return np.stack((vec[..., 1, :, :], vec[..., 0, :, :]), axis=-3)
+    def decay():
+        plan = basis.build_plan(basis.sphere(), 6)
+        params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
+        state = ops.state_from_mode(plan, (3, 1), amplitude=0.7)
+        lam = basis.eigenvalue(plan, (3, 1))
+        scheme = integrate.SchemeConfig(dt=1e-3, t_end=0.5, method=integrate.IF_RK4)
+        for _, final in integrate.samples(plan, state, params, scheme):
+            pass
+        expected = ops.norm_l2(plan, state) * np.exp(-params.nu * lam * scheme.t_end)
+        rel = abs(ops.norm_l2(plan, final) - expected) / expected
+        return rel <= 1e-8, f"relative error {rel:.3e}"
 
-        basis.rot90 = ops.rot90 = unsigned_rot90
+    def snapshot_roundtrip():
+        plan = basis.build_plan(basis.sphere(), 4)
+        params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
+        state = ops.random_state(plan, seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.bdna")
+            snapshot.save_snapshot(path, plan, state, 1.25, params)
+            snap = snapshot.load_snapshot(path)
+            snapshot.check_snapshot(snap, plan, params)
+            back = snapshot.as_state(snap)
+            same = bool(np.array_equal(back.psi, state.psi)) and snap.t == 1.25
+            with open(path, "rb") as fh:
+                blob = bytearray(fh.read())
+            blob[-10] ^= 0x01  # flip one payload byte
+            with open(path, "wb") as fh:
+                fh.write(bytes(blob))
+            try:
+                snapshot.load_snapshot(path)
+                caught = False
+            except CorruptSnapshotError:
+                caught = True
+        ok = same and caught
+        return ok, "roundtrip bitwise, corruption detected" if ok else "mismatch"
 
-    try:
-        checks = []
-        for kind in (basis.SPHERE, basis.TORUS):
-            if kind == basis.SPHERE:
-                plan = basis.build_plan(basis.sphere(), 21)
-                sigma, index, f2 = 0.0, (2, 1), None
-            else:
-                plan = basis.build_plan(basis.torus(2.0 * np.pi), 21)
-                sigma, index, f2 = 0.5, (1, 1), np.array([0.1, 0.0])
-            forcing = _unit_forcing(plan, index, f2)
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=sigma, forcing=forcing)
-            checks.extend(library_checks(plan, params, seed=0, dt=0.005, prefix=kind + ":"))
-
-        def decay():
-            plan = basis.build_plan(basis.sphere(), 6)
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
-            state = ops.state_from_mode(plan, (3, 1), amplitude=0.7)
-            lam = basis.eigenvalue(plan, (3, 1))
-            scheme = integrate.SchemeConfig(dt=1e-3, t_end=0.5, method=integrate.IF_RK4)
-            for _, final in integrate.samples(plan, state, params, scheme):
-                pass
-            expected = ops.norm_l2(plan, state) * np.exp(-params.nu * lam * scheme.t_end)
-            rel = abs(ops.norm_l2(plan, final) - expected) / expected
-            return rel <= 1e-8, f"relative error {rel:.3e}"
-
-        def snapshot_roundtrip():
-            plan = basis.build_plan(basis.sphere(), 4)
-            params = dyn.ModelParams(nu=1.0, alpha=1.0, sigma=0.0, forcing=dyn.zero_forcing(plan))
-            state = ops.random_state(plan, seed=3)
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "state.bdna")
-                snapshot.save_snapshot(path, plan, state, 1.25, params)
-                snap = snapshot.load_snapshot(path)
-                snapshot.check_snapshot(snap, plan, params)
-                back = snapshot.as_state(snap)
-                same = bool(np.array_equal(back.psi, state.psi)) and snap.t == 1.25
-                with open(path, "rb") as fh:
-                    blob = bytearray(fh.read())
-                blob[-10] ^= 0x01  # flip one payload byte
-                with open(path, "wb") as fh:
-                    fh.write(bytes(blob))
-                try:
-                    snapshot.load_snapshot(path)
-                    caught = False
-                except CorruptSnapshotError:
-                    caught = True
-            ok = same and caught
-            return ok, "roundtrip bitwise, corruption detected" if ok else "mismatch"
-
-        checks.append(_run_check("eigenmode-decay", decay))
-        checks.append(_run_check("snapshot-roundtrip", snapshot_roundtrip))
-        return checks
-    finally:
-        if restore is not None:
-            basis.rot90 = ops.rot90 = restore
+    checks.append(_run_check("eigenmode-decay", decay))
+    checks.append(_run_check("snapshot-roundtrip", snapshot_roundtrip))
+    return checks
 
 
 def print_table(checks):

@@ -133,15 +133,10 @@ def _build_parser():
         help="identity, envelope, roundtrip, and tangent checks; "
         "also rechecks a run directory when --out holds one",
     )
-    slf = sub.add_parser(
+    sub.add_parser(
         "selftest",
         parents=[common],
         help="fixed built-in check suite on both geometries",
-    )
-    slf.add_argument(
-        "--inject-sign-fault",
-        action="store_true",
-        help="flip the pointwise rotation sign to demonstrate failure reporting",
     )
     return parser
 
@@ -469,10 +464,10 @@ def cmd_verify(args, spec):
     return checks.print_table(rows)
 
 
-def cmd_selftest(args):
+def cmd_selftest():
     from . import checks
 
-    return checks.print_table(checks.selftest(args.inject_sign_fault))
+    return checks.print_table(checks.selftest())
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +476,7 @@ def cmd_selftest(args):
 
 def _dispatch(args):
     if args.command == "selftest":
-        return cmd_selftest(args)
+        return cmd_selftest()
     spec = _load_spec(args)
     if args.command == "simulate":
         return cmd_simulate(args, spec)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .basis import rot90
 from .errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "check_seed",
     "NormalStream",
     "random_state",
-    "rot90",
     "stokes_apply",
     "helmholtz_filter",
     "harmonic_project",
@@ -147,7 +145,7 @@ def _flow_grids(plan, states):
     for state in states:
         _check(plan, state)
     zeta, grad = basis.flow_synthesis(plan, np.stack([state.psi for state in states]))
-    u = rot90(grad)
+    u = basis.rot90(grad)
     if plan.n_harmonic:
         u += np.stack([state.harmonic for state in states])[:, :, None, None]
     return zeta, u

@@ -220,7 +220,7 @@ def identity_suite(plan, params, seed, n_states=20, amplitude=1.0):
             zeta, _ = basis.flow_synthesis(plan, u.psi)
             hv = np.zeros((2,) + plan.grid_shape)
             hv[0], hv[1] = u.harmonic
-            q = ops.harmonic_project(plan, zeta * ops.rot90(hv))
+            q = ops.harmonic_project(plan, zeta * basis.rot90(hv))
             pair = plan.area * float(np.dot(q, u.harmonic))
             table["harmonic_pair"][i] = _relative(pair, scale)
     return table
