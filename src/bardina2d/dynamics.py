@@ -244,10 +244,16 @@ def _slot_tendencies(plan, params, psis, hs):
     return core.from_rows(remainder(plan, params)(core.to_rows(psis, hs)))
 
 
+def full_tendency(plan, params, dpsi, dh, psi):
+    """The full tendency of a state with streamfunction psi, from the
+    slot-order remainder (dpsi, dh): the stiff term -nu lam psi added."""
+    return ops.VelocityState(dpsi - params.nu * plan.lam * psi, dh)
+
+
 def rhs_u(plan, state, params):
     """Full tendency of the evolved state, stiff linear part included."""
     dpsi, dh = _slot_tendencies(plan, params, state.psi[None], state.harmonic[None])
-    return ops.VelocityState(dpsi[0] - params.nu * plan.lam * state.psi, dh[0])
+    return full_tendency(plan, params, dpsi[0], dh[0], state.psi)
 
 
 def rhs_tangent(plan, delta, state, params):
@@ -257,7 +263,7 @@ def rhs_tangent(plan, delta, state, params):
     psis = np.stack((state.psi, delta.psi))
     hs = np.stack((state.harmonic, delta.harmonic))
     dpsis, dhs = _slot_tendencies(plan, params, psis, hs)
-    return ops.VelocityState(dpsis[1] - params.nu * plan.lam * delta.psi, dhs[1])
+    return full_tendency(plan, params, dpsis[1], dhs[1], delta.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -297,4 +303,4 @@ def prepared_rhs(plan, vstate, params, rho):
     core = plan.core
     vrows = core.to_rows(vstate.psi[None], np.zeros((1, 0)))
     dpsi, _ = core.from_rows(_remainder_prepared(plan, vrows, rho, run_constants(plan, params)))
-    return ops.VelocityState(dpsi[0] - params.nu * plan.lam * vstate.psi, np.zeros(0))
+    return full_tendency(plan, params, dpsi[0], np.zeros(0), vstate.psi)

@@ -194,7 +194,7 @@ class _TorusCore:
     def analyze(self, f):
         ws = self.workspace(len(f))
         rows = np.zeros((len(f), self.ncols))
-        np.matmul(self.e_tr, np.matmul(f, self.e, out=ws.p_first), out=self._m(rows, ws))
+        np.matmul(self.e_tr, np.matmul(f, self.e), out=self._m(rows, ws))
         rows *= self.row_ana_w
         return self.from_rows(rows)[0]
 
@@ -236,14 +236,13 @@ class _TorusWork(_Workspace):
     [-lam o M E^T | M E^T | M dE^T] into the first 2K + 1 rows of t, the
     first third (t_lam) and the other two (t_grad); the last row of t
     holds (0, h1, h0), its first third zeroed once and never written, and
-    t_split views t as (B, 3, 2K + 2, N).  An analysis writes its first
-    products into p (a scalar one into p_first), which p_stack views as
-    (B, 2N, 2K + 1), and its second into the M (shape m_shape) of a row
-    array of its own.  The weights row_neg_lam and row_w (row_flow_w) are
-    the core's, repeated over the B rows, so that every elementwise
-    operand is contiguous and of the full shape: numpy 2 copies an operand
-    it broadcasts over an outer axis, or one that is not contiguous, into
-    a temporary.  At B = 1 the repeated weights are views of the core's.
+    t_split views t as (B, 3, 2K + 2, N).  A flow analysis writes its
+    first products into p, which p_stack views as (B, 2N, 2K + 1), and its
+    second into the M (shape m_shape) of a row array of its own.  The
+    weights row_neg_lam and row_w (row_flow_w) are the core's, repeated
+    over the B rows, so that every elementwise operand is contiguous and
+    of the full shape: numpy 2 copies an operand it broadcasts over an
+    outer axis, or one that is not contiguous, into a temporary.  At B = 1 the repeated weights are views of the core's.
     Every view a transform passes to numpy is made here once, as in the
     sphere's workspace: at K=16 making them costs as much as the
     arithmetic.  Row-axis views are slices, so they hold for B = 0 too.
@@ -263,7 +262,6 @@ class _TorusWork(_Workspace):
         self.t_pair = self.t[:, nb, n:].reshape(b, 2, n)
         self.t_split = self.t.reshape(b, nb + 1, 3, n).transpose(0, 2, 1, 3)
         self.p = np.empty((b, 2, n, nb))
-        self.p_first = self.p[:, 0]
         self.p_stack = self.p.reshape(b, 2 * n, nb)
         # grids of (vorticity, d/dx, d/dy), and the product g
         self.grids = np.empty((b, 3, n, n))

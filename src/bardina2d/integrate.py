@@ -155,9 +155,8 @@ def _one_row(plan, params, state, rem, scheme, steps, observers):
     goes back to slot order, and the run continues from that sampled
     state's row, as a run resumed from it starts: so a resume from any
     sample reproduces the continuation bit for bit.  Each sample's
-    observers are called before it is yielded, with the full tendency: the
-    sample's first() in slot order plus the stiff term, added as
-    dynamics.rhs_u adds it.
+    observers are called before it is yielded, with the full tendency:
+    dynamics.full_tendency of the sample's first() in slot order.
     """
     core = plan.core
     psis, hs = state.psi[None].copy(), state.harmonic[None].copy()
@@ -168,7 +167,6 @@ def _one_row(plan, params, state, rem, scheme, steps, observers):
         scheme,
         steps,
     )
-    stiff = params.nu * plan.lam
     for k, (t, rows, first) in enumerate(loop):
         if k:
             psis, hs = core.from_rows(rows)
@@ -178,7 +176,7 @@ def _one_row(plan, params, state, rem, scheme, steps, observers):
             # near overflow the observers' norms overflow as the step does
             with np.errstate(**_STEP_ERRSTATE):
                 dpsi, dh = core.from_rows(first())
-                tend = ops.VelocityState(dpsi[0] - stiff * psis[0], dh[0])
+                tend = dyn.full_tendency(plan, params, dpsi[0], dh[0], psis[0])
                 for obs in observers:
                     obs(t, st, tend)
         yield t, st

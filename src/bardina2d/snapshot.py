@@ -7,13 +7,13 @@ coefficients (u64), the coefficient block (f64: streamfunction
 coefficients in slot order, then the harmonic pair on the torus), and
 finally a CRC-32 (u32) over every byte before it, header included, so a
 flipped bit in t, a model parameter or the period is caught.  Version 3
-is the one written.  Versions 1 and 2 still load: they have no length
-field, and version 1 took the CRC over the coefficient bytes only.
+is the one format written and read; a file of any other version fails as
+corrupt.
 
 Snapshots are written atomically: a reader never sees a partial file.
 
 The mismatch checks cover geometry kind, truncation, the model
-parameters and, from version 3 on, the torus period.
+parameters and the torus period.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .errors import CorruptSnapshotError, SnapshotMismatchError
 MAGIC = b"BDNA"
 VERSION = 3
 _PREFIX = struct.Struct("<4sI")
-_NO_LENGTH = struct.Struct("<4sIBI4dQ")  # the header of versions 1 and 2
-_HEADERS = {1: _NO_LENGTH, 2: _NO_LENGTH, 3: struct.Struct("<4sIBI5dQ")}
+_HEADER = struct.Struct("<4sIBI5dQ")
 _TRAILER = struct.Struct("<I")
 _GEOMETRY_TAGS = {basis.SPHERE: 0, basis.TORUS: 1}
 _GEOMETRY_KINDS = {tag: kind for kind, tag in _GEOMETRY_TAGS.items()}
@@ -48,7 +47,7 @@ class Snapshot:
     nu: float
     alpha: float
     sigma: float
-    length: float | None  # None in versions 1 and 2, which did not record it
+    length: float
     psi: np.ndarray
     harmonic: np.ndarray
 
@@ -62,7 +61,7 @@ def save_snapshot(path, plan, state, t, params):
     """
     payload = np.concatenate([state.psi, state.harmonic]).astype("<f8")
     body = payload.tobytes()
-    header = _HEADERS[VERSION].pack(
+    header = _HEADER.pack(
         MAGIC,
         VERSION,
         _GEOMETRY_TAGS[plan.geometry.kind],
@@ -89,12 +88,11 @@ def load_snapshot(path):
     magic, version = _PREFIX.unpack_from(blob)
     if magic != MAGIC:
         raise CorruptSnapshotError(f"{path}: bad magic {magic!r}")
-    header = _HEADERS.get(version)
-    if header is None:
+    if version != VERSION:
         raise CorruptSnapshotError(f"{path}: unsupported format version {version}")
-    if len(blob) < header.size + _TRAILER.size:
+    if len(blob) < _HEADER.size + _TRAILER.size:
         raise CorruptSnapshotError(f"{path}: file shorter than the fixed header")
-    _, _, tag, truncation, t, nu, alpha, sigma, *length, count = header.unpack_from(blob)
+    _, _, tag, truncation, t, nu, alpha, sigma, length, count = _HEADER.unpack_from(blob)
     if tag not in _GEOMETRY_KINDS:
         raise CorruptSnapshotError(f"{path}: unknown geometry tag {tag}")
     kind = _GEOMETRY_KINDS[tag]
@@ -104,16 +102,12 @@ def load_snapshot(path):
             f"{path}: payload of {count} coefficients does not match "
             f"truncation {truncation}"
         )
-    body_end = header.size + 8 * count
+    body_end = _HEADER.size + 8 * count
     if len(blob) != body_end + _TRAILER.size:
         raise CorruptSnapshotError(f"{path}: truncated or oversized payload")
-    body = blob[header.size : body_end]
+    body = blob[_HEADER.size : body_end]
     (crc,) = _TRAILER.unpack_from(blob, body_end)
-    if version == 1:
-        covered = body  # version 1 left the header unchecked
-    else:
-        covered = blob[:body_end]
-    if crc != zlib.crc32(covered):
+    if crc != zlib.crc32(blob[:body_end]):
         raise CorruptSnapshotError(f"{path}: checksum failure")
     coeffs = np.frombuffer(body, dtype="<f8").astype(float)
     return Snapshot(
@@ -123,17 +117,14 @@ def load_snapshot(path):
         nu=nu,
         alpha=alpha,
         sigma=sigma,
-        length=length[0] if length else None,
+        length=length,
         psi=coeffs[:n_modes],
         harmonic=coeffs[n_modes:],
     )
 
 
 def check_snapshot(snap, plan, params=None):
-    """Raise unless the snapshot belongs to this plan (and parameters).
-
-    The torus period is checked when the snapshot records it (version 3 on).
-    """
+    """Raise unless the snapshot belongs to this plan (and parameters)."""
     if snap.geometry_kind != plan.geometry.kind:
         raise SnapshotMismatchError(
             f"snapshot geometry {snap.geometry_kind} != plan {plan.geometry.kind}"
@@ -142,7 +133,7 @@ def check_snapshot(snap, plan, params=None):
         raise SnapshotMismatchError(
             f"snapshot truncation {snap.truncation} != plan {plan.truncation}"
         )
-    if snap.length is not None and snap.length != plan.geometry.length:
+    if snap.length != plan.geometry.length:
         raise SnapshotMismatchError(
             f"snapshot length={snap.length} != config length={plan.geometry.length}"
         )

@@ -981,7 +981,9 @@ class TestVerifySelftest:
         assert "env1 off the envelope rebuilt" in detail and f"t={float(row[0])!r}" in detail
         assert rows["run-energy-law"][0] == "PASS"
 
-    @pytest.mark.parametrize("edit", ["no-meta", "no-anchor", "nan-anchor"])
+    @pytest.mark.parametrize(
+        "edit", ["no-meta", "meta-list", "meta-not-json", "no-anchor", "nan-anchor"]
+    )
     def test_run_envelopes_fails_without_an_anchor(self, tmp_path, capsys, edit):
         config = write_config(tmp_path, forced_doc())
         out = tmp_path / "run"
@@ -989,6 +991,10 @@ class TestVerifySelftest:
         meta_path = out / "meta.json"
         if edit == "no-meta":
             meta_path.unlink()
+        elif edit == "meta-list":
+            meta_path.write_text("[1, 2]\n")
+        elif edit == "meta-not-json":
+            meta_path.write_text("{not json\n")
         else:
             meta = json.loads(meta_path.read_text())
             if edit == "no-anchor":
@@ -1000,9 +1006,14 @@ class TestVerifySelftest:
         assert code == 1
         status, detail = rows["run-envelopes"]
         assert status == "FAIL" and detail.startswith("cannot rebuild the envelopes:")
-        cause = {"no-meta": "no meta.json at", "no-anchor": "no valid anchor",
+        meta_causes = {"no-meta": "no meta.json at", "meta-list": "is not a JSON object",
+                       "meta-not-json": "is unreadable"}
+        cause = {**meta_causes, "no-anchor": "no valid anchor",
                  "nan-anchor": "anchor_t is nan"}[edit]
         assert cause in detail
+        if edit in meta_causes:
+            status, detail = rows["run-average-enstrophy"]
+            assert status == "FAIL" and cause in detail
 
     def test_run_envelopes_pass_on_a_reanchored_resume(self, tmp_path, capsys):
         half_doc = forced_doc()

@@ -1,12 +1,13 @@
 """Binary snapshot format: roundtrip fidelity and corruption detection."""
 
+import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from bardina2d import basis, dynamics, operators as ops, snapshot
+from bardina2d import basis, cli, dynamics, operators as ops, snapshot
 from bardina2d.errors import CorruptSnapshotError, SnapshotMismatchError
 
 
@@ -94,6 +95,13 @@ class TestRoundtrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.bdna"]
 
+    def test_writer_uses_current_version(self, tmp_path):
+        plan = sphere_plan()
+        path = tmp_path / "s.bdna"
+        snapshot.save_snapshot(path, plan, rand_state(plan, 12), 0.0, params_for(plan))
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+        assert snapshot.load_snapshot(path).length == 0.0
+
 
 def write_old(path, plan, state, t, params, version):
     """A torus snapshot in the version 1 or 2 layout, which has no length
@@ -107,61 +115,29 @@ def write_old(path, plan, state, t, params, version):
     path.write_bytes(header + body + struct.pack("<I", crc))
 
 
-class TestVersion1:
-    def test_hand_written_v1_loads(self, tmp_path):
-        plan = torus_plan()
-        params = params_for(plan, sigma=0.3)
-        state = rand_state(plan, 10)
-        path = tmp_path / "v1.bdna"
-        write_old(path, plan, state, 0.25, params, 1)
-        snap = snapshot.load_snapshot(path)
-        assert snap.geometry_kind == basis.TORUS
-        assert snap.t == 0.25
-        assert (snap.nu, snap.alpha, snap.sigma) == (0.7, 1.2, 0.3)
-        assert np.array_equal(snap.psi, state.psi)
-        assert np.array_equal(snap.harmonic, state.harmonic)
-        snapshot.check_snapshot(snap, plan, params)
-
-    def test_v1_payload_still_checked(self, tmp_path):
-        plan = torus_plan()
-        path = tmp_path / "v1.bdna"
-        write_old(path, plan, rand_state(plan, 11), 1.0, params_for(plan, sigma=0.3), 1)
-        blob = bytearray(path.read_bytes())
-        blob[-12] ^= 0x40
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptSnapshotError):
-            snapshot.load_snapshot(path)
-
-    def test_writer_uses_current_version(self, tmp_path):
-        plan = sphere_plan()
-        path = tmp_path / "s.bdna"
-        snapshot.save_snapshot(path, plan, rand_state(plan, 12), 0.0, params_for(plan))
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
-        assert snapshot.load_snapshot(path).length == 0.0
-
-
 class TestOldVersions:
     @pytest.mark.parametrize("version", [1, 2])
-    def test_old_versions_load_with_no_period_check(self, tmp_path, version):
+    def test_old_versions_refused(self, tmp_path, capsys, version):
+        # neither layout records the torus period, so neither may resume
         plan = torus_plan()
         params = params_for(plan, sigma=0.3)
-        state = rand_state(plan, 13)
         path = tmp_path / "old.bdna"
-        write_old(path, plan, state, 0.5, params, version)
-        snap = snapshot.load_snapshot(path)
-        assert snap.length is None and np.array_equal(snap.psi, state.psi)
-        other = basis.build_plan(basis.torus(3.0), plan.truncation)
-        snapshot.check_snapshot(snap, other, params)
-
-    def test_v2_header_still_checked(self, tmp_path):
-        plan = torus_plan()
-        path = tmp_path / "v2.bdna"
-        write_old(path, plan, rand_state(plan, 14), 0.5, params_for(plan, sigma=0.3), 2)
-        blob = bytearray(path.read_bytes())
-        blob[21 + 3] ^= 0x04  # inside nu
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptSnapshotError):
+        write_old(path, plan, rand_state(plan, 13), 0.5, params, version)
+        message = f"unsupported format version {version}"
+        with pytest.raises(CorruptSnapshotError, match=message):
             snapshot.load_snapshot(path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "geometry": "torus", "length": 2.0 * np.pi, "truncation": plan.truncation,
+            "nu": params.nu, "alpha": params.alpha, "sigma": params.sigma, "seed": 3,
+            "initial": {"kind": "random", "slope": 2.0, "energy": 0.5},
+            "scheme": {"dt": 0.01, "t_end": 1.0, "stride": 25},
+        }))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--resume", str(path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCorruption:
